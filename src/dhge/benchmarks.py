@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .fixtures import _write_edges, _write_features, _write_schema
-from .graph import DataError
+from .graph import DataError, parse_feature_cells
 from .seeding import derived_rng, TAG_FIXTURE
 
 USER_TYPE = 0
@@ -44,15 +44,7 @@ def read_side_table(path, delimiter=","):
             if len(rec) != dim + 1:
                 raise DataError("%s:%d: expected %d columns, got %d"
                                 % (path, lineno, dim + 1, len(rec)))
-            values = np.zeros(dim)
-            mask = np.zeros(dim, dtype=bool)
-            for j, cell in enumerate(rec[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    continue
-                values[j] = float(cell)
-                mask[j] = True
-            rows[rec[0].strip()] = (values, mask)
+            rows[rec[0].strip()] = parse_feature_cells(rec[1:], path, lineno)
     if dim is None:
         raise DataError("%s: empty side table" % path)
     return rows, dim

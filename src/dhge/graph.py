@@ -216,12 +216,6 @@ class HeteroGraph:
     def all_refs(self):
         return [NodeRef(t, i) for t in range(self.num_types) for i in range(self.counts[t])]
 
-    def features_dense(self):
-        return np.concatenate(self.feature_blocks, axis=0)
-
-    def mask_dense(self):
-        return np.concatenate(self.mask_blocks, axis=0)
-
     # -- neighborhood --------------------------------------------------------
 
     def neighbors_of(self, node):
@@ -541,6 +535,40 @@ def _parse_int(text, label, lineno, what):
         raise GraphFormatError("%s:%d: %s is not an integer: %r" % (label, lineno, what, text)) from None
 
 
+def _parse_float(text, label, lineno, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise GraphFormatError("%s:%d: bad %s %r" % (label, lineno, what, text)) from None
+
+
+def _edge_rows(source, label):
+    """Yield (lineno, (src_type, src_id, dst_type, dst_id, relation_id, ts)).
+
+    An empty timestamp cell parses as 0.
+    """
+    for lineno, f in _rows(source, 6, label):
+        ts_text = f[5].strip()
+        yield lineno, (_parse_int(f[0], label, lineno, "src_type"),
+                       _parse_int(f[1], label, lineno, "src_id"),
+                       _parse_int(f[2], label, lineno, "dst_type"),
+                       _parse_int(f[3], label, lineno, "dst_id"),
+                       _parse_int(f[4], label, lineno, "relation_id"),
+                       _parse_float(ts_text, label, lineno, "timestamp") if ts_text else 0.0)
+
+
+def parse_feature_cells(cells, label, lineno):
+    """Feature cells as (values, mask); an empty cell is a missing value."""
+    values = np.zeros(len(cells))
+    mask = np.zeros(len(cells), dtype=bool)
+    for j, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell:
+            values[j] = _parse_float(cell, label, lineno, "feature value")
+            mask[j] = True
+    return values, mask
+
+
 def load_schema(source):
     label = getattr(source, "name", None) or str(source)
     rows = {}
@@ -582,17 +610,7 @@ def load_graph(edges, features, schema):
         elif len(cells) != dim:
             raise GraphFormatError("%s:%d: expected %d feature values, got %d"
                                    % (feat_label, lineno, dim, len(cells)))
-        values = np.zeros(dim)
-        mask = np.zeros(dim, dtype=bool)
-        for j, cell in enumerate(cells):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            try:
-                values[j] = float(cell)
-            except ValueError:
-                raise GraphFormatError("%s:%d: bad feature value %r" % (feat_label, lineno, cell)) from None
-            mask[j] = True
+        values, mask = parse_feature_cells(cells, feat_label, lineno)
         if (t, i) in feat_rows:
             raise DataError("%s:%d: duplicate feature row for node (%d, %d)" % (feat_label, lineno, t, i))
         feat_rows[(t, i)] = (values, mask)
@@ -601,12 +619,7 @@ def load_graph(edges, features, schema):
 
     edge_label = getattr(edges, "name", None) or str(edges)
     edge_rows = []
-    for lineno, f in _rows(edges, 6, edge_label):
-        st = _parse_int(f[0], edge_label, lineno, "src_type")
-        si = _parse_int(f[1], edge_label, lineno, "src_id")
-        dt = _parse_int(f[2], edge_label, lineno, "dst_type")
-        di = _parse_int(f[3], edge_label, lineno, "dst_id")
-        r = _parse_int(f[4], edge_label, lineno, "relation_id")
+    for lineno, (st, si, dt, di, r, ts) in _edge_rows(edges, edge_label):
         if r < 0 or r >= schema.num_relations:
             raise DataError("%s:%d: unknown relation id %d" % (edge_label, lineno, r))
         s_t, d_t = schema.pairs[r]
@@ -617,14 +630,6 @@ def load_graph(edges, features, schema):
             raise DataError("%s:%d: self-loop rejected" % (edge_label, lineno))
         if si < 0 or di < 0:
             raise GraphFormatError("%s:%d: negative node id" % (edge_label, lineno))
-        ts_text = f[5].strip()
-        if ts_text == "":
-            ts = 0.0
-        else:
-            try:
-                ts = float(ts_text)
-            except ValueError:
-                raise GraphFormatError("%s:%d: bad timestamp %r" % (edge_label, lineno, ts_text)) from None
         edge_rows.append((st, si, dt, di, r, ts))
 
     num_types = max(
@@ -720,13 +725,7 @@ def read_increment(graph, edges_source, features_source=None):
             if len(cells) != dim:
                 raise GraphFormatError("%s:%d: expected %d feature values, got %d"
                                        % (label, lineno, dim, len(cells)))
-            values = np.zeros(dim)
-            mask = np.zeros(dim, dtype=bool)
-            for j, cell in enumerate(cells):
-                cell = cell.strip()
-                if cell:
-                    values[j] = float(cell)
-                    mask[j] = True
+            values, mask = parse_feature_cells(cells, label, lineno)
             if (t, i) in new_feats:
                 raise DataError("%s:%d: duplicate feature row for node (%d, %d)" % (label, lineno, t, i))
             new_feats[(t, i)] = (values, mask)
@@ -735,14 +734,7 @@ def read_increment(graph, edges_source, features_source=None):
     new_edges = []
     mentioned = set()
     max_ts = 0.0
-    for lineno, f in _rows(edges_source, 6, label):
-        st = _parse_int(f[0], label, lineno, "src_type")
-        si = _parse_int(f[1], label, lineno, "src_id")
-        dt = _parse_int(f[2], label, lineno, "dst_type")
-        di = _parse_int(f[3], label, lineno, "dst_id")
-        r = _parse_int(f[4], label, lineno, "relation_id")
-        ts_text = f[5].strip()
-        ts = float(ts_text) if ts_text else 0.0
+    for lineno, (st, si, dt, di, r, ts) in _edge_rows(edges_source, label):
         max_ts = max(max_ts, ts)
         new_edges.append((NodeRef(st, si), NodeRef(dt, di), r, ts))
         for (t, i) in ((st, si), (dt, di)):

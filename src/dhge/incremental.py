@@ -10,7 +10,7 @@ tensors other than the affected id-table rows are never modified.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -278,19 +278,40 @@ def full_lle_oracle(x, k, dim, eps=1e-8):
 class AlignmentState:
     """Reconstruction rows and target spectrum captured at a full retrain.
 
-    ``rows`` maps each non-isolated node to its (neighbor refs, weights);
-    ``lam`` is the D x D alignment spectrum R^T R with R = (I - W) Y taken
-    over the full table at capture time.
+    Row r reconstructs node ``refs[r]`` from the k nodes ``nbrs[r]`` with
+    ``weights[r]``. Rows are keyed by sorted, unique (type, intra) pairs, not
+    global ids, because a type's global offset shifts when an earlier type
+    grows. ``lam`` is the D x D alignment spectrum R^T R with R = (I - W) Y
+    taken over the full table at capture time.
     """
 
     k: int
     lam: np.ndarray
-    rows: dict = field(default_factory=dict)
+    refs: np.ndarray       # (R, 2) int64
+    nbrs: np.ndarray       # (R, k, 2) int64
+    weights: np.ndarray    # (R, k) float64
+
+    def with_rows(self, refs, nbrs, weights):
+        """A copy with the given rows replacing or joining the stored ones."""
+        all_refs = np.concatenate([refs, self.refs])
+        # sorted unique rows; on a repeated ref the first (given) row wins
+        _, keep = np.unique(all_refs, axis=0, return_index=True)
+        return AlignmentState(k=self.k, lam=self.lam, refs=all_refs[keep],
+                              nbrs=np.concatenate([nbrs, self.nbrs])[keep],
+                              weights=np.concatenate([weights, self.weights])[keep])
+
+
+def _row_arrays(refs, samples, weights, k):
+    """(refs, nbrs, weights) arrays for the rows of ``refs``."""
+    return (np.asarray(refs, dtype=np.int64).reshape(-1, 2),
+            np.asarray([samples[r].neighbors for r in refs], dtype=np.int64).reshape(-1, k, 2),
+            np.asarray([weights[r] for r in refs], dtype=np.float64).reshape(-1, k))
 
 
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
     """Record per-node reconstruction rows and the alignment spectrum."""
-    rows = {}
+    samples = {}
+    weights = {}
     for t in range(graph.num_types):
         for i in range(graph.counts[t]):
             ref = NodeRef(t, i)
@@ -299,46 +320,48 @@ def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
             except ColdIsolatedError:
                 continue
             center, nbr_vecs = _weight_vectors(graph, table, ref, sample.neighbors, weight_space)
-            w = reconstruction_weights(center, nbr_vecs, eps)
-            rows[ref] = (sample.neighbors, w)
-    iw = _reconstruction_operator(graph, rows)
-    r = iw @ table.dense()
-    return AlignmentState(k=k, lam=r.T @ r, rows=rows)
+            samples[ref] = sample
+            weights[ref] = reconstruction_weights(center, nbr_vecs, eps)
+    state = AlignmentState(k, None, *_row_arrays(list(samples), samples, weights, k))
+    r = _reconstruction_operator(graph, state) @ table.dense()
+    state.lam = r.T @ r
+    return state
 
 
 def _weight_vectors(graph, table, center_ref, neighbor_refs, weight_space, provisional=None):
     if weight_space == "feature":
         def vec(ref):
             return graph.feature_blocks[ref[0]][ref[1]]
-        return vec(center_ref), np.stack([vec(nb) for nb in neighbor_refs])
-    if weight_space != "embedding":
-        raise ValueError("weight_space must be 'embedding' or 'feature'")
+    elif weight_space == "embedding":
+        provisional = provisional or {}
 
-    def vec(ref):
-        if provisional is not None and ref in provisional:
-            return provisional[ref]
-        return table.row(ref)
-
-    if provisional is not None and center_ref in provisional:
-        center = provisional[center_ref]
+        def vec(ref):
+            return provisional[ref] if ref in provisional else table.row(ref)
     else:
-        center = table.row(center_ref)
-    return center, np.stack([vec(nb) for nb in neighbor_refs])
+        raise ValueError("weight_space must be 'embedding' or 'feature'")
+    return vec(center_ref), np.stack([vec(nb) for nb in neighbor_refs])
 
 
-def _reconstruction_operator(graph, rows):
+def _global_ids(graph, refs):
+    """Global ids for an (..., 2) array of (type, intra) pairs, range-checked."""
+    types, intras = refs[..., 0], refs[..., 1]
+    if types.size and (types.min() < 0 or types.max() >= graph.num_types):
+        raise DataError("alignment row references an unknown node type")
+    if np.any((intras < 0) | (intras >= np.asarray(graph.counts)[types])):
+        raise DataError("alignment row references a node missing from the graph")
+    return graph.offsets[types] + intras
+
+
+def _reconstruction_operator(graph, alignment):
     """(I - W) over the current global index, identity where no row exists."""
+    # identity first, then neighbors in sampled order: repeats sum in a fixed order
     n = graph.num_nodes
-    data = [np.ones(n)]
-    ri = [np.arange(n)]
-    ci = [np.arange(n)]
-    for ref, (nbrs, w) in rows.items():
-        g = graph.global_index(ref)
-        ri.append(np.full(len(nbrs), g, dtype=np.int64))
-        ci.append(np.asarray([graph.global_index(nb) for nb in nbrs], dtype=np.int64))
-        data.append(-np.asarray(w, dtype=np.float64))
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.repeat(_global_ids(graph, alignment.refs), alignment.k)
+    cols = _global_ids(graph, alignment.nbrs).ravel()
     mat = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))), shape=(n, n))
+        (np.concatenate([np.ones(n), -alignment.weights.ravel()]),
+         (np.concatenate([diag, rows]), np.concatenate([diag, cols]))), shape=(n, n))
     return mat.tocsr()
 
 
@@ -351,11 +374,6 @@ class AlignmentProblem:
         self.y = np.asarray(y, dtype=np.float64)
         self.update_mask = np.asarray(update_mask, dtype=bool)
         self.mu = float(mu)
-
-    @property
-    def alignment_matrix(self):
-        iw = self.i_minus_w
-        return (iw.T @ iw).tocsr()
 
     def objectives(self, y):
         n = len(y)
@@ -528,9 +546,6 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     for ref, sample in samples.items():
         center, nbr_vecs = _weight_vectors(graph2, table2, ref, sample.neighbors,
                                            update_config.weight_space, provisional)
-        if ref in provisional:
-            center = provisional[ref] if update_config.weight_space == "embedding" \
-                else graph2.feature_blocks[ref[0]][ref[1]]
         weights[ref] = reconstruction_weights(center, nbr_vecs, update_config.eps)
 
     new_connected = [r for r in new_refs if r in samples]
@@ -568,18 +583,17 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     step_warning = False
     alignment2 = None
     if alignment is not None:
-        rows2 = dict(alignment.rows)
-        for ref in update_set:
-            if ref in samples:
-                rows2[ref] = (samples[ref].neighbors, weights[ref])
+        if update_config.k != alignment.k:
+            raise DataError("alignment was captured with k=%d but the update uses k=%d;"
+                            " retrain to recapture it" % (alignment.k, update_config.k))
+        rows = _row_arrays([ref for ref in update_set if ref in samples],
+                           samples, weights, alignment.k)
+        alignment2 = alignment.with_rows(*rows)
         if update_config.refine_steps > 0 and samples:
-            iw = _reconstruction_operator(graph2, rows2)
+            iw = _reconstruction_operator(graph2, alignment2)
             mask_rows = np.zeros(graph2.num_nodes, dtype=bool)
-            for ref in update_set:
-                if ref in samples:
-                    mask_rows[graph2.global_index(ref)] = True
-                    for nb in samples[ref].neighbors:
-                        mask_rows[graph2.global_index(nb)] = True
+            mask_rows[_global_ids(graph2, rows[0])] = True
+            mask_rows[_global_ids(graph2, rows[1]).ravel()] = True
             problem = AlignmentProblem(iw, alignment.lam, table2.dense(), mask_rows,
                                        mu=update_config.refine_mu)
             result = incremental_refine(problem, update_config.refine_steps,
@@ -590,7 +604,6 @@ def ille_update(graph, batch, params, table, model_config, update_config,
             moved = np.flatnonzero(mask_rows)
             for g in moved:
                 table2.set_row(graph2.ref_of(int(g)), result.y[g])
-        alignment2 = AlignmentState(k=alignment.k, lam=alignment.lam, rows=rows2)
 
     params2 = disentangled_update(
         params, {ref: table2.row(ref).copy() for ref in update_set},

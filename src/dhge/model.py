@@ -191,10 +191,6 @@ class EmbeddingTable:
     def counts(self):
         return [len(b) for b in self.blocks]
 
-    @property
-    def num_rows(self):
-        return sum(len(b) for b in self.blocks)
-
     def row(self, ref):
         return self.blocks[ref[0]][ref[1]]
 

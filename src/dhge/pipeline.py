@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import (DataError, load_graph, read_increment, apply_increment,
-                    NodeRef, _rows)
+                    NodeRef, _edge_rows)
 from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
@@ -246,9 +246,7 @@ def read_test_interactions(path, user_type, item_type):
     """
     label = os.fspath(path)
     rows = []
-    for lineno, parts in _rows(label, 6, label):
-        st, si, dt, di = (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
-        ts = float(parts[5]) if parts[5] else 0.0
+    for lineno, (st, si, dt, di, _, ts) in _edge_rows(label, label):
         if st != user_type:
             continue
         if dt != item_type:
@@ -298,7 +296,7 @@ def _train_locked(cfg, sd, log):
     seed = cfg.pipeline["rng_seed"]
     warm = parent is not None and not cfg.train["cold_start_retrain"]
     if warm:
-        snap_config, params, _, _ = load_snapshot_state(sd, parent)
+        snap_config, params = load_model(os.path.join(sd, parent.model_path))
         if snap_config.input_dim != model_config.input_dim:
             raise DataError("snapshot input dim %d does not match data dim %d"
                             % (snap_config.input_dim, model_config.input_dim))
@@ -373,7 +371,7 @@ def cmd_evaluate(cfg, test_path, version=None, missing_users="drop", log=_null_l
     sd = cfg.paths["snapshot_dir"]
     man = resolve_manifest(sd, version)
     graph = graph_for_manifest(cfg, man)
-    _, _, table, _ = load_snapshot_state(sd, man)
+    table = load_table(os.path.join(sd, man.table_path))
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     tests = read_test_interactions(test_path, user_type, item_type)
@@ -396,7 +394,7 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True):
     sd = cfg.paths["snapshot_dir"]
     man = resolve_manifest(sd, version)
     graph = graph_for_manifest(cfg, man)
-    _, _, table, _ = load_snapshot_state(sd, man)
+    table = load_table(os.path.join(sd, man.table_path))
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     ref = NodeRef(user_type, int(user_intra_id))
@@ -451,7 +449,7 @@ def _stream_locked(cfg, sd, batches, test_path, compare_frozen, missing_users, l
         if refresh_every and (j + 1) % refresh_every == 0:
             man, _ = cmd_train(cfg, log=log)
         graph = graph_for_manifest(cfg, man)
-        _, _, table, _ = load_snapshot_state(sd, man)
+        table = load_table(os.path.join(sd, man.table_path))
         rep = evaluate_table(graph, table, tests, cfg.protocol(),
                              user_type=user_type, item_type=item_type,
                              missing_users=missing_users)
@@ -462,7 +460,7 @@ def _stream_locked(cfg, sd, batches, test_path, compare_frozen, missing_users, l
                "eval": rep.to_json_dict()}
         if compare_frozen:
             fg = graph_for_manifest(cfg, frozen)
-            _, _, ftable, _ = load_snapshot_state(sd, frozen)
+            ftable = load_table(os.path.join(sd, frozen.table_path))
             frep = evaluate_table(fg, ftable, tests, cfg.protocol(),
                                   user_type=user_type, item_type=item_type,
                                   missing_users=missing_users)

@@ -9,12 +9,13 @@ crash never leaves a partially written file at the target path.
 """
 from __future__ import annotations
 
+import io
 import os
 import struct
 
 import numpy as np
 
-from .graph import DataError, NodeRef
+from .graph import DataError
 from .incremental import AlignmentState
 from .model import EmbeddingTable, ModelConfig, ModelParams
 from .tensor import Param
@@ -35,6 +36,12 @@ def _atomic_bytes(path, payload):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _atomic_npz(path, payload):
+    buf = io.BytesIO()
+    np.savez(buf, **payload)
+    _atomic_bytes(path, buf.getvalue())
 
 
 def _tensor_record(name, value):
@@ -159,13 +166,7 @@ def save_table(path, table):
                "num_types": np.asarray([len(table.blocks)], dtype=np.int64)}
     for t, block in enumerate(table.blocks):
         payload["block_%d" % t] = block.astype("<f4")
-    path = os.fspath(path)
-    tmp = path + ".tmp.npz"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _atomic_npz(path, payload)
 
 
 def load_table(path):
@@ -176,46 +177,55 @@ def load_table(path):
                               created_ms=int(data["created_ms"][0]))
 
 
+ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
+                  "nbr_types", "nbr_intras", "weights")
+
+
 def save_alignment(path, state):
-    """Alignment rows and spectrum, float64 (internal math, not serving data)."""
-    refs = sorted(state.rows)
-    counts = np.asarray([len(state.rows[r][0]) for r in refs], dtype=np.int64)
-    nbr_types, nbr_intras, weights = [], [], []
-    for r in refs:
-        nbrs, w = state.rows[r]
-        nbr_types.extend(nb[0] for nb in nbrs)
-        nbr_intras.extend(nb[1] for nb in nbrs)
-        weights.extend(np.asarray(w, dtype=np.float64).tolist())
+    """Alignment rows and spectrum, float64 (internal math, not serving data).
+
+    Rows are flattened row-major, k entries each; ``counts`` is all k.
+    """
     payload = {
         "k": np.asarray([state.k], dtype=np.int64),
         "lam": np.asarray(state.lam, dtype=np.float64),
-        "row_types": np.asarray([r[0] for r in refs], dtype=np.int64),
-        "row_intras": np.asarray([r[1] for r in refs], dtype=np.int64),
-        "counts": counts,
-        "nbr_types": np.asarray(nbr_types, dtype=np.int64),
-        "nbr_intras": np.asarray(nbr_intras, dtype=np.int64),
-        "weights": np.asarray(weights, dtype=np.float64),
+        "row_types": np.asarray(state.refs[:, 0], dtype=np.int64),
+        "row_intras": np.asarray(state.refs[:, 1], dtype=np.int64),
+        "counts": np.full(len(state.refs), state.k, dtype=np.int64),
+        "nbr_types": np.asarray(state.nbrs[:, :, 0], dtype=np.int64).ravel(),
+        "nbr_intras": np.asarray(state.nbrs[:, :, 1], dtype=np.int64).ravel(),
+        "weights": np.asarray(state.weights, dtype=np.float64).ravel(),
     }
-    path = os.fspath(path)
-    tmp = path + ".tmp.npz"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _atomic_npz(path, payload)
 
 
 def load_alignment(path):
-    with np.load(os.fspath(path), allow_pickle=False) as data:
-        rows = {}
-        offset = 0
-        counts = data["counts"]
-        nbr_types = data["nbr_types"]
-        nbr_intras = data["nbr_intras"]
-        weights = data["weights"]
-        for rt, ri, c in zip(data["row_types"], data["row_intras"], counts):
-            nbrs = tuple(NodeRef(int(t), int(i))
-                         for t, i in zip(nbr_types[offset:offset + c], nbr_intras[offset:offset + c]))
-            rows[NodeRef(int(rt), int(ri))] = (nbrs, weights[offset:offset + c].copy())
-            offset += int(c)
-        return AlignmentState(k=int(data["k"][0]), lam=np.array(data["lam"]), rows=rows)
+    """Parse an alignment file, rejecting missing arrays and ragged rows."""
+    path = os.fspath(path)
+    with np.load(path, allow_pickle=False) as data:
+        missing = [key for key in ALIGNMENT_KEYS if key not in data.files]
+        if missing:
+            raise SnapshotFormatError("%s: alignment file lacks arrays %s" % (path, missing))
+        arrays = {key: data[key] for key in ALIGNMENT_KEYS}
+    k_arr, lam = arrays["k"], arrays["lam"]
+    if k_arr.shape != (1,) or k_arr[0] < 1:
+        raise SnapshotFormatError("%s: k must be one positive integer, got %s" % (path, k_arr))
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        raise SnapshotFormatError("%s: lam must be square, got shape %s" % (path, lam.shape))
+    k = int(k_arr[0])
+    n_rows = arrays["row_types"].size
+    for key, want in (("row_types", n_rows), ("row_intras", n_rows), ("counts", n_rows),
+                      ("nbr_types", n_rows * k), ("nbr_intras", n_rows * k),
+                      ("weights", n_rows * k)):
+        if arrays[key].shape != (want,):
+            raise SnapshotFormatError("%s: %s has shape %s, expected (%d,)"
+                                      % (path, key, arrays[key].shape, want))
+    if np.any(arrays["counts"] != k):
+        raise SnapshotFormatError("%s: every row must hold k=%d neighbors" % (path, k))
+    refs = np.stack([arrays["row_types"], arrays["row_intras"]], axis=1).astype(np.int64)
+    if not np.array_equal(np.unique(refs, axis=0), refs):
+        raise SnapshotFormatError("%s: alignment rows are not sorted and unique" % path)
+    nbrs = np.stack([arrays["nbr_types"], arrays["nbr_intras"]], axis=1).astype(np.int64)
+    return AlignmentState(k=k, lam=lam.astype(np.float64), refs=refs,
+                          nbrs=nbrs.reshape(n_rows, k, 2),
+                          weights=arrays["weights"].astype(np.float64).reshape(n_rows, k))

@@ -44,10 +44,6 @@ def matmul(a, b):
     return a @ b
 
 
-def frobenius_norm(a):
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
 def row_softmax(a):
     """Numerically stable softmax along axis 1; every output row sums to 1."""
     a = np.asarray(a, dtype=np.float64)

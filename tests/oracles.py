@@ -6,6 +6,7 @@ bug in a fast path cannot hide inside its own checker.
 """
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 
@@ -169,6 +170,26 @@ def coupled_rows_solve(n_unknown, neighbor_lists, weight_lists, known_rows):
             else:
                 b[u] += w * known_rows[idx]
     return np.linalg.solve(a, b)
+
+
+def reconstruction_operator_loop(graph, refs, nbrs, weights):
+    """(I - W) built one alignment row at a time, one global_index per neighbor.
+
+    COO entries go in the same order as the vectorized builder's (identity
+    first, then each row's neighbors in sampled order), so duplicate
+    neighbors are summed in the same order and the CSR should match exactly.
+    """
+    n = graph.num_nodes
+    ri, ci, data = list(range(n)), list(range(n)), [1.0] * n
+    for ref, row_nbrs, row_w in zip(refs, nbrs, weights):
+        g = graph.global_index(tuple(ref))
+        for nb, w in zip(row_nbrs, row_w):
+            ri.append(g)
+            ci.append(graph.global_index(tuple(nb)))
+            data.append(-float(w))
+    return scipy.sparse.coo_matrix(
+        (np.asarray(data), (np.asarray(ri, dtype=np.int64), np.asarray(ci, dtype=np.int64))),
+        shape=(n, n)).tocsr()
 
 
 def lle_loss(y, neighbor_indices, weights):

@@ -129,3 +129,5 @@ class TestReadSideTable:
             read_side_table(write(str(tmp_path / "r.csv"), "id,x,y\nu1,1\n"))
         with pytest.raises(DataError, match="empty"):
             read_side_table(write(str(tmp_path / "e.csv"), ""))
+        with pytest.raises(DataError, match="c.csv:3: bad feature value 'n/a'"):
+            read_side_table(write(str(tmp_path / "c.csv"), "id,x\nu1,1\nu2,n/a\n"))

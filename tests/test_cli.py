@@ -171,3 +171,50 @@ class TestExitCodes:
         assert code == 0
         # config drift (seed 5 vs 99) is a warning on stderr, not a failure
         assert "config differs" in err
+
+
+@pytest.fixture(scope="module")
+def trained(workspace):
+    root, data, cfg = workspace
+    snaps = root / "snaps_malformed"
+    assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+    return data, cfg, snaps
+
+
+class TestMalformedCellsExit3:
+    """A bad cell is a data error naming file:line, never a traceback."""
+
+    def _update(self, capsys, trained, tmp_path, edges, features=None):
+        data, cfg, snaps = trained
+        argv = ["update", "--config", str(cfg), "--snapshot-dir", str(snaps)]
+        inc = tmp_path / "bad.edges.tsv"
+        inc.write_text(edges)
+        argv += ["--increment-edges", str(inc)]
+        if features is not None:
+            feats = tmp_path / "bad.features.tsv"
+            feats.write_text(features)
+            argv += ["--increment-features", str(feats)]
+        return run(capsys, *argv)
+
+    def test_increment_timestamp(self, trained, capsys, tmp_path):
+        code, _, err = self._update(capsys, trained, tmp_path, "0\t20\t1\t4\t0\tabc\n")
+        assert code == 3
+        assert "bad.edges.tsv:1: bad timestamp 'abc'" in err
+
+    def test_increment_feature_cell(self, trained, capsys, tmp_path):
+        data, _, _ = trained
+        dim = len((data / "features.tsv").read_text().splitlines()[0].split("\t")[2].split(","))
+        row = "0\t20\t" + ",".join(["x"] + ["0.5"] * (dim - 1)) + "\n"
+        code, _, err = self._update(capsys, trained, tmp_path,
+                                    "0\t20\t1\t4\t0\t1.0\n", features=row)
+        assert code == 3
+        assert "bad.features.tsv:1: bad feature value 'x'" in err
+
+    def test_test_interaction_id(self, trained, capsys, tmp_path):
+        _, cfg, snaps = trained
+        bad = tmp_path / "bad_test.tsv"
+        bad.write_text("0\t20\t1\t10\t0\t1.0\n0\tu7\t1\t1\t0\t1.0\n")
+        code, _, err = run(capsys, "evaluate", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--test", str(bad))
+        assert code == 3
+        assert "bad_test.tsv:2: src_id is not an integer: 'u7'" in err

@@ -10,10 +10,12 @@ from dhge.incremental import (ColdIsolatedError, ConvergenceError,
                               embed_increment, knn_indices, lle_weight_matrix,
                               full_lle_oracle, capture_alignment,
                               AlignmentProblem, incremental_refine,
-                              UpdateConfig, disentangled_update, ille_update)
+                              UpdateConfig, disentangled_update, ille_update,
+                              _reconstruction_operator)
 from dhge.tensor import NumericError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import constrained_weights, coupled_rows_solve, knn_brute, lle_loss
+from oracles import (constrained_weights, coupled_rows_solve, knn_brute, lle_loss,
+                     reconstruction_operator_loop)
 
 
 class TestReconstructionWeights:
@@ -222,27 +224,24 @@ class TestAlignmentAndRefine:
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
         assert state.k == 3
-        assert set(state.rows.keys()) == set(g.all_refs())
+        assert [tuple(r) for r in state.refs] == g.all_refs()
         assert state.lam.shape == (table.dim, table.dim)
-        for ref, (nbrs, w) in state.rows.items():
-            assert len(nbrs) == 3
-            assert abs(np.sum(w) - 1.0) <= 1e-10
+        assert state.nbrs.shape == (len(state.refs), 3, 2)
+        assert np.all(np.abs(state.weights.sum(axis=1) - 1.0) <= 1e-10)
 
     def test_capture_is_deterministic(self):
         g, cfg, params, table = self._setup()
         a = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=5)
         b = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=5)
         assert np.array_equal(a.lam, b.lam)
-        assert a.rows.keys() == b.rows.keys()
-        for ref in a.rows:
-            assert a.rows[ref][0] == b.rows[ref][0]
-            assert np.array_equal(a.rows[ref][1], b.rows[ref][1])
+        assert np.array_equal(a.refs, b.refs)
+        assert np.array_equal(a.nbrs, b.nbrs)
+        assert np.array_equal(a.weights, b.weights)
 
     def test_refine_objective_never_increases_and_respects_mask(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        from dhge.incremental import _reconstruction_operator
-        iw = _reconstruction_operator(g, state.rows)
+        iw = _reconstruction_operator(g, state)
         y0 = table.dense() + 0.05  # perturb so there is something to reduce
         mask = np.zeros(g.num_nodes, dtype=bool)
         mask[[0, 3, 4]] = True
@@ -257,8 +256,7 @@ class TestAlignmentAndRefine:
     def test_refine_empty_mask_is_identity(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        from dhge.incremental import _reconstruction_operator
-        iw = _reconstruction_operator(g, state.rows)
+        iw = _reconstruction_operator(g, state)
         y0 = table.dense()
         problem = AlignmentProblem(iw, state.lam, y0,
                                    np.zeros(g.num_nodes, dtype=bool))
@@ -266,11 +264,46 @@ class TestAlignmentAndRefine:
         assert np.array_equal(result.y, y0)
         assert not result.step_warning
 
+    def test_operator_matches_loop_oracle_after_growth(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        ucfg = UpdateConfig(k=3, refine_steps=2, refine_step_size=1e-5)
+        offsets = [g.offsets.tolist()]
+        for b in range(2):
+            u, it = g.counts
+            feats = (np.ones(5), np.ones(5, dtype=bool))
+            batch = IncrementBatch(
+                new_nodes=[(NodeRef(0, u), *feats), (NodeRef(1, it), *feats)],
+                new_edges=[(NodeRef(0, u), NodeRef(1, it), 0, 60.0 + b),
+                           (NodeRef(0, u), NodeRef(1, b), 0, 60.0 + b),
+                           (NodeRef(1, it), NodeRef(0, 1), 1, 60.0 + b)],
+                batch_time=60.0 + b)
+            g, params, table, _, state = ille_update(
+                g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
+            offsets.append(g.offsets.tolist())
+            assert [tuple(r) for r in state.refs] == sorted(g.all_refs())
+            got = _reconstruction_operator(g, state)
+            want = reconstruction_operator_loop(g, state.refs, state.nbrs, state.weights)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+        # the item block's global offset moved with each new user
+        assert offsets == [[0, 3, 7], [0, 4, 9], [0, 5, 11]]
+
+    def test_operator_rejects_rows_outside_the_graph(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        state.nbrs[0, 0] = (1, g.counts[1])
+        with pytest.raises(DataError, match="missing from the graph"):
+            _reconstruction_operator(g, state)
+        state.nbrs[0, 0] = (g.num_types, 0)
+        with pytest.raises(DataError, match="unknown node type"):
+            _reconstruction_operator(g, state)
+
     def test_refine_flags_hopeless_step(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        from dhge.incremental import _reconstruction_operator
-        iw = _reconstruction_operator(g, state.rows)
+        iw = _reconstruction_operator(g, state)
         y0 = table.dense() + 0.05
         mask = np.ones(g.num_nodes, dtype=bool)
         problem = AlignmentProblem(iw, state.lam, y0, mask, mu=1.0)
@@ -385,10 +418,17 @@ class TestIlleUpdate:
         g2, params2, table2, report, state2 = ille_update(
             g, self._batch(), params, table, cfg, ucfg,
             alignment=state, rng_seed=1)
-        assert NodeRef(0, 3) in state2.rows
+        assert [0, 3] in state2.refs.tolist()
         assert np.array_equal(state2.lam, state.lam)
         assert report["refine_J_initial"] is not None
         assert report["refine_J_final"] <= report["refine_J_initial"]
+
+    def test_alignment_k_mismatch_rejected(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        with pytest.raises(DataError, match="k=2 but the update uses k=3"):
+            ille_update(g, self._batch(), params, table, cfg, UpdateConfig(k=3),
+                        alignment=state)
 
     def test_table_count_mismatch_rejected(self):
         g, cfg, params, table = self._setup()

@@ -144,9 +144,72 @@ class TestAlignmentSnapshot:
         got = load_alignment(path)
         assert got.k == state.k
         assert np.array_equal(got.lam, state.lam)
-        assert got.rows.keys() == state.rows.keys()
-        for ref in state.rows:
-            nbrs_a, w_a = state.rows[ref]
-            nbrs_b, w_b = got.rows[ref]
-            assert tuple(nbrs_a) == tuple(nbrs_b)
-            assert np.array_equal(np.asarray(w_a), w_b)
+        assert np.array_equal(got.refs, state.refs)
+        assert np.array_equal(got.nbrs, state.nbrs)
+        assert np.array_equal(got.weights, state.weights)
+
+    def _state(self):
+        g = tiny_bipartite(seed=2)
+        cfg, params = tiny_params(g, seed=2)
+        table = embed_all(g, params, cfg, version=1)
+        return capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+
+    @staticmethod
+    def _ragged_payload(state):
+        """The eight arrays flattened from a {ref: (neighbor refs, weights)} map."""
+        rows = {tuple(r): ([tuple(nb) for nb in nbrs], w)
+                for r, nbrs, w in zip(state.refs.tolist(), state.nbrs.tolist(), state.weights)}
+        refs = sorted(rows)
+        nbr_types, nbr_intras, weights = [], [], []
+        for r in refs:
+            nbrs, w = rows[r]
+            nbr_types.extend(nb[0] for nb in nbrs)
+            nbr_intras.extend(nb[1] for nb in nbrs)
+            weights.extend(np.asarray(w, dtype=np.float64).tolist())
+        return {
+            "k": np.asarray([state.k], dtype=np.int64),
+            "lam": np.asarray(state.lam, dtype=np.float64),
+            "row_types": np.asarray([r[0] for r in refs], dtype=np.int64),
+            "row_intras": np.asarray([r[1] for r in refs], dtype=np.int64),
+            "counts": np.asarray([len(rows[r][0]) for r in refs], dtype=np.int64),
+            "nbr_types": np.asarray(nbr_types, dtype=np.int64),
+            "nbr_intras": np.asarray(nbr_intras, dtype=np.int64),
+            "weights": np.asarray(weights, dtype=np.float64),
+        }
+
+    def test_row_map_layout_loads_and_matches_saved_bytes(self, tmp_path):
+        state = self._state()
+        legacy = tmp_path / "legacy.npz"
+        with open(legacy, "wb") as fh:
+            np.savez(fh, **self._ragged_payload(state))
+        got = load_alignment(legacy)
+        assert got.k == state.k
+        assert np.array_equal(got.lam, state.lam)
+        assert np.array_equal(got.refs, state.refs)
+        assert np.array_equal(got.nbrs, state.nbrs)
+        assert np.array_equal(got.weights, state.weights)
+        # same eight keys, dtypes and values: the files match byte for byte
+        save_alignment(tmp_path / "new.npz", got)
+        assert (tmp_path / "new.npz").read_bytes() == legacy.read_bytes()
+
+    @pytest.mark.parametrize("fault, match", [
+        ("counts", "every row must hold k=3"),
+        ("short_nbrs", "nbr_types has shape"),
+        ("missing_key", "lacks arrays"),
+        ("unsorted", "not sorted and unique"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, fault, match):
+        payload = self._ragged_payload(self._state())
+        if fault == "counts":
+            payload["counts"][0] = 2
+        elif fault == "short_nbrs":
+            payload["nbr_types"] = payload["nbr_types"][:-1]
+        elif fault == "missing_key":
+            del payload["weights"]
+        else:
+            payload["row_intras"][[0, 1]] = payload["row_intras"][[1, 0]]
+        path = tmp_path / "bad.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(SnapshotFormatError, match=match):
+            load_alignment(path)
