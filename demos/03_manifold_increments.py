@@ -8,8 +8,13 @@ neighborhoods reference each other. The quality check is the summed
 reconstruction residual over the union, scored against a from-scratch
 rebuild of all 330 points.
 
+The dense eigensolve is the test suite's batch LLE oracle, imported from
+``tests/oracles.py``; run the demo from a source checkout.
+
 Run: python3 demos/03_manifold_increments.py
 """
+import os
+import sys
 import time
 
 import numpy as np
@@ -17,9 +22,11 @@ import scipy.spatial
 
 from dhge.fixtures import swiss_roll_points
 from dhge.graph import NodeRef
-from dhge.incremental import (NeighborSample, embed_increment, full_lle_oracle,
-                              lle_weight_matrix, reconstruction_weights)
+from dhge.incremental import NeighborSample, embed_increment, reconstruction_weights
 from dhge.model import EmbeddingTable
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import full_lle_oracle, lle_weight_matrix  # noqa: E402
 
 K, EPS, DIM = 8, 1e-3, 2
 N_BASE, N_NEW = 300, 30

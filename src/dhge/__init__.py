@@ -15,8 +15,7 @@ from .model import (ModelConfig, ModelParams, EmbeddingTable, forward_subgraph,
 from .optim import AdamW
 from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
                           ConvergenceError, bfs_neighbors, reconstruction_weights,
-                          embed_increment, full_lle_oracle, knn_indices,
-                          lle_weight_matrix, capture_alignment,
+                          embed_increment, capture_alignment,
                           incremental_refine, ille_update)
 from .evaluation import (EvalProtocol, EvalReport, cosine_topk, hitrate_at_k,
                          recall_at_k, ndcg_at_k, evaluate, evaluate_table,
@@ -41,7 +40,6 @@ __all__ = [
     "AdamW",
     "UpdateConfig", "AlignmentState", "ColdIsolatedError", "ConvergenceError",
     "bfs_neighbors", "reconstruction_weights", "embed_increment",
-    "full_lle_oracle", "knn_indices", "lle_weight_matrix",
     "capture_alignment", "incremental_refine", "ille_update",
     "EvalProtocol", "EvalReport", "cosine_topk", "hitrate_at_k",
     "recall_at_k", "ndcg_at_k", "evaluate", "evaluate_table",

@@ -93,9 +93,13 @@ def prepare_click_log(log_path, out_dir, user_col, item_col, ts_col,
             if click_col not in cols:
                 raise DataError("%s: no column %r in header %s" % (log_path, click_col, header))
             c_ix = cols[click_col]
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             if not rec:
                 continue
+            lineno = reader.line_num
+            if len(rec) < len(header):
+                raise DataError("%s:%d: expected %d columns, got %d"
+                                % (log_path, lineno, len(header), len(rec)))
             if c_ix is not None and rec[c_ix].strip() != positive_value:
                 continue
             try:

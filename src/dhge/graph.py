@@ -154,39 +154,49 @@ class HeteroGraph:
 
     # -- derived indexes ----------------------------------------------------
 
-    def _build_index(self):
+    def _build_index(self, adjacency=None, incidence=None):
+        """Derive counts, offsets, the type-erased CSR adjacency and incidence.
+
+        ``adjacency`` (indptr, indices) and ``incidence`` (per-relation source
+        and target groupings) are passed in when an increment has merged them
+        from the parent graph; otherwise they are built from the edge arrays.
+        """
         self.counts = [len(b) for b in self.feature_blocks]
         self.num_types = len(self.feature_blocks)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
         self.num_nodes = int(self.offsets[-1])
         self.num_edges = int(sum(len(s) for s in self.rel_src))
         self.input_dim = self.feature_blocks[0].shape[1]
+        self._edge_key_index = [None] * self.schema.num_relations
 
-        # type-erased undirected adjacency over global ids, unique + sorted
-        parts = []
-        for r in range(self.schema.num_relations):
-            s_t, d_t = self.schema.pairs[r]
-            gs = self.rel_src[r] + self.offsets[s_t]
-            gd = self.rel_dst[r] + self.offsets[d_t]
-            parts.append(np.stack([gs, gd], axis=1))
-            parts.append(np.stack([gd, gs], axis=1))
-        if parts:
-            pairs = np.unique(np.concatenate(parts, axis=0), axis=0)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        self._adj_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        if len(pairs):
-            np.add.at(self._adj_indptr, pairs[:, 0] + 1, 1)
-        np.cumsum(self._adj_indptr, out=self._adj_indptr)
-        self._adj_indices = pairs[:, 1].copy() if len(pairs) else np.empty(0, dtype=np.int64)
+        if adjacency is None:
+            # type-erased undirected adjacency over global ids, unique + sorted
+            # on the 1-D key row * N + col (row-major pair order)
+            n = self.num_nodes
+            keys = [np.empty(0, dtype=np.int64)]
+            for r, (s_t, d_t) in enumerate(self.schema.pairs):
+                gs = self.rel_src[r] + self.offsets[s_t]
+                gd = self.rel_dst[r] + self.offsets[d_t]
+                keys.append(gs * n + gd)
+                keys.append(gd * n + gs)
+            rows, cols = np.divmod(np.unique(np.concatenate(keys)), max(n, 1))
+            adjacency = (_indptr(rows, n), cols)
+        self._adj_indptr, self._adj_indices = adjacency
 
         # per-relation incidence: edge ids grouped by source / by target intra id
-        self._inc_src = []
-        self._inc_dst = []
-        for r in range(self.schema.num_relations):
-            s_t, d_t = self.schema.pairs[r]
-            self._inc_src.append(_group_edges(self.rel_src[r], self.counts[s_t]))
-            self._inc_dst.append(_group_edges(self.rel_dst[r], self.counts[d_t]))
+        if incidence is None:
+            incidence = ([], [])
+            for r in range(self.schema.num_relations):
+                s_t, d_t = self.schema.pairs[r]
+                incidence[0].append(_group_edges(self.rel_src[r], self.counts[s_t]))
+                incidence[1].append(_group_edges(self.rel_dst[r], self.counts[d_t]))
+        self._inc_src, self._inc_dst = incidence
+
+    def _edge_keys(self, r):
+        """Sorted 1-D keys of relation ``r``'s (src, dst) pairs, built on first use."""
+        if self._edge_key_index[r] is None:
+            self._edge_key_index[r] = np.sort(_pair_key(self.rel_src[r], self.rel_dst[r]))
+        return self._edge_key_index[r]
 
     # -- addressing ----------------------------------------------------------
 
@@ -248,14 +258,6 @@ class HeteroGraph:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(parts))
 
-    def edge_keys(self):
-        """Set of (relation, src_intra, dst_intra) for duplicate checks."""
-        keys = set()
-        for r in range(self.schema.num_relations):
-            keys.update(zip([r] * len(self.rel_src[r]),
-                            self.rel_src[r].tolist(), self.rel_dst[r].tolist()))
-        return keys
-
     # -- validation ----------------------------------------------------------
 
     def validate(self):
@@ -276,7 +278,7 @@ class HeteroGraph:
                     problems.append("relation %d: dangling target endpoint" % r)
                 if s_t == d_t and np.any(src == dst):
                     problems.append("relation %d: self-loop present" % r)
-                if len(np.unique(np.stack([src, dst], axis=1), axis=0)) != len(src):
+                if np.any(np.diff(np.sort(_pair_key(src, dst))) == 0):
                     problems.append("relation %d: duplicate edges present" % r)
         return problems
 
@@ -284,11 +286,30 @@ class HeteroGraph:
 def _group_edges(endpoint_intra, count):
     # CSR-style grouping of edge ids by endpoint intra id
     order = np.argsort(endpoint_intra, kind="stable").astype(np.int64)
+    return _indptr(endpoint_intra, count), order
+
+
+def _indptr(ids, count):
+    """CSR row pointer over ``count`` rows holding one entry per id."""
     indptr = np.zeros(count + 1, dtype=np.int64)
-    if len(endpoint_intra):
-        np.add.at(indptr, endpoint_intra + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, order
+    np.cumsum(np.bincount(ids, minlength=count), out=indptr[1:])
+    return indptr
+
+
+def _in_sorted(sorted_keys, queries):
+    """Insertion positions of ``queries`` in ``sorted_keys`` and which are present."""
+    pos = np.searchsorted(sorted_keys, queries)
+    if not len(sorted_keys):
+        return pos, np.zeros(np.shape(queries), dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == queries
+
+
+_KEY_SHIFT = np.int64(1 << 32)
+
+
+def _pair_key(a, b):
+    """1-D int64 key that orders (a, b) pairs lexicographically, for 0 <= b < 2**32."""
+    return np.asarray(a, dtype=np.int64) * _KEY_SHIFT + np.asarray(b, dtype=np.int64)
 
 
 def graphs_equal(a, b):
@@ -451,15 +472,11 @@ def apply_increment(graph, batch):
             feature_blocks.append(graph.feature_blocks[t])
             mask_blocks.append(graph.mask_blocks[t])
 
-    existing = graph.edge_keys()
-    add_src = [[] for _ in range(graph.schema.num_relations)]
-    add_dst = [[] for _ in range(graph.schema.num_relations)]
-    add_ts = [[] for _ in range(graph.schema.num_relations)]
-    accepted = []
-    dropped = 0
+    n_rel = graph.schema.num_relations
+    checked = []
     for src_ref, dst_ref, r, ts in batch.new_edges:
         r = int(r)
-        if r < 0 or r >= graph.schema.num_relations:
+        if r < 0 or r >= n_rel:
             raise DataError("unknown relation id %d in increment" % r)
         s_t, d_t = graph.schema.pairs[r]
         st, si = int(src_ref[0]), int(src_ref[1])
@@ -471,31 +488,98 @@ def apply_increment(graph, batch):
             raise DataError("dangling endpoint in increment edge (%d,%d)->(%d,%d)" % (st, si, dt, di))
         if st == dt and si == di:
             raise DataError("self-loop rejected in increment: (%d, %d)" % (st, si))
-        key = (r, si, di)
-        if key in existing:
+        checked.append((r, st, si, dt, di, float(ts)))
+    # an edge is a duplicate if the base graph or an earlier batch edge has it
+    in_base = np.zeros(len(checked), dtype=bool)
+    for r in range(n_rel):
+        mine = [j for j, e in enumerate(checked) if e[0] == r]
+        if mine:
+            keys = _pair_key([checked[j][2] for j in mine], [checked[j][4] for j in mine])
+            in_base[mine] = _in_sorted(graph._edge_keys(r), keys)[1]
+    added = [[] for _ in range(n_rel)]
+    seen = set()
+    accepted = []
+    dropped = 0
+    for (r, st, si, dt, di, ts), dup in zip(checked, in_base):
+        if dup or (r, si, di) in seen:
             dropped += 1
             continue
-        existing.add(key)
-        add_src[r].append(si)
-        add_dst[r].append(di)
-        add_ts[r].append(float(ts))
-        accepted.append((NodeRef(st, si), NodeRef(dt, di), r, float(ts)))
+        seen.add((r, si, di))
+        added[r].append((si, di, ts))
+        accepted.append((NodeRef(st, si), NodeRef(dt, di), r, ts))
     if dropped:
         warnings.warn("increment: dropped %d duplicate edges" % dropped)
 
-    rel_edges = []
-    for r in range(graph.schema.num_relations):
-        rel_edges.append((
-            np.concatenate([graph.rel_src[r], np.asarray(add_src[r], dtype=np.int64)]),
-            np.concatenate([graph.rel_dst[r], np.asarray(add_dst[r], dtype=np.int64)]),
-            np.concatenate([graph.rel_ts[r], np.asarray(add_ts[r], dtype=np.float64)]),
-        ))
-    out = HeteroGraph(graph.schema, feature_blocks, mask_blocks, rel_edges)
+    offsets = np.concatenate([[0], np.cumsum(new_counts)]).astype(np.int64)
+    rel_src, rel_dst, rel_ts, key_index = [], [], [], []
+    incidence = ([], [])
+    delta = [np.empty(0, dtype=np.int64)]
+    for r in range(n_rel):
+        s_t, d_t = graph.schema.pairs[r]
+        src = np.asarray([e[0] for e in added[r]], dtype=np.int64)
+        dst = np.asarray([e[1] for e in added[r]], dtype=np.int64)
+        first = len(graph.rel_src[r])
+        rel_src.append(np.concatenate([graph.rel_src[r], src]))
+        rel_dst.append(np.concatenate([graph.rel_dst[r], dst]))
+        rel_ts.append(np.concatenate([graph.rel_ts[r],
+                                      np.asarray([e[2] for e in added[r]], dtype=np.float64)]))
+        incidence[0].append(_merge_groups(graph._inc_src[r], src, new_counts[s_t], first))
+        incidence[1].append(_merge_groups(graph._inc_dst[r], dst, new_counts[d_t], first))
+        keys = graph._edge_key_index[r]
+        if len(src):
+            fresh = np.sort(_pair_key(src, dst))
+            keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
+        key_index.append(keys)
+        gs, gd = src + offsets[s_t], dst + offsets[d_t]
+        delta += [gs * offsets[-1] + gd, gd * offsets[-1] + gs]
+    adjacency = _merge_adjacency(graph, offsets, np.unique(np.concatenate(delta)))
+
+    out = HeteroGraph.__new__(HeteroGraph)
+    out.schema = graph.schema
+    out.feature_blocks, out.mask_blocks = feature_blocks, mask_blocks
+    out.rel_src, out.rel_dst, out.rel_ts = rel_src, rel_dst, rel_ts
+    out._build_index(adjacency, incidence)
+    out._edge_key_index = key_index
     stats = {"n_new_nodes": len(batch.new_nodes),
-             "n_new_edges": sum(len(s) for s in add_src),
+             "n_new_edges": len(accepted),
              "n_duplicate_edges_dropped": dropped,
              "accepted_edges": accepted}
     return out, stats
+
+
+def _merge_adjacency(graph, offsets, delta_keys):
+    """The parent's CSR adjacency re-addressed to ``offsets`` with new pairs merged in.
+
+    ``delta_keys`` are sorted unique ``row * N + col`` keys over the grown
+    global index. Growing a type shifts the global ids of every later type by
+    a constant, which keeps the parent's rows and each row's columns sorted;
+    the new pairs are inserted in place, with no re-sort of the old ones.
+    """
+    n = int(offsets[-1])
+    remap = np.arange(graph.num_nodes, dtype=np.int64) + np.repeat(
+        offsets[:-1] - graph.offsets[:-1], graph.counts)
+    degree = np.diff(graph._adj_indptr)
+    indices = remap[graph._adj_indices]
+    pos, present = _in_sorted(np.repeat(remap, degree) * n + indices, delta_keys)
+    rows, cols = np.divmod(delta_keys[~present], max(n, 1))
+    counts = np.bincount(rows, minlength=n)
+    counts[remap] += degree
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.insert(indices, pos[~present], cols)
+
+
+def _merge_groups(groups, endpoints, count, first_id):
+    """Incidence grouping after appending edges ``first_id, first_id + 1, ...``.
+
+    The appended ids are the largest, so each joins the end of its endpoint's
+    group, in id order, exactly where a stable argsort would put it.
+    """
+    indptr, order = groups
+    grown = np.concatenate([indptr, np.full(count + 1 - len(indptr), indptr[-1])])
+    rank = np.argsort(endpoints, kind="stable")
+    order = np.insert(order, grown[endpoints[rank] + 1], first_id + rank)
+    return grown + _indptr(endpoints, count), order
 
 
 # ---------------------------------------------------------------------------

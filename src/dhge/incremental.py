@@ -9,15 +9,15 @@ tensors other than the affected id-table rows are never modified.
 """
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.spatial.distance
 
-from .graph import DataError, NodeRef, apply_increment
-from .model import init_features
+from .graph import DataError, NodeRef, _in_sorted, _pair_key, apply_increment
+from .model import EmbeddingTable, init_features
 from .seeding import derived_rng, mix, TAG_BFS, TAG_COLD
 from .tensor import NumericError, SingularMatrixError, solve_ridge
 
@@ -220,57 +220,6 @@ def embed_increment(table, samples, weights, tol=1e-8, max_sweeps=100):
 
 
 # ---------------------------------------------------------------------------
-# dense batch oracle
-
-
-def knn_indices(x, k):
-    """Euclidean k-nearest-neighbor lists, ties broken by smaller index."""
-    x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    if k >= n:
-        raise ValueError("k must be < number of points")
-    d = scipy.spatial.distance.cdist(x, x)
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        order = np.argsort(d[i], kind="stable")
-        out[i] = [j for j in order if j != i][:k]
-    return out
-
-
-def lle_weight_matrix(x, k, eps):
-    """Sparse row-stochastic reconstruction weight matrix over kNN graphs."""
-    x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    nbrs = knn_indices(x, k)
-    rows = np.repeat(np.arange(n), k)
-    cols = nbrs.ravel()
-    vals = np.empty(n * k)
-    for i in range(n):
-        vals[i * k:(i + 1) * k] = reconstruction_weights(x[i], x[nbrs[i]], eps)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def full_lle_oracle(x, k, dim, eps=1e-8):
-    """Dense-eigensolve locally linear embedding of a full point set.
-
-    Builds the reconstruction matrix M = (I - W)^T (I - W), drops its
-    near-zero smallest eigenvector, and returns the next ``dim``
-    eigenvectors scaled by sqrt(N) together with their eigenvalues.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    if dim >= n - 1:
-        raise ValueError("dim must be < N - 1")
-    w = lle_weight_matrix(x, k, eps)
-    iw = scipy.sparse.identity(n, format="csr") - w
-    m = (iw.T @ iw).toarray()
-    vals, vecs = np.linalg.eigh(m)
-    y = vecs[:, 1:dim + 1] * np.sqrt(n)
-    lam = vals[1:dim + 1].copy()
-    return y, lam
-
-
-# ---------------------------------------------------------------------------
 # alignment capture and refinement
 
 
@@ -290,15 +239,27 @@ class AlignmentState:
     refs: np.ndarray       # (R, 2) int64
     nbrs: np.ndarray       # (R, k, 2) int64
     weights: np.ndarray    # (R, k) float64
+    # (table, R^T R, Y^T Y) for the table these rows were last applied to,
+    # so the next update corrects both sums on the rows it changes instead
+    # of recomputing them over the graph. Not saved. The sums go stale if
+    # that table is changed in place; tables are treated as immutable.
+    grams: tuple = field(default=None, repr=False, compare=False)
 
     def with_rows(self, refs, nbrs, weights):
         """A copy with the given rows replacing or joining the stored ones."""
-        all_refs = np.concatenate([refs, self.refs])
-        # sorted unique rows; on a repeated ref the first (given) row wins
-        _, keep = np.unique(all_refs, axis=0, return_index=True)
-        return AlignmentState(k=self.k, lam=self.lam, refs=all_refs[keep],
-                              nbrs=np.concatenate([nbrs, self.nbrs])[keep],
-                              weights=np.concatenate([weights, self.weights])[keep])
+        # on a ref given twice the first row wins
+        keys, first = np.unique(_pair_key(refs[:, 0], refs[:, 1]), return_index=True)
+        pos, present = _in_sorted(_pair_key(self.refs[:, 0], self.refs[:, 1]), keys)
+        new_pos = pos[~present]
+        # where a replaced row sits once the new rows are in
+        old_pos = pos[present] + np.searchsorted(new_pos, pos[present], side="right")
+        merged = []
+        for stored, given in ((self.refs, refs), (self.nbrs, nbrs), (self.weights, weights)):
+            given = given[first]
+            out = np.insert(stored, new_pos, given[~present], axis=0)
+            out[old_pos] = given[present]
+            merged.append(out)
+        return AlignmentState(self.k, self.lam, *merged)
 
 
 def _row_arrays(refs, samples, weights, k):
@@ -323,8 +284,8 @@ def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
             samples[ref] = sample
             weights[ref] = reconstruction_weights(center, nbr_vecs, eps)
     state = AlignmentState(k, None, *_row_arrays(list(samples), samples, weights, k))
-    r = _reconstruction_operator(graph, state) @ table.dense()
-    state.lam = r.T @ r
+    state.lam, yty = _grams(_reconstruction_operator(graph, state), table.dense())
+    state.grams = (table, state.lam, yty)
     return state
 
 
@@ -344,7 +305,8 @@ def _weight_vectors(graph, table, center_ref, neighbor_refs, weight_space, provi
 
 def _global_ids(graph, refs):
     """Global ids for an (..., 2) array of (type, intra) pairs, range-checked."""
-    types, intras = refs[..., 0], refs[..., 1]
+    # contiguous copies: every pass below then reads memory in order
+    types, intras = np.ascontiguousarray(refs[..., 0]), np.ascontiguousarray(refs[..., 1])
     if types.size and (types.min() < 0 or types.max() >= graph.num_types):
         raise DataError("alignment row references an unknown node type")
     if np.any((intras < 0) | (intras >= np.asarray(graph.counts)[types])):
@@ -354,35 +316,70 @@ def _global_ids(graph, refs):
 
 def _reconstruction_operator(graph, alignment):
     """(I - W) over the current global index, identity where no row exists."""
-    # identity first, then neighbors in sampled order: repeats sum in a fixed order
-    n = graph.num_nodes
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.repeat(_global_ids(graph, alignment.refs), alignment.k)
-    cols = _global_ids(graph, alignment.nbrs).ravel()
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate([np.ones(n), -alignment.weights.ravel()]),
-         (np.concatenate([diag, rows]), np.concatenate([diag, cols]))), shape=(n, n))
-    return mat.tocsr()
+    present = np.zeros(graph.num_nodes, dtype=bool)
+    present[_global_ids(graph, alignment.refs)] = True
+    return _operator_csr(graph.num_nodes, np.arange(graph.num_nodes), present,
+                         _global_ids(graph, alignment.nbrs), alignment.weights)
+
+
+def _operator_rows(graph, alignment, refs):
+    """Rows of (I - W) for the nodes ``refs`` (m, 2), as an (m, N) matrix."""
+    pos, present = _in_sorted(_pair_key(alignment.refs[:, 0], alignment.refs[:, 1]),
+                              _pair_key(refs[:, 0], refs[:, 1]))
+    pos = pos[present]
+    return _operator_csr(graph.num_nodes, _global_ids(graph, refs), present,
+                         _global_ids(graph, alignment.nbrs[pos]), alignment.weights[pos])
+
+
+def _operator_csr(n, centers, present, nbrs, weights):
+    """CSR rows of (I - W), built with no sort.
+
+    Row i holds the identity entry at column ``centers[i]``, then, where
+    ``present[i]``, the next row of ``nbrs`` with its negated ``weights`` in
+    sampled order, else k explicit zeros on the diagonal. A neighbor
+    sampled twice appears twice and products sum the repeats;
+    ``sum_duplicates()`` gives the canonical form.
+    """
+    m, k = len(centers), weights.shape[1]
+    index = np.int32 if max(n, m * (k + 1)) < 2 ** 31 else np.int64
+    indices = np.repeat(np.asarray(centers, dtype=index)[:, None], k + 1, axis=1)
+    indices[present, 1:] = nbrs
+    data = np.zeros((m, k + 1))
+    data[:, 0] = 1.0
+    data[present, 1:] = -weights
+    indptr = np.arange(0, m * (k + 1) + 1, k + 1, dtype=index)
+    return scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, n))
+
+
+def _grams(i_minus_w, y):
+    """R^T R for R = (I - W) Y, and Y^T Y."""
+    r = i_minus_w @ y
+    return r.T @ r, y.T @ y
 
 
 class AlignmentProblem:
     """Spectrum-matching objective restricted to an update neighborhood."""
 
-    def __init__(self, i_minus_w, lam, y, update_mask, mu=1.0):
+    def __init__(self, i_minus_w, lam, y, update_mask, mu=1.0, grams=None):
         self.i_minus_w = scipy.sparse.csr_matrix(i_minus_w)
         self.lam = np.asarray(lam, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.float64)
         self.update_mask = np.asarray(update_mask, dtype=bool)
         self.mu = float(mu)
+        self.grams = grams   # (R^T R, Y^T Y) at y, when the caller holds them
 
-    def objectives(self, y):
-        n = len(y)
-        r = self.i_minus_w @ y
-        s = r.T @ r - self.lam
-        p = y.T @ y - n * np.eye(y.shape[1])
-        j_align = float(np.sum(s * s))
-        j_pen = j_align + self.mu * float(np.sum(p * p))
-        return j_align, j_pen, r, s, p
+    @functools.cached_property
+    def moved_block(self):
+        """(M, B, H): the moved rows, B = (I - W)[A, M] and H = B^T R at ``y``.
+
+        A are the rows of I - W that read a moved row, the only rows of
+        R = (I - W) Y that moving the rows M changes.
+        """
+        moved = np.flatnonzero(self.update_mask)
+        cols = self.i_minus_w[:, moved]
+        reads = np.flatnonzero(np.diff(cols.indptr))
+        block = cols[reads]
+        return moved, block, block.T @ (self.i_minus_w[reads] @ self.y)
 
 
 @dataclass
@@ -403,28 +400,53 @@ def incremental_refine(problem, steps, step_size, max_halvings=20):
     the step length up to ``max_halvings`` times) until the penalized
     objective does not increase; if no admissible step exists the best
     iterate so far is returned with a warning flag.
+
+    The line search is closed-form. Let B = (I - W)[:, M] be the operator's
+    columns of the moved rows M and G the gradient on those rows. A step of
+    length t moves R = (I - W) Y by t BG, so
+
+        R(t)^T R(t) = R^T R - t (H^T G + G^T H) + t^2 G^T (B^T B) G
+        Y(t)^T Y(t) = Y^T Y - t (Y_M^T G + G^T Y_M) + t^2 G^T G
+
+    with H = B^T R. The descent keeps H (|M| x D), from which the gradient
+    is 4 H S + 4 mu Y_M P, and moves it to H - t (B^T B) G. Every
+    backtracking trial costs O(D^2) and a step O(|M| D^2) plus one product
+    with the |M| x |M| sparse B^T B; no step touches the other rows. The
+    entry sums R^T R and Y^T Y cost one pass over the graph unless the
+    problem carries them (``grams``); H needs R only on the rows that read
+    a moved row.
     """
-    y = problem.y.copy()
-    mask = problem.update_mask
-    iwt = problem.i_minus_w.T.tocsr()
-    j_align, j_pen, r, s, p = problem.objectives(y)
+    y, mu = problem.y, problem.mu
+    rtr, yty = _grams(problem.i_minus_w, y) if problem.grams is None else problem.grams
+    moved, block, h = problem.moved_block
+    s = rtr - problem.lam
+    p = yty - len(y) * np.eye(y.shape[1])
+    j_align = float(np.sum(s * s))
+    j_pen = j_align + mu * float(np.sum(p * p))
     traj = [j_pen]
     j_align0 = j_align
     warning = False
     step = float(step_size)
-    if not np.any(mask) or steps <= 0:
+    y = y.copy()
+    if not len(moved) or steps <= 0:
         return RefineResult(y, traj, False, j_pen, j_pen, j_align, j_align)
+    gram = (block.T @ block).tocsr()
+    y_m = y[moved]
     for _ in range(steps):
-        grad = 4.0 * (iwt @ (r @ s)) + 4.0 * problem.mu * (y @ p)
-        grad[~mask] = 0.0
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
+        grad = 4.0 * (h @ s) + 4.0 * mu * (y_m @ p)
+        if float(np.linalg.norm(grad)) == 0.0:
             break
+        h_step = gram @ grad
+        cross_r, cross_y = h.T @ grad, y_m.T @ grad
+        lin_r, quad_r = cross_r + cross_r.T, grad.T @ h_step
+        lin_y, quad_y = cross_y + cross_y.T, grad.T @ grad
         accepted = False
         trial = step
         for _ in range(max_halvings + 1):
-            y_new = y - trial * grad
-            j_align_new, j_pen_new, r_new, s_new, p_new = problem.objectives(y_new)
+            s_new = s - trial * lin_r + (trial * trial) * quad_r
+            p_new = p - trial * lin_y + (trial * trial) * quad_y
+            j_align_new = float(np.sum(s_new * s_new))
+            j_pen_new = j_align_new + mu * float(np.sum(p_new * p_new))
             if j_pen_new <= j_pen:
                 accepted = True
                 break
@@ -432,9 +454,12 @@ def incremental_refine(problem, steps, step_size, max_halvings=20):
         if not accepted:
             warning = True
             break
-        y, j_align, j_pen, r, s, p = y_new, j_align_new, j_pen_new, r_new, s_new, p_new
+        h = h - trial * h_step
+        y_m = y_m - trial * grad
+        j_align, j_pen, s, p = j_align_new, j_pen_new, s_new, p_new
         traj.append(j_pen)
         step = min(trial * 2.0, float(step_size))
+    y[moved] = y_m
     return RefineResult(y, traj, warning, traj[0], j_pen, j_align0, j_align)
 
 
@@ -492,6 +517,72 @@ def disentangled_update(params, row_updates, grow_seed=0):
     return out
 
 
+def _entry_grams(graph, table, alignment, i_minus_w, y, update_set):
+    """R^T R and Y^T Y at ``y``, corrected from the sums cached for ``table``.
+
+    ``y`` is ``table`` grown to ``graph`` with the update set's rows
+    rewritten. So Y changed on the update set U only, and R on the rows that
+    are in U or read a row of U; both sums are corrected on those rows.
+    Without sums cached for ``table`` they are taken over every row.
+    """
+    if alignment.grams is None or alignment.grams[0] is not table:
+        return _grams(i_minus_w, y)
+    _, rtr, yty = alignment.grams
+    refs = np.asarray(update_set, dtype=np.int64).reshape(-1, 2)
+    u = _global_ids(graph, refs)
+    y_before = np.zeros((len(u), y.shape[1]))
+    for t, block in enumerate(table.blocks):
+        old = (refs[:, 0] == t) & (refs[:, 1] < len(block))
+        y_before[old] = block[refs[old, 1]]
+    changed = np.union1d(u, np.flatnonzero(np.diff(i_minus_w[:, u].indptr)))
+    types = graph.type_of_global(changed)
+    # the rows as they were: the old alignment rows over the old Y
+    old_rows = _operator_rows(graph, alignment,
+                              np.stack([types, changed - graph.offsets[types]], axis=1))
+    r_before = old_rows @ y - old_rows[:, u] @ (y[u] - y_before)
+    r_after = i_minus_w[changed] @ y
+    return (rtr + r_after.T @ r_after - r_before.T @ r_before,
+            yty + y[u].T @ y[u] - y_before.T @ y_before)
+
+
+def _moved_grams(problem, y_after):
+    """The problem's entry sums moved to ``y_after``, which differs on the moved rows.
+
+    R moves by BC for the change C on the moved rows, so R^T R moves by
+    H^T C + C^T H + (BC)^T (BC), with B and H from ``problem.moved_block``.
+    """
+    moved, block, h = problem.moved_block
+    y_before = problem.y
+    change = y_after[moved] - y_before[moved]
+    cross = h.T @ change
+    b_change = block @ change
+    rtr, yty = problem.grams
+    return (rtr + cross + cross.T + b_change.T @ b_change,
+            yty + y_after[moved].T @ y_after[moved] - y_before[moved].T @ y_before[moved])
+
+
+def _table_over(dense, graph, version, created_ms=None):
+    """An EmbeddingTable whose per-type blocks are views of ``dense``."""
+    if created_ms is None:
+        created_ms = int(time.time() * 1000)
+    return EmbeddingTable([dense[graph.offsets[t]:graph.offsets[t + 1]]
+                           for t in range(graph.num_types)],
+                          version=version, created_ms=created_ms)
+
+
+class _Stages:
+    """Wall time per named stage in ms, each lap closing the stage it names."""
+
+    def __init__(self):
+        self.ms = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name):
+        now = time.perf_counter()
+        self.ms[name] = self.ms.get(name, 0.0) + (now - self._last) * 1000.0
+        self._last = now
+
+
 def ille_update(graph, batch, params, table, model_config, update_config,
                 alignment=None, rng_seed=0):
     """Apply one increment batch and refresh embeddings without training.
@@ -499,19 +590,22 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     Returns (new_graph, new_params, new_table, report, new_alignment).
     The update set is the batch's new nodes plus existing endpoints of its
     accepted new edges. Cold-isolated new nodes fall back to the model's
-    feature pathway and are counted in the report.
+    feature pathway and are counted in the report. ``report["stage_ms"]``
+    splits the wall time into apply, sample, weights, embed, blend, refine
+    and write-back.
     """
     t0 = time.perf_counter()
+    stages = _Stages()
     graph2, stats = apply_increment(graph, batch)
     if table.counts != graph.counts:
         raise DataError("embedding table counts %s do not match base graph %s"
                         % (table.counts, graph.counts))
 
-    table2 = table.copy(version=table.version + 1, created_ms=int(time.time() * 1000))
-    for t in range(graph2.num_types):
-        grow = graph2.counts[t] - graph.counts[t]
-        if grow:
-            table2.append_rows(t, grow)
+    # the new table's blocks are views of one dense (N, D) array, each type
+    # grown by zero rows for its new nodes
+    dense = np.concatenate([part for b, c in zip(table.blocks, graph2.counts)
+                            for part in (b, np.zeros((c - len(b), table.dim)))])
+    table2 = _table_over(dense, graph2, table.version + 1)
 
     new_refs = sorted(NodeRef(*ref) for ref, _, _ in batch.new_nodes)
     new_set = set(new_refs)
@@ -521,6 +615,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
             if ref not in new_set:
                 touched.add(NodeRef(*ref))
     touched = sorted(touched)
+    stages.lap("apply")
 
     samples = {}
     cold = []
@@ -530,6 +625,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
                                          mix(rng_seed, TAG_BFS, ref[0], ref[1]))
         except ColdIsolatedError:
             cold.append(ref)
+    stages.lap("sample")
 
     # provisional rows for new nodes: mean of their existing neighbors' rows
     provisional = {}
@@ -547,6 +643,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         center, nbr_vecs = _weight_vectors(graph2, table2, ref, sample.neighbors,
                                            update_config.weight_space, provisional)
         weights[ref] = reconstruction_weights(center, nbr_vecs, update_config.eps)
+    stages.lap("weights")
 
     new_connected = [r for r in new_refs if r in samples]
     reconstruction_loss = 0.0
@@ -559,15 +656,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         for r, row in zip(new_connected, rows):
             table2.set_row(r, row)
 
-    # blend existing touched nodes against the table holding new-node rows
-    blend_source = table2.copy()
-    for ref in touched:
-        if ref not in samples:
-            continue
-        nbr_rows = np.stack([blend_source.row(nb) for nb in samples[ref].neighbors])
-        table2.set_row(ref, residual_blend(blend_source.row(ref), nbr_rows,
-                                           weights[ref], update_config.alpha))
-
+    # a cold node has no neighbors, so no other row reads it
     for ref in cold:
         t, i = ref
         x_raw = graph2.feature_blocks[t][i][None, :]
@@ -576,6 +665,17 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         rng = derived_rng(TAG_COLD, rng_seed, t, i)
         id_row = rng.normal(0.0, 0.1, size=table.dim)
         table2.set_row(ref, x0 + id_row + params.type_table.value[t])
+    stages.lap("embed")
+
+    # blend existing touched nodes against the table holding new-node rows:
+    # every blend reads before any blended row is written
+    blended = [(ref, residual_blend(table2.row(ref),
+                                    np.stack([table2.row(nb) for nb in samples[ref].neighbors]),
+                                    weights[ref], update_config.alpha))
+               for ref in touched if ref in samples]
+    for ref, row in blended:
+        table2.set_row(ref, row)
+    stages.lap("blend")
 
     update_set = new_refs + touched
     refine_j_initial = None
@@ -591,23 +691,26 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         alignment2 = alignment.with_rows(*rows)
         if update_config.refine_steps > 0 and samples:
             iw = _reconstruction_operator(graph2, alignment2)
+            grams = _entry_grams(graph2, table, alignment, iw, dense, update_set)
             mask_rows = np.zeros(graph2.num_nodes, dtype=bool)
             mask_rows[_global_ids(graph2, rows[0])] = True
             mask_rows[_global_ids(graph2, rows[1]).ravel()] = True
-            problem = AlignmentProblem(iw, alignment.lam, table2.dense(), mask_rows,
-                                       mu=update_config.refine_mu)
+            problem = AlignmentProblem(iw, alignment.lam, dense, mask_rows,
+                                       mu=update_config.refine_mu, grams=grams)
             result = incremental_refine(problem, update_config.refine_steps,
                                         update_config.refine_step_size)
             refine_j_initial = result.j_pen_initial
             refine_j_final = result.j_pen_final
             step_warning = result.step_warning
-            moved = np.flatnonzero(mask_rows)
-            for g in moved:
-                table2.set_row(graph2.ref_of(int(g)), result.y[g])
+            # the refined array differs from the table only on the moved rows
+            table2 = _table_over(result.y, graph2, table2.version, table2.created_ms)
+            alignment2.grams = (table2, *_moved_grams(problem, result.y))
+    stages.lap("refine")
 
     params2 = disentangled_update(
         params, {ref: table2.row(ref).copy() for ref in update_set},
         grow_seed=mix(rng_seed, TAG_COLD))
+    stages.lap("write-back")
 
     report = {
         "batch_time": float(batch.batch_time),
@@ -620,6 +723,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         "refine_J_initial": refine_j_initial,
         "refine_J_final": refine_j_final,
         "refine_step_warning": bool(step_warning),
+        "stage_ms": stages.ms,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }
     return graph2, params2, table2, report, alignment2

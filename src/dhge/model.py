@@ -150,7 +150,7 @@ class ModelParams:
         extra = rng.normal(0.0, 0.1, size=(capacity - self.id_capacity, self.hidden_dim))
         grown = np.concatenate([self.id_table.value, extra], axis=0)
         self.id_table.value = grown
-        self.id_table.grad = np.zeros_like(grown)
+        self.id_table.grad = np.zeros(grown.shape)
 
     def copy(self):
         out = object.__new__(ModelParams)
@@ -169,7 +169,7 @@ class ModelParams:
 
 
 def _copy_param(p):
-    return Param(p.value.copy(), p.name)
+    return Param(p.value, p.name)   # Param copies its value
 
 
 class EmbeddingTable:
@@ -204,10 +204,6 @@ class EmbeddingTable:
         return EmbeddingTable([b.copy() for b in self.blocks],
                               version=self.version if version is None else version,
                               created_ms=created_ms)
-
-    def append_rows(self, node_type, n):
-        self.blocks[node_type] = np.concatenate(
-            [self.blocks[node_type], np.zeros((n, self.dim))], axis=0)
 
     def blocks_equal(self, other):
         return (len(self.blocks) == len(other.blocks) and

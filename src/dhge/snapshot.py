@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+import zipfile
 
 import numpy as np
 
@@ -169,12 +170,30 @@ def save_table(path, table):
     _atomic_npz(path, payload)
 
 
+def _read_npz(path):
+    """Every array of an npz file; a corrupt or non-npz file is a SnapshotFormatError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an npz archive")
+        with data:
+            return {key: data[key] for key in data.files}
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise SnapshotFormatError("%s: not a readable npz file: %s" % (path, exc)) from None
+
+
 def load_table(path):
-    with np.load(os.fspath(path), allow_pickle=False) as data:
+    path = os.fspath(path)
+    data = _read_npz(path)
+    try:
         num_types = int(data["num_types"][0])
         blocks = [data["block_%d" % t].astype(np.float64) for t in range(num_types)]
-        return EmbeddingTable(blocks, version=int(data["version"][0]),
-                              created_ms=int(data["created_ms"][0]))
+        version, created_ms = int(data["version"][0]), int(data["created_ms"][0])
+    except (KeyError, IndexError) as exc:
+        raise SnapshotFormatError("%s: malformed table file: missing %s" % (path, exc)) from None
+    return EmbeddingTable(blocks, version=version, created_ms=created_ms)
 
 
 ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
@@ -202,11 +221,10 @@ def save_alignment(path, state):
 def load_alignment(path):
     """Parse an alignment file, rejecting missing arrays and ragged rows."""
     path = os.fspath(path)
-    with np.load(path, allow_pickle=False) as data:
-        missing = [key for key in ALIGNMENT_KEYS if key not in data.files]
-        if missing:
-            raise SnapshotFormatError("%s: alignment file lacks arrays %s" % (path, missing))
-        arrays = {key: data[key] for key in ALIGNMENT_KEYS}
+    arrays = _read_npz(path)
+    missing = [key for key in ALIGNMENT_KEYS if key not in arrays]
+    if missing:
+        raise SnapshotFormatError("%s: alignment file lacks arrays %s" % (path, missing))
     k_arr, lam = arrays["k"], arrays["lam"]
     if k_arr.shape != (1,) or k_arr[0] < 1:
         raise SnapshotFormatError("%s: k must be one positive integer, got %s" % (path, k_arr))

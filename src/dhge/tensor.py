@@ -162,7 +162,7 @@ class Param(Tensor):
     def __init__(self, value, name):
         super().__init__(np.array(value, dtype=np.float64))
         self.name = name
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
 
     def zero_grad(self):
         self.grad[...] = 0.0

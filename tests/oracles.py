@@ -2,11 +2,14 @@
 
 Everything here is written the slow, obvious way on dense arrays, using
 only numpy/scipy, with no imports from the package's numeric code, so a
-bug in a fast path cannot hide inside its own checker.
+bug in a fast path cannot hide inside its own checker. The one exception
+is the batch LLE oracle, which reuses the package's weight solve; that
+solve is itself checked against ``constrained_weights``.
 """
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.spatial.distance
 import scipy.special
 
 
@@ -190,6 +193,128 @@ def reconstruction_operator_loop(graph, refs, nbrs, weights):
     return scipy.sparse.coo_matrix(
         (np.asarray(data), (np.asarray(ri, dtype=np.int64), np.asarray(ci, dtype=np.int64))),
         shape=(n, n)).tocsr()
+
+
+def adjacency_by_unique(graph):
+    """Type-erased CSR adjacency of ``graph``'s edges through np.unique(axis=0)."""
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for r, (s_t, d_t) in enumerate(graph.schema.pairs):
+        gs = graph.rel_src[r] + graph.offsets[s_t]
+        gd = graph.rel_dst[r] + graph.offsets[d_t]
+        parts.append(np.stack([gs, gd], axis=1))
+        parts.append(np.stack([gd, gs], axis=1))
+    pairs = np.unique(np.concatenate(parts, axis=0), axis=0)
+    indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    np.add.at(indptr, pairs[:, 0] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, pairs[:, 1].copy()
+
+
+def incidence_by_argsort(endpoint_intra, count):
+    """Edge ids grouped by endpoint: (indptr, ids), ids ascending in a group."""
+    order = np.argsort(endpoint_intra, kind="stable").astype(np.int64)
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.add.at(indptr, endpoint_intra + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, order
+
+
+def alignment_objectives(i_minus_w, lam, mu, y):
+    """J_align, J_pen and the residual terms R, S, P at ``y``, over all rows."""
+    r = i_minus_w @ y
+    s = r.T @ r - lam
+    p = y.T @ y - len(y) * np.eye(y.shape[1])
+    j_align = float(np.sum(s * s))
+    return j_align, j_align + mu * float(np.sum(p * p)), r, s, p
+
+
+def refine_per_trial(i_minus_w, lam, y, update_mask, mu, steps, step_size,
+                     max_halvings=20):
+    """Masked backtracking descent that re-evaluates the objective per trial.
+
+    Returns (y, trajectory, step_warning, j_pen_initial, j_pen_final,
+    j_align_initial, j_align_final).
+    """
+    y = np.asarray(y, dtype=np.float64).copy()
+    mask = np.asarray(update_mask, dtype=bool)
+    iw = scipy.sparse.csr_matrix(i_minus_w)
+    iwt = iw.T.tocsr()
+    j_align, j_pen, r, s, p = alignment_objectives(iw, lam, mu, y)
+    traj = [j_pen]
+    j_align0 = j_align
+    warning = False
+    step = float(step_size)
+    if not np.any(mask) or steps <= 0:
+        return y, traj, False, j_pen, j_pen, j_align, j_align
+    for _ in range(steps):
+        grad = 4.0 * (iwt @ (r @ s)) + 4.0 * mu * (y @ p)
+        grad[~mask] = 0.0
+        if float(np.linalg.norm(grad)) == 0.0:
+            break
+        accepted = False
+        trial = step
+        for _ in range(max_halvings + 1):
+            y_new = y - trial * grad
+            j_align_new, j_pen_new, r_new, s_new, p_new = alignment_objectives(iw, lam, mu, y_new)
+            if j_pen_new <= j_pen:
+                accepted = True
+                break
+            trial /= 2.0
+        if not accepted:
+            warning = True
+            break
+        y, j_align, j_pen, r, s, p = y_new, j_align_new, j_pen_new, r_new, s_new, p_new
+        traj.append(j_pen)
+        step = min(trial * 2.0, float(step_size))
+    return y, traj, warning, traj[0], j_pen, j_align0, j_align
+
+
+def knn_indices(x, k):
+    """Euclidean k-nearest-neighbor lists, ties broken by smaller index."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    if k >= n:
+        raise ValueError("k must be < number of points")
+    d = scipy.spatial.distance.cdist(x, x)
+    out = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        order = np.argsort(d[i], kind="stable")
+        out[i] = [j for j in order if j != i][:k]
+    return out
+
+
+def lle_weight_matrix(x, k, eps):
+    """Sparse row-stochastic reconstruction weight matrix over kNN graphs."""
+    from dhge.incremental import reconstruction_weights
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    nbrs = knn_indices(x, k)
+    rows = np.repeat(np.arange(n), k)
+    cols = nbrs.ravel()
+    vals = np.empty(n * k)
+    for i in range(n):
+        vals[i * k:(i + 1) * k] = reconstruction_weights(x[i], x[nbrs[i]], eps)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def full_lle_oracle(x, k, dim, eps=1e-8):
+    """Dense-eigensolve locally linear embedding of a full point set.
+
+    Builds the reconstruction matrix M = (I - W)^T (I - W), drops its
+    near-zero smallest eigenvector, and returns the next ``dim``
+    eigenvectors scaled by sqrt(N) together with their eigenvalues.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    if dim >= n - 1:
+        raise ValueError("dim must be < N - 1")
+    w = lle_weight_matrix(x, k, eps)
+    iw = scipy.sparse.identity(n, format="csr") - w
+    m = (iw.T @ iw).toarray()
+    vals, vecs = np.linalg.eigh(m)
+    y = vecs[:, 1:dim + 1] * np.sqrt(n)
+    lam = vals[1:dim + 1].copy()
+    return y, lam
 
 
 def lle_loss(y, neighbor_indices, weights):

@@ -7,6 +7,8 @@ class of machine runs a single core.
 """
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,7 +18,9 @@ import scipy.spatial
 
 from conftest import (record_criterion, build_graph, full_subgraph,
                       tiny_bipartite, tiny_params)
-from oracles import dense_edge_attention, dense_global_attention, fd_gradient, rel_err
+from oracles import (dense_edge_attention, dense_global_attention, fd_gradient,
+                     full_lle_oracle, lle_weight_matrix, rel_err)
+from update_scaling import scaling_graph
 
 from dhge.benchmarks import prepare_click_log
 from dhge.config import RunConfig
@@ -24,8 +28,7 @@ from dhge.evaluation import EvalProtocol, evaluate_table
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, swiss_roll_points
 from dhge.graph import IncrementBatch, NodeRef, load_graph, read_increment
 from dhge.incremental import (NeighborSample, UpdateConfig, capture_alignment,
-                              embed_increment, full_lle_oracle, ille_update,
-                              lle_weight_matrix, reconstruction_weights)
+                              embed_increment, ille_update, reconstruction_weights)
 from dhge.model import (EmbeddingTable, ModelConfig, ModelParams, edge_attention,
                         edge_loss, embed_all, forward_subgraph, global_attention,
                         train_epoch)
@@ -447,30 +450,13 @@ def test_10_freshness_wins_and_updates_stay_cheap(drift_world):
 # 9. near-linear scaling of inference, updates, and the weight solver
 
 
-def _scaling_graph(n, input_dim=8, seed=0):
-    half = n // 2
-    rng = np.random.default_rng(seed)
-    src = np.repeat(np.arange(half), 3)
-    dst = rng.integers(0, half, size=3 * half)
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    s = pairs[:, 0].astype(np.int64)
-    t = pairs[:, 1].astype(np.int64)
-    ts = np.arange(len(pairs), dtype=np.float64)
-    packed = [(s, t, ts), (t.copy(), s.copy(), ts.copy())]
-    from dhge.graph import HeteroGraph, RelationSchema
-    return HeteroGraph(RelationSchema([(0, 1), (1, 0)]),
-                       [rng.normal(size=(half, input_dim)) for _ in range(2)],
-                       [np.ones((half, input_dim), dtype=bool) for _ in range(2)],
-                       packed)
-
-
 def test_09_scaling_stays_near_linear():
     # full-coverage inference, doubling node counts
     cfg = ModelConfig(input_dim=8, hidden_dim=64, rng_seed=0)
-    embed_all(_scaling_graph(2000), ModelParams(cfg, 2, 2, 1000), cfg)  # warm up
+    embed_all(scaling_graph(2000), ModelParams(cfg, 2, 2, 1000), cfg)  # warm up
     embed_t = []
     for n in (10_000, 20_000, 40_000):
-        g = _scaling_graph(n)
+        g = scaling_graph(n)
         params = ModelParams(cfg, num_types=2, num_relations=2,
                              id_capacity=max(g.counts))
         t0 = time.perf_counter()
@@ -480,7 +466,7 @@ def test_09_scaling_stays_near_linear():
 
     # incremental updates, doubling batch size against one fixed base
     cfg_u = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
-    g = _scaling_graph(4000, seed=1)
+    g = scaling_graph(4000, seed=1)
     params = ModelParams(cfg_u, num_types=2, num_relations=2,
                          id_capacity=max(g.counts))
     table = embed_all(g, params, cfg_u)
@@ -526,6 +512,28 @@ def test_09_scaling_stays_near_linear():
     assert max(embed_ratios) <= 2.5, embed_t
     assert max(update_ratios) <= 2.5, update_t
     assert exponent <= 3.5, solve_t
+
+
+def test_update_cost_flat_in_base_size():
+    """A fixed 20-node batch costs about the same on 4k, 8k and 16k bases.
+
+    ``update_scaling.py`` times ten rounds in a child process pinned to one
+    CPU with one BLAS thread, as the benchmark in ``bench/`` runs: on a
+    shared two-core host a second BLAS thread waits on the other core and
+    swamps the signal. Each doubling ratio is taken within a round, where
+    the three times are back to back, and the median over rounds is gated.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, os.pardir, "src"), here, env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, os.path.join(here, "update_scaling.py")],
+                         env=env, capture_output=True, text=True, timeout=900)
+    assert run.returncode == 0, run.stderr
+    rounds = json.loads(run.stdout.splitlines()[-1])
+    ratios = [float(np.median([t[c + 1] / t[c] for t in rounds])) for c in (0, 1)]
+    assert max(ratios) <= 1.3, (ratios, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +613,7 @@ negatives_per_user = 5
 rng_seed = 11
 """
 
-_TIMING_KEYS = ("wall_ms", "refresh_ms", "refresh_latency_ms")
+_TIMING_KEYS = ("wall_ms", "refresh_ms", "refresh_latency_ms", "stage_ms")
 
 
 def _strip_timing(obj):

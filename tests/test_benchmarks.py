@@ -110,6 +110,12 @@ class TestPrepareClickLog:
             prepare_click_log(one, str(tmp_path / "d4"), "user", "ad", "stamp")
 
 
+    def test_short_row_is_data_error_with_location(self, tmp_path):
+        short = write(str(tmp_path / "short.csv"), "user,ad,stamp\n1,a,5\n2\n")
+        with pytest.raises(DataError, match="short.csv:3: expected 3 columns, got 1"):
+            prepare_click_log(short, str(tmp_path / "d"), "user", "ad", "stamp")
+
+
 class TestReadSideTable:
     def test_header_detection_and_missing_cells(self, tmp_path):
         path = write(str(tmp_path / "s.csv"), "id,x,y\nu1,1.5,\nu2,,2.5\n")

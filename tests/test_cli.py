@@ -5,6 +5,7 @@ import os
 import pytest
 
 from dhge.cli import main, _features_for
+from dhge.pipeline import latest_manifest
 
 
 def run(capsys, *argv):
@@ -218,3 +219,25 @@ class TestMalformedCellsExit3:
                            "--snapshot-dir", str(snaps), "--test", str(bad))
         assert code == 3
         assert "bad_test.tsv:2: src_id is not an integer: 'u7'" in err
+
+
+class TestCorruptSnapshotExit3:
+    """A corrupt or non-npz snapshot file is a data error, never a traceback."""
+
+    @pytest.mark.parametrize("target, command", [("table", "retrieve"),
+                                                 ("alignment", "update")])
+    def test_garbage_npz(self, workspace, capsys, tmp_path, target, command):
+        _, data, cfg = workspace
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+        man = latest_manifest(str(snaps))
+        path = snaps / getattr(man, target + "_path")
+        path.write_bytes(b"garbage")   # 7 bytes, neither zip nor npy
+        argv = [command, "--config", str(cfg), "--snapshot-dir", str(snaps)]
+        if command == "retrieve":
+            argv += ["--user", "0"]
+        else:
+            argv += ["--increment-edges", str(data / "increments" / "batch_000.edges.tsv")]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "%s: not a readable npz file" % path.name in err

@@ -10,6 +10,7 @@ from dhge.graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                         save_graph, read_increment, apply_increment,
                         graphs_equal, minibatch_partition, sample_subgraph)
 from conftest import build_graph, tiny_bipartite
+from oracles import adjacency_by_unique, incidence_by_argsort
 
 
 class TestContainer:
@@ -157,6 +158,95 @@ class TestIncrement:
             new_edges=[(NodeRef(0, 9), NodeRef(1, 0), 0, 1.0)], batch_time=1.0)
         with pytest.raises(DataError):
             apply_increment(bipartite_graph, batch)
+
+
+def _assert_indexes_match_oracles(g):
+    indptr, indices = adjacency_by_unique(g)
+    assert g._adj_indptr.dtype == indptr.dtype and np.array_equal(g._adj_indptr, indptr)
+    assert g._adj_indices.dtype == indices.dtype and np.array_equal(g._adj_indices, indices)
+    for r, (s_t, d_t) in enumerate(g.schema.pairs):
+        for got, ends, count in ((g._inc_src[r], g.rel_src[r], g.counts[s_t]),
+                                 (g._inc_dst[r], g.rel_dst[r], g.counts[d_t])):
+            want = incidence_by_argsort(ends, count)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestIncrementIndexes:
+    """Indexes merged by apply_increment against a from-scratch rebuild."""
+
+    SCHEMA = [(0, 1), (1, 0), (0, 0)]
+
+    def _batch(self, rng, g, edges, step):
+        users, items = g.counts
+        new_users, new_items = 3, 2
+        nodes = ([(NodeRef(0, users + j), rng.normal(size=3), None) for j in range(new_users)]
+                 + [(NodeRef(1, items + j), None, None) for j in range(new_items)])
+        n_user, n_item = users + new_users, items + new_items
+        batch_edges = []
+        for _ in range(12):
+            u, i = int(rng.integers(n_user)), int(rng.integers(n_item))
+            r = int(rng.integers(3))
+            if r == 0:
+                batch_edges.append((NodeRef(0, u), NodeRef(1, i), 0, 10.0 * step))
+            elif r == 1:
+                batch_edges.append((NodeRef(1, i), NodeRef(0, u), 1, 10.0 * step))
+            else:
+                v = (u + 1 + int(rng.integers(n_user - 1))) % n_user
+                batch_edges.append((NodeRef(0, u), NodeRef(0, v), 2, 10.0 * step))
+        # duplicates: one against the base graph, one inside the batch
+        r = int(rng.integers(3))
+        j = int(rng.integers(len(edges[r])))
+        s_t, d_t = self.SCHEMA[r]
+        batch_edges.append((NodeRef(s_t, edges[r][j][0]), NodeRef(d_t, edges[r][j][1]), r, 0.5))
+        batch_edges.append(batch_edges[0][:3] + (99.0,))
+        # every new node gets an edge, so each grows the adjacency
+        for j in range(new_users):
+            batch_edges.append((NodeRef(0, users + j), NodeRef(1, int(rng.integers(n_item))),
+                                0, 10.0 * step))
+        for j in range(new_items):
+            batch_edges.append((NodeRef(0, int(rng.integers(n_user))), NodeRef(1, items + j),
+                                0, 10.0 * step))
+        return IncrementBatch(new_nodes=nodes, new_edges=batch_edges, batch_time=10.0 * step)
+
+    def test_chain_matches_rebuild_and_oracles(self):
+        rng = np.random.default_rng(12)
+        edges = [sorted({(int(rng.integers(8)), int(rng.integers(6))) for _ in range(15)}),
+                 sorted({(int(rng.integers(6)), int(rng.integers(8))) for _ in range(10)}),
+                 sorted({(a, b) for a, b in rng.integers(8, size=(10, 2)).tolist() if a != b})]
+        g = build_graph(self.SCHEMA, [8, 6], [[e + (1.0,) for e in rel] for rel in edges],
+                        input_dim=3, seed=4)
+        _assert_indexes_match_oracles(g)
+        edges = [[e + (1.0,) for e in rel] for rel in edges]
+        for step in range(1, 5):
+            batch = self._batch(rng, g, edges, step)
+            # the rule, edge by edge: the first occurrence of (relation, src, dst) wins
+            seen = {(r, e[0], e[1]) for r in range(3) for e in edges[r]}
+            dropped = 0
+            for src, dst, r, ts in batch.new_edges:
+                if (r, src[1], dst[1]) in seen:
+                    dropped += 1
+                    continue
+                seen.add((r, src[1], dst[1]))
+                edges[r].append((src[1], dst[1], ts))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                g2, stats = apply_increment(g, batch)
+            assert stats["n_duplicate_edges_dropped"] == dropped >= 2
+            rebuilt = HeteroGraph(g.schema, g2.feature_blocks, g2.mask_blocks,
+                                  [(np.asarray([e[0] for e in rel], dtype=np.int64),
+                                    np.asarray([e[1] for e in rel], dtype=np.int64),
+                                    np.asarray([e[2] for e in rel], dtype=np.float64))
+                                   for rel in edges])
+            assert graphs_equal(g2, rebuilt)
+            for r in range(3):
+                assert np.array_equal(g2.rel_src[r], rebuilt.rel_src[r])
+                assert np.array_equal(g2.rel_dst[r], rebuilt.rel_dst[r])
+                assert np.array_equal(g2.rel_ts[r], rebuilt.rel_ts[r])
+            _assert_indexes_match_oracles(g2)
+            _assert_indexes_match_oracles(rebuilt)
+            assert g2.validate() == []
+            assert g2.offsets[1] > g.offsets[1]  # the item block moved
+            g = g2
 
 
 EDGES = "0\t0\t1\t0\t0\t1.5\n0\t1\t1\t1\t0\t2.0\n1\t0\t0\t1\t1\t2.5\n"

@@ -2,20 +2,22 @@
 import numpy as np
 import pytest
 
-from dhge.graph import DataError, NodeRef, IncrementBatch
-from dhge.model import EmbeddingTable, embed_all
+from dhge import incremental
+from dhge.fixtures import gen_planted_bipartite
+from dhge.graph import DataError, NodeRef, IncrementBatch, load_graph
+from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import (ColdIsolatedError, ConvergenceError,
                               NeighborSample, bfs_neighbors,
                               reconstruction_weights, residual_blend,
-                              embed_increment, knn_indices, lle_weight_matrix,
-                              full_lle_oracle, capture_alignment,
-                              AlignmentProblem, incremental_refine,
+                              embed_increment, capture_alignment,
+                              AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
                               _reconstruction_operator)
 from dhge.tensor import NumericError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import (constrained_weights, coupled_rows_solve, knn_brute, lle_loss,
-                     reconstruction_operator_loop)
+from oracles import (constrained_weights, coupled_rows_solve, full_lle_oracle,
+                     knn_brute, knn_indices, lle_loss, lle_weight_matrix,
+                     reconstruction_operator_loop, refine_per_trial)
 
 
 class TestReconstructionWeights:
@@ -238,6 +240,25 @@ class TestAlignmentAndRefine:
         assert np.array_equal(a.nbrs, b.nbrs)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_with_rows_replaces_and_inserts_in_key_order(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        rng = np.random.default_rng(2)
+        # two stored rows replaced, three new ones (one per gap and one at
+        # the end), and one ref given twice: its first row wins
+        refs = np.array([[1, 2], [0, 9], [0, 0], [2, 0], [0, 9], [0, 5]])
+        nbrs = rng.integers(0, 3, size=(6, 3, 2))
+        weights = rng.normal(size=(6, 3))
+        want = {tuple(r): (n, w) for r, n, w in zip(state.refs, state.nbrs, state.weights)}
+        for r, n, w in reversed(list(zip(refs, nbrs, weights))):
+            want[tuple(r)] = (n, w)
+        got = state.with_rows(refs, nbrs, weights)
+        assert [tuple(r) for r in got.refs] == sorted(want)
+        for r, n, w in zip(got.refs, got.nbrs, got.weights):
+            assert np.array_equal(n, want[tuple(r)][0])
+            assert np.array_equal(w, want[tuple(r)][1])
+        assert got.lam is state.lam and got.grams is None
+
     def test_refine_objective_never_increases_and_respects_mask(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
@@ -283,6 +304,7 @@ class TestAlignmentAndRefine:
             offsets.append(g.offsets.tolist())
             assert [tuple(r) for r in state.refs] == sorted(g.all_refs())
             got = _reconstruction_operator(g, state)
+            got.sum_duplicates()   # canonical form: sorted columns, repeats summed
             want = reconstruction_operator_loop(g, state.refs, state.nbrs, state.weights)
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
@@ -310,6 +332,80 @@ class TestAlignmentAndRefine:
         # a step size so large that 20 halvings cannot rescue it
         result = incremental_refine(problem, steps=3, step_size=1e30)
         assert result.step_warning
+
+
+def _assert_refine_matches_oracle(problem, steps, step_size):
+    """The closed-form line search against per-trial re-evaluation, 1e-10 relative."""
+    got = incremental_refine(problem, steps, step_size)
+    y, traj, warning, jp0, jp1, ja0, ja1 = refine_per_trial(
+        problem.i_minus_w, problem.lam, problem.y, problem.update_mask, problem.mu,
+        steps, step_size)
+    assert got.step_warning == warning
+    assert len(got.trajectory) == len(traj)
+    for a, b in zip(got.trajectory + [got.j_pen_initial, got.j_pen_final,
+                                      got.j_align_initial, got.j_align_final],
+                    traj + [jp0, jp1, ja0, ja1]):
+        assert abs(a - b) <= 1e-10 * abs(b), (a, b)
+    assert np.max(np.abs(got.y - y)) <= 1e-10 * np.max(np.abs(y))
+    assert np.array_equal(got.y[~problem.update_mask], problem.y[~problem.update_mask])
+    return got
+
+
+class TestRefineOracle:
+    """Each case starts the fast and the per-trial refine from identical inputs."""
+
+    def _problem(self, mask_rows, shift=0.05, mu=1.0):
+        g = tiny_bipartite(seed=3)
+        cfg, params = tiny_params(g, seed=3)
+        table = embed_all(g, params, cfg, version=1)
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        mask = np.zeros(g.num_nodes, dtype=bool)
+        mask[mask_rows] = True
+        return AlignmentProblem(_reconstruction_operator(g, state), state.lam,
+                                table.dense() + shift, mask, mu=mu)
+
+    def test_descending_fixture(self):
+        got = _assert_refine_matches_oracle(self._problem([0, 3, 4]), 25, 1e-4)
+        assert len(got.trajectory) == 26
+
+    def test_low_penalty_and_all_rows(self):
+        _assert_refine_matches_oracle(self._problem(list(range(7)), shift=0.2, mu=0.1), 10, 1e-3)
+
+    def test_empty_mask(self):
+        _assert_refine_matches_oracle(self._problem([]), 5, 1e-3)
+
+    def test_hopeless_step(self):
+        got = _assert_refine_matches_oracle(self._problem(list(range(7))), 3, 1e30)
+        assert got.step_warning
+
+    def test_planted_update(self, tmp_path, monkeypatch):
+        # a 2k + 2k planted graph, one batch of 20 new users and 4 new items
+        gen_planted_bipartite(tmp_path, n_users=2000, n_items=2000, communities=16,
+                              p_in=0.048, p_out=0.0008, feature_dim=16, seed=92)
+        g = load_graph(tmp_path / "edges.tsv", tmp_path / "features.tsv",
+                       tmp_path / "schema.tsv")
+        cfg = ModelConfig(input_dim=g.input_dim, rng_seed=92)
+        params = ModelParams(cfg, 2, 2, id_capacity=max(g.counts), init_seed=92)
+        table = embed_all(g, params, cfg, version=1)
+        state = capture_alignment(g, table, k=8, eps=1e-3, rng_seed=92)
+        rng = np.random.default_rng(92)
+        users, items = g.counts
+        nodes = [(NodeRef(0, users + j), rng.normal(size=g.input_dim), None) for j in range(20)]
+        nodes += [(NodeRef(1, items + j), rng.normal(size=g.input_dim), None) for j in range(4)]
+        edges = [(NodeRef(0, users + j), NodeRef(1, int(i)), 0, 1e6)
+                 for j in range(20) for i in rng.choice(items + 4, size=8, replace=False)]
+        edges += [(dst, src, 1, ts) for src, dst, _, ts in edges]
+        seen = []
+        monkeypatch.setattr(incremental, "incremental_refine",
+                            lambda problem, steps, step_size: seen.append(
+                                (problem, steps, step_size)) or incremental_refine(
+                                    problem, steps, step_size))
+        ille_update(g, IncrementBatch(new_nodes=nodes, new_edges=edges, batch_time=1e6),
+                    params, table, cfg, UpdateConfig(), alignment=state, rng_seed=92)
+        (problem, steps, step_size), = seen
+        assert 0 < problem.update_mask.sum() < g.num_nodes
+        got = _assert_refine_matches_oracle(problem, steps, step_size)
+        assert len(got.trajectory) > 1
 
 
 class TestDisentangledUpdate:
@@ -422,6 +518,42 @@ class TestIlleUpdate:
         assert np.array_equal(state2.lam, state.lam)
         assert report["refine_J_initial"] is not None
         assert report["refine_J_final"] <= report["refine_J_initial"]
+
+    def test_report_times_each_stage(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        report = ille_update(g, self._batch(), params, table, cfg,
+                             UpdateConfig(k=2, refine_steps=2, refine_step_size=1e-5),
+                             alignment=state, rng_seed=1)[3]
+        stages = report["stage_ms"]
+        assert list(stages) == ["apply", "sample", "weights", "embed", "blend",
+                                "refine", "write-back"]
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= report["wall_ms"]
+
+    def test_cached_sums_match_a_full_pass(self):
+        # a chain of updates carries R^T R and Y^T Y in the alignment; each
+        # update from a copy without them recomputes both over every row
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        ucfg = UpdateConfig(k=2, refine_steps=3, refine_step_size=1e-4)
+        for b in range(3):
+            u, it = g.counts
+            batch = IncrementBatch(
+                new_nodes=[(NodeRef(0, u), np.ones(5), np.ones(5, dtype=bool)),
+                           (NodeRef(1, it), None, None)],
+                new_edges=[(NodeRef(0, u), NodeRef(1, b), 0, 50.0 + b),
+                           (NodeRef(0, b), NodeRef(1, it), 0, 50.0 + b),
+                           (NodeRef(1, it), NodeRef(0, u), 1, 50.0 + b)],
+                batch_time=50.0 + b)
+            assert state.grams[0] is table
+            bare = AlignmentState(state.k, state.lam, state.refs, state.nbrs, state.weights)
+            out = ille_update(g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
+            ref = ille_update(g, batch, params, table, cfg, ucfg, alignment=bare, rng_seed=b)
+            for got, want in zip(out[4].grams[1:], ref[4].grams[1:]):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(out[2].dense() - ref[2].dense())) <= 1e-10
+            g, params, table, _, state = out
 
     def test_alignment_k_mismatch_rejected(self):
         g, cfg, params, table = self._setup()
