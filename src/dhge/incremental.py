@@ -20,6 +20,7 @@ from .graph import DataError, NodeRef, _in_sorted, _pair_key, apply_increment
 from .model import EmbeddingTable, init_features
 from .seeding import derived_rng, mix, TAG_BFS, TAG_COLD
 from .tensor import NumericError, SingularMatrixError, solve_ridge
+from .timing import Stages
 
 
 class ColdIsolatedError(DataError):
@@ -61,36 +62,32 @@ def bfs_neighbors(graph, center, k, rng_seed):
         raise ValueError("k must be >= 1")
     ref = graph.check_ref(center)
     g = graph.global_index(ref)
-    rng = derived_rng(TAG_BFS, rng_seed)
     hop1 = graph.neighbors_of(g)
     if len(hop1) == 0:
         raise ColdIsolatedError(ref)
-    chosen = []
-    hops = []
     if len(hop1) >= k:
-        pick = hop1 if len(hop1) == k else np.sort(rng.choice(hop1, size=k, replace=False))
-        chosen.extend(pick.tolist())
-        hops.extend([1] * k)
+        chosen = hop1 if len(hop1) == k else np.sort(
+            derived_rng(TAG_BFS, rng_seed).choice(hop1, size=k, replace=False))
+        hops = np.ones(k, dtype=np.int64)
     else:
-        chosen.extend(hop1.tolist())
-        hops.extend([1] * len(hop1))
-        exclude = np.concatenate([hop1, [g]])
-        hop2 = np.unique(np.concatenate([graph.neighbors_of(int(n)) for n in hop1]))
-        hop2 = np.setdiff1d(hop2, exclude)
-        need = k - len(chosen)
+        hop2 = np.sort(np.concatenate([graph.neighbors_of(int(n)) for n in hop1]))
+        fresh = np.append(True, hop2[1:] != hop2[:-1]) & (hop2 != g) & ~_in_sorted(hop1, hop2)[1]
+        hop2 = hop2[fresh]
+        need = k - len(hop1)
+        # the generator is only built when a draw follows: exactly need
+        # 2-hop nodes is neither a subsample nor short of k
+        rng = derived_rng(TAG_BFS, rng_seed) if len(hop2) != need else None
         if len(hop2) > need:
             hop2 = np.sort(rng.choice(hop2, size=need, replace=False))
-        chosen.extend(hop2.tolist())
-        hops.extend([2] * len(hop2))
+        chosen = np.concatenate([hop1, hop2])
+        hops = np.repeat([1, 2], [len(hop1), len(hop2)])
         if len(chosen) < k:
-            hop_of = {c: h for c, h in zip(chosen, hops)}
-            pool = np.asarray(chosen, dtype=np.int64)
-            pad = rng.choice(pool, size=k - len(chosen), replace=True)
-            for p in pad.tolist():
-                chosen.append(p)
-                hops.append(hop_of[p])
-    refs = [graph.ref_of(int(c)) for c in chosen]
-    return NeighborSample(ref, refs, hops[:len(refs)])
+            pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
+            chosen = np.concatenate([chosen, chosen[pad]])
+            hops = np.concatenate([hops, hops[pad]])
+    types = graph.type_of_global(chosen)
+    intra = chosen - graph.offsets[types]
+    return NeighborSample(ref, zip(types.tolist(), intra.tolist()), hops.tolist())
 
 
 def reconstruction_weights(x_center, x_neighbors, eps):
@@ -172,7 +169,7 @@ def embed_increment(table, samples, weights, tol=1e-8, max_sweeps=100):
                 u_w.append(wj)
         if k_rows:
             k_w = np.asarray(k_w, dtype=np.float64)
-            known_part[i] = k_w @ np.stack(k_rows)
+            known_part[i] = k_w @ np.array(k_rows)
             known_mass[i] = k_w.sum()
             has_known[i] = True
         if u_pos:
@@ -196,7 +193,7 @@ def embed_increment(table, samples, weights, tol=1e-8, max_sweeps=100):
             for i in coupled_rows:
                 u_pos, u_w = couplings[i]
                 fresh = known_part[i] + u_w @ rows[u_pos]
-                change = float(np.max(np.abs(fresh - rows[i]))) if dim else 0.0
+                change = float(np.abs(fresh - rows[i]).max()) if dim else 0.0
                 if change > delta:
                     delta = change
                 rows[i] = fresh
@@ -271,8 +268,13 @@ def _row_arrays(refs, samples, weights, k):
 
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
     """Record per-node reconstruction rows and the alignment spectrum."""
-    samples = {}
-    weights = {}
+    # rows go straight into arrays: holding a NeighborSample per node until
+    # the end kept thousands of tuples alive for the garbage collector to
+    # promote and traverse
+    refs = np.empty((graph.num_nodes, 2), dtype=np.int64)
+    nbrs = np.empty((graph.num_nodes, k, 2), dtype=np.int64)
+    weights = np.empty((graph.num_nodes, k))
+    rows = 0
     for t in range(graph.num_types):
         for i in range(graph.counts[t]):
             ref = NodeRef(t, i)
@@ -281,9 +283,11 @@ def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
             except ColdIsolatedError:
                 continue
             center, nbr_vecs = _weight_vectors(graph, table, ref, sample.neighbors, weight_space)
-            samples[ref] = sample
-            weights[ref] = reconstruction_weights(center, nbr_vecs, eps)
-    state = AlignmentState(k, None, *_row_arrays(list(samples), samples, weights, k))
+            refs[rows] = ref
+            nbrs[rows] = sample.neighbors
+            weights[rows] = reconstruction_weights(center, nbr_vecs, eps)
+            rows += 1
+    state = AlignmentState(k, None, refs[:rows], nbrs[:rows], weights[:rows])
     state.lam, yty = _grams(_reconstruction_operator(graph, state), table.dense())
     state.grams = (table, state.lam, yty)
     return state
@@ -504,11 +508,9 @@ def disentangled_update(params, row_updates, grow_seed=0):
     updates at the same intra id resolve in sorted-ref order (last wins).
     Returns a fresh ``ModelParams``; the input is not modified.
     """
-    out = params.copy()
     items = sorted(row_updates.items()) if isinstance(row_updates, dict) else sorted(row_updates)
-    if items:
-        need = 1 + max(ref[1] for ref, _ in items)
-        out.ensure_id_capacity(need, grow_seed)
+    need = 1 + max(ref[1] for ref, _ in items) if items else 0
+    out = params.copy(id_capacity=need, grow_seed=grow_seed)
     for ref, row in items:
         t, i = int(ref[0]), int(ref[1])
         if t < 0 or t >= out.num_types:
@@ -570,19 +572,6 @@ def _table_over(dense, graph, version, created_ms=None):
                           version=version, created_ms=created_ms)
 
 
-class _Stages:
-    """Wall time per named stage in ms, each lap closing the stage it names."""
-
-    def __init__(self):
-        self.ms = {}
-        self._last = time.perf_counter()
-
-    def lap(self, name):
-        now = time.perf_counter()
-        self.ms[name] = self.ms.get(name, 0.0) + (now - self._last) * 1000.0
-        self._last = now
-
-
 def ille_update(graph, batch, params, table, model_config, update_config,
                 alignment=None, rng_seed=0):
     """Apply one increment batch and refresh embeddings without training.
@@ -595,7 +584,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     and write-back.
     """
     t0 = time.perf_counter()
-    stages = _Stages()
+    stages = Stages()
     graph2, stats = apply_increment(graph, batch)
     if table.counts != graph.counts:
         raise DataError("embedding table counts %s do not match base graph %s"

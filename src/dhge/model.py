@@ -24,6 +24,7 @@ from .graph import DataError, NodeRef, minibatch_partition, sample_subgraph
 from .seeding import (derived_rng, mix, TAG_DROPOUT, TAG_EMBED, TAG_NEGSAMPLE,
                       TAG_PARAM_INIT, TAG_SUBGRAPH)
 from .tensor import Param, Tensor
+from .timing import Stages
 
 
 @dataclass
@@ -144,27 +145,36 @@ class ModelParams:
             p.zero_grad()
 
     def ensure_id_capacity(self, capacity, grow_seed=0):
-        if capacity <= self.id_capacity:
-            return
-        rng = derived_rng(TAG_PARAM_INIT, grow_seed, self.id_capacity, capacity)
-        extra = rng.normal(0.0, 0.1, size=(capacity - self.id_capacity, self.hidden_dim))
-        grown = np.concatenate([self.id_table.value, extra], axis=0)
-        self.id_table.value = grown
-        self.id_table.grad = np.zeros(grown.shape)
+        if capacity > self.id_capacity:
+            self._set_id_rows(self.id_table.value, capacity, grow_seed)
 
-    def copy(self):
+    def _set_id_rows(self, rows, capacity, grow_seed):
+        """Id table := ``rows`` then seeded draws up to ``capacity``, one array."""
+        table = np.empty((capacity, self.hidden_dim))
+        table[:len(rows)] = rows
+        if capacity > len(rows):
+            rng = derived_rng(TAG_PARAM_INIT, grow_seed, len(rows), capacity)
+            table[len(rows):] = rng.normal(0.0, 0.1, size=(capacity - len(rows), self.hidden_dim))
+        self.id_table.value = table
+        self.id_table.grad = np.zeros(table.shape)
+
+    def copy(self, id_capacity=0, grow_seed=0):
+        """A deep copy whose id table has at least ``id_capacity`` rows, grown
+        as ``ensure_id_capacity`` grows it but allocated once."""
         out = object.__new__(ModelParams)
         out.num_types = self.num_types
         out.num_relations = self.num_relations
         out.input_dim = self.input_dim
         out.hidden_dim = self.hidden_dim
         out.num_gcn_layers = self.num_gcn_layers
-        for name in ("input_weight", "input_bias", "imputation_token", "id_table",
+        for name in ("input_weight", "input_bias", "imputation_token",
                      "type_table", "attn_query", "attn_key", "attn_value"):
             setattr(out, name, _copy_param(getattr(self, name)))
         for name in ("type_query", "type_key", "type_value", "rel_factor",
                      "rel_attn", "rel_msg", "type_mix", "gcn_weight"):
             setattr(out, name, [_copy_param(p) for p in getattr(self, name)])
+        out.id_table = Param(np.empty((0, self.hidden_dim)), self.id_table.name)
+        out._set_id_rows(self.id_table.value, max(id_capacity, self.id_capacity), grow_seed)
         return out
 
 
@@ -383,6 +393,9 @@ def forward_subgraph(graph, sub, params, config, training=False, rng=None):
 # ---------------------------------------------------------------------------
 # loss and negatives
 
+# floats gathered per scoring chunk of the negative sampler (512 KiB)
+_SCORE_CHUNK_FLOATS = 1 << 16
+
 
 def edge_loss(z, pos_pairs, neg_pairs):
     """Negative log-likelihood of positives vs mined negatives (1:1).
@@ -413,38 +426,88 @@ def dynamic_negative_sample(pos_pairs, emb, emb_ids, graph, pool_size, rng,
     """Mine one hard negative per positive pair.
 
     For positive (i, j): draw up to ``pool_size`` candidates uniformly without
-    replacement from nodes of j's type within ``emb_ids`` that are not i and
-    share no edge with i, then keep the highest-scoring candidate under the
-    current embeddings (ties broken toward the smallest global index).
-    Scoring reads plain arrays, so selection never enters the gradient tape.
+    replacement from nodes of j's type within ``emb_ids`` (ascending, unique)
+    that are not i and share no edge with i, then keep the highest-scoring
+    candidate under the current embeddings (ties broken toward the smallest
+    global index). Scoring reads plain arrays, so selection never enters the
+    gradient tape.
 
     A pair whose source already interacts with every candidate has no
     admissible negative: that raises by default, or marks the output row's
     second column -1 when ``skip_exhausted`` is set (the caller filters).
+
+    The whole batch is handled in array passes; only the draws loop in
+    Python, one ``rng.choice`` over candidate ranks per pair with more than
+    ``pool_size`` candidates, in pair order, so a pair's draw is the one a
+    per-pair ``rng.choice`` over its sorted candidate array would make.
     """
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     emb_ids = np.asarray(emb_ids, dtype=np.int64)
-    types = graph.type_of_global(emb_ids)
-    by_type = [emb_ids[types == t] for t in range(graph.num_types)]
-    out = np.empty_like(pos_pairs)
-    for idx, (gi, gj) in enumerate(pos_pairs):
-        tau = int(graph.type_of_global(gj))
-        blocked = np.append(graph.neighbors_of(int(gi)), gi)
-        cands = np.setdiff1d(by_type[tau], blocked, assume_unique=False)
-        if len(cands) == 0:
+    src, dst = pos_pairs[:, 0], pos_pairs[:, 1]
+    bad = (pos_pairs < 0) | (pos_pairs >= graph.num_nodes)
+    if bad.any():
+        raise DataError("global index %d out of range" % pos_pairs[bad][0])
+    n, n_pairs = len(emb_ids), len(pos_pairs)
+
+    # emb_ids is type-major, so each type's candidates are one slice of it
+    bounds = np.searchsorted(emb_ids, graph.offsets)
+    tau = graph.type_of_global(dst)
+    lo, hi = bounds[tau], bounds[tau + 1]
+    keys = _blocked_keys(graph, src, emb_ids, lo, hi)
+    b_pair = keys // n
+    n_blocked = np.bincount(b_pair, minlength=n_pairs)
+    b_start = np.cumsum(n_blocked) - n_blocked
+    n_cands = (hi - lo) - n_blocked
+    # rank r sits at slice position r + #{blocked m: position_m - m <= r}
+    gaps = b_pair * n + (keys % n - lo[b_pair]) - (np.arange(len(keys)) - b_start[b_pair])
+
+    # candidate ranks: all of them, or a sorted draw of pool_size
+    ranks = np.tile(np.arange(pool_size, dtype=np.int32), (n_pairs, 1))
+    sizes = n_cands.tolist()
+    for p in np.flatnonzero((n_cands > pool_size) | (n_cands == 0)).tolist():
+        if sizes[p] == 0:
             if skip_exhausted:
-                out[idx, 0] = gi
-                out[idx, 1] = -1
                 continue
             raise DataError("no admissible negative for pair (%d, %d): every candidate "
-                            "of type %d interacts with the source" % (gi, gj, tau))
-        if len(cands) > pool_size:
-            cands = np.sort(rng.choice(cands, size=pool_size, replace=False))
-        rows = np.searchsorted(emb_ids, cands)
-        scores = emb[rows] @ emb[int(np.searchsorted(emb_ids, gi))]
-        out[idx, 0] = gi
-        out[idx, 1] = cands[int(np.argmax(scores))]   # first max = smallest id
+                            "of type %d interacts with the source" % (src[p], dst[p], tau[p]))
+        ranks[p] = rng.choice(sizes[p], size=pool_size, replace=False)
+    ranks.sort(axis=1)
+
+    out = np.stack([src, np.full(n_pairs, -1, dtype=np.int64)], axis=1)
+    live = np.flatnonzero(n_cands > 0)
+    src_rows = np.searchsorted(emb_ids, src)
+    step = max(1, _SCORE_CHUNK_FLOATS // (pool_size * emb.shape[1]))
+    for c in range(0, len(live), step):
+        p = live[c:c + step]
+        r = ranks[p]
+        valid = r < n_cands[p, None]
+        shift = np.searchsorted(gaps, p[:, None] * n + r, side="right") - b_start[p, None]
+        rows = np.where(valid, lo[p, None] + r + shift, lo[p, None])
+        scores = np.einsum("cpd,cd->cp", emb[rows], emb[src_rows[p]])
+        scores[~valid] = -np.inf
+        best = rows[np.arange(len(p)), np.argmax(scores, axis=1)]   # first max = smallest id
+        out[p, 1] = emb_ids[best]
     return out
+
+
+def _blocked_keys(graph, src, emb_ids, lo, hi):
+    """Sorted keys ``pair * len(emb_ids) + position`` of the candidates each
+    pair's source blocks: its adjacency row and itself, where they fall in
+    the pair's slice ``emb_ids[lo:hi]``."""
+    indptr, indices = graph._adj_indptr, graph._adj_indices
+    deg = indptr[src + 1] - indptr[src]
+    pair = np.repeat(np.arange(len(src)), deg + 1)
+    nth = np.arange(len(pair)) - np.repeat(np.cumsum(deg + 1) - (deg + 1), deg + 1)
+    blocked = src[pair]
+    row = nth < deg[pair]
+    blocked[row] = indices[indptr[src][pair[row]] + nth[row]]
+    at = np.searchsorted(emb_ids, blocked)
+    keep = (at >= lo[pair]) & (at < hi[pair])
+    keep[keep] = emb_ids[at[keep]] == blocked[keep]
+    # adjacency rows are sorted, unique and never hold their own node, so the
+    # keys are unique and each pair's run is sorted but for the source at its
+    # end: a stable sort is near-linear on them
+    return np.sort(pair[keep] * len(emb_ids) + at[keep], kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +527,13 @@ def train_epoch(graph, params, config, optimizer, epoch=0):
 
     Batches partition all nodes; each batch trains on the edges retained by
     its sampled subgraph. ``mean_loss`` is the summed loss divided by the
-    number of scored pairs (positives plus negatives).
+    number of scored pairs (positives plus negatives). ``stage_ms`` splits
+    the wall time into sample, forward, negatives, loss, backward and step.
     """
     if graph.num_edges == 0:
         raise DataError("no training edges")
     t0 = time.perf_counter()
+    stages = Stages()
     batches = minibatch_partition(graph, config.batch_size, mix(config.rng_seed, epoch))
     all_params = params.all_params()
     loss_sum = 0.0
@@ -479,11 +544,13 @@ def train_epoch(graph, params, config, optimizer, epoch=0):
         sub = sample_subgraph(graph, seed_ids, config.degree_limit,
                               mix(config.rng_seed, epoch, b, TAG_SUBGRAPH))
         pos_local = _subgraph_positive_pairs(sub)
+        stages.lap("sample")
         if len(pos_local) == 0:
             skipped += 1
             continue
         rng = derived_rng(TAG_DROPOUT, config.rng_seed, epoch, b)
         z = forward_subgraph(graph, sub, params, config, training=True, rng=rng)
+        stages.lap("forward")
         neg_rng = derived_rng(TAG_NEGSAMPLE, config.rng_seed, epoch, b)
         pos_global = sub.nodes[pos_local]
         neg_global = dynamic_negative_sample(pos_global, z.value, sub.nodes, graph,
@@ -491,6 +558,7 @@ def train_epoch(graph, params, config, optimizer, epoch=0):
                                              skip_exhausted=True)
         keep = neg_global[:, 1] >= 0
         saturated += int((~keep).sum())
+        stages.lap("negatives")
         if not keep.any():
             skipped += 1
             continue
@@ -498,9 +566,12 @@ def train_epoch(graph, params, config, optimizer, epoch=0):
         neg_global = neg_global[keep]
         neg_local = sub.local_index(neg_global.ravel()).reshape(-1, 2)
         loss = edge_loss(z, pos_local, neg_local)
+        stages.lap("loss")
         params.zero_grads()
         T.backward(loss)
+        stages.lap("backward")
         optimizer.step(all_params)
+        stages.lap("step")
         loss_sum += float(loss.value)
         pair_count += 2 * len(pos_local)
     if pair_count == 0:
@@ -508,6 +579,7 @@ def train_epoch(graph, params, config, optimizer, epoch=0):
     return {
         "epoch": int(epoch),
         "mean_loss": loss_sum / pair_count,
+        "stage_ms": stages.ms,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
         "seed": int(config.rng_seed),
         "n_batches": len(batches),

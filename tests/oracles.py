@@ -132,6 +132,41 @@ def pair_loss_ref(z, pos_pairs, neg_pairs, clip=30.0):
     return total
 
 
+def dynamic_negative_sample_loop(pos_pairs, emb, emb_ids, graph, pool_size, rng,
+                                 skip_exhausted=False):
+    """Hard negatives mined one positive pair at a time.
+
+    Per pair: ``setdiff1d`` of the target type's ``emb_ids`` against the
+    source's neighbors and itself, a sorted ``rng.choice`` of ``pool_size``
+    when more remain, one matrix-vector score, the first argmax. Exhausted
+    pairs raise ``DataError`` or get -1 under ``skip_exhausted``.
+    """
+    from dhge.graph import DataError
+    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
+    emb_ids = np.asarray(emb_ids, dtype=np.int64)
+    types = graph.type_of_global(emb_ids)
+    by_type = [emb_ids[types == t] for t in range(graph.num_types)]
+    out = np.empty_like(pos_pairs)
+    for idx, (gi, gj) in enumerate(pos_pairs):
+        tau = int(graph.type_of_global(gj))
+        blocked = np.append(graph.neighbors_of(int(gi)), gi)
+        cands = np.setdiff1d(by_type[tau], blocked, assume_unique=False)
+        if len(cands) == 0:
+            if skip_exhausted:
+                out[idx, 0] = gi
+                out[idx, 1] = -1
+                continue
+            raise DataError("no admissible negative for pair (%d, %d): every candidate "
+                            "of type %d interacts with the source" % (gi, gj, tau))
+        if len(cands) > pool_size:
+            cands = np.sort(rng.choice(cands, size=pool_size, replace=False))
+        rows = np.searchsorted(emb_ids, cands)
+        scores = emb[rows] @ emb[int(np.searchsorted(emb_ids, gi))]
+        out[idx, 0] = gi
+        out[idx, 1] = cands[int(np.argmax(scores))]   # first max = smallest id
+    return out
+
+
 def constrained_weights(center, neighbors, ridge_scale):
     """Sum-to-one reconstruction weights through the KKT system.
 

@@ -2,8 +2,9 @@
 
 Each test computes its verdict, records one summary line (printed in the
 "acceptance criteria" section after the run), then asserts. Tolerances
-are pinned inline; timing checks use best-of-N repeats because this
-class of machine runs a single core.
+are pinned inline. Timing checks repeat their runs: best-of-N in
+process, or, for the tightest gates, interleaved rounds in a child process
+pinned to one CPU, gated on the median over rounds.
 """
 import json
 import os
@@ -14,21 +15,20 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.spatial
 
 from conftest import (record_criterion, build_graph, full_subgraph,
                       tiny_bipartite, tiny_params)
 from oracles import (dense_edge_attention, dense_global_attention, fd_gradient,
                      full_lle_oracle, lle_weight_matrix, rel_err)
-from update_scaling import scaling_graph
+from update_scaling import incremental_vs_rebuild, scaling_graph
 
 from dhge.benchmarks import prepare_click_log
 from dhge.config import RunConfig
 from dhge.evaluation import EvalProtocol, evaluate_table
-from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, swiss_roll_points
+from dhge.fixtures import gen_drift_stream, gen_planted_bipartite
 from dhge.graph import IncrementBatch, NodeRef, load_graph, read_increment
-from dhge.incremental import (NeighborSample, UpdateConfig, capture_alignment,
-                              embed_increment, ille_update, reconstruction_weights)
+from dhge.incremental import (UpdateConfig, capture_alignment, ille_update,
+                              reconstruction_weights)
 from dhge.model import (EmbeddingTable, ModelConfig, ModelParams, edge_attention,
                         edge_loss, embed_all, forward_subgraph, global_attention,
                         train_epoch)
@@ -41,13 +41,22 @@ from dhge.tensor import Tensor, backward, segment_softmax
 import dhge.pipeline as pipeline_mod
 
 
-def best_of(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _pinned_rounds(*args):
+    """Rounds of times from ``update_scaling.py`` in a child process.
+
+    The child pins itself to one CPU and runs with one BLAS thread, as the
+    benchmark in ``bench/`` runs: on a shared two-core host a second BLAS
+    thread waits on the other core and swamps the signal.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, os.pardir, "src"), here, env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, os.path.join(here, "update_scaling.py"), *args],
+                         env=env, capture_output=True, text=True, timeout=900)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def _edges_by_relation(sub, num_relations):
@@ -205,47 +214,30 @@ def test_04_full_embedding_exact_on_affine_subspace():
 
 
 def test_05_incremental_embedding_quality_and_speed_vs_rebuild():
-    K, EPS, DIM, N_BASE, N_NEW = 8, 1e-3, 2, 300, 30
-    pts, _ = swiss_roll_points(N_BASE + N_NEW, seed=5, noise=0.05)
-    base_x = pts[:N_BASE]
-    y_base, _ = full_lle_oracle(base_x, K, DIM, EPS)
-    w_base = lle_weight_matrix(base_x, K, EPS)
-    r = y_base - w_base @ y_base
-    base_loss = float(np.sum(r * r))
-    table = EmbeddingTable([y_base.copy()], version=0)
+    """Quality in process; speed from ``update_scaling.py rebuild``.
 
-    def incremental_once():
-        d_new = scipy.spatial.distance.cdist(pts[N_BASE:], pts)
-        d_new[np.arange(N_NEW), np.arange(N_BASE, N_BASE + N_NEW)] = np.inf
-        samples, weights = [], []
-        for j in range(N_NEW):
-            part = np.argpartition(d_new[j], K)[:K]
-            nn = part[np.argsort(d_new[j][part], kind="stable")]
-            samples.append(NeighborSample(NodeRef(0, N_BASE + j),
-                                          [NodeRef(0, int(i)) for i in nn], [1] * K))
-            weights.append(reconstruction_weights(pts[N_BASE + j], pts[nn], EPS))
-        _, new_loss, _ = embed_increment(table, samples, weights, tol=1e-6)
-        return base_loss + new_loss
-
-    def rebuild_once():
-        return full_lle_oracle(pts, K, DIM, EPS)
-
-    t_inc = best_of(incremental_once, 7)
-    t_scr = best_of(rebuild_once, 7)
+    The child process is pinned to one CPU with one BLAS thread and times
+    the incremental embedding and the rebuild back to back in each round,
+    so host speed drifting between the two timings cannot decide the
+    verdict; the median of the per-round fractions is gated.
+    """
+    pts, incremental_once, rebuild_once = incremental_vs_rebuild()
     loss_inc = incremental_once()
     y_scr, _ = rebuild_once()
-    w_scr = lle_weight_matrix(pts, K, EPS)
+    w_scr = lle_weight_matrix(pts, 8, 1e-3)
     r = y_scr - w_scr @ y_scr
     loss_scr = float(np.sum(r * r))
+    rounds = _pinned_rounds("rebuild")
 
     ratio = loss_inc / loss_scr
-    frac = t_inc / t_scr
+    frac = float(np.median([t_inc / t_scr for t_inc, t_scr in rounds]))
     ok = ratio <= 1.5 and frac < 0.10
     record_criterion(5, "PASS" if ok else "FAIL",
                      "30 points onto a 300-point base: loss ratio %.3f (bound 1.5), "
-                     "time fraction %.3f (bound 0.10)" % (ratio, frac))
+                     "median time fraction %.3f over %d rounds (bound 0.10)"
+                     % (ratio, frac, len(rounds)))
     assert ratio <= 1.5
-    assert frac < 0.10
+    assert frac < 0.10, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +509,11 @@ def test_09_scaling_stays_near_linear():
 def test_update_cost_flat_in_base_size():
     """A fixed 20-node batch costs about the same on 4k, 8k and 16k bases.
 
-    ``update_scaling.py`` times ten rounds in a child process pinned to one
-    CPU with one BLAS thread, as the benchmark in ``bench/`` runs: on a
-    shared two-core host a second BLAS thread waits on the other core and
-    swamps the signal. Each doubling ratio is taken within a round, where
+    ``update_scaling.py`` times ten rounds in a pinned child process (see
+    ``_pinned_rounds``). Each doubling ratio is taken within a round, where
     the three times are back to back, and the median over rounds is gated.
     """
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(here, os.pardir, "src"), here, env.get("PYTHONPATH", "")])
-    run = subprocess.run([sys.executable, os.path.join(here, "update_scaling.py")],
-                         env=env, capture_output=True, text=True, timeout=900)
-    assert run.returncode == 0, run.stderr
-    rounds = json.loads(run.stdout.splitlines()[-1])
+    rounds = _pinned_rounds()
     ratios = [float(np.median([t[c + 1] / t[c] for t in rounds])) for c in (0, 1)]
     assert max(ratios) <= 1.3, (ratios, rounds)
 

@@ -15,7 +15,7 @@ from dhge.tensor import Tensor, Param, backward
 from dhge.optim import AdamW
 from conftest import build_graph, full_subgraph, tiny_bipartite, tiny_params
 from oracles import (dense_global_attention, dense_edge_attention, dense_gcn,
-                     pair_loss_ref, fd_gradient, rel_err)
+                     dynamic_negative_sample_loop, pair_loss_ref, fd_gradient, rel_err)
 
 
 def _edges_by_relation(sub, num_relations):
@@ -288,6 +288,100 @@ class TestLossAndNegatives:
                                     pool_size=4, rng=rng)
 
 
+def _sampling_case(seed, integer_scores):
+    """Three node types, four relations (one within a type), a seeded batch.
+
+    Type 2 has five nodes and users 0-2 link to all of them, so their pairs
+    into type 2 are exhausted. The batch repeats pairs, mixes edges with
+    random pairs (sources of every type, any target type), and ``emb_ids``
+    is a random subset of the nodes that keeps every source, as in a
+    sampled subgraph. Integer-valued embeddings make score ties common.
+    """
+    rng = np.random.default_rng(seed)
+    counts = [40, 30, 5]
+    pairs = [(0, 1), (1, 0), (0, 2), (1, 1)]
+    rel_edges = []
+    for r, (s_t, d_t) in enumerate(pairs):
+        linked = rng.random((counts[s_t], counts[d_t])) < 0.15
+        if s_t == d_t:
+            np.fill_diagonal(linked, False)
+        if r == 2:
+            linked[:3] = True
+        rel_edges.append([(int(i), int(j)) for i, j in zip(*np.nonzero(linked))])
+    g = build_graph(pairs, counts, rel_edges, seed=seed)
+    edges = np.concatenate([np.stack([g.rel_src[r] + g.offsets[s_t],
+                                      g.rel_dst[r] + g.offsets[d_t]], axis=1)
+                            for r, (s_t, d_t) in enumerate(pairs)])
+    pos = np.concatenate([edges[rng.choice(len(edges), size=80)],
+                          rng.integers(0, g.num_nodes, size=(40, 2)),
+                          [[0, g.offsets[2]], [2, g.offsets[2] + 4]]])
+    pos = np.concatenate([pos, pos[:10]])
+    keep = rng.random(g.num_nodes) < 0.7
+    keep[pos[:, 0]] = True
+    emb_ids = np.flatnonzero(keep)
+    emb = rng.normal(size=(len(emb_ids), 6))
+    if integer_scores:
+        emb = np.round(emb)
+    return g, pos, emb, emb_ids
+
+
+def _candidate_counts(g, pos, emb_ids):
+    types = g.type_of_global(emb_ids)
+    return np.array([len(np.setdiff1d(emb_ids[types == g.type_of_global(j)],
+                                      np.append(g.neighbors_of(int(i)), i)))
+                     for i, j in pos])
+
+
+class TestBatchedNegativesMatchLoop:
+    """The batched sampler against the per-pair loop: same picks, same draws."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("integer_scores", [False, True])
+    def test_same_negatives_and_rng_state(self, seed, integer_scores):
+        g, pos, emb, emb_ids = _sampling_case(seed, integer_scores)
+        n_cands = _candidate_counts(g, pos, emb_ids)
+        assert len(emb_ids) < g.num_nodes
+        assert np.any(g.type_of_global(pos[:, 0]) != g.type_of_global(pos[:, 1]))
+        # exhausted pairs, and at pool 8 both drawn and whole pools
+        assert np.any(n_cands == 0)
+        assert np.any(n_cands > 8) and np.any((n_cands > 0) & (n_cands <= 8))
+        for pool in (1, 3, 8, 64):
+            rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = dynamic_negative_sample(pos, emb, emb_ids, g, pool, rng,
+                                          skip_exhausted=True)
+            want = dynamic_negative_sample_loop(pos, emb, emb_ids, g, pool, rng_loop,
+                                                skip_exhausted=True)
+            assert np.array_equal(got, want), pool
+            assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exhausted_pair_raises_after_the_same_draws(self, seed):
+        g, pos, emb, emb_ids = _sampling_case(seed, integer_scores=False)
+        n_cands = _candidate_counts(g, pos, emb_ids)
+        rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(DataError) as got:
+            dynamic_negative_sample(pos, emb, emb_ids, g, 8, rng)
+        with pytest.raises(DataError) as want:
+            dynamic_negative_sample_loop(pos, emb, emb_ids, g, 8, rng_loop)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+        # without exhausted pairs nothing raises and nothing differs
+        live = pos[n_cands > 0]
+        got = dynamic_negative_sample(live, emb, emb_ids, g, 8, rng)
+        want = dynamic_negative_sample_loop(live, emb, emb_ids, g, 8, rng_loop)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+    def test_out_of_range_pair_rejected(self):
+        g = tiny_bipartite()
+        emb_ids = np.arange(g.num_nodes)
+        emb = np.zeros((g.num_nodes, 2))
+        for bad in ([[0, g.num_nodes]], [[-1, 3]]):
+            with pytest.raises(DataError, match="out of range"):
+                dynamic_negative_sample(np.array(bad), emb, emb_ids, g, 4,
+                                        np.random.default_rng(0))
+
+
 class TestDropout:
     def test_inference_path_never_drops(self, rng):
         t = Tensor(rng.normal(size=(20, 10)))
@@ -323,6 +417,15 @@ class TestTrainingLoop:
         losses = [train_epoch(g, params, cfg, opt, epoch=e)["mean_loss"]
                   for e in range(30)]
         assert losses[-1] < losses[0]
+
+    def test_epoch_times_each_stage(self):
+        g = tiny_bipartite()
+        cfg, params = tiny_params(g, hidden_dim=4, rng_seed=9)
+        m = train_epoch(g, params, cfg, AdamW(lr=1e-3), epoch=0)
+        stages = m["stage_ms"]
+        assert list(stages) == ["sample", "forward", "negatives", "loss", "backward", "step"]
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= m["wall_ms"]
 
     def test_empty_graph_rejected(self):
         g = build_graph([(0, 1)], [2, 2], [[]])

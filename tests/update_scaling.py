@@ -1,24 +1,37 @@
-"""Time one fixed 20-node ``ille_update`` on 4k, 8k and 16k-node bases.
+"""Timed workloads for the acceptance gates, run in a pinned child process.
 
-Run as a script, it prints one JSON list per round, each holding the three
-times in seconds; ``test_acceptance.test_update_cost_flat_in_base_size``
-checks their doubling ratios. A round times the three bases back to back,
-so a slow stretch of a shared host hits all three of its times alike. Each
-timed update follows an untimed one on the same base, as in a resident
-updater whose graph stays warm in cache, and, as in ``timeit``, the
-garbage collector is off while timing.
+Run as a script, it prints one JSON list per round:
+
+* with no argument, the times in seconds of one fixed 20-node
+  ``ille_update`` on 4k, 8k and 16k-node bases;
+  ``test_acceptance.test_update_cost_flat_in_base_size`` checks their
+  doubling ratios;
+* with ``rebuild``, criterion 05's incremental embedding and
+  from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
+  ratio.
+
+A round times its workloads back to back, so a slow stretch of a shared
+host hits all of its times alike. Each timed run follows an untimed one of
+the same work, as in a resident updater whose graph stays warm in cache,
+and, as in ``timeit``, the garbage collector is off while timing.
 """
 import functools
 import gc
 import json
 import os
+import sys
 import time
 
 import numpy as np
+import scipy.spatial
 
+from oracles import full_lle_oracle, lle_weight_matrix
+
+from dhge.fixtures import swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
-from dhge.incremental import UpdateConfig, capture_alignment, ille_update
-from dhge.model import ModelConfig, ModelParams, embed_all
+from dhge.incremental import (NeighborSample, UpdateConfig, capture_alignment,
+                              embed_increment, ille_update, reconstruction_weights)
+from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -58,16 +71,59 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
         batch = IncrementBatch(new_nodes=new_nodes, new_edges=new_edges, batch_time=1e6)
         updates.append(functools.partial(ille_update, g, batch, params, table, cfg, ucfg,
                                          alignment=alignment, rng_seed=1))
+    return _rounds(updates, rounds)
+
+
+def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
+    """Criterion 05's work: 30 swiss-roll points onto a 300-point LLE base.
+
+    Returns ``(pts, incremental_once, rebuild_once)``: the first embeds the
+    new points by local reconstruction and returns the total loss, the
+    second re-solves full LLE on all points and returns ``(y, lam)``.
+    """
+    pts, _ = swiss_roll_points(n_base + n_new, seed=5, noise=0.05)
+    base_x = pts[:n_base]
+    y_base, _ = full_lle_oracle(base_x, k, dim, eps)
+    w_base = lle_weight_matrix(base_x, k, eps)
+    r = y_base - w_base @ y_base
+    base_loss = float(np.sum(r * r))
+    table = EmbeddingTable([y_base.copy()], version=0)
+
+    def incremental_once():
+        d_new = scipy.spatial.distance.cdist(pts[n_base:], pts)
+        d_new[np.arange(n_new), np.arange(n_base, n_base + n_new)] = np.inf
+        samples, weights = [], []
+        for j in range(n_new):
+            part = np.argpartition(d_new[j], k)[:k]
+            nn = part[np.argsort(d_new[j][part], kind="stable")]
+            samples.append(NeighborSample(NodeRef(0, n_base + j),
+                                          [NodeRef(0, int(i)) for i in nn], [1] * k))
+            weights.append(reconstruction_weights(pts[n_base + j], pts[nn], eps))
+        _, new_loss, _ = embed_increment(table, samples, weights, tol=1e-6)
+        return base_loss + new_loss
+
+    def rebuild_once():
+        return full_lle_oracle(pts, k, dim, eps)
+
+    return pts, incremental_once, rebuild_once
+
+
+def rebuild_times(rounds=15):
+    _, incremental_once, rebuild_once = incremental_vs_rebuild()
+    return _rounds([incremental_once, rebuild_once], rounds)
+
+
+def _rounds(work, rounds):
     rows = []
     gc.collect()
     gc.disable()
     try:
         for _ in range(rounds):
             row = []
-            for update in updates:
-                update()
+            for fn in work:
+                fn()
                 t0 = time.perf_counter()
-                update()
+                fn()
                 row.append(time.perf_counter() - t0)
             rows.append(row)
     finally:
@@ -79,4 +135,4 @@ if __name__ == "__main__":
     # one CPU, as bench/run.py runs: the scheduler cannot move the run
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    print(json.dumps(round_times()))
+    print(json.dumps(rebuild_times() if sys.argv[1:] == ["rebuild"] else round_times()))
