@@ -11,7 +11,7 @@ import os
 import tempfile
 import time
 
-from dhge.evaluation import EvalProtocol, ExactCosineIndex, evaluate_table
+from dhge.evaluation import EvalProtocol, cosine_topk, evaluate_table
 from dhge.fixtures import gen_planted_bipartite
 from dhge.graph import NodeRef, load_graph
 from dhge.model import ModelConfig, ModelParams, embed_all, train_epoch
@@ -57,13 +57,10 @@ def main():
               % (k, report.hitrate[k], k, report.ndcg[k]))
 
     # retrieval for one user, the serving-side view of the same table
-    index = ExactCosineIndex(table.blocks[ITEMS],
-                             [NodeRef(ITEMS, i) for i in range(g.counts[ITEMS])])
-    user = NodeRef(USERS, 0)
     print("top items for user 0 (cosine):")
-    keys, scores = index.query(table.row(user), k=5)
-    for ref, score in zip(keys, scores):
-        print("  item %-3d score %.3f" % (ref.intra_id, score))
+    order, scores = cosine_topk(table.row(NodeRef(USERS, 0)), table.blocks[ITEMS], 5)
+    for i, score in zip(order, scores):
+        print("  item %-3d score %.3f" % (i, score))
 
 
 if __name__ == "__main__":

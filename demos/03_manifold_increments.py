@@ -3,7 +3,7 @@
 Points on a noisy swiss roll get a full locally-linear embedding (dense
 eigensolve). Thirty new points then arrive and are placed by the
 incremental path alone: sum-to-one reconstruction weights against their
-nearest neighbors, and a Jacobi sweep for the few points whose
+nearest neighbors, and Gauss-Seidel sweeps for the few points whose
 neighborhoods reference each other. The quality check is the summed
 reconstruction residual over the union, scored against a from-scratch
 rebuild of all 330 points.
@@ -21,9 +21,7 @@ import numpy as np
 import scipy.spatial
 
 from dhge.fixtures import swiss_roll_points
-from dhge.graph import NodeRef
-from dhge.incremental import NeighborSample, embed_increment, reconstruction_weights
-from dhge.model import EmbeddingTable
+from dhge.incremental import embed_increment, reconstruction_weights
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from oracles import full_lle_oracle, lle_weight_matrix  # noqa: E402
@@ -49,21 +47,20 @@ def main():
           % (N_BASE, 1000 * base_s, base_loss,
              ["%.1e" % v for v in lam]))
 
-    table = EmbeddingTable([y_base.copy()], version=0)
     t0 = time.perf_counter()
     d_new = scipy.spatial.distance.cdist(pts[N_BASE:], pts)
     d_new[np.arange(N_NEW), np.arange(N_BASE, N_BASE + N_NEW)] = np.inf
-    samples, weights = [], []
+    nbrs = np.empty((N_NEW, K), dtype=np.int64)
+    weights = np.empty((N_NEW, K))
     for j in range(N_NEW):
         part = np.argpartition(d_new[j], K)[:K]
-        nn = part[np.argsort(d_new[j][part], kind="stable")]
-        samples.append(NeighborSample(NodeRef(0, N_BASE + j),
-                                      [NodeRef(0, int(i)) for i in nn], [1] * K))
-        weights.append(reconstruction_weights(pts[N_BASE + j], pts[nn], EPS))
-    rows, new_loss, sweeps = embed_increment(table, samples, weights, tol=1e-6)
+        nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
+        weights[j] = reconstruction_weights(pts[N_BASE + j], pts[nbrs[j]], EPS)
+    # ids index the rows of y_base; the new points take ids N_BASE and up
+    rows, new_loss, sweeps = embed_increment(y_base, np.arange(N_BASE, N_BASE + N_NEW),
+                                             nbrs, weights, tol=1e-6)
     inc_s = time.perf_counter() - t0
-    coupled = sum(1 for s in samples
-                  if any(nb.intra_id >= N_BASE for nb in s.neighbors))
+    coupled = int(np.any(nbrs >= N_BASE, axis=1).sum())
     print("placed %d new points in %.1f ms (%d with coupled neighborhoods, "
           "%d sweeps)" % (N_NEW, 1000 * inc_s, coupled, sweeps))
 

@@ -10,13 +10,10 @@ from .tensor import NumericError, SingularMatrixError, Tensor, Param, backward
 from .graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                     HeteroGraph, IncrementBatch, load_graph, save_graph,
                     load_schema, read_increment, graphs_equal)
-from .model import (ModelConfig, ModelParams, EmbeddingTable, forward_subgraph,
-                    train_epoch, embed_all, edge_loss, dynamic_negative_sample)
+from .model import ModelConfig, ModelParams, EmbeddingTable, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
-                          ConvergenceError, bfs_neighbors, reconstruction_weights,
-                          embed_increment, capture_alignment,
-                          incremental_refine, ille_update)
+                          ConvergenceError, capture_alignment, ille_update)
 from .evaluation import (EvalProtocol, EvalReport, cosine_topk, hitrate_at_k,
                          recall_at_k, ndcg_at_k, evaluate, evaluate_table,
                          chronological_split)
@@ -35,12 +32,10 @@ __all__ = [
     "DataError", "GraphFormatError", "NodeRef", "RelationSchema",
     "HeteroGraph", "IncrementBatch", "load_graph", "save_graph",
     "load_schema", "read_increment", "graphs_equal",
-    "ModelConfig", "ModelParams", "EmbeddingTable", "forward_subgraph",
-    "train_epoch", "embed_all", "edge_loss", "dynamic_negative_sample",
+    "ModelConfig", "ModelParams", "EmbeddingTable", "train_epoch", "embed_all",
     "AdamW",
     "UpdateConfig", "AlignmentState", "ColdIsolatedError", "ConvergenceError",
-    "bfs_neighbors", "reconstruction_weights", "embed_increment",
-    "capture_alignment", "incremental_refine", "ille_update",
+    "capture_alignment", "ille_update",
     "EvalProtocol", "EvalReport", "cosine_topk", "hitrate_at_k",
     "recall_at_k", "ndcg_at_k", "evaluate", "evaluate_table",
     "chronological_split",

@@ -76,20 +76,6 @@ def cosine_topk(query, items, k):
     return order[:k], scores[order[:k]]
 
 
-class ExactCosineIndex:
-    """Brute-force retrieval index; the pluggable-backend reference."""
-
-    def __init__(self, item_matrix, item_keys=None):
-        self.items = np.asarray(item_matrix, dtype=np.float64)
-        self.keys = list(range(len(self.items))) if item_keys is None else list(item_keys)
-        if len(self.keys) != len(self.items):
-            raise ValueError("item_keys length mismatch")
-
-    def query(self, vector, k):
-        idx, scores = cosine_topk(vector, self.items, k)
-        return [self.keys[i] for i in idx], scores
-
-
 def hitrate_at_k(rankings, truths, k):
     """Fraction of queries whose top-k contains at least one relevant item."""
     hits = 0
@@ -229,14 +215,16 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     """
     user_keys = [NodeRef(user_type, i) for i in range(len(table.blocks[user_type]))]
     item_keys = [NodeRef(item_type, i) for i in range(len(table.blocks[item_type]))]
-    known = []
-    limit_u = len(user_keys)
-    for u_intra in range(min(graph.counts[user_type], limit_u)):
-        g = graph.global_index(NodeRef(user_type, u_intra))
-        for nb in graph.neighbors_of(g):
-            ref = graph.ref_of(int(nb))
-            if ref.node_type == item_type and ref.intra_id < len(item_keys):
-                known.append((NodeRef(user_type, u_intra), ref))
+    # the users' adjacency rows are one contiguous run of the CSR arrays
+    n_users = min(graph.counts[user_type], len(user_keys))
+    first = graph.offsets[user_type]
+    indptr = graph._adj_indptr[first:first + n_users + 1]
+    nbrs = graph._adj_indices[indptr[0]:indptr[-1]]
+    users = np.repeat(np.arange(n_users), np.diff(indptr))
+    items = nbrs - graph.offsets[item_type]
+    hit = (graph.type_of_global(nbrs) == item_type) & (items < len(item_keys))
+    known = [(user_keys[u], item_keys[i])
+             for u, i in zip(users[hit].tolist(), items[hit].tolist())]
     tests = []
     n_missing = 0
     for u, i, ts in test_interactions:

@@ -406,13 +406,12 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True):
     query = table.row(ref)
     n_items = min(int(graph.counts[item_type]), int(table.counts[item_type]))
     items = table.blocks[item_type][:n_items]
-    known = set()
+    keep = np.ones(n_items, dtype=bool)
     if exclude_known:
-        for g in graph.neighbors_of(ref):
-            nbr = graph.ref_of(int(g))
-            if nbr.node_type == item_type:
-                known.add(nbr.intra_id)
-    keep = np.array([i for i in range(n_items) if i not in known], dtype=np.int64)
+        nbrs = graph.neighbors_of(ref)
+        known = nbrs[graph.type_of_global(nbrs) == item_type] - graph.offsets[item_type]
+        keep[known[known < n_items]] = False
+    keep = np.flatnonzero(keep)
     if keep.size == 0:
         return []
     order, scores = cosine_topk(query, items[keep], min(k, keep.size))

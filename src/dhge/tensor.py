@@ -33,25 +33,6 @@ def set_debug_checks(enabled):
 # plain ndarray kernels
 
 
-def matmul(a, b):
-    """Dense float64 matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands, got %dD and %dD" % (a.ndim, b.ndim))
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("matmul shape mismatch: %s @ %s" % (a.shape, b.shape))
-    return a @ b
-
-
-def row_softmax(a):
-    """Numerically stable softmax along axis 1; every output row sums to 1."""
-    a = np.asarray(a, dtype=np.float64)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def solve_ridge(gram, rhs, eps):
     """Solve (G + eps*trace(G)/k * I) w = rhs by Cholesky factorization.
 

@@ -513,9 +513,15 @@ def test_update_cost_flat_in_base_size():
     ``_pinned_rounds``). Each doubling ratio is taken within a round, where
     the three times are back to back, and the median over rounds is gated.
     """
-    rounds = _pinned_rounds()
+    out = _pinned_rounds()
+    rounds = out["times"]
     ratios = [float(np.median([t[c + 1] / t[c] for t in rounds])) for c in (0, 1)]
-    assert max(ratios) <= 1.3, (ratios, rounds)
+    # on failure, the median ms of each ille_update stage per base size
+    stages = {n: {name: round(float(np.median([r[c][name] for r in out["stage_ms"]])), 2)
+                  for name in out["stage_ms"][0][c]}
+              for c, n in enumerate(out["sizes"])}
+    assert max(ratios) <= 1.3, "doubling ratios %s; median stage ms by base size %s" % (
+        ratios, stages)
 
 
 # ---------------------------------------------------------------------------

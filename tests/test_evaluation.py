@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dhge.evaluation import (EvalProtocol, cosine_topk, ExactCosineIndex,
+from dhge.evaluation import (EvalProtocol, cosine_topk,
                              hitrate_at_k, recall_at_k, ndcg_at_k,
                              evaluate, evaluate_table, chronological_split)
 from dhge.graph import DataError, NodeRef
@@ -48,13 +48,6 @@ class TestCosineTopk:
     def test_k_truncates_to_population(self):
         idx, _ = cosine_topk(np.ones(2), np.eye(2), 10)
         assert len(idx) == 2
-
-    def test_index_wrapper_maps_keys(self):
-        index = ExactCosineIndex(np.eye(3), item_keys=["a", "b", "c"])
-        keys, _ = index.query(np.array([0.0, 1.0, 0.0]), 2)
-        assert keys[0] == "b"
-        with pytest.raises(ValueError):
-            ExactCosineIndex(np.eye(3), item_keys=["a"])
 
 
 class TestMetricFunctions:

@@ -6,8 +6,7 @@ from dhge import incremental
 from dhge.fixtures import gen_planted_bipartite
 from dhge.graph import DataError, NodeRef, IncrementBatch, load_graph
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
-from dhge.incremental import (ColdIsolatedError, ConvergenceError,
-                              NeighborSample, bfs_neighbors,
+from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors,
                               reconstruction_weights, residual_blend,
                               embed_increment, capture_alignment,
                               AlignmentProblem, AlignmentState, incremental_refine,
@@ -59,103 +58,102 @@ class TestReconstructionWeights:
         c = rng.normal(size=4)
         nb = rng.normal(size=(3, 4))
         w = np.array([0.2, 0.3, 0.5])
-        out = residual_blend(c, nb, w, 0.25)
-        assert np.allclose(out, 0.25 * (w @ nb) + 0.75 * c, atol=1e-15)
-        assert np.allclose(residual_blend(c, nb, w, 0.0), c)
+        out = residual_blend(c[None], nb[None], w[None], 0.25)
+        assert np.allclose(out[0], 0.25 * (w @ nb) + 0.75 * c, atol=1e-15)
+        assert np.allclose(residual_blend(c[None], nb[None], w[None], 0.0)[0], c)
         with pytest.raises(ValueError):
-            residual_blend(c, nb, w, 1.5)
+            residual_blend(c[None], nb[None], w[None], 1.5)
+
+    def test_residual_blend_rows_match_one_at_a_time(self, rng):
+        c = rng.normal(size=(6, 4))
+        nb = rng.normal(size=(6, 3, 4))
+        w = rng.normal(size=(6, 3))
+        want = np.stack([0.3 * (w[i] @ nb[i]) + 0.7 * c[i] for i in range(6)])
+        assert np.allclose(residual_blend(c, nb, w, 0.3), want, rtol=1e-12, atol=1e-15)
 
 
 class TestBfsNeighbors:
     def test_one_hop_suffices(self):
         g = tiny_bipartite()
-        s = bfs_neighbors(g, NodeRef(0, 0), 2, rng_seed=4)
-        assert len(s.neighbors) == 2
-        assert all(h == 1 for h in s.hops)
-        hop1 = {g.ref_of(int(x)) for x in g.neighbors_of(NodeRef(0, 0))}
-        assert set(s.neighbors) <= hop1
+        center = g.global_index(NodeRef(0, 0))
+        nbrs, hops = bfs_neighbors(g, center, 2, rng_seed=4)
+        assert len(nbrs) == 2
+        assert hops.tolist() == [1, 1]
+        assert set(nbrs.tolist()) <= set(g.neighbors_of(center).tolist())
 
     def test_two_hop_expansion(self):
         # path: a - b - c ; from a with k=2 we need c via hop 2
         g = build_graph([(0, 0)], [3], [[(0, 1), (1, 2)]])
-        s = bfs_neighbors(g, NodeRef(0, 0), 2, rng_seed=0)
-        assert list(s.hops) == [1, 2]
-        assert list(s.neighbors) == [NodeRef(0, 1), NodeRef(0, 2)]
+        nbrs, hops = bfs_neighbors(g, 0, 2, rng_seed=0)
+        assert hops.tolist() == [1, 2]
+        assert nbrs.tolist() == [1, 2]
 
     def test_padding_with_replacement_preserves_hops(self):
         # single edge a - b: k=4 forces resampling of b
         g = build_graph([(0, 0)], [2], [[(0, 1)]])
-        s = bfs_neighbors(g, NodeRef(0, 0), 4, rng_seed=1)
-        assert len(s.neighbors) == 4
-        assert all(nb == NodeRef(0, 1) for nb in s.neighbors)
-        assert all(h == 1 for h in s.hops)
+        nbrs, hops = bfs_neighbors(g, 0, 4, rng_seed=1)
+        assert nbrs.tolist() == [1, 1, 1, 1]
+        assert hops.tolist() == [1, 1, 1, 1]
 
     def test_isolated_raises_cold(self):
         g = build_graph([(0, 0)], [3], [[(0, 1)]])
-        with pytest.raises(ColdIsolatedError):
-            bfs_neighbors(g, NodeRef(0, 2), 2, rng_seed=0)
+        with pytest.raises(ColdIsolatedError) as err:
+            bfs_neighbors(g, 2, 2, rng_seed=0)
+        assert err.value.ref == NodeRef(0, 2)
 
     def test_deterministic_per_seed(self):
         g = tiny_bipartite()
-        a = bfs_neighbors(g, NodeRef(1, 1), 3, rng_seed=7)
-        b = bfs_neighbors(g, NodeRef(1, 1), 3, rng_seed=7)
-        assert a.neighbors == b.neighbors and a.hops == b.hops
+        center = g.global_index(NodeRef(1, 1))
+        a = bfs_neighbors(g, center, 3, rng_seed=7)
+        b = bfs_neighbors(g, center, 3, rng_seed=7)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestEmbedIncrement:
-    def _table(self, rng, counts=(5, 5), dim=3):
-        return EmbeddingTable([rng.normal(size=(c, dim)) for c in counts])
+    # a (5 + 5, 3) table: global ids 0-4 are type 0, 5-9 type 1
+    def _table(self, rng):
+        return rng.normal(size=(10, 3))
 
     def test_all_known_neighbors_closed_form(self, rng):
-        table = self._table(rng)
-        nbrs = [NodeRef(0, 1), NodeRef(1, 2), NodeRef(0, 3)]
+        y = self._table(rng)
+        nbrs = [1, 7, 3]
         w = np.array([0.5, 0.25, 0.25])
-        sample = NeighborSample(NodeRef(0, 4), nbrs, [1, 1, 1])
-        rows, loss, sweeps = embed_increment(table, [sample], [w])
-        want = w @ np.stack([table.row(nb) for nb in nbrs])
-        assert np.allclose(rows[0], want, atol=1e-12)
+        rows, loss, sweeps = embed_increment(y, [4], [nbrs], [w])
+        assert np.allclose(rows[0], w @ y[nbrs], atol=1e-12)
         assert loss <= 1e-24
         assert sweeps == 0
 
     def test_coupled_pair_matches_dense_solve(self, rng):
-        table = self._table(rng)
-        a, b = NodeRef(0, 4), NodeRef(1, 4)
-        sa = NeighborSample(a, [b, NodeRef(0, 0), NodeRef(0, 1)], [1, 1, 1])
-        sb = NeighborSample(b, [a, NodeRef(1, 0)], [1, 1])
+        y = self._table(rng)
+        a, b = 4, 9
         wa = np.array([0.4, 0.3, 0.3])
-        wb = np.array([0.5, 0.5])
-        rows, loss, sweeps = embed_increment(table, [sa, sb], [wa, wb],
+        wb = np.array([0.5, 0.5, 0.0])
+        rows, loss, sweeps = embed_increment(y, [a, b], [[b, 0, 1], [a, 5, 5]], [wa, wb],
                                              tol=1e-13)
         want = coupled_rows_solve(
             2,
-            [[("u", 1), ("k", 0), ("k", 1)], [("u", 0), ("k", 2)]],
+            [[("u", 1), ("k", 0), ("k", 1)], [("u", 0), ("k", 2), ("k", 2)]],
             [wa, wb],
-            np.stack([table.row(NodeRef(0, 0)), table.row(NodeRef(0, 1)),
-                      table.row(NodeRef(1, 0))]))
+            np.stack([y[0], y[1], y[5]]))
         assert sweeps > 0
         assert np.max(np.abs(rows - want)) <= 1e-9
         assert loss <= 1e-18
 
     def test_divergent_coupling_raises(self, rng):
-        table = self._table(rng)
-        a, b = NodeRef(0, 4), NodeRef(1, 4)
-        sa = NeighborSample(a, [b, NodeRef(0, 0)], [1, 1])
-        sb = NeighborSample(b, [a, NodeRef(1, 0)], [1, 1])
+        y = self._table(rng)
         w = np.array([2.0, -1.0])   # sums to 1 but expands distances
         with pytest.raises(ConvergenceError, match="sweeps"):
-            embed_increment(table, [sa, sb], [w, w], max_sweeps=30)
+            embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w], max_sweeps=30)
 
     def test_unknown_neighbor_rejected(self, rng):
-        table = self._table(rng)
-        s = NeighborSample(NodeRef(0, 4), [NodeRef(1, 9)], [1])
+        y = self._table(rng)
         with pytest.raises(DataError, match="missing"):
-            embed_increment(table, [s], [np.ones(1)])
+            embed_increment(y, [4], [[14]], [np.ones(1)])
 
     def test_duplicate_centers_rejected(self, rng):
-        table = self._table(rng)
-        s = NeighborSample(NodeRef(0, 4), [NodeRef(0, 0)], [1])
+        y = self._table(rng)
         with pytest.raises(DataError, match="duplicate"):
-            embed_increment(table, [s, s], [np.ones(1), np.ones(1)])
+            embed_increment(y, [4, 4], [[0], [0]], [np.ones(1), np.ones(1)])
 
 
 class TestKnnAndWeights:
@@ -262,27 +260,24 @@ class TestAlignmentAndRefine:
     def test_refine_objective_never_increases_and_respects_mask(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        iw = _reconstruction_operator(g, state)
         y0 = table.dense() + 0.05  # perturb so there is something to reduce
         mask = np.zeros(g.num_nodes, dtype=bool)
         mask[[0, 3, 4]] = True
-        problem = AlignmentProblem(iw, state.lam, y0, mask, mu=1.0)
+        problem = AlignmentProblem(g, state, y0, mask, mu=1.0)
         result = incremental_refine(problem, steps=25, step_size=1e-4)
         assert all(b <= a + 1e-12 for a, b in zip(result.trajectory,
                                                   result.trajectory[1:]))
         assert result.j_pen_final < result.j_pen_initial
-        assert np.array_equal(result.y[~mask], y0[~mask])
-        assert not np.array_equal(result.y[mask], y0[mask])
+        assert np.array_equal(result.moved, np.flatnonzero(mask))
+        assert not np.array_equal(result.y_moved, y0[mask])
 
     def test_refine_empty_mask_is_identity(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        iw = _reconstruction_operator(g, state)
         y0 = table.dense()
-        problem = AlignmentProblem(iw, state.lam, y0,
-                                   np.zeros(g.num_nodes, dtype=bool))
+        problem = AlignmentProblem(g, state, y0, np.zeros(g.num_nodes, dtype=bool))
         result = incremental_refine(problem, steps=5, step_size=1e-3)
-        assert np.array_equal(result.y, y0)
+        assert result.moved.size == 0 and result.y_moved.size == 0
         assert not result.step_warning
 
     def test_operator_matches_loop_oracle_after_growth(self):
@@ -325,10 +320,9 @@ class TestAlignmentAndRefine:
     def test_refine_flags_hopeless_step(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        iw = _reconstruction_operator(g, state)
         y0 = table.dense() + 0.05
         mask = np.ones(g.num_nodes, dtype=bool)
-        problem = AlignmentProblem(iw, state.lam, y0, mask, mu=1.0)
+        problem = AlignmentProblem(g, state, y0, mask, mu=1.0)
         # a step size so large that 20 halvings cannot rescue it
         result = incremental_refine(problem, steps=3, step_size=1e30)
         assert result.step_warning
@@ -346,8 +340,11 @@ def _assert_refine_matches_oracle(problem, steps, step_size):
                                       got.j_align_initial, got.j_align_final],
                     traj + [jp0, jp1, ja0, ja1]):
         assert abs(a - b) <= 1e-10 * abs(b), (a, b)
-    assert np.max(np.abs(got.y - y)) <= 1e-10 * np.max(np.abs(y))
-    assert np.array_equal(got.y[~problem.update_mask], problem.y[~problem.update_mask])
+    # only the masked rows move
+    assert np.array_equal(got.moved, np.flatnonzero(problem.update_mask))
+    got_y = problem.y.copy()
+    got_y[got.moved] = got.y_moved
+    assert np.max(np.abs(got_y - y)) <= 1e-10 * np.max(np.abs(y))
     return got
 
 
@@ -361,8 +358,7 @@ class TestRefineOracle:
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
         mask = np.zeros(g.num_nodes, dtype=bool)
         mask[mask_rows] = True
-        return AlignmentProblem(_reconstruction_operator(g, state), state.lam,
-                                table.dense() + shift, mask, mu=mu)
+        return AlignmentProblem(g, state, table.dense() + shift, mask, mu=mu)
 
     def test_descending_fixture(self):
         got = _assert_refine_matches_oracle(self._problem([0, 3, 4]), 25, 1e-4)
@@ -395,10 +391,15 @@ class TestRefineOracle:
         edges = [(NodeRef(0, users + j), NodeRef(1, int(i)), 0, 1e6)
                  for j in range(20) for i in rng.choice(items + 4, size=8, replace=False)]
         edges += [(dst, src, 1, ts) for src, dst, _, ts in edges]
+        # ille_update writes the refined rows into the problem's y once the
+        # refine returns, so the inputs are copied as the refine sees them
         seen = []
         monkeypatch.setattr(incremental, "incremental_refine",
                             lambda problem, steps, step_size: seen.append(
-                                (problem, steps, step_size)) or incremental_refine(
+                                (AlignmentProblem(problem.graph, problem.alignment,
+                                                  problem.y.copy(), problem.update_mask,
+                                                  problem.mu, problem.grams),
+                                 steps, step_size)) or incremental_refine(
                                     problem, steps, step_size))
         ille_update(g, IncrementBatch(new_nodes=nodes, new_edges=edges, batch_time=1e6),
                     params, table, cfg, UpdateConfig(), alignment=state, rng_seed=92)
@@ -413,7 +414,7 @@ class TestDisentangledUpdate:
         g = tiny_bipartite()
         cfg, params = tiny_params(g)
         row = np.arange(4, dtype=np.float64)
-        out = disentangled_update(params, {NodeRef(1, 2): row})
+        out = disentangled_update(params, [[1, 2]], row[None])
         want = row - out.type_table.value[1]
         assert np.allclose(out.id_table.value[2], want, atol=1e-15)
         for a, b in zip(params.all_params(), out.all_params()):
@@ -429,7 +430,7 @@ class TestDisentangledUpdate:
         cfg, params = tiny_params(g)
         r0 = np.zeros(4)
         r1 = np.ones(4)
-        out = disentangled_update(params, {NodeRef(0, 1): r0, NodeRef(1, 1): r1})
+        out = disentangled_update(params, [[1, 1], [0, 1]], np.stack([r1, r0]))
         # sorted refs: (0,1) then (1,1); the type-1 write lands last
         want = r1 - out.type_table.value[1]
         assert np.allclose(out.id_table.value[1], want, atol=1e-15)
@@ -437,7 +438,7 @@ class TestDisentangledUpdate:
     def test_grows_id_table_when_needed(self):
         g = tiny_bipartite()
         cfg, params = tiny_params(g)
-        out = disentangled_update(params, {NodeRef(1, 9): np.ones(4)})
+        out = disentangled_update(params, [[1, 9]], np.ones((1, 4)))
         assert out.id_capacity == 10
         assert params.id_capacity == 4
 
@@ -454,6 +455,18 @@ class TestIlleUpdate:
         return IncrementBatch(
             new_nodes=[(NodeRef(0, 3), np.ones(5), np.ones(5, dtype=bool))],
             new_edges=edges, batch_time=50.0)
+
+    def _chain_batch(self, g, b):
+        """Batch b of a chain: a new user and a new item, linked to each other
+        and to existing nodes."""
+        u, it = g.counts
+        return IncrementBatch(
+            new_nodes=[(NodeRef(0, u), np.ones(5), np.ones(5, dtype=bool)),
+                       (NodeRef(1, it), None, None)],
+            new_edges=[(NodeRef(0, u), NodeRef(1, b), 0, 50.0 + b),
+                       (NodeRef(0, b), NodeRef(1, it), 0, 50.0 + b),
+                       (NodeRef(1, it), NodeRef(0, u), 1, 50.0 + b)],
+            batch_time=50.0 + b)
 
     def test_new_connected_node_row_is_neighbor_combination(self):
         g, cfg, params, table = self._setup()
@@ -538,14 +551,7 @@ class TestIlleUpdate:
         state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
         ucfg = UpdateConfig(k=2, refine_steps=3, refine_step_size=1e-4)
         for b in range(3):
-            u, it = g.counts
-            batch = IncrementBatch(
-                new_nodes=[(NodeRef(0, u), np.ones(5), np.ones(5, dtype=bool)),
-                           (NodeRef(1, it), None, None)],
-                new_edges=[(NodeRef(0, u), NodeRef(1, b), 0, 50.0 + b),
-                           (NodeRef(0, b), NodeRef(1, it), 0, 50.0 + b),
-                           (NodeRef(1, it), NodeRef(0, u), 1, 50.0 + b)],
-                batch_time=50.0 + b)
+            batch = self._chain_batch(g, b)
             assert state.grams[0] is table
             bare = AlignmentState(state.k, state.lam, state.refs, state.nbrs, state.weights)
             out = ille_update(g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
@@ -554,6 +560,73 @@ class TestIlleUpdate:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(out[2].dense() - ref[2].dense())) <= 1e-10
             g, params, table, _, state = out
+
+    def test_cached_sums_spare_the_whole_operator(self, monkeypatch):
+        # with sums cached for its table an update builds only the rows of
+        # I - W it reads; without them, as loaded from disk, it builds the
+        # whole operator once
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        ucfg = UpdateConfig(k=2, refine_steps=3, refine_step_size=1e-4)
+        g, params, table, _, state = ille_update(g, self._chain_batch(g, 0), params, table,
+                                                 cfg, ucfg, alignment=state, rng_seed=0)
+        whole = incremental._reconstruction_operator
+        calls = []
+        monkeypatch.setattr(incremental, "_reconstruction_operator",
+                            lambda *args: calls.append(args) or whole(*args))
+        batch = self._chain_batch(g, 1)
+        report = ille_update(g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=1)[3]
+        assert calls == []
+        assert report["refine_J_final"] is not None
+        bare = AlignmentState(state.k, state.lam, state.refs, state.nbrs, state.weights)
+        ille_update(g, batch, params, table, cfg, ucfg, alignment=bare, rng_seed=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("space", ["embedding", "feature"])
+    def test_weight_rows_solve_over_their_space(self, space):
+        # every stored row against reconstruction_weights over the space's
+        # vectors: feature rows, or the table with provisional rows (the mean
+        # of the existing neighbors' rows) for the batch's new nodes
+        g, cfg, params, table = self._setup()
+        eps = 1e-3
+
+        def check(alignment, vec):
+            for r, nb, w in zip(alignment.refs, alignment.nbrs, alignment.weights):
+                want = reconstruction_weights(vec(tuple(r)), np.stack([vec(tuple(n)) for n in nb]),
+                                              eps)
+                assert w.tobytes() == want.tobytes(), r
+
+        state = capture_alignment(g, table, k=3, eps=eps, rng_seed=0, weight_space=space)
+        assert len(state.refs) == g.num_nodes
+        check(state, table.row if space == "embedding" else
+              lambda ref: g.feature_blocks[ref[0]][ref[1]])
+        ucfg = UpdateConfig(k=3, refine_steps=2, refine_step_size=1e-4, weight_space=space)
+        sweeps = 0
+        for b in range(2):
+            g2, params, table2, report, state2 = ille_update(
+                g, self._chain_batch(g, b), params, table, cfg, ucfg, alignment=state, rng_seed=b)
+            sweeps += report["jacobi_sweeps"]
+            new = {(0, g.counts[0]), (1, g.counts[1])}
+            updated = new | {(0, b), (1, b)}
+            rows = {tuple(r): nb for r, nb in zip(state2.refs, state2.nbrs)}
+
+            def vec(ref):
+                if space == "feature":
+                    return g2.feature_blocks[ref[0]][ref[1]]
+                if ref not in new:
+                    return table.row(ref)
+                known = [table.row(tuple(n)) for n in rows[ref] if tuple(n) not in new]
+                return np.mean(known, axis=0) if known else np.zeros(table.dim)
+
+            old = {tuple(r): w for r, w in zip(state.refs, state.weights)}
+            rewritten = np.array([tuple(r) in updated for r in state2.refs])
+            assert rewritten.sum() == len(updated)
+            check(AlignmentState(3, None, state2.refs[rewritten], state2.nbrs[rewritten],
+                                 state2.weights[rewritten]), vec)
+            for r, w in zip(state2.refs[~rewritten], state2.weights[~rewritten]):
+                assert w.tobytes() == old[tuple(r)].tobytes()
+            g, table, state = g2, table2, state2
+        assert sweeps > 0
 
     def test_alignment_k_mismatch_rejected(self):
         g, cfg, params, table = self._setup()

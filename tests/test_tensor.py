@@ -11,8 +11,7 @@ import scipy.special
 
 import dhge.tensor as T
 from dhge.tensor import (Tensor, Param, backward, NumericError,
-                         SingularMatrixError, solve_ridge, row_softmax,
-                         set_debug_checks)
+                         SingularMatrixError, solve_ridge, set_debug_checks)
 from oracles import fd_gradient, rel_err
 
 H = 1e-5
@@ -217,19 +216,8 @@ class TestNumericGuards:
             finally:
                 set_debug_checks(False)
 
-    def test_matmul_validates_shapes(self):
-        with pytest.raises((ValueError, NumericError)):
-            T.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
 
 class TestKernels:
-    def test_row_softmax_matches_scipy(self, rng):
-        a = rng.normal(size=(5, 7)) * 20.0
-        got = row_softmax(a)
-        want = scipy.special.softmax(a, axis=1)
-        assert np.allclose(got, want, atol=1e-12)
-        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
-
     def test_solve_ridge_matches_direct_solve(self, rng):
         d = rng.normal(size=(6, 4))
         gram = d @ d.T + np.eye(6) * 0.5

@@ -1,12 +1,13 @@
 """Timed workloads for the acceptance gates, run in a pinned child process.
 
-Run as a script, it prints one JSON list per round:
+Run as a script, it prints one JSON line:
 
-* with no argument, the times in seconds of one fixed 20-node
-  ``ille_update`` on 4k, 8k and 16k-node bases;
+* with no argument, ``{"sizes", "times", "stage_ms"}``: per round, the
+  times in seconds of one fixed 20-node ``ille_update`` on 4k, 8k and
+  16k-node bases and each timed update's ``report["stage_ms"]``;
   ``test_acceptance.test_update_cost_flat_in_base_size`` checks their
   doubling ratios;
-* with ``rebuild``, criterion 05's incremental embedding and
+* with ``rebuild``, per round, criterion 05's incremental embedding and
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
   ratio.
 
@@ -29,9 +30,9 @@ from oracles import full_lle_oracle, lle_weight_matrix
 
 from dhge.fixtures import swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
-from dhge.incremental import (NeighborSample, UpdateConfig, capture_alignment,
-                              embed_increment, ille_update, reconstruction_weights)
-from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
+from dhge.incremental import (UpdateConfig, capture_alignment, embed_increment, ille_update,
+                              reconstruction_weights)
+from dhge.model import ModelConfig, ModelParams, embed_all
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -69,9 +70,14 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
                 new_edges.append((ref, NodeRef(1, int(i)), 0, 1e6 + j))
                 new_edges.append((NodeRef(1, int(i)), ref, 1, 1e6 + j))
         batch = IncrementBatch(new_nodes=new_nodes, new_edges=new_edges, batch_time=1e6)
-        updates.append(functools.partial(ille_update, g, batch, params, table, cfg, ucfg,
+        updates.append(functools.partial(_update_stages, g, batch, params, table, cfg, ucfg,
                                          alignment=alignment, rng_seed=1))
-    return _rounds(updates, rounds)
+    times, stages = _rounds(updates, rounds)
+    return {"sizes": list(sizes), "times": times, "stage_ms": stages}
+
+
+def _update_stages(*args, **kwargs):
+    return ille_update(*args, **kwargs)[3]["stage_ms"]
 
 
 def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
@@ -87,19 +93,18 @@ def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
     w_base = lle_weight_matrix(base_x, k, eps)
     r = y_base - w_base @ y_base
     base_loss = float(np.sum(r * r))
-    table = EmbeddingTable([y_base.copy()], version=0)
 
     def incremental_once():
         d_new = scipy.spatial.distance.cdist(pts[n_base:], pts)
         d_new[np.arange(n_new), np.arange(n_base, n_base + n_new)] = np.inf
-        samples, weights = [], []
+        nbrs = np.empty((n_new, k), dtype=np.int64)
+        weights = np.empty((n_new, k))
         for j in range(n_new):
             part = np.argpartition(d_new[j], k)[:k]
-            nn = part[np.argsort(d_new[j][part], kind="stable")]
-            samples.append(NeighborSample(NodeRef(0, n_base + j),
-                                          [NodeRef(0, int(i)) for i in nn], [1] * k))
-            weights.append(reconstruction_weights(pts[n_base + j], pts[nn], eps))
-        _, new_loss, _ = embed_increment(table, samples, weights, tol=1e-6)
+            nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
+            weights[j] = reconstruction_weights(pts[n_base + j], pts[nbrs[j]], eps)
+        _, new_loss, _ = embed_increment(y_base, np.arange(n_base, n_base + n_new), nbrs,
+                                         weights, tol=1e-6)
         return base_loss + new_loss
 
     def rebuild_once():
@@ -110,25 +115,27 @@ def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
 
 def rebuild_times(rounds=15):
     _, incremental_once, rebuild_once = incremental_vs_rebuild()
-    return _rounds([incremental_once, rebuild_once], rounds)
+    return _rounds([incremental_once, rebuild_once], rounds)[0]
 
 
 def _rounds(work, rounds):
-    rows = []
+    """Per round, the seconds and the result of each timed call."""
+    times, results = [], []
     gc.collect()
     gc.disable()
     try:
         for _ in range(rounds):
-            row = []
+            row, outs = [], []
             for fn in work:
                 fn()
                 t0 = time.perf_counter()
-                fn()
+                outs.append(fn())
                 row.append(time.perf_counter() - t0)
-            rows.append(row)
+            times.append(row)
+            results.append(outs)
     finally:
         gc.enable()
-    return rows
+    return times, results
 
 
 if __name__ == "__main__":
