@@ -400,17 +400,13 @@ def sample_subgraph(graph, seeds, degree_limit, rng_seed):
                     rel_src=rel_src, rel_dst=rel_dst)
 
 
-def _normalize_ids(graph, items):
-    out = []
-    for it in items:
-        if isinstance(it, (int, np.integer)):
-            g = int(it)
-            if g < 0 or g >= graph.num_nodes:
-                raise DataError("global index %d out of range" % g)
-            out.append(g)
-        else:
-            out.append(graph.global_index(it))
-    return np.unique(np.asarray(out, dtype=np.int64))
+def _normalize_ids(graph, ids):
+    """Sorted unique global ids; any id outside the graph is a ``DataError``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= graph.num_nodes)]
+    if len(bad):
+        raise DataError("global index %d out of range" % bad[0])
+    return np.unique(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +484,23 @@ def apply_increment(graph, batch):
             raise DataError("dangling endpoint in increment edge (%d,%d)->(%d,%d)" % (st, si, dt, di))
         if st == dt and si == di:
             raise DataError("self-loop rejected in increment: (%d, %d)" % (st, si))
-        checked.append((r, st, si, dt, di, float(ts)))
+        checked.append((r, si, di, float(ts)))
     # an edge is a duplicate if the base graph or an earlier batch edge has it
     in_base = np.zeros(len(checked), dtype=bool)
     for r in range(n_rel):
         mine = [j for j, e in enumerate(checked) if e[0] == r]
         if mine:
-            keys = _pair_key([checked[j][2] for j in mine], [checked[j][4] for j in mine])
+            keys = _pair_key([checked[j][1] for j in mine], [checked[j][2] for j in mine])
             in_base[mine] = _in_sorted(graph._edge_keys(r), keys)[1]
     added = [[] for _ in range(n_rel)]
     seen = set()
-    accepted = []
     dropped = 0
-    for (r, st, si, dt, di, ts), dup in zip(checked, in_base):
+    for (r, si, di, ts), dup in zip(checked, in_base):
         if dup or (r, si, di) in seen:
             dropped += 1
             continue
         seen.add((r, si, di))
         added[r].append((si, di, ts))
-        accepted.append((NodeRef(st, si), NodeRef(dt, di), r, ts))
     if dropped:
         warnings.warn("increment: dropped %d duplicate edges" % dropped)
 
@@ -541,9 +535,8 @@ def apply_increment(graph, batch):
     out._build_index(adjacency, incidence)
     out._edge_key_index = key_index
     stats = {"n_new_nodes": len(batch.new_nodes),
-             "n_new_edges": len(accepted),
-             "n_duplicate_edges_dropped": dropped,
-             "accepted_edges": accepted}
+             "n_new_edges": len(checked) - dropped,
+             "n_duplicate_edges_dropped": dropped}
     return out, stats
 
 

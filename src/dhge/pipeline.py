@@ -1,11 +1,11 @@
 """Snapshot lineage and the train / update / evaluate / stream drivers.
 
 A snapshot directory holds numbered versions. Each version owns a model
-file, an embedding-table file, optionally an alignment file, and a
-manifest JSON that names them all. The manifest is written last, with an
-atomic rename, so a crash mid-save can leave stray data files but never a
-manifest pointing at missing or half-written state: a version exists if
-and only if its manifest parses.
+file, an embedding-table file, optionally an alignment file and a file
+with the graph it was built on, and a manifest JSON that names them all.
+The manifest is written last, with an atomic rename, so a crash mid-save
+can leave stray data files but never a manifest pointing at missing or
+half-written state: a version exists if and only if its manifest parses.
 """
 from __future__ import annotations
 
@@ -26,9 +26,10 @@ from .optim import AdamW
 from .incremental import capture_alignment, ille_update
 from .evaluation import evaluate_table
 from .snapshot import (save_model, load_model, save_table, load_table,
-                       save_alignment, load_alignment, SnapshotFormatError,
-                       _atomic_bytes)
+                       save_alignment, load_alignment, save_graph_arrays,
+                       load_graph_arrays, SnapshotFormatError, _atomic_bytes)
 from .seeding import mix
+from .timing import Stages
 
 MANIFEST_RE = re.compile(r"^manifest-(\d{6})\.json$")
 
@@ -46,8 +47,10 @@ class Manifest:
     alignment_path: Optional[str] = None
     parent_version: Optional[int] = None
     # ordered (edges_path, features_path_or_None) pairs applied on top of
-    # the base graph to reconstruct this version's graph
+    # the base graph to reconstruct this version's graph; read only when the
+    # version stores no graph file
     increments: list = field(default_factory=list)
+    graph_path: Optional[str] = None
 
     def to_json_dict(self):
         return {
@@ -60,6 +63,7 @@ class Manifest:
             "config_digest": self.config_digest,
             "parent_version": self.parent_version,
             "increments": [list(pair) for pair in self.increments],
+            "graph_path": self.graph_path,
         }
 
     @classmethod
@@ -78,7 +82,7 @@ class Manifest:
                    config_digest=data["config_digest"],
                    alignment_path=data.get("alignment_path"),
                    parent_version=data.get("parent_version"),
-                   increments=incs)
+                   increments=incs, graph_path=data.get("graph_path"))
 
 
 def manifest_path(snapshot_dir, version):
@@ -188,8 +192,12 @@ def resolve_manifest(snapshot_dir, version=None):
 
 
 def write_snapshot(snapshot_dir, kind, model_config, params, table,
-                   alignment, config_digest, parent_version, increments):
-    """Persist all state files, then the manifest (last, atomically)."""
+                   alignment, config_digest, parent_version, increments, graph=None):
+    """Persist all state files, then the manifest (last, atomically).
+
+    ``graph``, when given, is stored so that readers of this version need
+    neither the base TSVs nor the increment files.
+    """
     sd = os.fspath(snapshot_dir)
     os.makedirs(sd, exist_ok=True)
     versions = list_versions(sd)
@@ -198,16 +206,19 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
     model_name = stem + ".model"
     table_name = stem + ".table.npz"
     align_name = stem + ".align.npz" if alignment is not None else None
+    graph_name = stem + ".graph.npz" if graph is not None else None
     save_model(os.path.join(sd, model_name), params, model_config)
     save_table(os.path.join(sd, table_name), table)
     if alignment is not None:
         save_alignment(os.path.join(sd, align_name), alignment)
+    if graph is not None:
+        save_graph_arrays(os.path.join(sd, graph_name), graph)
     man = Manifest(version=version, kind=kind,
                    created_ms=int(time.time() * 1000),
                    model_path=model_name, table_path=table_name,
                    alignment_path=align_name, config_digest=config_digest,
                    parent_version=parent_version,
-                   increments=list(increments))
+                   increments=list(increments), graph_path=graph_name)
     blob = json.dumps(man.to_json_dict(), indent=2, sort_keys=True).encode("utf-8")
     _atomic_bytes(manifest_path(sd, version), blob)
     return man
@@ -230,7 +241,14 @@ def base_graph(cfg):
 
 
 def graph_for_manifest(cfg, man):
-    """Base graph with the manifest's increment history replayed on top."""
+    """The graph a version was built on.
+
+    A version that stores its graph is read from that file. Otherwise the
+    base TSVs are parsed and the manifest's increment history is replayed
+    on top.
+    """
+    if man.graph_path is not None:
+        return load_graph_arrays(os.path.join(cfg.paths["snapshot_dir"], man.graph_path))
     graph = base_graph(cfg)
     for edges_path, features_path in man.increments:
         batch = read_increment(graph, edges_path, features_path)
@@ -285,12 +303,14 @@ def cmd_train(cfg, log=_null_log):
 def _train_locked(cfg, sd, log):
     parent = latest_manifest(sd)
     t0 = time.perf_counter()
+    stages = Stages()
     if parent is not None:
         graph = graph_for_manifest(cfg, parent)
         increments = list(parent.increments)
     else:
         graph = base_graph(cfg)
         increments = []
+    stages.lap("load_graph")
     model_config = cfg.model_config(input_dim=graph.input_dim)
     id_capacity = int(max(graph.counts)) if graph.num_nodes else 1
     seed = cfg.pipeline["rng_seed"]
@@ -306,6 +326,7 @@ def _train_locked(cfg, sd, log):
         params = ModelParams(model_config, num_types=graph.num_types,
                              num_relations=graph.schema.num_relations,
                              id_capacity=id_capacity, init_seed=seed)
+    stages.lap("load_model")
     log({"event": "train_start", "warm_start": warm,
          "num_nodes": graph.num_nodes, "num_edges": graph.num_edges,
          "epochs": cfg.train["epochs"]})
@@ -317,22 +338,26 @@ def _train_locked(cfg, sd, log):
         m["event"] = "epoch"
         log(m)
         metrics.append(m)
+    stages.lap("train")
     versions = list_versions(sd)
     next_version = (versions[-1] + 1) if versions else 1
     table = embed_all(graph, params, model_config, version=next_version)
+    stages.lap("embed")
     alignment = None
     if cfg.pipeline["capture_alignment"] and graph.num_edges > 0:
         ucfg = cfg.update_config()
         alignment = capture_alignment(graph, table, k=ucfg.k, eps=ucfg.eps,
                                       rng_seed=seed,
                                       weight_space=ucfg.weight_space)
+    stages.lap("capture_alignment")
     man = write_snapshot(sd, "static", model_config, params, table, alignment,
                          cfg.digest(),
                          parent.version if parent is not None else None,
-                         increments)
+                         increments, graph)
+    stages.lap("snapshot")
     refresh_ms = (time.perf_counter() - t0) * 1000.0
     log({"event": "snapshot", "version": man.version, "kind": man.kind,
-         "refresh_ms": refresh_ms})
+         "refresh_ms": refresh_ms, "stage_ms": stages.ms})
     return man, metrics
 
 
@@ -345,20 +370,27 @@ def cmd_update(cfg, edges_path, features_path=None, version=None, log=_null_log)
 
 
 def _update_locked(cfg, sd, edges_path, features_path, version, log):
+    stages = Stages()
     parent = resolve_manifest(sd, version)
     _check_digest(cfg, parent, log)
     graph = graph_for_manifest(cfg, parent)
+    stages.lap("load_graph")
     model_config, params, table, alignment = load_snapshot_state(sd, parent)
+    stages.lap("load_state")
     batch = read_increment(graph, edges_path, features_path)
+    stages.lap("read_increment")
     seed = mix(cfg.pipeline["rng_seed"], parent.version)
     graph2, params2, table2, report, alignment2 = ille_update(
         graph, batch, params, table, model_config, cfg.update_config(),
         alignment=alignment, rng_seed=seed)
+    stages.skip()   # report["stage_ms"] already splits the update itself
     increments = list(parent.increments)
     increments.append((os.fspath(edges_path),
                        os.fspath(features_path) if features_path else None))
     man = write_snapshot(sd, "incremental", model_config, params2, table2,
-                         alignment2, cfg.digest(), parent.version, increments)
+                         alignment2, cfg.digest(), parent.version, increments, graph2)
+    stages.lap("snapshot")
+    report["stage_ms"].update(stages.ms)
     report["event"] = "update"
     report["version"] = man.version
     log(report)
@@ -369,16 +401,22 @@ def cmd_evaluate(cfg, test_path, version=None, missing_users="drop", log=_null_l
     """Rank held-out interactions against a snapshot's embedding table."""
     cfg.require_paths("edges", "features", "schema", "snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
+    stages = Stages()
     man = resolve_manifest(sd, version)
     graph = graph_for_manifest(cfg, man)
+    stages.lap("load_graph")
     table = load_table(os.path.join(sd, man.table_path))
+    stages.lap("load_table")
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     tests = read_test_interactions(test_path, user_type, item_type)
+    stages.lap("read_tests")
     report = evaluate_table(graph, table, tests, cfg.protocol(),
                             user_type=user_type, item_type=item_type,
                             missing_users=missing_users)
+    stages.lap("evaluate")
     out = report.to_json_dict()
+    out["stage_ms"] = stages.ms
     out["event"] = "evaluate"
     out["version"] = man.version
     log(out)

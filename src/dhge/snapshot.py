@@ -1,4 +1,4 @@
-"""Binary persistence for model parameters, embedding tables, and alignment.
+"""Binary persistence for model parameters, embedding tables, alignment and graphs.
 
 Model files are a little-endian framed format: magic ``DHGM``, a u32 format
 version, a length-prefixed UTF-8 ``key=value`` config block, then a count of
@@ -16,7 +16,7 @@ import zipfile
 
 import numpy as np
 
-from .graph import DataError
+from .graph import DataError, HeteroGraph, RelationSchema
 from .incremental import AlignmentState
 from .model import EmbeddingTable, ModelConfig, ModelParams
 from .tensor import Param
@@ -247,3 +247,52 @@ def load_alignment(path):
     return AlignmentState(k=k, lam=lam.astype(np.float64), refs=refs,
                           nbrs=nbrs.reshape(n_rows, k, 2),
                           weights=arrays["weights"].astype(np.float64).reshape(n_rows, k))
+
+
+def save_graph_arrays(path, graph):
+    """A graph's primary arrays: schema pairs, per-type feature and mask blocks,
+    and per-relation ``src``/``dst``/``ts``.
+
+    No index is stored: ``load_graph_arrays`` rebuilds them, so a file cannot
+    carry an index that disagrees with its edges.
+    """
+    payload = {"schema": np.asarray(graph.schema.pairs, dtype=np.int64).reshape(-1, 2),
+               "num_types": np.asarray([graph.num_types], dtype=np.int64)}
+    for t in range(graph.num_types):
+        payload["features_%d" % t] = graph.feature_blocks[t]
+        payload["mask_%d" % t] = graph.mask_blocks[t]
+    for r in range(graph.schema.num_relations):
+        payload["src_%d" % r] = graph.rel_src[r]
+        payload["dst_%d" % r] = graph.rel_dst[r]
+        payload["ts_%d" % r] = graph.rel_ts[r]
+    _atomic_npz(path, payload)
+
+
+def load_graph_arrays(path):
+    """Rebuild a ``HeteroGraph`` from a graph file through its constructor,
+    which validates endpoints, self-loops, shapes and feature values."""
+    path = os.fspath(path)
+    arrays = _read_npz(path)
+
+    def take(key, ndim, kinds):
+        if key not in arrays:
+            raise SnapshotFormatError("%s: graph file lacks array %r" % (path, key))
+        arr = arrays[key]
+        if arr.ndim != ndim or arr.dtype.kind not in kinds:
+            raise SnapshotFormatError("%s: %s has shape %s and dtype %s, expected %d-D %s"
+                                      % (path, key, arr.shape, arr.dtype, ndim, kinds))
+        return arr
+
+    pairs = take("schema", 2, "i")
+    num_types = take("num_types", 1, "i")
+    if pairs.shape[1] != 2 or num_types.shape != (1,):
+        raise SnapshotFormatError("%s: malformed schema %s or type count %s"
+                                  % (path, pairs.shape, num_types))
+    features = [take("features_%d" % t, 2, "f") for t in range(num_types[0])]
+    masks = [take("mask_%d" % t, 2, "b") for t in range(num_types[0])]
+    edges = [(take("src_%d" % r, 1, "i"), take("dst_%d" % r, 1, "i"), take("ts_%d" % r, 1, "f"))
+             for r in range(len(pairs))]
+    try:
+        return HeteroGraph(RelationSchema(pairs.tolist()), features, masks, edges)
+    except DataError as exc:
+        raise SnapshotFormatError("%s: %s" % (path, exc)) from None

@@ -13,3 +13,7 @@ class Stages:
         now = time.perf_counter()
         self.ms[name] = self.ms.get(name, 0.0) + (now - self._last) * 1000.0
         self._last = now
+
+    def skip(self):
+        """Start the next stage now, leaving the time since the last lap out."""
+        self._last = time.perf_counter()

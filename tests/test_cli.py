@@ -2,6 +2,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
@@ -225,7 +226,8 @@ class TestCorruptSnapshotExit3:
     """A corrupt or non-npz snapshot file is a data error, never a traceback."""
 
     @pytest.mark.parametrize("target, command", [("table", "retrieve"),
-                                                 ("alignment", "update")])
+                                                 ("alignment", "update"),
+                                                 ("graph", "retrieve")])
     def test_garbage_npz(self, workspace, capsys, tmp_path, target, command):
         _, data, cfg = workspace
         snaps = tmp_path / "snaps"
@@ -241,3 +243,26 @@ class TestCorruptSnapshotExit3:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "%s: not a readable npz file" % path.name in err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "graph file lacks array 'ts_0'"),
+        ("dangling", "relation 0: dangling target endpoint"),
+    ])
+    def test_bad_graph_file(self, workspace, capsys, tmp_path, fault, message):
+        _, _, cfg = workspace
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+        path = snaps / latest_manifest(str(snaps)).graph_path
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        if fault == "missing":
+            del payload["ts_0"]
+        else:
+            payload["dst_0"][0] = 10_000
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0")
+        assert code == 3
+        assert "%s: %s" % (path.name, message) in err
+        assert "Traceback" not in err

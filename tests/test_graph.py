@@ -95,6 +95,14 @@ class TestPartitionAndSampling:
         assert np.array_equal(sub.nodes, sub2.nodes)
         assert np.array_equal(sub.rel_dst[0], sub2.rel_dst[0])
 
+    def test_subgraph_seeds_sorted_unique_and_range_checked(self, bipartite_graph):
+        sub = sample_subgraph(bipartite_graph, np.array([5, 0, 5]), degree_limit=10,
+                              rng_seed=0)
+        assert sub.seeds.tolist() == [0, 5]
+        for bad in ([7], [-1], [0, 7]):
+            with pytest.raises(DataError, match="out of range"):
+                sample_subgraph(bipartite_graph, np.array(bad), degree_limit=10, rng_seed=0)
+
     def test_subgraph_nodes_are_type_major_ascending(self, bipartite_graph):
         sub = sample_subgraph(bipartite_graph, np.array([0, 5]), degree_limit=10,
                               rng_seed=0)
@@ -115,6 +123,16 @@ class TestPartitionAndSampling:
             sub.local_index(np.array([missing[0]]))
 
 
+def _appended_edges(g, g2):
+    """The edges ``g2`` appends to each relation of ``g``, as increment tuples."""
+    out = set()
+    for r, (s_t, d_t) in enumerate(g2.schema.pairs):
+        first = len(g.rel_src[r])
+        for s, d, ts in zip(g2.rel_src[r][first:], g2.rel_dst[r][first:], g2.rel_ts[r][first:]):
+            out.add((NodeRef(s_t, int(s)), NodeRef(d_t, int(d)), r, float(ts)))
+    return out
+
+
 class TestIncrement:
     def test_apply_increment_appends_and_reports(self, bipartite_graph):
         g = bipartite_graph
@@ -129,7 +147,7 @@ class TestIncrement:
         assert stats["n_new_nodes"] == 1
         assert stats["n_new_edges"] == 2
         assert stats["n_duplicate_edges_dropped"] == 0
-        assert set(stats["accepted_edges"]) == set(batch.new_edges)
+        assert _appended_edges(g, g2) == set(batch.new_edges)
         # base graph untouched
         assert g.counts == [3, 4]
 
@@ -141,7 +159,7 @@ class TestIncrement:
             warnings.simplefilter("always")
             g2, stats = apply_increment(g, batch)
         assert stats["n_duplicate_edges_dropped"] == 1
-        assert stats["accepted_edges"] == []
+        assert _appended_edges(g, g2) == set()
         assert g2.num_edges == g.num_edges
         assert any("duplicate" in str(w.message) for w in rec)
 

@@ -1,20 +1,22 @@
 """Snapshot lineage, the command drivers, and crash behavior."""
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from dhge.config import RunConfig
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite
-from dhge.graph import DataError, NodeRef
+from dhge.graph import DataError, NodeRef, graphs_equal
 from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            load_manifest, latest_manifest, resolve_manifest,
                            write_snapshot, load_snapshot_state, base_graph,
                            graph_for_manifest, read_test_interactions,
                            cmd_train, cmd_update, cmd_evaluate, cmd_retrieve,
                            cmd_simulate_stream)
-from dhge.snapshot import SnapshotFormatError
+from dhge.snapshot import SnapshotFormatError, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
 
 CFG_TEXT = """
@@ -198,9 +200,117 @@ class TestTrainUpdateLineage:
         # stray v2 data files may exist, but no manifest: version 2 is absent
         assert list_versions(sd) == [1]
         monkeypatch.undo()
+
+        def exploding_save_graph(path, graph):
+            with open(path, "wb") as fh:   # a torn write at the target path
+                fh.write(b"PK\x03\x04")
+            raise RuntimeError("injected crash during graph write")
+
+        monkeypatch.setattr(pipeline_mod, "save_graph_arrays", exploding_save_graph)
+        with pytest.raises(RuntimeError, match="injected"):
+            cmd_train(cfg)
+        assert list_versions(sd) == [1]
+        monkeypatch.undo()
         man, _ = cmd_train(cfg)   # recovery run claims version 2 cleanly
         assert man.version == 2
         assert latest_manifest(sd).version == 2
+        assert graphs_equal(graph_for_manifest(cfg, man), base_graph(cfg))
+
+
+def _strip_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_timing(v) for k, v in obj.items()
+                if k not in ("wall_ms", "refresh_ms", "refresh_latency_ms", "stage_ms")}
+    if isinstance(obj, list):
+        return [_strip_timing(v) for v in obj]
+    return obj
+
+
+class TestStoredGraph:
+    def test_every_version_stores_the_replayed_graph(self, stream_data, tmp_path):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        mans = [cmd_train(cfg)[0]]
+        for edges, feats in stats["batch_files"]:
+            mans.append(cmd_update(cfg, edges, feats)[0])
+        mans.append(cmd_train(cfg)[0])   # warm retrain over the history
+        sd = cfg.paths["snapshot_dir"]
+        for man in mans:
+            assert man.graph_path == "v%06d.graph.npz" % man.version
+            stored = load_graph_arrays(os.path.join(sd, man.graph_path))
+            replayed = graph_for_manifest(cfg, dataclasses.replace(man, graph_path=None))
+            assert graphs_equal(stored, replayed)
+            pairs = [(stored._adj_indptr, replayed._adj_indptr),
+                     (stored._adj_indices, replayed._adj_indices)]
+            for inc in ("_inc_src", "_inc_dst"):
+                for a, b in zip(getattr(stored, inc), getattr(replayed, inc)):
+                    pairs += list(zip(a, b))
+            for a, b in pairs:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert stored.counts[0] == base_graph(cfg).counts[0] + 8
+
+    def _chain(self, data_dir, stats, snaps, after_update=None):
+        """train, update, update, then every reader and a warm retrain."""
+        cfg = make_config(str(data_dir), snaps)
+        cfg.train["epochs"] = 1
+        out = [cmd_train(cfg)[1]]
+        for edges, feats in stats["batch_files"]:
+            out.append(cmd_update(cfg, edges, feats)[1])
+            if after_update is not None:
+                after_update(edges, feats)
+        out.append(cmd_retrieve(cfg, user_intra_id=21, k=5))
+        out.append(cmd_evaluate(cfg, os.path.join(str(data_dir), "test.tsv"),
+                                missing_users="miss").to_json_dict())
+        man, metrics = cmd_train(cfg)
+        out.append(metrics)
+        out.append(load_table(os.path.join(cfg.paths["snapshot_dir"], man.table_path)).blocks)
+        return out
+
+    def test_commands_never_reread_increment_files(self, stream_data, tmp_path):
+        data_dir, stats = stream_data
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        batches = [tuple(os.path.join(str(data), os.path.relpath(p, str(data_dir)))
+                         for p in pair) for pair in stats["batch_files"]]
+        local = dict(stats, batch_files=batches)
+        kept = self._chain(data, local, tmp_path / "kept")
+
+        moved = tmp_path / "moved"
+        moved.mkdir()
+
+        def move_or_delete(edges, feats):
+            if edges == batches[0][0]:
+                shutil.move(edges, moved / "e.tsv")
+                shutil.move(feats, moved / "f.tsv")
+            else:
+                os.unlink(edges)
+                os.unlink(feats)
+
+        gone = self._chain(data, local, tmp_path / "gone", after_update=move_or_delete)
+        assert not any(os.path.exists(p) for pair in batches for p in pair)
+        for a, b in zip(kept[:-1], gone[:-1]):
+            assert _strip_timing(a) == _strip_timing(b)
+        for a, b in zip(kept[-1], gone[-1]):
+            assert np.array_equal(a, b)
+
+    def test_command_records_carry_stage_ms(self, stream_data, tmp_path):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        records = []
+        cmd_train(cfg, log=records.append)
+        cmd_update(cfg, *stats["batch_files"][0], log=records.append)
+        cmd_evaluate(cfg, os.path.join(str(data_dir), "test.tsv"), log=records.append)
+        stage_keys = {r["event"]: set(r["stage_ms"]) for r in records
+                      if r["event"] in ("snapshot", "update", "evaluate")}
+        assert stage_keys == {
+            "snapshot": {"load_graph", "load_model", "train", "embed",
+                         "capture_alignment", "snapshot"},
+            "update": {"load_graph", "load_state", "read_increment", "apply", "sample",
+                       "weights", "embed", "blend", "refine", "write-back", "snapshot"},
+            "evaluate": {"load_graph", "load_table", "read_tests", "evaluate"},
+        }
 
 
 class TestSnapshotLock:

@@ -5,11 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from dhge.graph import graphs_equal
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import capture_alignment
 from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError,
                            save_model, load_model, save_table, load_table,
-                           save_alignment, load_alignment)
+                           save_alignment, load_alignment, save_graph_arrays,
+                           load_graph_arrays)
 from conftest import tiny_bipartite, tiny_params
 
 
@@ -213,3 +215,44 @@ class TestAlignmentSnapshot:
             np.savez(fh, **payload)
         with pytest.raises(SnapshotFormatError, match=match):
             load_alignment(path)
+
+
+class TestGraphSnapshot:
+    def test_round_trip_rebuilds_the_same_graph(self, tmp_path):
+        g = tiny_bipartite(seed=1, missing_rate=0.3)
+        save_graph_arrays(tmp_path / "g.npz", g)
+        assert os.listdir(tmp_path) == ["g.npz"]
+        got = load_graph_arrays(tmp_path / "g.npz")
+        assert graphs_equal(got, g)
+        for name in ("rel_src", "rel_dst", "rel_ts"):   # edge order kept too
+            for a, b in zip(getattr(got, name), getattr(g, name)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(got._adj_indptr, g._adj_indptr)
+        assert np.array_equal(got._adj_indices, g._adj_indices)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("missing", "lacks array 'ts_1'"),
+        ("rank", "features_0 has shape"),
+        ("schema", "malformed schema"),
+        ("dangling", "relation 0: dangling target endpoint"),
+        ("non_finite", "type 1: non-finite feature values"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, fault, match):
+        path = tmp_path / "g.npz"
+        save_graph_arrays(path, tiny_bipartite(seed=1))
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        if fault == "missing":
+            del payload["ts_1"]
+        elif fault == "rank":
+            payload["features_0"] = payload["features_0"].ravel()
+        elif fault == "schema":
+            payload["schema"] = payload["schema"].reshape(1, -1)
+        elif fault == "dangling":
+            payload["dst_0"][0] = 4   # type 1 has 4 nodes
+        else:
+            payload["features_1"][0, 0] = np.nan
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(SnapshotFormatError, match=match):
+            load_graph_arrays(path)
