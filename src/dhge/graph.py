@@ -133,6 +133,7 @@ class HeteroGraph:
         self.rel_src = []
         self.rel_dst = []
         self.rel_ts = []
+        self._edge_key_index = []
         for r, (src, dst, ts) in enumerate(rel_edges):
             src = np.asarray(src, dtype=np.int64)
             dst = np.asarray(dst, dtype=np.int64)
@@ -147,9 +148,16 @@ class HeteroGraph:
                     raise DataError("relation %d: dangling target endpoint" % r)
                 if s_t == d_t and np.any(src == dst):
                     raise DataError("relation %d: self-loop rejected" % r)
+            keys = np.sort(_pair_key(src, dst))
+            dup = keys[1:][keys[1:] == keys[:-1]]
+            if len(dup):
+                raise DataError("relation %d: duplicate edge (%d, %d)"
+                                % ((r,) + divmod(int(dup[0]), int(_KEY_SHIFT))))
             self.rel_src.append(src)
             self.rel_dst.append(dst)
             self.rel_ts.append(ts)
+            # apply_increment tests new edges against these keys and merges them in
+            self._edge_key_index.append(keys)
         self._build_index()
 
     # -- derived indexes ----------------------------------------------------
@@ -167,7 +175,6 @@ class HeteroGraph:
         self.num_nodes = int(self.offsets[-1])
         self.num_edges = int(sum(len(s) for s in self.rel_src))
         self.input_dim = self.feature_blocks[0].shape[1]
-        self._edge_key_index = [None] * self.schema.num_relations
 
         if adjacency is None:
             # type-erased undirected adjacency over global ids, unique + sorted
@@ -191,12 +198,6 @@ class HeteroGraph:
                 incidence[0].append(_group_edges(self.rel_src[r], self.counts[s_t]))
                 incidence[1].append(_group_edges(self.rel_dst[r], self.counts[d_t]))
         self._inc_src, self._inc_dst = incidence
-
-    def _edge_keys(self, r):
-        """Sorted 1-D keys of relation ``r``'s (src, dst) pairs, built on first use."""
-        if self._edge_key_index[r] is None:
-            self._edge_key_index[r] = np.sort(_pair_key(self.rel_src[r], self.rel_dst[r]))
-        return self._edge_key_index[r]
 
     # -- addressing ----------------------------------------------------------
 
@@ -257,30 +258,6 @@ class HeteroGraph:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(parts))
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self):
-        """Best-effort integrity scan; returns a list of violation strings."""
-        problems = []
-        for t, (fb, mb) in enumerate(zip(self.feature_blocks, self.mask_blocks)):
-            if fb.shape != mb.shape:
-                problems.append("type %d: feature/mask shape mismatch" % t)
-            if not np.all(np.isfinite(fb[mb])):
-                problems.append("type %d: non-finite present feature values" % t)
-        for r in range(self.schema.num_relations):
-            s_t, d_t = self.schema.pairs[r]
-            src, dst = self.rel_src[r], self.rel_dst[r]
-            if len(src):
-                if src.min() < 0 or src.max() >= self.counts[s_t]:
-                    problems.append("relation %d: dangling source endpoint" % r)
-                if dst.min() < 0 or dst.max() >= self.counts[d_t]:
-                    problems.append("relation %d: dangling target endpoint" % r)
-                if s_t == d_t and np.any(src == dst):
-                    problems.append("relation %d: self-loop present" % r)
-                if np.any(np.diff(np.sort(_pair_key(src, dst))) == 0):
-                    problems.append("relation %d: duplicate edges present" % r)
-        return problems
 
 
 def _group_edges(endpoint_intra, count):
@@ -491,7 +468,7 @@ def apply_increment(graph, batch):
         mine = [j for j, e in enumerate(checked) if e[0] == r]
         if mine:
             keys = _pair_key([checked[j][1] for j in mine], [checked[j][2] for j in mine])
-            in_base[mine] = _in_sorted(graph._edge_keys(r), keys)[1]
+            in_base[mine] = _in_sorted(graph._edge_key_index[r], keys)[1]
     added = [[] for _ in range(n_rel)]
     seen = set()
     dropped = 0
@@ -646,6 +623,47 @@ def parse_feature_cells(cells, label, lineno):
     return values, mask
 
 
+def _feature_rows(source, label, dim=None):
+    """Yield (lineno, node_type, node_id, values, mask) per feature row.
+
+    Every row must have ``dim`` cells (the first row's count when ``dim`` is
+    None), and a node may have only one row.
+    """
+    seen = set()
+    for lineno, f in _rows(source, 3, label):
+        t = _parse_int(f[0], label, lineno, "node_type")
+        i = _parse_int(f[1], label, lineno, "node_id")
+        cells = f[2].split(",")
+        if dim is None:
+            dim = len(cells)
+        elif len(cells) != dim:
+            raise GraphFormatError("%s:%d: expected %d feature values, got %d"
+                                   % (label, lineno, dim, len(cells)))
+        values, mask = parse_feature_cells(cells, label, lineno)
+        if (t, i) in seen:
+            raise DataError("%s:%d: duplicate feature row for node (%d, %d)" % (label, lineno, t, i))
+        seen.add((t, i))
+        yield lineno, t, i, values, mask
+
+
+def _schema_edge_rows(source, label, schema):
+    """The rows of ``_edge_rows``, each checked to fit ``schema``: a known
+    relation with its endpoint types, no self-loop, no negative node id."""
+    for lineno, row in _edge_rows(source, label):
+        st, si, dt, di, r, _ = row
+        if r < 0 or r >= schema.num_relations:
+            raise DataError("%s:%d: unknown relation id %d" % (label, lineno, r))
+        s_t, d_t = schema.pairs[r]
+        if st != s_t or dt != d_t:
+            raise DataError("%s:%d: relation %d endpoint type mismatch: got (%d, %d), schema (%d, %d)"
+                            % (label, lineno, r, st, dt, s_t, d_t))
+        if st == dt and si == di:
+            raise DataError("%s:%d: self-loop rejected" % (label, lineno))
+        if si < 0 or di < 0:
+            raise GraphFormatError("%s:%d: negative node id" % (label, lineno))
+        yield row
+
+
 def load_schema(source):
     label = getattr(source, "name", None) or str(source)
     rows = {}
@@ -675,52 +693,21 @@ def load_graph(edges, features, schema):
 
     feat_label = getattr(features, "name", None) or str(features)
     feat_rows = {}
-    dim = None
-    for lineno, f in _rows(features, 3, feat_label):
-        t = _parse_int(f[0], feat_label, lineno, "node_type")
-        i = _parse_int(f[1], feat_label, lineno, "node_id")
+    for lineno, t, i, values, mask in _feature_rows(features, feat_label):
         if t < 0 or i < 0:
             raise GraphFormatError("%s:%d: negative node address" % (feat_label, lineno))
-        cells = f[2].split(",")
-        if dim is None:
-            dim = len(cells)
-        elif len(cells) != dim:
-            raise GraphFormatError("%s:%d: expected %d feature values, got %d"
-                                   % (feat_label, lineno, dim, len(cells)))
-        values, mask = parse_feature_cells(cells, feat_label, lineno)
-        if (t, i) in feat_rows:
-            raise DataError("%s:%d: duplicate feature row for node (%d, %d)" % (feat_label, lineno, t, i))
         feat_rows[(t, i)] = (values, mask)
-    if dim is None:
+    if not feat_rows:
         raise DataError("%s: no feature rows; feature dimensionality is undefined" % feat_label)
+    dim = len(values)   # the same for every row
 
     edge_label = getattr(edges, "name", None) or str(edges)
-    edge_rows = []
-    for lineno, (st, si, dt, di, r, ts) in _edge_rows(edges, edge_label):
-        if r < 0 or r >= schema.num_relations:
-            raise DataError("%s:%d: unknown relation id %d" % (edge_label, lineno, r))
-        s_t, d_t = schema.pairs[r]
-        if st != s_t or dt != d_t:
-            raise DataError("%s:%d: relation %d endpoint type mismatch: got (%d, %d), schema (%d, %d)"
-                            % (edge_label, lineno, r, st, dt, s_t, d_t))
-        if st == dt and si == di:
-            raise DataError("%s:%d: self-loop rejected" % (edge_label, lineno))
-        if si < 0 or di < 0:
-            raise GraphFormatError("%s:%d: negative node id" % (edge_label, lineno))
-        edge_rows.append((st, si, dt, di, r, ts))
+    edge_rows = list(_schema_edge_rows(edges, edge_label, schema))
 
-    num_types = max(
-        schema.num_types,
-        1 + max((t for t, _ in feat_rows), default=-1),
-        1 + max((max(e[0], e[2]) for e in edge_rows), default=-1),
-    )
-    if num_types <= 0:
-        raise DataError("no node types present in inputs")
-
+    # edge endpoint types are schema types, so features and schema bound the count
+    num_types = max(schema.num_types, 1 + max(t for t, _ in feat_rows))
     seen = [set() for _ in range(num_types)]
     for (t, i) in feat_rows:
-        if t >= num_types:
-            raise DataError("%s: node type %d exceeds schema" % (feat_label, t))
         seen[t].add(i)
     for st, si, dt, di, r, ts in edge_rows:
         seen[st].add(si)
@@ -787,36 +774,24 @@ def read_increment(graph, edges_source, features_source=None):
     existing node is an error (features are immutable once loaded). New nodes
     that appear only as edge endpoints get all-missing features.
     """
-    dim = graph.input_dim
     new_feats = {}
     if features_source is not None:
         label = getattr(features_source, "name", None) or str(features_source)
-        for lineno, f in _rows(features_source, 3, label):
-            t = _parse_int(f[0], label, lineno, "node_type")
-            i = _parse_int(f[1], label, lineno, "node_id")
+        for lineno, t, i, values, mask in _feature_rows(features_source, label, graph.input_dim):
             if t < 0 or t >= graph.num_types:
                 raise DataError("%s:%d: unknown node type %d" % (label, lineno, t))
             if i < graph.counts[t]:
                 raise DataError("%s:%d: feature row for existing node (%d, %d)" % (label, lineno, t, i))
-            cells = f[2].split(",")
-            if len(cells) != dim:
-                raise GraphFormatError("%s:%d: expected %d feature values, got %d"
-                                       % (label, lineno, dim, len(cells)))
-            values, mask = parse_feature_cells(cells, label, lineno)
-            if (t, i) in new_feats:
-                raise DataError("%s:%d: duplicate feature row for node (%d, %d)" % (label, lineno, t, i))
             new_feats[(t, i)] = (values, mask)
 
     label = getattr(edges_source, "name", None) or str(edges_source)
     new_edges = []
     mentioned = set()
     max_ts = 0.0
-    for lineno, (st, si, dt, di, r, ts) in _edge_rows(edges_source, label):
+    for st, si, dt, di, r, ts in _schema_edge_rows(edges_source, label, graph.schema):
         max_ts = max(max_ts, ts)
         new_edges.append((NodeRef(st, si), NodeRef(dt, di), r, ts))
         for (t, i) in ((st, si), (dt, di)):
-            if t < 0 or t >= graph.num_types:
-                raise DataError("%s:%d: unknown node type %d" % (label, lineno, t))
             if i >= graph.counts[t]:
                 mentioned.add((t, i))
 

@@ -204,16 +204,8 @@ class EmbeddingTable:
     def row(self, ref):
         return self.blocks[ref[0]][ref[1]]
 
-    def set_row(self, ref, value):
-        self.blocks[ref[0]][ref[1]] = value
-
     def dense(self):
         return np.concatenate(self.blocks, axis=0)
-
-    def copy(self, version=None, created_ms=None):
-        return EmbeddingTable([b.copy() for b in self.blocks],
-                              version=self.version if version is None else version,
-                              created_ms=created_ms)
 
     def blocks_equal(self, other):
         return (len(self.blocks) == len(other.blocks) and

@@ -1,11 +1,13 @@
 """Snapshot lineage and the train / update / evaluate / stream drivers.
 
 A snapshot directory holds numbered versions. Each version owns a model
-file, an embedding-table file, optionally an alignment file and a file
-with the graph it was built on, and a manifest JSON that names them all.
+file, an embedding-table file, optionally an alignment file, a file with
+the graph it was built on, and a manifest JSON that names them all.
 The manifest is written last, with an atomic rename, so a crash mid-save
 can leave stray data files but never a manifest pointing at missing or
 half-written state: a version exists if and only if its manifest parses.
+Commands read a version from the snapshot directory alone; only the first
+``train`` into an empty directory parses the base TSVs.
 """
 from __future__ import annotations
 
@@ -19,15 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (DataError, load_graph, read_increment, apply_increment,
-                    NodeRef, _edge_rows)
+from .graph import DataError, load_graph, read_increment, NodeRef, _edge_rows
+# not called here; bench/spans.py wraps this name, so it must resolve
+from .graph import apply_increment  # noqa: F401
 from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
 from .evaluation import evaluate_table
 from .snapshot import (save_model, load_model, save_table, load_table,
                        save_alignment, load_alignment, save_graph_arrays,
-                       load_graph_arrays, SnapshotFormatError, _atomic_bytes)
+                       load_graph_arrays, stored_table, SnapshotFormatError,
+                       _atomic_bytes)
 from .seeding import mix
 from .timing import Stages
 
@@ -46,9 +50,8 @@ class Manifest:
     config_digest: str
     alignment_path: Optional[str] = None
     parent_version: Optional[int] = None
-    # ordered (edges_path, features_path_or_None) pairs applied on top of
-    # the base graph to reconstruct this version's graph; read only when the
-    # version stores no graph file
+    # provenance only: the ordered (edges_path, features_path_or_None) pairs
+    # applied since the base graph; nothing reads them back
     increments: list = field(default_factory=list)
     graph_path: Optional[str] = None
 
@@ -90,7 +93,6 @@ def manifest_path(snapshot_dir, version):
 
 
 LOCK_NAME = "lock"
-_held_locks = set()
 
 
 def _pid_alive(pid):
@@ -107,18 +109,14 @@ def _pid_alive(pid):
 def snapshot_lock(snapshot_dir):
     """Advisory writer lock: one mutating command per snapshot directory.
 
-    A pid file created with O_EXCL and removed on exit. Re-entrant within
-    a process (stream replay drives train/update under one outer lock); a
-    lock whose owner is gone is reclaimed, a live owner is an error.
+    A pid file created with O_EXCL and removed on exit. A lock whose
+    owner is gone is reclaimed, a live owner is an error.
     Read-only commands (evaluate, retrieve) never take it: they resolve a
     pinned manifest version, which a concurrent writer cannot mutate.
     """
     sd = os.fspath(snapshot_dir)
     os.makedirs(sd, exist_ok=True)
-    path = os.path.realpath(os.path.join(sd, LOCK_NAME))
-    if path in _held_locks:
-        yield
-        return
+    path = os.path.join(sd, LOCK_NAME)
     while True:
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
@@ -138,10 +136,8 @@ def snapshot_lock(snapshot_dir):
     try:
         os.write(fd, ("%d\n" % os.getpid()).encode("ascii"))
         os.close(fd)
-        _held_locks.add(path)
         yield
     finally:
-        _held_locks.discard(path)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
 
@@ -195,8 +191,9 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
                    alignment, config_digest, parent_version, increments, graph=None):
     """Persist all state files, then the manifest (last, atomically).
 
-    ``graph``, when given, is stored so that readers of this version need
-    neither the base TSVs nor the increment files.
+    ``graph`` is the graph the version was built on; commands read it back
+    through ``graph_for_manifest``. A version written without one cannot be
+    read by a command, only by a caller that holds its graph.
     """
     sd = os.fspath(snapshot_dir)
     os.makedirs(sd, exist_ok=True)
@@ -241,19 +238,13 @@ def base_graph(cfg):
 
 
 def graph_for_manifest(cfg, man):
-    """The graph a version was built on.
-
-    A version that stores its graph is read from that file. Otherwise the
-    base TSVs are parsed and the manifest's increment history is replayed
-    on top.
-    """
-    if man.graph_path is not None:
-        return load_graph_arrays(os.path.join(cfg.paths["snapshot_dir"], man.graph_path))
-    graph = base_graph(cfg)
-    for edges_path, features_path in man.increments:
-        batch = read_increment(graph, edges_path, features_path)
-        graph, _ = apply_increment(graph, batch)
-    return graph
+    """The graph a version was built on, read from the version's graph file."""
+    if man.graph_path is None:
+        raise SnapshotFormatError(
+            "snapshot version %d stores no graph file (written without a graph,"
+            " or before versions stored one); train into a new snapshot"
+            " directory" % man.version)
+    return load_graph_arrays(os.path.join(cfg.paths["snapshot_dir"], man.graph_path))
 
 
 def read_test_interactions(path, user_type, item_type):
@@ -363,13 +354,16 @@ def _train_locked(cfg, sd, log):
 
 def cmd_update(cfg, edges_path, features_path=None, version=None, log=_null_log):
     """Apply one increment batch on top of a snapshot; returns (manifest, report)."""
-    cfg.require_paths("edges", "features", "schema", "snapshot_dir")
+    cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     with snapshot_lock(sd):
-        return _update_locked(cfg, sd, edges_path, features_path, version, log)
+        man, report, _, _ = _update_locked(cfg, sd, edges_path, features_path, version, log)
+    return man, report
 
 
 def _update_locked(cfg, sd, edges_path, features_path, version, log):
+    """``cmd_update`` under the lock; also returns the new version's graph and
+    table, the table as readers of the version see it."""
     stages = Stages()
     parent = resolve_manifest(sd, version)
     _check_digest(cfg, parent, log)
@@ -394,12 +388,12 @@ def _update_locked(cfg, sd, edges_path, features_path, version, log):
     report["event"] = "update"
     report["version"] = man.version
     log(report)
-    return man, report
+    return man, report, graph2, stored_table(table2)
 
 
 def cmd_evaluate(cfg, test_path, version=None, missing_users="drop", log=_null_log):
     """Rank held-out interactions against a snapshot's embedding table."""
-    cfg.require_paths("edges", "features", "schema", "snapshot_dir")
+    cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     stages = Stages()
     man = resolve_manifest(sd, version)
@@ -428,7 +422,7 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True):
 
     Returns a list of {type, id, score} dicts, best first.
     """
-    cfg.require_paths("edges", "features", "schema", "snapshot_dir")
+    cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     man = resolve_manifest(sd, version)
     graph = graph_for_manifest(cfg, man)
@@ -467,7 +461,7 @@ def cmd_simulate_stream(cfg, batches, test_path, compare_frozen=False,
     "miss" by default: users absent from a table count as misses, which
     keeps the frozen and updated scores on the same denominator.
     """
-    cfg.require_paths("edges", "features", "schema", "snapshot_dir")
+    cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     with snapshot_lock(sd):
         return _stream_locked(cfg, sd, batches, test_path, compare_frozen,
@@ -479,29 +473,31 @@ def _stream_locked(cfg, sd, batches, test_path, compare_frozen, missing_users, l
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     tests = read_test_interactions(test_path, user_type, item_type)
+
+    def evaluate(graph, table):
+        return evaluate_table(graph, table, tests, cfg.protocol(),
+                              user_type=user_type, item_type=item_type,
+                              missing_users=missing_users).to_json_dict()
+
+    if compare_frozen:
+        frozen_graph = graph_for_manifest(cfg, frozen)
+        frozen_table = load_table(os.path.join(sd, frozen.table_path))
     refresh_every = cfg.pipeline["static_refresh_every"]
     rows = []
     for j, (edges_path, features_path) in enumerate(batches):
-        man, report = cmd_update(cfg, edges_path, features_path, log=log)
+        man, report, graph, table = _update_locked(cfg, sd, edges_path, features_path,
+                                                   None, log)
         if refresh_every and (j + 1) % refresh_every == 0:
-            man, _ = cmd_train(cfg, log=log)
-        graph = graph_for_manifest(cfg, man)
-        table = load_table(os.path.join(sd, man.table_path))
-        rep = evaluate_table(graph, table, tests, cfg.protocol(),
-                             user_type=user_type, item_type=item_type,
-                             missing_users=missing_users)
+            # a retrain keeps the graph it reads, which is the update's
+            man, _ = _train_locked(cfg, sd, log)
+            table = load_table(os.path.join(sd, man.table_path))
         row = {"event": "stream_eval", "batch": j, "version": man.version,
                "update": {key: report[key] for key in
                           ("n_new_nodes", "n_new_edges", "n_updated",
                            "n_cold_isolated", "reconstruction_loss", "wall_ms")},
-               "eval": rep.to_json_dict()}
+               "eval": evaluate(graph, table)}
         if compare_frozen:
-            fg = graph_for_manifest(cfg, frozen)
-            ftable = load_table(os.path.join(sd, frozen.table_path))
-            frep = evaluate_table(fg, ftable, tests, cfg.protocol(),
-                                  user_type=user_type, item_type=item_type,
-                                  missing_users=missing_users)
-            row["frozen_eval"] = frep.to_json_dict()
+            row["frozen_eval"] = evaluate(frozen_graph, frozen_table)
         log(row)
         rows.append(row)
     return rows

@@ -170,6 +170,12 @@ def save_table(path, table):
     _atomic_npz(path, payload)
 
 
+def stored_table(table):
+    """``table`` as ``load_table`` reads it back from ``save_table``'s file."""
+    return EmbeddingTable([b.astype("<f4").astype(np.float64) for b in table.blocks],
+                          version=table.version, created_ms=table.created_ms)
+
+
 def _read_npz(path):
     """Every array of an npz file; a corrupt or non-npz file is a SnapshotFormatError."""
     try:
@@ -270,7 +276,8 @@ def save_graph_arrays(path, graph):
 
 def load_graph_arrays(path):
     """Rebuild a ``HeteroGraph`` from a graph file through its constructor,
-    which validates endpoints, self-loops, shapes and feature values."""
+    which validates endpoints, self-loops, duplicate edges, shapes and
+    feature values."""
     path = os.fspath(path)
     arrays = _read_npz(path)
 

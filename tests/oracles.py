@@ -2,9 +2,11 @@
 
 Everything here is written the slow, obvious way on dense arrays, using
 only numpy/scipy, with no imports from the package's numeric code, so a
-bug in a fast path cannot hide inside its own checker. The one exception
-is the batch LLE oracle, which reuses the package's weight solve; that
-solve is itself checked against ``constrained_weights``.
+bug in a fast path cannot hide inside its own checker. Two exceptions:
+the batch LLE oracle reuses the package's weight solve, which is itself
+checked against ``constrained_weights``; and ``replay_graph`` rebuilds a
+snapshot version's graph with the package's TSV loaders, which the graph
+tests check on their own.
 """
 import numpy as np
 import scipy.linalg
@@ -252,6 +254,16 @@ def incidence_by_argsort(endpoint_intra, count):
     np.add.at(indptr, endpoint_intra + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, order
+
+
+def replay_graph(cfg, man):
+    """A snapshot version's graph rebuilt from outside the snapshot: the base
+    TSVs, with the manifest's increment files applied in order."""
+    from dhge.graph import apply_increment, load_graph, read_increment
+    graph = load_graph(cfg.paths["edges"], cfg.paths["features"], cfg.paths["schema"])
+    for edges_path, features_path in man.increments:
+        graph, _ = apply_increment(graph, read_increment(graph, edges_path, features_path))
+    return graph
 
 
 def alignment_objectives(i_minus_w, lam, mu, y):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
-from dhge.pipeline import latest_manifest
+from dhge.pipeline import latest_manifest, load_snapshot_state, write_snapshot
 
 
 def run(capsys, *argv):
@@ -212,6 +212,16 @@ class TestMalformedCellsExit3:
         assert code == 3
         assert "bad.features.tsv:1: bad feature value 'x'" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("0\t20\t1\t4\t7\t1.0\n", "bad.edges.tsv:1: unknown relation id 7"),
+        ("0\t20\t0\t4\t0\t1.0\n", "bad.edges.tsv:1: relation 0 endpoint type mismatch"),
+    ])
+    def test_increment_edge_row(self, trained, capsys, tmp_path, row, message):
+        code, _, err = self._update(capsys, trained, tmp_path, row)
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
     def test_test_interaction_id(self, trained, capsys, tmp_path):
         _, cfg, snaps = trained
         bad = tmp_path / "bad_test.tsv"
@@ -247,6 +257,7 @@ class TestCorruptSnapshotExit3:
     @pytest.mark.parametrize("fault, message", [
         ("missing", "graph file lacks array 'ts_0'"),
         ("dangling", "relation 0: dangling target endpoint"),
+        ("duplicate", "relation 0: duplicate edge"),
     ])
     def test_bad_graph_file(self, workspace, capsys, tmp_path, fault, message):
         _, _, cfg = workspace
@@ -257,8 +268,11 @@ class TestCorruptSnapshotExit3:
             payload = {key: data[key] for key in data.files}
         if fault == "missing":
             del payload["ts_0"]
-        else:
+        elif fault == "dangling":
             payload["dst_0"][0] = 10_000
+        else:
+            payload["src_0"][1] = payload["src_0"][0]
+            payload["dst_0"][1] = payload["dst_0"][0]
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
         code, _, err = run(capsys, "retrieve", "--config", str(cfg),
@@ -266,3 +280,38 @@ class TestCorruptSnapshotExit3:
         assert code == 3
         assert "%s: %s" % (path.name, message) in err
         assert "Traceback" not in err
+
+    def test_version_without_graph_file(self, workspace, capsys, tmp_path):
+        _, _, cfg = workspace
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+        man = latest_manifest(str(snaps))
+        model_config, params, table, alignment = load_snapshot_state(str(snaps), man)
+        write_snapshot(str(snaps), "static", model_config, params, table, alignment,
+                       man.config_digest, man.version, [], graph=None)
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0")
+        assert code == 3
+        assert "snapshot version 2 stores no graph file" in err
+        assert "Traceback" not in err
+
+
+class TestSnapshotDirectoryOnly:
+    """Every command but a first train needs only the snapshot directory."""
+
+    def test_update_evaluate_retrieve_without_tsv_paths(self, workspace, capsys, tmp_path):
+        _, data, cfg = workspace
+        snaps = str(tmp_path / "snaps")
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", snaps]) == 0
+        no_paths = tmp_path / "no_paths.ini"
+        no_paths.write_text("[model]" + cfg.read_text().split("[model]", 1)[1])
+        common = ["--config", str(no_paths), "--snapshot-dir", snaps]
+        inc = str(data / "increments" / "batch_000.edges.tsv")
+        code, records, _ = run(capsys, "update", *common, "--increment-edges", inc,
+                               "--increment-features", str(_features_for(inc)))
+        assert code == 0 and records[-1]["version"] == 2
+        code, records, _ = run(capsys, "evaluate", *common,
+                               "--test", str(data / "base_test.tsv"))
+        assert code == 0 and records[-1]["table_version"] == 2
+        code, records, _ = run(capsys, "retrieve", *common, "--user", "0")
+        assert code == 0 and records[-1]["results"]

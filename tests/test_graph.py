@@ -46,8 +46,9 @@ class TestContainer:
         with pytest.raises(DataError):
             build_graph([(0, 5)], [3, 3], [[(0, 1)]])
 
-    def test_validate_reports_no_violations_on_good_graph(self, bipartite_graph):
-        assert bipartite_graph.validate() == []
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(DataError, match=r"relation 0: duplicate edge \(0, 1\)"):
+            build_graph([(0, 0)], [3], [[(0, 1), (1, 2), (0, 1)]])
 
     def test_graphs_equal_ignores_edge_order(self):
         a = build_graph([(0, 0)], [4], [[(0, 1), (2, 3), (1, 2)]], seed=5)
@@ -262,7 +263,8 @@ class TestIncrementIndexes:
                 assert np.array_equal(g2.rel_ts[r], rebuilt.rel_ts[r])
             _assert_indexes_match_oracles(g2)
             _assert_indexes_match_oracles(rebuilt)
-            assert g2.validate() == []
+            for a, b in zip(g2._edge_key_index, rebuilt._edge_key_index):
+                assert np.array_equal(a, b)
             assert g2.offsets[1] > g.offsets[1]  # the item block moved
             g = g2
 

@@ -1,5 +1,4 @@
 """Snapshot lineage, the command drivers, and crash behavior."""
-import dataclasses
 import json
 import os
 import shutil
@@ -18,6 +17,7 @@ from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            cmd_simulate_stream)
 from dhge.snapshot import SnapshotFormatError, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
+from oracles import replay_graph
 
 CFG_TEXT = """
 [model]
@@ -239,7 +239,7 @@ class TestStoredGraph:
         for man in mans:
             assert man.graph_path == "v%06d.graph.npz" % man.version
             stored = load_graph_arrays(os.path.join(sd, man.graph_path))
-            replayed = graph_for_manifest(cfg, dataclasses.replace(man, graph_path=None))
+            replayed = replay_graph(cfg, man)
             assert graphs_equal(stored, replayed)
             pairs = [(stored._adj_indptr, replayed._adj_indptr),
                      (stored._adj_indices, replayed._adj_indices)]
@@ -431,6 +431,62 @@ class TestSimulateStream:
         # the updated table must serve streamed users at least as well as
         # the frozen one on the same denominator
         assert rows[-1]["eval"]["hitrate"]["3"] >= rows[-1]["frozen_eval"]["hitrate"]["3"]
+
+    def test_update_hands_back_the_version_as_stored(self, stream_data, tmp_path):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        cmd_train(cfg)
+        sd = cfg.paths["snapshot_dir"]
+        man, _, graph, table = pipeline_mod._update_locked(
+            cfg, sd, *stats["batch_files"][0], None, lambda record: None)
+        assert graphs_equal(graph, graph_for_manifest(cfg, man))
+        stored = load_table(os.path.join(sd, man.table_path))
+        assert (table.version, table.created_ms) == (stored.version, stored.created_ms)
+        for a, b in zip(table.blocks, stored.blocks):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_stream_reads_each_graph_once_and_matches_commands(self, stream_data, tmp_path,
+                                                               monkeypatch):
+        data_dir, stats = stream_data
+        test_path = os.path.join(str(data_dir), "test.tsv")
+        cfg = make_config(str(data_dir), tmp_path / "stream")
+        cfg.train["epochs"] = 1
+        cmd_train(cfg)
+        calls = {"load_graph_arrays": 0, "load_table": 0}
+
+        def counted(name):
+            real = getattr(pipeline_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline_mod, name, counted(name))
+        rows = cmd_simulate_stream(cfg, stats["batch_files"], test_path,
+                                   compare_frozen=True)
+        monkeypatch.undo()
+        # each update reads its parent; the frozen version is read once
+        assert calls == {"load_graph_arrays": 3, "load_table": 3}
+
+        # the same stream, one command at a time, in another directory
+        cfg = make_config(str(data_dir), tmp_path / "commands")
+        cfg.train["epochs"] = 1
+        frozen = cmd_train(cfg)[0]
+        expected = []
+        for j, (edges, feats) in enumerate(stats["batch_files"]):
+            man, report = cmd_update(cfg, edges, feats)
+            expected.append({
+                "event": "stream_eval", "batch": j, "version": man.version,
+                "update": {key: report[key] for key in
+                           ("n_new_nodes", "n_new_edges", "n_updated",
+                            "n_cold_isolated", "reconstruction_loss")},
+                "eval": cmd_evaluate(cfg, test_path, missing_users="miss").to_json_dict(),
+                "frozen_eval": cmd_evaluate(cfg, test_path, version=frozen.version,
+                                            missing_users="miss").to_json_dict()})
+        assert _strip_timing(rows) == _strip_timing(expected)
 
     def test_periodic_static_refresh(self, stream_data, tmp_path):
         data_dir, stats = stream_data
