@@ -181,7 +181,8 @@ def _run(args):
     if args.command == "retrieve":
         hits = pipeline.cmd_retrieve(cfg, args.user, k=args.k,
                                      version=args.version,
-                                     exclude_known=not args.include_known)
+                                     exclude_known=not args.include_known,
+                                     log=_stream_log)
         _emit({"event": "retrieve", "user": args.user, "results": hits})
         return 0
 

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .graph import DataError, NodeRef, _in_sorted, _pair_key, apply_increment
+from .graph import (DataError, NodeRef, _in_sorted, _pair_key, _ranges, _unique,
+                    apply_increment)
 from .model import EmbeddingTable, init_features
-from .seeding import derived_rng, mix, TAG_BFS, TAG_COLD
-from .tensor import NumericError, SingularMatrixError, solve_ridge
+from .seeding import (_MASK, derived_rng, mix, mix_many, pcg64_state, seed_states,
+                      TAG_BFS, TAG_COLD)
+from .tensor import NumericError, SingularMatrixError, cholesky_solve, ridge_systems
 from .timing import Stages
 
 
@@ -42,35 +44,19 @@ def bfs_neighbors(graph, center, k, rng_seed):
 
     Returns (neighbors, hops): the chosen global ids and their hop counts.
     Within a hop, nodes beyond what is needed are drawn uniformly without
-    replacement; if both hops together still fall short of k, the collected
-    set is resampled with replacement. A node with no neighbors at all
-    raises ``ColdIsolatedError``.
+    replacement from ``derived_rng(TAG_BFS, rng_seed)``; if both hops
+    together still fall short of k, the collected set is resampled with
+    replacement. A node with no neighbors at all raises
+    ``ColdIsolatedError``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hop1 = graph.neighbors_of(center)
-    if len(hop1) == 0:
+    if not 0 <= center < graph.num_nodes:
+        raise DataError("global index %d out of range" % center)
+    connected, nbrs, hops = _sample_neighbors(
+        graph, np.array([center], dtype=np.int64), k,
+        lambda rows: np.full(len(rows), int(rng_seed) & _MASK, dtype=np.uint64))
+    if not connected[0]:
         raise ColdIsolatedError(graph.ref_of(center))
-    if len(hop1) >= k:
-        chosen = hop1 if len(hop1) == k else np.sort(
-            derived_rng(TAG_BFS, rng_seed).choice(hop1, size=k, replace=False))
-        return chosen, np.ones(k, dtype=np.int64)
-    hop2 = np.sort(np.concatenate([graph.neighbors_of(int(n)) for n in hop1]))
-    fresh = np.append(True, hop2[1:] != hop2[:-1]) & (hop2 != center) & ~_in_sorted(hop1, hop2)[1]
-    hop2 = hop2[fresh]
-    need = k - len(hop1)
-    # the generator is only built when a draw follows: exactly need
-    # 2-hop nodes is neither a subsample nor short of k
-    rng = derived_rng(TAG_BFS, rng_seed) if len(hop2) != need else None
-    if len(hop2) > need:
-        hop2 = np.sort(rng.choice(hop2, size=need, replace=False))
-    chosen = np.concatenate([hop1, hop2])
-    hops = np.repeat([1, 2], [len(hop1), len(hop2)])
-    if len(chosen) < k:
-        pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
-        chosen = np.concatenate([chosen, chosen[pad]])
-        hops = np.concatenate([hops, hops[pad]])
-    return chosen, hops
+    return nbrs[0], hops[0]
 
 
 def _neighborhoods(graph, ids, k, rng_seed):
@@ -79,21 +65,124 @@ def _neighborhoods(graph, ids, k, rng_seed):
 
     Node (t, i) draws from the seed ``mix(rng_seed, TAG_BFS, t, i)``, so its
     neighborhood does not depend on which other nodes are sampled with it.
+    The candidates of every node are gathered in array passes; only a node
+    that draws pays per node, about 20 us for one ``choice`` on a shared
+    generator set to the state its own ``derived_rng`` would start from, so
+    the draws are bit-identical to building one generator per node.
     """
-    connected = np.ones(len(ids), dtype=bool)
-    nbrs = np.empty((len(ids), k), dtype=np.int64)
-    for j, (g, (t, i)) in enumerate(zip(ids.tolist(), _refs(graph, ids).tolist())):
-        try:
-            nbrs[j] = bfs_neighbors(graph, g, k, mix(rng_seed, TAG_BFS, t, i))[0]
-        except ColdIsolatedError:
-            connected[j] = False
+    refs = _refs(graph, ids)
+    connected, nbrs, _ = _sample_neighbors(
+        graph, ids, k, lambda rows: mix_many(rng_seed, TAG_BFS, refs[rows, 0], refs[rows, 1]))
     return connected, nbrs[connected]
+
+
+# 2-hop candidate entries gathered per pass of _sample_neighbors (2 MiB)
+_HOP2_CHUNK = 1 << 18
+
+
+def _sample_neighbors(graph, ids, k, seeds_of):
+    """(connected, nbrs, hops) of ``bfs_neighbors`` for every global id of
+    ``ids``, rows of unconnected ids left unset.
+
+    Row j draws from ``derived_rng(TAG_BFS, s)`` for the seed s that
+    ``seeds_of(rows)`` gives for the row positions ``rows``; only rows that
+    draw ask for one: those with more than k 1-hop nodes, or with fewer and
+    a 2-hop count other than the k - deg still needed.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    indptr, indices = graph._adj_indptr, graph._adj_indices
+    ids = np.asarray(ids, dtype=np.int64)
+    start, deg = indptr[ids], indptr[ids + 1] - indptr[ids]
+    nbrs = np.empty((len(ids), k), dtype=np.int64)
+    hops = np.ones((len(ids), k), dtype=np.int64)
+    exact = np.flatnonzero(deg == k)
+    nbrs[exact] = indices[start[exact, None] + np.arange(k)]
+    rng = np.random.Generator(np.random.PCG64())
+
+    def draw(rows, hop2=None, lo2=None, hi2=None):
+        # each row's generator state, then its draws as bfs_neighbors makes
+        # them; rows[c]'s 2-hop nodes are hop2[lo2[c]:hi2[c]]
+        states = seed_states(TAG_BFS, seeds_of(rows))
+        for c, j in enumerate(rows.tolist()):
+            rng.bit_generator.state = pcg64_state(states[:, c].tolist())
+            h1 = indices[start[j]:start[j] + deg[j]]
+            if hop2 is None:
+                nbrs[j] = np.sort(rng.choice(h1, size=k, replace=False))
+                continue
+            h2, d = hop2[lo2[c]:hi2[c]], len(h1)
+            if len(h2) > k - d:
+                nbrs[j, :d] = h1
+                nbrs[j, d:] = np.sort(rng.choice(h2, size=k - d, replace=False))
+                hops[j, d:] = 2
+            else:
+                # short of k with both hops: pad by resampling the collected set
+                chosen = np.concatenate([h1, h2])
+                row_hops = np.repeat([1, 2], [d, len(h2)])
+                pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
+                nbrs[j] = np.concatenate([chosen, chosen[pad]])
+                hops[j] = np.concatenate([row_hops, row_hops[pad]])
+
+    draw(np.flatnonzero(deg > k))
+    short = np.flatnonzero((deg > 0) & (deg < k))
+    pos1 = _ranges(start[short], deg[short])
+    reach = np.add.reduceat(indptr[indices[pos1] + 1] - indptr[indices[pos1]],
+                            np.cumsum(deg[short]) - deg[short]) if len(short) else short
+    bounds = _budget_bounds(reach, _HOP2_CHUNK)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = short[lo:hi]
+        first, hop2 = _hop2(graph, ids[rows], start[rows], deg[rows])
+        n2 = np.diff(first)
+        fill = n2 == k - deg[rows]
+        draw(rows[~fill], hop2, first[:-1][~fill], first[1:][~fill])
+        # rows whose 2-hop nodes exactly fill k: 1-hop nodes, then 2-hop
+        fill = np.flatnonzero(fill)
+        r1 = np.repeat(fill, deg[rows[fill]])
+        col = _ranges(np.zeros(len(fill), dtype=np.int64), deg[rows[fill]])
+        nbrs[rows[r1], col] = indices[_ranges(start[rows[fill]], deg[rows[fill]])]
+        pick = np.repeat(fill, n2[fill])
+        col = _ranges(deg[rows[fill]], n2[fill])
+        nbrs[rows[pick], col] = hop2[_ranges(first[fill], n2[fill])]
+        hops[rows[pick], col] = 2
+    return deg > 0, nbrs, hops
+
+
+def _hop2(graph, centers, start, deg):
+    """Per center, its sorted unique 2-hop nodes: neighbors of its
+    neighbors that are neither itself nor a neighbor. Returns (first,
+    nodes): where each center's run of ``nodes`` starts, and the runs."""
+    indptr, indices = graph._adj_indptr, graph._adj_indices
+    n = np.int64(graph.num_nodes)
+    mid = indices[_ranges(start, deg)]
+    mid_row = np.repeat(np.arange(len(centers)), deg)
+    mid_deg = indptr[mid + 1] - indptr[mid]
+    keys = _unique(np.repeat(mid_row, mid_deg) * n + indices[_ranges(indptr[mid], mid_deg)])
+    row, node = np.divmod(keys, n)
+    # a 1-hop key run is sorted: rows ascend and adjacency rows are sorted
+    keep = (node != centers[row]) & ~_in_sorted(mid_row * n + mid, keys)[1]
+    return np.searchsorted(row[keep], np.arange(len(centers) + 1)), node[keep]
+
+
+def _budget_bounds(sizes, budget):
+    """Chunk bounds over items of the given sizes, each chunk at most
+    ``budget`` in total unless one item alone exceeds it."""
+    bounds = [0]
+    total = np.cumsum(sizes)
+    while bounds[-1] < len(sizes):
+        base = total[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(total, base + budget, side="right"))))
+    return bounds
 
 
 def _refs(graph, ids):
     """(type, intra) pairs of the global ids ``ids``, shape ``ids.shape + (2,)``."""
     types = graph.type_of_global(ids)
     return np.stack([types, ids - graph.offsets[types]], axis=-1)
+
+
+# floats of the (rows, k, D) neighbor stack gathered per weight-solve chunk
+# (512 KiB)
+_GRAM_CHUNK_FLOATS = 1 << 16
 
 
 def reconstruction_weights(x_center, x_neighbors, eps):
@@ -106,32 +195,52 @@ def reconstruction_weights(x_center, x_neighbors, eps):
     """
     x_center = np.asarray(x_center, dtype=np.float64)
     x_neighbors = np.asarray(x_neighbors, dtype=np.float64)
-    k = x_neighbors.shape[0]
-    if k == 0:
-        raise ValueError("at least one neighbor required")
-    if k == 1:
-        return np.ones(1)
-    diffs = x_center[None, :] - x_neighbors
-    gram = diffs @ diffs.T
-    try:
-        w = solve_ridge(gram, np.ones(k), eps)
-    except SingularMatrixError:
-        if eps > 0:
-            return np.full(k, 1.0 / k)   # degenerate neighborhood: trace(G) = 0
-        raise
-    total = w.sum()
-    if not np.isfinite(total) or abs(total) < 1e-300:
-        raise NumericError("reconstruction weights sum to zero; neighborhood is degenerate")
-    return w / total
+    return _solve_weights(x_center[None], x_neighbors[None], eps)[0]
 
 
 def _weight_rows(vecs, centers, nbrs, eps):
     """(m, k) reconstruction weights of each center from its neighbors, over
-    the rows of ``vecs``."""
+    the rows of ``vecs``, bit-equal to ``reconstruction_weights`` per row."""
     out = np.empty(nbrs.shape)
-    for j, (c, nb) in enumerate(zip(centers, nbrs)):
-        out[j] = reconstruction_weights(vecs[c], vecs[nb], eps)
+    step = max(1, _GRAM_CHUNK_FLOATS // max(1, nbrs.shape[1] * vecs.shape[1]))
+    for c in range(0, len(nbrs), step):
+        out[c:c + step] = _solve_weights(vecs[centers[c:c + step]], vecs[nbrs[c:c + step]], eps)
     return out
+
+
+def _solve_weights(x_center, x_neighbors, eps):
+    """Weights of ``reconstruction_weights`` for a stack of m centers (m, D)
+    and their neighbors (m, k, D).
+
+    The Grams and ridge systems are built stacked; each row then pays one
+    ``cholesky_solve``, a direct ``dpotrf`` / ``dpotrs`` pair, about 4 us at
+    k = 8. Stacked products, traces and row sums round exactly as their
+    per-row forms.
+    """
+    m, k = x_neighbors.shape[:2]
+    if k == 0:
+        raise ValueError("at least one neighbor required")
+    if k == 1:
+        return np.ones((m, 1))
+    diffs = x_center[:, None, :] - x_neighbors
+    system = ridge_systems(diffs @ diffs.transpose(0, 2, 1), eps)
+    w = np.empty((m, k))
+    uniform = np.zeros(m, dtype=bool)
+    ones = np.ones(k)
+    for j in range(m):
+        try:
+            w[j] = cholesky_solve(system[j], ones)
+        except SingularMatrixError:
+            if eps == 0:
+                raise
+            uniform[j] = True   # degenerate neighborhood: trace(G) = 0
+    w[uniform] = 1.0 / k
+    total = w.sum(axis=1)
+    total[uniform] = 1.0   # uniform weights are returned as they are
+    bad = ~np.isfinite(total) | (np.abs(total) < 1e-300)
+    if bad.any():
+        raise NumericError("reconstruction weights sum to zero; neighborhood is degenerate")
+    return w / total[:, None]
 
 
 def _weight_space(graph, y, weight_space):
@@ -288,7 +397,14 @@ class AlignmentState:
 
 
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
-    """Record per-node reconstruction rows and the alignment spectrum."""
+    """Record per-node reconstruction rows and the alignment spectrum.
+
+    Every node with a neighbor gets a row. Neighborhoods and weights are
+    gathered and stacked in array passes; per node it still pays one
+    ``choice`` where the node draws (``_neighborhoods``) and one
+    ``dpotrf`` / ``dpotrs`` pair, with draws bit-identical to one
+    ``derived_rng`` per node and weights to ``reconstruction_weights``.
+    """
     ids = np.arange(graph.num_nodes)
     y = table.dense()
     vecs = _weight_space(graph, y, weight_space)
@@ -632,7 +748,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
                  graph2.rel_dst[r][first:] + graph2.offsets[d_t]]
     ends = np.concatenate(ends)
     new = np.flatnonzero(is_new)
-    update_set = np.concatenate([new, np.unique(ends[~is_new[ends]])])
+    update_set = np.concatenate([new, _unique(ends[~is_new[ends]])])
     stages.lap("apply")
 
     connected, nbrs = _neighborhoods(graph2, update_set, update_config.k, rng_seed)

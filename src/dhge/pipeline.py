@@ -341,6 +341,11 @@ def _train_locked(cfg, sd, log):
                                       rng_seed=seed,
                                       weight_space=ucfg.weight_space)
     stages.lap("capture_alignment")
+    rows = cold = None
+    if alignment is not None:
+        # the capture leaves a node without neighbors without a row
+        rows = len(alignment.refs)
+        cold = graph.num_nodes - rows
     man = write_snapshot(sd, "static", model_config, params, table, alignment,
                          cfg.digest(),
                          parent.version if parent is not None else None,
@@ -348,7 +353,8 @@ def _train_locked(cfg, sd, log):
     stages.lap("snapshot")
     refresh_ms = (time.perf_counter() - t0) * 1000.0
     log({"event": "snapshot", "version": man.version, "kind": man.kind,
-         "refresh_ms": refresh_ms, "stage_ms": stages.ms})
+         "refresh_ms": refresh_ms, "stage_ms": stages.ms, "alignment_rows": rows,
+         "cold_isolated": cold})
     return man, metrics
 
 
@@ -417,16 +423,21 @@ def cmd_evaluate(cfg, test_path, version=None, missing_users="drop", log=_null_l
     return report
 
 
-def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True):
+def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
+                 log=_null_log):
     """Top-k items for one user from a snapshot's table.
 
-    Returns a list of {type, id, score} dicts, best first.
+    Returns a list of {type, id, score} dicts, best first, and logs a
+    ``retrieve`` record with the version and ``stage_ms``.
     """
     cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
+    stages = Stages()
     man = resolve_manifest(sd, version)
     graph = graph_for_manifest(cfg, man)
+    stages.lap("load_graph")
     table = load_table(os.path.join(sd, man.table_path))
+    stages.lap("load_table")
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     ref = NodeRef(user_type, int(user_intra_id))
@@ -444,11 +455,14 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True):
         known = nbrs[graph.type_of_global(nbrs) == item_type] - graph.offsets[item_type]
         keep[known[known < n_items]] = False
     keep = np.flatnonzero(keep)
-    if keep.size == 0:
-        return []
-    order, scores = cosine_topk(query, items[keep], min(k, keep.size))
-    return [{"type": item_type, "id": int(keep[j]), "score": float(s)}
-            for j, s in zip(order, scores)]
+    hits = []
+    if keep.size:
+        order, scores = cosine_topk(query, items[keep], min(k, keep.size))
+        hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
+                for j, s in zip(order, scores)]
+    stages.lap("rank")
+    log({"event": "retrieve", "version": man.version, "stage_ms": stages.ms})
+    return hits
 
 
 def cmd_simulate_stream(cfg, batches, test_path, compare_frozen=False,

@@ -45,14 +45,22 @@ def solve_ridge(gram, rhs, eps):
     rhs = np.asarray(rhs, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError("gram must be square, got %s" % (gram.shape,))
-    k = gram.shape[0]
+    return cholesky_solve(ridge_systems(gram, eps), rhs)
+
+
+def ridge_systems(grams, eps):
+    """G + eps*trace(G)/k * I for a Gram or each of a (..., k, k) stack; a
+    Gram whose ridge term is not positive stays as it is."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    system = gram
-    if eps > 0:
-        lam = eps * np.trace(gram) / k
-        if lam > 0:
-            system = gram + lam * np.eye(k)
+    k = grams.shape[-1]
+    lam = np.asarray(eps * np.trace(grams, axis1=-2, axis2=-1) / k)
+    return np.where((lam > 0)[..., None, None], grams + lam[..., None, None] * np.eye(k), grams)
+
+
+def cholesky_solve(system, rhs):
+    """Solve one symmetric positive definite (k, k) system; a singular one
+    raises ``SingularMatrixError``."""
     # the LAPACK pair that cho_factor / cho_solve wrap, called directly: the
     # wrappers' checks cost about 30 us of a 36 us solve at k = 8
     factor, info = scipy.linalg.lapack.dpotrf(system, lower=False, clean=False)
@@ -260,9 +268,7 @@ def gather_rows(a, idx):
         raise IndexError("row index out of range [0, %d)" % a.value.shape[0])
 
     def rule(g):
-        buf = np.zeros_like(a.value)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        return (_scatter_add(idx, g, a.value.shape[0]),)
 
     return Tensor._op(a.value[idx], (a,), rule)
 
@@ -353,8 +359,13 @@ def segment_softmax(logits, segments, num_segments):
     x = logits.value
     if x.ndim != 1:
         raise ValueError("segment_softmax expects 1-D logits")
+    # maxima over runs of the stably sorted entries, the order maximum.at
+    # visits them in
+    scatter = _scatter_matrix(segments, num_segments)
     seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, segments, x)
+    filled = np.flatnonzero(np.diff(scatter.indptr))
+    if len(filled):
+        seg_max[filled] = np.maximum.reduceat(x[scatter.indices], scatter.indptr[filled])
     e = np.exp(x - seg_max[segments])
     denom = np.bincount(segments, weights=e, minlength=num_segments)
     p = e / denom[segments]
@@ -369,13 +380,30 @@ def segment_softmax(logits, segments, num_segments):
 def segment_sum(a, segments, num_segments):
     """Sum rows of a 2-D tensor into per-segment buckets."""
     segments = np.asarray(segments, dtype=np.int64)
-    out = np.zeros((num_segments, a.value.shape[1]))
-    np.add.at(out, segments, a.value)
 
     def rule(g):
         return (g[segments],)
 
-    return Tensor._op(out, (a,), rule)
+    return Tensor._op(_scatter_add(segments, a.value, num_segments), (a,), rule)
+
+
+def _scatter_matrix(index, n):
+    """(n, len(index)) CSR matrix with a one at (index[j], j), each row's
+    columns ascending."""
+    index = np.asarray(index, dtype=np.int64)
+    return scipy.sparse.csr_matrix(
+        (np.ones(len(index)), np.argsort(index, kind="stable"),
+         np.concatenate([[0], np.cumsum(np.bincount(index, minlength=n))])),
+        shape=(n, len(index)))
+
+
+def _scatter_add(index, rows, n):
+    """(n, d) sums of ``rows`` into the buckets ``index``, bit-equal to
+    ``np.add.at``: the sparse product adds each bucket's rows to zero in
+    index order, as ``add.at`` does, about 5x faster on 1.7k x 64 rows."""
+    if not len(index):
+        return np.zeros((n,) + rows.shape[1:])
+    return _scatter_matrix(index, n) @ rows
 
 
 def spmm(a_csr, h):

@@ -2,11 +2,14 @@
 
 Everything here is written the slow, obvious way on dense arrays, using
 only numpy/scipy, with no imports from the package's numeric code, so a
-bug in a fast path cannot hide inside its own checker. Two exceptions:
-the batch LLE oracle reuses the package's weight solve, which is itself
-checked against ``constrained_weights``; and ``replay_graph`` rebuilds a
-snapshot version's graph with the package's TSV loaders, which the graph
-tests check on their own.
+bug in a fast path cannot hide inside its own checker. Exceptions: the
+batch LLE oracle reuses the package's weight solve, which is itself checked
+against ``constrained_weights``; ``replay_graph`` rebuilds a snapshot
+version's graph with the package's TSV loaders, which the graph tests check
+on their own; and the ``*_loop`` oracles are the per-pair and per-node
+loops that batched paths replaced, kept as exact references. They read the
+graph through its per-node accessors and draw from ``dhge.seeding``'s
+``derived_rng`` / ``mix``, thin wrappers of NumPy's ``SeedSequence``.
 """
 import numpy as np
 import scipy.linalg
@@ -166,6 +169,133 @@ def dynamic_negative_sample_loop(pos_pairs, emb, emb_ids, graph, pool_size, rng,
         scores = emb[rows] @ emb[int(np.searchsorted(emb_ids, gi))]
         out[idx, 0] = gi
         out[idx, 1] = cands[int(np.argmax(scores))]   # first max = smallest id
+    return out
+
+
+def bfs_neighbors_loop(graph, center, k, rng_seed):
+    """``bfs_neighbors`` one node at a time: 1-hop row, a sorted 2-hop set
+    from the rows of its members, one ``derived_rng(TAG_BFS, rng_seed)``
+    built only when a draw follows."""
+    from dhge.graph import _in_sorted
+    from dhge.incremental import ColdIsolatedError
+    from dhge.seeding import TAG_BFS, derived_rng
+    hop1 = graph.neighbors_of(center)
+    if len(hop1) == 0:
+        raise ColdIsolatedError(graph.ref_of(center))
+    if len(hop1) >= k:
+        chosen = hop1 if len(hop1) == k else np.sort(
+            derived_rng(TAG_BFS, rng_seed).choice(hop1, size=k, replace=False))
+        return chosen, np.ones(k, dtype=np.int64)
+    hop2 = np.sort(np.concatenate([graph.neighbors_of(int(n)) for n in hop1]))
+    fresh = np.append(True, hop2[1:] != hop2[:-1]) & (hop2 != center) & ~_in_sorted(hop1, hop2)[1]
+    hop2 = hop2[fresh]
+    need = k - len(hop1)
+    rng = derived_rng(TAG_BFS, rng_seed) if len(hop2) != need else None
+    if len(hop2) > need:
+        hop2 = np.sort(rng.choice(hop2, size=need, replace=False))
+    chosen = np.concatenate([hop1, hop2])
+    hops = np.repeat([1, 2], [len(hop1), len(hop2)])
+    if len(chosen) < k:
+        pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
+        chosen = np.concatenate([chosen, chosen[pad]])
+        hops = np.concatenate([hops, hops[pad]])
+    return chosen, hops
+
+
+def neighborhoods_loop(graph, ids, k, rng_seed):
+    """``_neighborhoods`` as one ``bfs_neighbors_loop`` per node, seeded
+    ``mix(rng_seed, TAG_BFS, t, i)``."""
+    from dhge.incremental import ColdIsolatedError
+    from dhge.seeding import TAG_BFS, mix
+    connected = np.ones(len(ids), dtype=bool)
+    nbrs = np.empty((len(ids), k), dtype=np.int64)
+    for j, g in enumerate(np.asarray(ids).tolist()):
+        t, i = graph.ref_of(g)
+        try:
+            nbrs[j] = bfs_neighbors_loop(graph, g, k, mix(rng_seed, TAG_BFS, t, i))[0]
+        except ColdIsolatedError:
+            connected[j] = False
+    return connected, nbrs[connected]
+
+
+def reconstruction_weights_loop(x_center, x_neighbors, eps):
+    """One center's weights, solved alone: its Gram, the ridge system
+    G + eps*tr(G)/k I when that term is positive, a Cholesky factor and
+    solve against ones (uniform weights where the factor fails and eps > 0),
+    then normalization."""
+    from dhge.tensor import NumericError, SingularMatrixError
+    x_center = np.asarray(x_center, dtype=np.float64)
+    x_neighbors = np.asarray(x_neighbors, dtype=np.float64)
+    k = x_neighbors.shape[0]
+    if k == 1:
+        return np.ones(1)
+    diffs = x_center[None, :] - x_neighbors
+    system = diffs @ diffs.T
+    lam = eps * np.trace(system) / k
+    if lam > 0:
+        system = system + lam * np.eye(k)
+    factor, info = scipy.linalg.lapack.dpotrf(system, lower=False, clean=False)
+    if info > 0:
+        if eps > 0:
+            return np.full(k, 1.0 / k)
+        raise SingularMatrixError("singular ridge system")
+    w = scipy.linalg.lapack.dpotrs(factor, np.ones(k), lower=False)[0]
+    total = w.sum()
+    if not np.isfinite(total) or abs(total) < 1e-300:
+        raise NumericError("reconstruction weights sum to zero")
+    return w / total
+
+
+def sample_subgraph_loop(graph, seeds, degree_limit, rng_seed):
+    """``sample_subgraph`` one (seed, relation) pair at a time: each pair's
+    ascending incident edges, a sorted ``rng.choice`` of ``degree_limit`` of
+    them when more remain, in seed-major order."""
+    from dhge.graph import Subgraph
+    from dhge.seeding import TAG_SUBGRAPH, derived_rng
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    rng = derived_rng(TAG_SUBGRAPH, rng_seed)
+    kept = [[] for _ in range(graph.schema.num_relations)]
+    for g in seeds:
+        ref = graph.ref_of(int(g))
+        for r in range(graph.schema.num_relations):
+            ids = graph.incident_edges(ref, r)
+            if len(ids) > degree_limit:
+                ids = np.sort(rng.choice(ids, size=degree_limit, replace=False))
+            if len(ids):
+                kept[r].append(ids)
+    nodes = [seeds]
+    rel_pairs = []
+    for r in range(graph.schema.num_relations):
+        s_t, d_t = graph.schema.pairs[r]
+        ids = np.unique(np.concatenate(kept[r])) if kept[r] else np.empty(0, dtype=np.int64)
+        gs = graph.rel_src[r][ids] + graph.offsets[s_t]
+        gd = graph.rel_dst[r][ids] + graph.offsets[d_t]
+        rel_pairs.append((gs, gd))
+        nodes += [gs, gd]
+    nodes = np.unique(np.concatenate(nodes))
+    node_types = graph.type_of_global(nodes)
+    boundaries = np.searchsorted(node_types, np.arange(graph.num_types + 1))
+    return Subgraph(nodes=nodes, node_types=node_types,
+                    intra_ids=nodes - graph.offsets[node_types],
+                    type_slices=[(int(boundaries[t]), int(boundaries[t + 1]))
+                                 for t in range(graph.num_types)],
+                    seeds=seeds, seed_locals=np.searchsorted(nodes, seeds).astype(np.int64),
+                    rel_src=[np.searchsorted(nodes, gs).astype(np.int64) for gs, _ in rel_pairs],
+                    rel_dst=[np.searchsorted(nodes, gd).astype(np.int64) for _, gd in rel_pairs])
+
+
+def scatter_add_at(index, rows, n):
+    """(n, d) sums of ``rows`` into the buckets ``index`` by ``np.add.at``."""
+    out = np.zeros((n,) + np.shape(rows)[1:])
+    np.add.at(out, np.asarray(index, dtype=np.int64), rows)
+    return out
+
+
+def segment_max_at(values, segments, n):
+    """Per-segment maxima of 1-D ``values`` by ``np.maximum.at``; -inf where
+    a segment is empty."""
+    out = np.full(n, -np.inf)
+    np.maximum.at(out, np.asarray(segments, dtype=np.int64), values)
     return out
 
 

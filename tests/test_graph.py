@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+import dhge.graph
+import dhge.seeding
 from dhge.graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                         HeteroGraph, IncrementBatch, load_graph, load_schema,
                         save_graph, read_increment, apply_increment,
                         graphs_equal, minibatch_partition, sample_subgraph)
 from conftest import build_graph, tiny_bipartite
-from oracles import adjacency_by_unique, incidence_by_argsort
+from oracles import adjacency_by_unique, incidence_by_argsort, sample_subgraph_loop
+from update_scaling import scaling_graph
 
 
 class TestContainer:
@@ -124,6 +127,65 @@ class TestPartitionAndSampling:
             sub.local_index(np.array([missing[0]]))
 
 
+class TestSubgraphMatchesLoop:
+    """``sample_subgraph`` against the per-(seed, relation) loop, exactly:
+    the subgraph and the state its generator is left in."""
+
+    @staticmethod
+    def _mixed_graph():
+        # relation 0 joins type 0 to itself, so a node's incident edges merge
+        # both roles; relation 1 reaches type 1; type 2 has no edges at all
+        rng = np.random.default_rng(3)
+        src, dst = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
+        pairs = np.unique(np.stack([src, dst], axis=1)[src != dst], axis=0)
+        return HeteroGraph(
+            RelationSchema([(0, 0), (0, 1)]),
+            [rng.normal(size=(c, 3)) for c in (50, 10, 4)],
+            [np.ones((c, 3), dtype=bool) for c in (50, 10, 4)],
+            [(pairs[:, 0], pairs[:, 1], np.zeros(len(pairs))),
+             (np.arange(10), np.arange(10), np.zeros(10))])
+
+    @staticmethod
+    def _run(sampler, module, monkeypatch, *args):
+        made = []
+        derived_rng = dhge.seeding.derived_rng
+
+        def recording(*keys):
+            made.append(derived_rng(*keys))
+            return made[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "derived_rng", recording)
+            sub = sampler(*args)
+        return sub, made[0].bit_generator.state
+
+    def _check(self, graph, seeds, limit, rng_seed, monkeypatch):
+        got, got_state = self._run(sample_subgraph, dhge.graph, monkeypatch,
+                                   graph, seeds, limit, rng_seed)
+        want, want_state = self._run(sample_subgraph_loop, dhge.seeding, monkeypatch,
+                                     graph, seeds, limit, rng_seed)
+        assert got_state == want_state
+        assert got.type_slices == want.type_slices
+        for name in ("nodes", "node_types", "intra_ids", "seeds", "seed_locals",
+                     "rel_src", "rel_dst"):
+            a, b = getattr(got, name), getattr(want, name)
+            for x, y in zip(*((a, b) if isinstance(a, list) else ([a], [b]))):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_bipartite(self, monkeypatch):
+        g = scaling_graph(1000, seed=2)
+        for limit in (1, 2, 3, 10):
+            for seeds in (np.arange(0, 1000, 3), np.arange(256), np.array([5, 900, 5])):
+                self._check(g, seeds, limit, limit, monkeypatch)
+
+    def test_same_type_relation_and_seeds_without_edges(self, monkeypatch):
+        g = self._mixed_graph()
+        for limit in (1, 3, 8, 100):
+            # 60-63 are type 2 and 50-59 type 1: seeds with few or no edges
+            for seeds in (np.arange(64), np.array([60, 61, 63]), np.array([3, 55, 62])):
+                self._check(g, seeds, limit, 7, monkeypatch)
+
+
 def _appended_edges(g, g2):
     """The edges ``g2`` appends to each relation of ``g``, as increment tuples."""
     out = set()
@@ -163,6 +225,14 @@ class TestIncrement:
         assert _appended_edges(g, g2) == set()
         assert g2.num_edges == g.num_edges
         assert any("duplicate" in str(w.message) for w in rec)
+        # within a batch the first copy of an edge is kept, with its time
+        fresh = [(NodeRef(0, 2), NodeRef(1, 0), 0, 5.0), (NodeRef(1, 3), NodeRef(0, 2), 1, 6.0),
+                 (NodeRef(0, 2), NodeRef(1, 0), 0, 7.0), dup]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g3, stats = apply_increment(g, IncrementBatch(new_edges=fresh, batch_time=7.0))
+        assert stats["n_new_edges"] == 2 and stats["n_duplicate_edges_dropped"] == 2
+        assert _appended_edges(g, g3) == set(fresh[:2])
 
     def test_apply_increment_rejects_id_gap(self, bipartite_graph):
         batch = IncrementBatch(

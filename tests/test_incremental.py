@@ -11,12 +11,14 @@ from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors
                               embed_increment, capture_alignment,
                               AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
-                              _reconstruction_operator)
-from dhge.tensor import NumericError
+                              _neighborhoods, _reconstruction_operator, _weight_rows)
+from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import (constrained_weights, coupled_rows_solve, full_lle_oracle,
-                     knn_brute, knn_indices, lle_loss, lle_weight_matrix,
-                     reconstruction_operator_loop, refine_per_trial)
+from oracles import (bfs_neighbors_loop, constrained_weights, coupled_rows_solve,
+                     full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
+                     neighborhoods_loop, reconstruction_operator_loop,
+                     reconstruction_weights_loop, refine_per_trial)
+from update_scaling import scaling_graph
 
 
 class TestReconstructionWeights:
@@ -107,6 +109,75 @@ class TestBfsNeighbors:
         a = bfs_neighbors(g, center, 3, rng_seed=7)
         b = bfs_neighbors(g, center, 3, rng_seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestBatchedMatchesLoops:
+    """The array-pass neighborhoods and stacked weight solves against the
+    per-node loops they replace, at exact equality."""
+
+    @staticmethod
+    def _padding_graph():
+        # a star, a path and two isolated nodes: rows short of k after both
+        # hops pad, rows with exactly k fill, isolated rows are cold
+        star = [(0, i) for i in range(1, 12)]
+        path = [(12, 13), (13, 14), (14, 15)]
+        return build_graph([(0, 0)], [18], [star + path])
+
+    def test_neighborhoods(self, monkeypatch):
+        # rng_seed >= 2**32 takes SeedSequence's five-word path in mix
+        cases = [(scaling_graph(2000, seed=3), k) for k in (3, 8)]
+        cases += [(scaling_graph(1000, seed=4), 20)]
+        cases += [(self._padding_graph(), k) for k in (2, 4, 12)]
+        for g, k in cases:
+            ids = np.arange(g.num_nodes)
+            for rng_seed in (0, 2 ** 32 + 5, 2 ** 64 - 1, -7):
+                with monkeypatch.context() as m:
+                    if rng_seed == -7:   # many 2-hop passes, one a single row
+                        m.setattr(incremental, "_HOP2_CHUNK", 40)
+                    got = _neighborhoods(g, ids, k, rng_seed)
+                want = neighborhoods_loop(g, ids, k, rng_seed)
+                assert np.array_equal(got[0], want[0]), (k, rng_seed)
+                assert np.array_equal(got[1], want[1]), (k, rng_seed)
+        # a subset in any order, as ille_update passes its update set
+        g = self._padding_graph()
+        sub = np.array([15, 3, 0, 16, 12])
+        assert all(np.array_equal(a, b) for a, b in zip(
+            _neighborhoods(g, sub, 4, 9), neighborhoods_loop(g, sub, 4, 9)))
+
+    def test_bfs_neighbors(self):
+        g = self._padding_graph()
+        for center in (0, 1, 12, 13, 15):
+            for k in (1, 2, 3, 5, 11, 12, 16):
+                for rng_seed in (3, 2 ** 63 + 1, -2):
+                    got = bfs_neighbors(g, center, k, rng_seed)
+                    want = bfs_neighbors_loop(g, center, k, rng_seed)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    assert got[1].dtype == want[1].dtype == np.int64
+        with pytest.raises(ColdIsolatedError):
+            bfs_neighbors(g, 17, 2, 0)
+        with pytest.raises(DataError, match="out of range"):
+            bfs_neighbors(g, 18, 2, 0)
+        with pytest.raises(ValueError):
+            bfs_neighbors(g, 0, 0, 0)
+
+    def test_weight_rows(self, rng):
+        vecs = rng.normal(size=(300, 16)) * rng.choice([1e-4, 1.0, 1e4], size=(300, 1))
+        vecs[7] = vecs[8] = vecs[9]
+        for k in (1, 2, 8, 16):
+            nbrs = rng.integers(0, 300, size=(300, k))
+            centers = rng.permutation(300)
+            nbrs[5], centers[5] = 7, 8          # every neighbor on the center
+            for eps in (1e-3, 1e-8):
+                got = _weight_rows(vecs, centers, nbrs, eps)
+                for j in range(300):
+                    want = reconstruction_weights_loop(vecs[centers[j]], vecs[nbrs[j]], eps)
+                    assert got[j].tobytes() == want.tobytes(), (k, eps, j)
+        nbrs = rng.integers(0, 300, size=(300, 8))
+        nbrs[250], centers[250] = 7, 8
+        with pytest.raises(SingularMatrixError):
+            _weight_rows(vecs, centers, nbrs, 0.0)
+        with pytest.raises(SingularMatrixError):
+            reconstruction_weights_loop(vecs[8], vecs[nbrs[250]], 0.0)
 
 
 class TestEmbedIncrement:

@@ -15,7 +15,7 @@ from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            graph_for_manifest, read_test_interactions,
                            cmd_train, cmd_update, cmd_evaluate, cmd_retrieve,
                            cmd_simulate_stream)
-from dhge.snapshot import SnapshotFormatError, load_graph_arrays, load_table
+from dhge.snapshot import SnapshotFormatError, load_alignment, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
 from oracles import replay_graph
 
@@ -296,21 +296,40 @@ class TestStoredGraph:
 
     def test_command_records_carry_stage_ms(self, stream_data, tmp_path):
         data_dir, stats = stream_data
+        # one item without edges, which the refresh leaves without a row
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        with open(data_dir / "features.tsv", "a") as f:
+            f.write("1\t12\t" + ",".join(["0.5"] * 6) + "\n")
         cfg = make_config(str(data_dir), tmp_path / "snaps")
         cfg.train["epochs"] = 1
         records = []
         cmd_train(cfg, log=records.append)
         cmd_update(cfg, *stats["batch_files"][0], log=records.append)
         cmd_evaluate(cfg, os.path.join(str(data_dir), "test.tsv"), log=records.append)
+        hits = cmd_retrieve(cfg, 0, k=3, log=records.append)
+        assert isinstance(hits, list) and len(hits) == 3
         stage_keys = {r["event"]: set(r["stage_ms"]) for r in records
-                      if r["event"] in ("snapshot", "update", "evaluate")}
+                      if r["event"] in ("snapshot", "update", "evaluate", "retrieve")}
         assert stage_keys == {
             "snapshot": {"load_graph", "load_model", "train", "embed",
                          "capture_alignment", "snapshot"},
             "update": {"load_graph", "load_state", "read_increment", "apply", "sample",
                        "weights", "embed", "blend", "refine", "write-back", "snapshot"},
             "evaluate": {"load_graph", "load_table", "read_tests", "evaluate"},
+            "retrieve": {"load_graph", "load_table", "rank"},
         }
+        retrieve = records[-1]
+        assert set(retrieve) == {"event", "version", "stage_ms"} and retrieve["version"] == 2
+        # the refresh's health counters: rows captured, and the nodes without
+        # neighbors that got none
+        snap = next(r for r in records if r["event"] == "snapshot")
+        sd = cfg.paths["snapshot_dir"]
+        man = load_manifest(sd, 1)
+        refs = load_alignment(os.path.join(sd, man.alignment_path)).refs
+        graph = graph_for_manifest(cfg, man)
+        degree = np.diff(graph._adj_indptr)
+        assert snap["alignment_rows"] == len(refs) == graph.num_nodes - 1
+        assert snap["cold_isolated"] == int((degree == 0).sum()) == 1
 
 
 class TestSnapshotLock:

@@ -12,7 +12,7 @@ import scipy.special
 import dhge.tensor as T
 from dhge.tensor import (Tensor, Param, backward, NumericError,
                          SingularMatrixError, solve_ridge, set_debug_checks)
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, rel_err, scatter_add_at, segment_max_at
 
 H = 1e-5
 TOL = 1e-4  # relative error allowed vs finite differences
@@ -161,6 +161,37 @@ class TestNormalizationGrads:
         w = rng.normal(size=(3, 2))
         check_grad(lambda x: (T.segment_sum(x, seg, 3) * Tensor(w)).sum(),
                    rng.normal(size=(4, 2)))
+
+
+class TestScattersMatchUfuncAt:
+    """The CSR scatters against ``np.add.at`` / ``np.maximum.at``, exactly."""
+
+    CASES = [
+        (np.array([2, 0, 2, 1, 2, 2, 0]), 5),        # repeats; buckets 3, 4 empty
+        (np.array([4, 4, 4]), 6),                     # one bucket
+        (np.arange(6)[::-1], 6),                      # a permutation
+        (np.empty(0, dtype=np.int64), 3),             # zero-length input
+    ]
+
+    def test_segment_sum_and_gather_backward(self, rng):
+        for idx, n in self.CASES:
+            rows = rng.normal(size=(len(idx), 4)) * rng.choice([1e-9, 1.0, 1e9], size=(len(idx), 1))
+            rows[::3, 1] = -0.0
+            want = scatter_add_at(idx, rows, n)
+            got = T.segment_sum(Tensor(rows), idx, n).value
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            p = Param(rng.normal(size=(n, 4)), name="p")
+            backward((T.gather_rows(p, idx) * Tensor(rows)).sum())
+            assert p.grad.tobytes() == scatter_add_at(idx, rows, n).tobytes()
+
+    def test_segment_softmax_max(self, rng):
+        for idx, n in self.CASES:
+            x = rng.normal(size=len(idx)) * 30.0
+            seg_max = segment_max_at(x, idx, n)
+            e = np.exp(x - seg_max[idx])
+            want = e / np.bincount(idx, weights=e, minlength=n)[idx]
+            got = T.segment_softmax(Tensor(x), idx, n).value
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBackwardMechanics:

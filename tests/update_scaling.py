@@ -9,7 +9,11 @@ Run as a script, it prints one JSON line:
   doubling ratios;
 * with ``rebuild``, per round, criterion 05's incremental embedding and
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
-  ratio.
+  ratio;
+* with ``refresh``, ``{"sizes", "embed_all", "capture_alignment"}``: the
+  seconds of one full-coverage ``embed_all`` and one ``capture_alignment``
+  (hidden 32, k=8) on 4k, 16k and 64k-node bases, the two halves of the
+  refresh that ends every retrain. No test reads it.
 
 A round times its workloads back to back, so a slow stretch of a shared
 host hits all of its times alike. Each timed run follows an untimed one of
@@ -74,6 +78,26 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
                                          alignment=alignment, rng_seed=1))
     times, stages = _rounds(updates, rounds)
     return {"sizes": list(sizes), "times": times, "stage_ms": stages}
+
+
+def refresh_times(sizes=(4000, 16000, 64000)):
+    cfg = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
+    out = {"sizes": list(sizes), "embed_all": [], "capture_alignment": []}
+    gc.collect()
+    gc.disable()
+    try:
+        for n in sizes:
+            g = scaling_graph(n, seed=1)
+            params = ModelParams(cfg, num_types=2, num_relations=2, id_capacity=max(g.counts))
+            t0 = time.perf_counter()
+            table = embed_all(g, params, cfg)
+            t1 = time.perf_counter()
+            capture_alignment(g, table, k=8, eps=1e-3, rng_seed=0)
+            out["embed_all"].append(t1 - t0)
+            out["capture_alignment"].append(time.perf_counter() - t1)
+    finally:
+        gc.enable()
+    return out
 
 
 def _update_stages(*args, **kwargs):
@@ -142,4 +166,5 @@ if __name__ == "__main__":
     # one CPU, as bench/run.py runs: the scheduler cannot move the run
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    print(json.dumps(rebuild_times() if sys.argv[1:] == ["rebuild"] else round_times()))
+    modes = {"rebuild": rebuild_times, "refresh": refresh_times}
+    print(json.dumps(modes[sys.argv[1]]() if sys.argv[1:] else round_times()))
