@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DataError, NodeRef
-from .seeding import derived_rng, TAG_EVALNEG
+from .seeding import _MASK, pcg64_state, seed_states, TAG_EVALNEG
 from .tensor import NumericError
 
 
@@ -67,7 +67,13 @@ def cosine_topk(query, items, k):
     qn = np.linalg.norm(query)
     if qn == 0.0:
         raise NumericError("unrankable query: zero-norm query vector")
-    norms = np.linalg.norm(items, axis=1)
+    return _ranked(query, qn, items, np.linalg.norm(items, axis=1), k)
+
+
+def _ranked(query, qn, items, norms, k):
+    """``cosine_topk`` given the query's norm and the item rows' norms; a
+    row's norm does not depend on the other rows, so callers may take them
+    once for a whole table."""
     scores = np.full(len(items), -np.inf)
     ok = norms > 0.0
     scores[ok] = (items[ok] @ query) / (norms[ok] * qn)
@@ -137,127 +143,183 @@ def evaluate(user_vectors, user_keys, item_vectors, item_keys,
     (``negatives_per_user=None``) ranks every item outside the user's known
     interactions against the whole held-out set. Users whose vector has zero
     norm are unrankable and count as misses.
+
+    Keys are mapped to table rows once; the ranking itself runs on rows.
     """
     t0 = time.perf_counter()
-    user_vectors = np.asarray(user_vectors, dtype=np.float64)
-    item_vectors = np.asarray(item_vectors, dtype=np.float64)
+    user_keys, item_keys = list(user_keys), list(item_keys)
     user_row = {k: i for i, k in enumerate(user_keys)}
     item_row = {k: i for i, k in enumerate(item_keys)}
     if len(user_row) != len(user_vectors) or len(item_row) != len(item_vectors):
         raise DataError("duplicate or missing keys for evaluation tables")
-
-    known_by_user = {}
-    for u, i in known_interactions:
-        known_by_user.setdefault(u, set()).add(i)
-    tests_by_user = {}
+    known = np.array([(user_row[u], item_row[i]) for u, i in known_interactions
+                      if u in user_row and i in item_row], dtype=np.int64).reshape(-1, 2)
+    order = np.argsort(known[:, 0], kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(known[:, 0],
+                                                        minlength=len(user_keys)))))
+    tests = []
     for u, i, ts in test_interactions:
         if u not in user_row:
             continue  # user unknown to this table version
         if i not in item_row:
             raise DataError("test interaction references unknown item %r" % (i,))
-        tests_by_user.setdefault(u, []).append((float(ts), i))
-    if not tests_by_user:
-        raise DataError("no evaluable test interactions")
+        tests.append((user_row[u], item_row[i], float(ts)))
+    t_user = np.array([u for u, _, _ in tests], dtype=np.int64)
+    t_item = np.array([i for _, i, _ in tests], dtype=np.int64)
+    # users in order of their keys, and equal-time events in order of theirs
+    users = sorted(dict.fromkeys(t_user.tolist()), key=lambda r: _key_ints(user_keys[r]))
+    tie = {r: j for j, r in enumerate(sorted(set(t_item.tolist()),
+                                             key=lambda r: _key_ints(item_keys[r])))}
+    report = _evaluate_rows(
+        user_vectors, item_vectors, (indptr, known[order, 1]),
+        np.array(users, dtype=np.int64),
+        _user_states([_key_ints(user_keys[r]) for r in users], protocol.rng_seed),
+        (t_user, t_item, np.array([ts for _, _, ts in tests]),
+         np.array([tie[i] for i in t_item.tolist()], dtype=np.int64)),
+        protocol)
+    report.wall_ms = (time.perf_counter() - t0) * 1000.0
+    return report
 
+
+def _user_states(keys, rng_seed):
+    """``seed_states`` of (TAG_EVALNEG, rng_seed, *key) per key-int list,
+    one call per key length."""
+    states = np.empty((4, len(keys)), dtype=np.uint64)
+    width = np.array([len(k) for k in keys], dtype=np.int64)
+    for n in np.unique(width).tolist():
+        at = np.flatnonzero(width == n)
+        cols = np.array([[x & _MASK for x in keys[j]] for j in at.tolist()],
+                        dtype=np.int64).reshape(len(at), n)
+        states[:, at] = seed_states(TAG_EVALNEG, rng_seed, *cols.T)
+    return states
+
+
+def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, protocol):
+    """The array core of ``evaluate`` and ``evaluate_table``.
+
+    ``known`` is a CSR pair (indptr over user rows, item rows); ``users``
+    holds each test user's row once, in the order users are ranked, and
+    ``states`` each one's ``seed_states`` column; ``tests`` is the (user
+    row, item row, ts, tie) columns of the test events, where ``tie`` orders
+    equal-time events as their item keys do.
+
+    Per user this pays one candidate mask, one ``choice`` on a shared
+    generator set to the state the user's own ``derived_rng`` starts from,
+    and one pool scoring, as ``cosine_topk`` scores it.
+    """
+    t_user, t_item, t_ts, t_tie = tests
+    if not len(t_user):
+        raise DataError("no evaluable test interactions")
+    user_vectors = np.asarray(user_vectors, dtype=np.float64)
+    item_vectors = np.asarray(item_vectors, dtype=np.float64)
+    indptr, known_items = known
+    slot = np.empty(len(user_vectors), dtype=np.int64)
+    slot[users] = np.arange(len(users))
+    order = np.lexsort((t_tie, t_ts, slot[t_user]))
+    t_item = t_item[order]
+    bounds = np.searchsorted(slot[t_user][order], np.arange(len(users) + 1))
+
+    n_neg = protocol.negatives_per_user
     max_k = max(protocol.k_values)
+    norms = np.linalg.norm(item_vectors, axis=1)
+    mask = np.empty(len(item_vectors), dtype=bool)
+    rng = np.random.Generator(np.random.PCG64())
     rankings = []
     truths = []
     n_skipped = 0
     n_unrankable = 0
-    all_items = list(item_keys)
-    for u in sorted(tests_by_user, key=_key_ints):
-        events = sorted(tests_by_user[u], key=lambda e: (e[0], _key_ints(e[1])))
-        known = known_by_user.get(u, set())
-        test_items = {i for _, i in events}
-        if protocol.negatives_per_user is None:
-            pool = [i for i in all_items if i not in known]
-            truth = test_items
+    for j, u in enumerate(users.tolist()):
+        events = t_item[bounds[j]:bounds[j + 1]]
+        mask.fill(True)
+        mask[known_items[indptr[u]:indptr[u + 1]]] = False
+        if n_neg is None:
+            pool = np.flatnonzero(mask)
+            truth = set(events.tolist())
         else:
-            positive = events[0][1]
-            candidates = [i for i in all_items
-                          if i not in known and i not in test_items]
-            if len(candidates) < protocol.negatives_per_user:
+            mask[events] = False
+            candidates = np.flatnonzero(mask)
+            if len(candidates) < n_neg:
                 n_skipped += 1
                 continue
-            rng = derived_rng(TAG_EVALNEG, protocol.rng_seed, *_key_ints(u))
-            pick = rng.choice(len(candidates), size=protocol.negatives_per_user, replace=False)
-            pool = [positive] + [candidates[j] for j in sorted(pick)]
-            truth = {positive}
-        vec = user_vectors[user_row[u]]
-        if np.linalg.norm(vec) == 0.0:
+            truth = {int(events[0])}
+        vec = user_vectors[u]
+        qn = np.linalg.norm(vec)
+        if qn == 0.0:
             rankings.append([])
             truths.append(truth)
             n_unrankable += 1
             continue
-        rows = np.asarray([item_row[i] for i in pool], dtype=np.int64)
-        idx, _ = cosine_topk(vec, item_vectors[rows], min(max_k, len(rows)))
-        rankings.append([pool[j] for j in idx])
+        if n_neg is not None:
+            rng.bit_generator.state = pcg64_state(states[:, j].tolist())
+            pick = rng.choice(len(candidates), size=n_neg, replace=False)
+            pool = np.concatenate((events[:1], candidates[np.sort(pick)]))
+        idx, _ = _ranked(vec, qn, item_vectors[pool], norms[pool], max_k)
+        rankings.append(pool[idx].tolist())
         truths.append(truth)
 
-    hitrate = {k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values}
-    recall = {k: recall_at_k(rankings, truths, k) for k in protocol.k_values}
-    ndcg = {k: ndcg_at_k(rankings, truths, k) for k in protocol.k_values}
-    return EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg,
+    return EvalReport(hitrate={k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values},
+                      recall={k: recall_at_k(rankings, truths, k) for k in protocol.k_values},
+                      ndcg={k: ndcg_at_k(rankings, truths, k) for k in protocol.k_values},
                       n_users=len(rankings), n_skipped=n_skipped,
-                      n_unrankable=n_unrankable,
-                      wall_ms=(time.perf_counter() - t0) * 1000.0)
+                      n_unrankable=n_unrankable, wall_ms=0.0)
 
 
 def evaluate_table(graph, table, test_interactions, protocol, user_type, item_type,
                    missing_users="drop"):
-    """Adapter from a graph + embedding table to the array-level evaluate.
+    """``evaluate`` over a graph + embedding table, on rows instead of keys.
 
-    Test interactions are (user NodeRef, item NodeRef, ts); known
-    interactions come from the graph's adjacency. Test users beyond the
-    table's rows (events newer than the snapshot) are dropped by default;
+    Test interactions are (user NodeRef, item NodeRef, ts); a user's known
+    items are its adjacency row, which for all users is one contiguous run
+    of the graph's CSR arrays. Test users beyond the table's rows (events
+    newer than the snapshot) are dropped by default;
     ``missing_users="miss"`` scores them as guaranteed misses instead, which
     is how a stale snapshot behaves in serving.
     """
-    user_keys = [NodeRef(user_type, i) for i in range(len(table.blocks[user_type]))]
-    item_keys = [NodeRef(item_type, i) for i in range(len(table.blocks[item_type]))]
-    # the users' adjacency rows are one contiguous run of the CSR arrays
-    n_users = min(graph.counts[user_type], len(user_keys))
-    first = graph.offsets[user_type]
-    indptr = graph._adj_indptr[first:first + n_users + 1]
-    nbrs = graph._adj_indices[indptr[0]:indptr[-1]]
-    users = np.repeat(np.arange(n_users), np.diff(indptr))
-    items = nbrs - graph.offsets[item_type]
-    hit = (graph.type_of_global(nbrs) == item_type) & (items < len(item_keys))
-    known = [(user_keys[u], item_keys[i])
-             for u, i in zip(users[hit].tolist(), items[hit].tolist())]
-    tests = []
-    n_missing = 0
-    for u, i, ts in test_interactions:
-        if u[0] != user_type or i[0] != item_type:
-            continue
-        if u[1] < len(user_keys) and i[1] < len(item_keys):
-            tests.append((NodeRef(*u), NodeRef(*i), ts))
-        else:
-            n_missing += 1
-    if not tests and missing_users == "miss" and n_missing:
+    t0 = time.perf_counter()
+    n_users, n_items = len(table.blocks[user_type]), len(table.blocks[item_type])
+    refs = np.array([(u[0], u[1], i[0], i[1]) for u, i, _ in test_interactions],
+                    dtype=np.int64).reshape(-1, 4)
+    typed = (refs[:, 0] == user_type) & (refs[:, 2] == item_type)
+    fits = typed & (refs[:, 1] < n_users) & (refs[:, 3] < n_items)
+    missing = typed & ~fits
+    served = fits & (refs[:, 1] >= 0)
+    bad = np.flatnonzero(served & (refs[:, 3] < 0))
+    if len(bad):
+        raise DataError("test interaction references unknown item %r"
+                        % (NodeRef(item_type, int(refs[bad[0], 3])),))
+    if not fits.any() and missing_users == "miss" and missing.any():
         zeros = {k: 0.0 for k in protocol.k_values}
         report = EvalReport(hitrate=dict(zeros), recall=dict(zeros), ndcg=dict(zeros),
                             n_users=0, n_skipped=0, n_unrankable=0, wall_ms=0.0)
     else:
-        report = evaluate(table.blocks[user_type], user_keys,
-                          table.blocks[item_type], item_keys,
-                          tests, protocol, known)
-    if missing_users == "miss" and n_missing:
+        n_graph = min(graph.counts[user_type], n_users)
+        first = graph.offsets[user_type]
+        indptr = graph._adj_indptr[first:first + n_graph + 1]
+        items = graph._adj_indices[indptr[0]:indptr[-1]] - graph.offsets[item_type]
+        hit = (items >= 0) & (items < min(graph.counts[item_type], n_items))
+        # dropping other types' neighbors keeps each user's items one run
+        indptr = np.concatenate(([0], np.cumsum(hit)))[indptr - indptr[0]]
+        indptr = np.concatenate((indptr, np.full(n_users - n_graph, indptr[-1])))
+        rows = refs[served]
+        ts = np.array([float(t) for _, _, t in test_interactions])[served]
+        users = np.unique(rows[:, 1])   # user keys (user_type, row) sort by row
+        report = _evaluate_rows(table.blocks[user_type], table.blocks[item_type],
+                                (indptr, items[hit]), users,
+                                seed_states(TAG_EVALNEG, protocol.rng_seed, user_type, users),
+                                (rows[:, 1], rows[:, 3], ts, rows[:, 3]), protocol)
+    if missing_users == "miss" and missing.any():
         # stale-snapshot semantics: users whose events cannot be served by
         # this table version are unrankable, diluting every metric to zero
-        served = {u for u, i, ts in tests}
-        missed = {NodeRef(*u) for u, i, ts in test_interactions
-                  if u[0] == user_type and i[0] == item_type
-                  and (u[1] >= len(user_keys) or i[1] >= len(item_keys))
-                  and NodeRef(*u) not in served}
-        total = report.n_users + len(missed)
+        n_missed = np.setdiff1d(refs[missing, 1], refs[fits, 1]).size
+        total = report.n_users + n_missed
         scale = report.n_users / total if total else 0.0
         report.hitrate = {k: v * scale for k, v in report.hitrate.items()}
         report.recall = {k: v * scale for k, v in report.recall.items()}
         report.ndcg = {k: v * scale for k, v in report.ndcg.items()}
         report.n_users = total
-        report.n_unrankable += len(missed)
+        report.n_unrankable += n_missed
     report.table_version = table.version
+    report.wall_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
 

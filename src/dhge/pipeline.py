@@ -470,10 +470,12 @@ def cmd_simulate_stream(cfg, batches, test_path, compare_frozen=False,
     """Replay increment batches: update, then evaluate after each batch.
 
     batches: ordered (edges_path, features_path_or_None) pairs. When
-    compare_frozen is set, each evaluation is also run against the
-    pre-stream snapshot so staleness is measurable. Uses missing_users=
-    "miss" by default: users absent from a table count as misses, which
-    keeps the frozen and updated scores on the same denominator.
+    compare_frozen is set, each row also carries the pre-stream snapshot's
+    evaluation so staleness is measurable; that snapshot and the tests do
+    not change during the stream, so it is evaluated once. Uses
+    missing_users="miss" by default: users absent from a table count as
+    misses, which keeps the frozen and updated scores on the same
+    denominator.
     """
     cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
@@ -491,11 +493,11 @@ def _stream_locked(cfg, sd, batches, test_path, compare_frozen, missing_users, l
     def evaluate(graph, table):
         return evaluate_table(graph, table, tests, cfg.protocol(),
                               user_type=user_type, item_type=item_type,
-                              missing_users=missing_users).to_json_dict()
+                              missing_users=missing_users)
 
     if compare_frozen:
-        frozen_graph = graph_for_manifest(cfg, frozen)
-        frozen_table = load_table(os.path.join(sd, frozen.table_path))
+        frozen_eval = evaluate(graph_for_manifest(cfg, frozen),
+                               load_table(os.path.join(sd, frozen.table_path)))
     refresh_every = cfg.pipeline["static_refresh_every"]
     rows = []
     for j, (edges_path, features_path) in enumerate(batches):
@@ -509,9 +511,9 @@ def _stream_locked(cfg, sd, batches, test_path, compare_frozen, missing_users, l
                "update": {key: report[key] for key in
                           ("n_new_nodes", "n_new_edges", "n_updated",
                            "n_cold_isolated", "reconstruction_loss", "wall_ms")},
-               "eval": evaluate(graph, table)}
+               "eval": evaluate(graph, table).to_json_dict()}
         if compare_frozen:
-            row["frozen_eval"] = evaluate(frozen_graph, frozen_table)
+            row["frozen_eval"] = frozen_eval.to_json_dict()
         log(row)
         rows.append(row)
     return rows

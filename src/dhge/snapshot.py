@@ -247,7 +247,9 @@ def load_alignment(path):
     if np.any(arrays["counts"] != k):
         raise SnapshotFormatError("%s: every row must hold k=%d neighbors" % (path, k))
     refs = np.stack([arrays["row_types"], arrays["row_intras"]], axis=1).astype(np.int64)
-    if not np.array_equal(np.unique(refs, axis=0), refs):
+    # sorted and unique: each row strictly after the one before it
+    t, i = refs[:, 0], refs[:, 1]
+    if not np.all((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (i[1:] > i[:-1]))):
         raise SnapshotFormatError("%s: alignment rows are not sorted and unique" % path)
     nbrs = np.stack([arrays["nbr_types"], arrays["nbr_intras"]], axis=1).astype(np.int64)
     return AlignmentState(k=k, lam=lam.astype(np.float64), refs=refs,

@@ -550,3 +550,148 @@ def ndcg_ref(ranking, truth, k):
     if ideal == 0.0:
         return 0.0
     return dcg_ref(ranking, truth, k) / ideal
+
+
+def _cosine_topk_ref(query, items, k):
+    """``dhge.evaluation.cosine_topk`` as it was before the array core."""
+    from dhge.tensor import NumericError
+    query = np.asarray(query, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    qn = np.linalg.norm(query)
+    if qn == 0.0:
+        raise NumericError("unrankable query: zero-norm query vector")
+    norms = np.linalg.norm(items, axis=1)
+    scores = np.full(len(items), -np.inf)
+    ok = norms > 0.0
+    scores[ok] = (items[ok] @ query) / (norms[ok] * qn)
+    order = np.lexsort((np.arange(len(items)), -scores))
+    k = min(k, len(items))
+    return order[:k], scores[order[:k]]
+
+
+def _key_ints_ref(key):
+    from dhge.graph import NodeRef
+    if isinstance(key, (tuple, NodeRef)):
+        return [int(x) for x in key]
+    return [int(key)]
+
+
+def evaluate_loop(user_vectors, user_keys, item_vectors, item_keys,
+                  test_interactions, protocol, known_interactions=()):
+    """The per-user ``evaluate``: key sets, a Python candidate list and a
+    fresh ``derived_rng`` per user, one cosine ranking per pool."""
+    import time
+    from dhge.evaluation import EvalReport, hitrate_at_k, ndcg_at_k, recall_at_k
+    from dhge.graph import DataError
+    from dhge.seeding import TAG_EVALNEG, derived_rng
+    t0 = time.perf_counter()
+    user_vectors = np.asarray(user_vectors, dtype=np.float64)
+    item_vectors = np.asarray(item_vectors, dtype=np.float64)
+    user_row = {k: i for i, k in enumerate(user_keys)}
+    item_row = {k: i for i, k in enumerate(item_keys)}
+    if len(user_row) != len(user_vectors) or len(item_row) != len(item_vectors):
+        raise DataError("duplicate or missing keys for evaluation tables")
+
+    known_by_user = {}
+    for u, i in known_interactions:
+        known_by_user.setdefault(u, set()).add(i)
+    tests_by_user = {}
+    for u, i, ts in test_interactions:
+        if u not in user_row:
+            continue
+        if i not in item_row:
+            raise DataError("test interaction references unknown item %r" % (i,))
+        tests_by_user.setdefault(u, []).append((float(ts), i))
+    if not tests_by_user:
+        raise DataError("no evaluable test interactions")
+
+    max_k = max(protocol.k_values)
+    rankings = []
+    truths = []
+    n_skipped = 0
+    n_unrankable = 0
+    all_items = list(item_keys)
+    for u in sorted(tests_by_user, key=_key_ints_ref):
+        events = sorted(tests_by_user[u], key=lambda e: (e[0], _key_ints_ref(e[1])))
+        known = known_by_user.get(u, set())
+        test_items = {i for _, i in events}
+        if protocol.negatives_per_user is None:
+            pool = [i for i in all_items if i not in known]
+            truth = test_items
+        else:
+            positive = events[0][1]
+            candidates = [i for i in all_items
+                          if i not in known and i not in test_items]
+            if len(candidates) < protocol.negatives_per_user:
+                n_skipped += 1
+                continue
+            rng = derived_rng(TAG_EVALNEG, protocol.rng_seed, *_key_ints_ref(u))
+            pick = rng.choice(len(candidates), size=protocol.negatives_per_user, replace=False)
+            pool = [positive] + [candidates[j] for j in sorted(pick)]
+            truth = {positive}
+        vec = user_vectors[user_row[u]]
+        if np.linalg.norm(vec) == 0.0:
+            rankings.append([])
+            truths.append(truth)
+            n_unrankable += 1
+            continue
+        rows = np.asarray([item_row[i] for i in pool], dtype=np.int64)
+        idx, _ = _cosine_topk_ref(vec, item_vectors[rows], min(max_k, len(rows)))
+        rankings.append([pool[j] for j in idx])
+        truths.append(truth)
+
+    hitrate = {k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values}
+    recall = {k: recall_at_k(rankings, truths, k) for k in protocol.k_values}
+    ndcg = {k: ndcg_at_k(rankings, truths, k) for k in protocol.k_values}
+    return EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg,
+                      n_users=len(rankings), n_skipped=n_skipped,
+                      n_unrankable=n_unrankable,
+                      wall_ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def evaluate_table_loop(graph, table, test_interactions, protocol, user_type, item_type,
+                        missing_users="drop"):
+    """The ``evaluate_table`` adapter over ``evaluate_loop``: NodeRef keys for
+    every table row, known pairs from each user's ``neighbors_of``."""
+    from dhge.evaluation import EvalReport
+    from dhge.graph import NodeRef
+    user_keys = [NodeRef(user_type, i) for i in range(len(table.blocks[user_type]))]
+    item_keys = [NodeRef(item_type, i) for i in range(len(table.blocks[item_type]))]
+    known = []
+    for u in range(min(graph.counts[user_type], len(user_keys))):
+        for g in graph.neighbors_of(NodeRef(user_type, u)).tolist():
+            ref = graph.ref_of(g)
+            if ref.node_type == item_type and ref.intra_id < len(item_keys):
+                known.append((user_keys[u], item_keys[ref.intra_id]))
+    tests = []
+    n_missing = 0
+    for u, i, ts in test_interactions:
+        if u[0] != user_type or i[0] != item_type:
+            continue
+        if u[1] < len(user_keys) and i[1] < len(item_keys):
+            tests.append((NodeRef(*u), NodeRef(*i), ts))
+        else:
+            n_missing += 1
+    if not tests and missing_users == "miss" and n_missing:
+        zeros = {k: 0.0 for k in protocol.k_values}
+        report = EvalReport(hitrate=dict(zeros), recall=dict(zeros), ndcg=dict(zeros),
+                            n_users=0, n_skipped=0, n_unrankable=0, wall_ms=0.0)
+    else:
+        report = evaluate_loop(table.blocks[user_type], user_keys,
+                               table.blocks[item_type], item_keys,
+                               tests, protocol, known)
+    if missing_users == "miss" and n_missing:
+        served = {u for u, i, ts in tests}
+        missed = {NodeRef(*u) for u, i, ts in test_interactions
+                  if u[0] == user_type and i[0] == item_type
+                  and (u[1] >= len(user_keys) or i[1] >= len(item_keys))
+                  and NodeRef(*u) not in served}
+        total = report.n_users + len(missed)
+        scale = report.n_users / total if total else 0.0
+        report.hitrate = {k: v * scale for k, v in report.hitrate.items()}
+        report.recall = {k: v * scale for k, v in report.recall.items()}
+        report.ndcg = {k: v * scale for k, v in report.ndcg.items()}
+        report.n_users = total
+        report.n_unrankable += len(missed)
+    report.table_version = table.version
+    return report

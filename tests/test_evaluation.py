@@ -8,8 +8,8 @@ from dhge.evaluation import (EvalProtocol, cosine_topk,
 from dhge.graph import DataError, NodeRef
 from dhge.model import EmbeddingTable
 from dhge.tensor import NumericError
-from conftest import tiny_bipartite
-from oracles import ndcg_ref
+from conftest import build_graph, tiny_bipartite
+from oracles import evaluate_loop, evaluate_table_loop, ndcg_ref
 
 
 def basis(n, dim):
@@ -249,6 +249,142 @@ class TestEvaluateTable:
         assert rep.n_users == 1
         assert rep.hitrate == {1: 0.0, 5: 0.0}
         assert rep.n_unrankable == 1
+
+
+def _fields(report):
+    out = report.to_json_dict()
+    out.pop("wall_ms")
+    return out
+
+
+def _grid_vectors(rng, n, dim=3):
+    """Rows of -1/0/1 entries: many exact score ties and some zero rows."""
+    return rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+
+
+class TestEvaluateMatchesLoop:
+    """The array core against the per-user loop it replaced, at exact equality."""
+
+    PROTOCOLS = [dict(k_values=(1, 5, 10), negatives_per_user=None),
+                 dict(k_values=(1, 5, 10), negatives_per_user=1),
+                 dict(k_values=(1, 5, 10), negatives_per_user=4),
+                 dict(k_values=(10, 1, 5), negatives_per_user=9)]
+
+    def _keyed_world(self, rng, user_keys, item_keys):
+        n_u, n_i = len(user_keys), len(item_keys)
+        vecs = _grid_vectors if rng.random() < 0.5 else (
+            lambda r, n: r.normal(size=(n, 4)))
+        users, items = vecs(rng, n_u), vecs(rng, n_i)
+        users[rng.integers(n_u)] = 0.0
+        items[rng.integers(n_i)] = 0.0
+        items[rng.integers(n_i)] = items[rng.integers(n_i)]
+        stranger_u, stranger_i = "nobody", "nothing"
+        known = [(user_keys[rng.integers(n_u)], item_keys[rng.integers(n_i)])
+                 for _ in range(rng.integers(0, 3 * n_u))]
+        known += [(stranger_u, item_keys[0]), (user_keys[0], stranger_i)]
+        tests = []
+        for _ in range(rng.integers(1, 3 * n_u)):
+            u = user_keys[rng.integers(n_u)] if rng.random() < 0.9 else stranger_u
+            tests.append((u, item_keys[rng.integers(n_i)], float(rng.integers(0, 3))))
+        tests += tests[:2]   # repeated events at equal ts
+        return users, items, tests, known
+
+    def _check_keyed(self, user_keys, item_keys, seed):
+        rng = np.random.default_rng(seed)
+        users, items, tests, known = self._keyed_world(rng, user_keys, item_keys)
+        for kw in self.PROTOCOLS:
+            proto = EvalProtocol(rng_seed=int(rng.integers(-2**40, 2**40)), **kw)
+            got = evaluate(users, user_keys, items, item_keys, tests, proto, known)
+            want = evaluate_loop(users, user_keys, items, item_keys, tests, proto, known)
+            assert _fields(got) == _fields(want), (seed, kw)
+
+    def test_noderef_keys(self):
+        for seed in range(30):
+            rng = np.random.default_rng(1000 + seed)
+            n_u, n_i = int(rng.integers(1, 9)), int(rng.integers(2, 16))
+            ukeys = [NodeRef(0, int(j)) for j in rng.permutation(n_u)]
+            ikeys = [NodeRef(1, int(j)) for j in rng.permutation(n_i)]
+            self._check_keyed(ukeys, ikeys, seed)
+
+    def test_int_and_mixed_length_keys(self):
+        wide = [0, 7, -3, 2**32 - 1, 2**32, 2**63 - 1, -2**63, 2**64 + 5]
+        for seed in range(30):
+            rng = np.random.default_rng(2000 + seed)
+            n_u, n_i = int(rng.integers(1, 8)), int(rng.integers(2, 16))
+            ukeys = [wide[j] if j % 3 else (j, -j, 2**33 + j)
+                     for j in rng.permutation(len(wide))[:n_u].tolist()]
+            ikeys = [int(j) * 7 - 40 for j in rng.permutation(n_i)]
+            self._check_keyed(ukeys, ikeys, seed)
+
+    def test_errors_match(self):
+        items = basis(4, 4)
+        proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
+        for fn in (evaluate, evaluate_loop):
+            with pytest.raises(DataError, match="unknown item 77"):
+                fn(items[:1], [0], items, list(range(4)),
+                   [(99, 66, 1.0), (0, 77, 1.0), (0, 78, 1.0)], proto)
+            with pytest.raises(DataError, match="no evaluable"):
+                fn(items[:1], [0], items, list(range(4)), [(99, 1, 1.0)], proto)
+            with pytest.raises(DataError, match="duplicate"):
+                fn(items[:2], [0, 0], items, list(range(4)), [(0, 1, 1.0)], proto)
+
+    def _table_world(self, seed, user_type, item_type):
+        # types 0 and 2 are users/items in either role, type 1 a third
+        # type whose edges must not count as known items
+        rng = np.random.default_rng(seed)
+        counts = [int(c) for c in rng.integers(4, 14, size=3)]
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b] + [(0, 0)]
+        rel_edges = []
+        for a, b in pairs:
+            m = int(rng.integers(0, counts[a] * 3))
+            edges = set(zip(rng.integers(0, counts[a], m).tolist(),
+                            rng.integers(0, counts[b], m).tolist()))
+            rel_edges.append(sorted((s, t) for s, t in edges if a != b or s != t))
+        g = build_graph(pairs, counts, rel_edges, seed=seed)
+        n_u = counts[user_type] + int(rng.integers(-2, 3))
+        n_i = counts[item_type] + int(rng.integers(-3, 2))
+        blocks = [_grid_vectors(rng, c) for c in counts]
+        blocks[user_type] = _grid_vectors(rng, n_u)
+        blocks[item_type] = _grid_vectors(rng, n_i)
+        blocks[user_type][rng.integers(n_u)] = 0.0
+        tests = []
+        for _ in range(int(rng.integers(1, 25))):
+            u = NodeRef(user_type if rng.random() < 0.9 else 1, int(rng.integers(0, n_u + 3)))
+            i = (item_type, int(rng.integers(0, n_i + 2)))
+            tests.append((u, i, float(rng.integers(0, 3))))
+        tests += tests[-2:]
+        return g, EmbeddingTable(blocks, version=seed), tests
+
+    def test_evaluate_table_drop_and_miss(self):
+        n_cases = 0
+        for seed in range(60):
+            for user_type, item_type in ((0, 2), (2, 0)):
+                g, table, tests = self._table_world(seed, user_type, item_type)
+                for kw in self.PROTOCOLS:
+                    proto = EvalProtocol(rng_seed=seed * 31 - 500, **kw)
+                    for missing in ("drop", "miss"):
+                        args = (g, table, tests, proto, user_type, item_type, missing)
+                        try:
+                            want = _fields(evaluate_table_loop(*args))
+                        except DataError as exc:
+                            with pytest.raises(DataError, match=str(exc)):
+                                evaluate_table(*args)
+                            continue
+                        assert _fields(evaluate_table(*args)) == want, (seed, kw, missing)
+                        n_cases += 1
+        assert n_cases > 600
+
+    def test_evaluate_table_negative_ids(self):
+        g = tiny_bipartite(seed=0)
+        table = EmbeddingTable([basis(3, 4), basis(4, 4)], version=1)
+        proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
+        tests = [(NodeRef(0, -1), NodeRef(1, 2), 1.0), (NodeRef(0, 1), NodeRef(1, 2), 2.0)]
+        for missing in ("drop", "miss"):
+            args = (g, table, tests, proto, 0, 1, missing)
+            assert _fields(evaluate_table(*args)) == _fields(evaluate_table_loop(*args))
+        for fn in (evaluate_table, evaluate_table_loop):
+            with pytest.raises(DataError, match="intra_id=-2"):
+                fn(g, table, tests + [(NodeRef(0, 2), NodeRef(1, -2), 1.0)], proto, 0, 1)
 
 
 class TestChronologicalSplit:

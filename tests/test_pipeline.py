@@ -507,6 +507,27 @@ class TestSimulateStream:
                                             missing_users="miss").to_json_dict()})
         assert _strip_timing(rows) == _strip_timing(expected)
 
+    def test_stream_evaluates_frozen_version_once(self, stream_data, tmp_path, monkeypatch):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        cmd_train(cfg)
+        tables = []
+        real = pipeline_mod.evaluate_table
+
+        def counted(graph, table, *args, **kwargs):
+            tables.append(table.version)
+            return real(graph, table, *args, **kwargs)
+        monkeypatch.setattr(pipeline_mod, "evaluate_table", counted)
+        rows = cmd_simulate_stream(cfg, stats["batch_files"],
+                                   os.path.join(str(data_dir), "test.tsv"),
+                                   compare_frozen=True)
+        assert len(stats["batch_files"]) == 2
+        # the frozen version once, then each batch's own version
+        assert tables == [1, 2, 3]
+        assert [row["frozen_eval"] for row in rows[1:]] == [rows[0]["frozen_eval"]]
+        assert rows[0]["frozen_eval"] is not rows[1]["frozen_eval"]
+
     def test_periodic_static_refresh(self, stream_data, tmp_path):
         data_dir, stats = stream_data
         cfg = make_config(str(data_dir), tmp_path / "snaps")

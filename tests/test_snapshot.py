@@ -199,6 +199,7 @@ class TestAlignmentSnapshot:
         ("short_nbrs", "nbr_types has shape"),
         ("missing_key", "lacks arrays"),
         ("unsorted", "not sorted and unique"),
+        ("duplicate", "not sorted and unique"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, match):
         payload = self._ragged_payload(self._state())
@@ -208,6 +209,9 @@ class TestAlignmentSnapshot:
             payload["nbr_types"] = payload["nbr_types"][:-1]
         elif fault == "missing_key":
             del payload["weights"]
+        elif fault == "duplicate":
+            assert payload["row_types"][1] == payload["row_types"][0]
+            payload["row_intras"][1] = payload["row_intras"][0]
         else:
             payload["row_intras"][[0, 1]] = payload["row_intras"][[1, 0]]
         path = tmp_path / "bad.npz"

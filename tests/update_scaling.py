@@ -13,7 +13,11 @@ Run as a script, it prints one JSON line:
 * with ``refresh``, ``{"sizes", "embed_all", "capture_alignment"}``: the
   seconds of one full-coverage ``embed_all`` and one ``capture_alignment``
   (hidden 32, k=8) on 4k, 16k and 64k-node bases, the two halves of the
-  refresh that ends every retrain. No test reads it.
+  refresh that ends every retrain. No test reads it;
+* with ``evaluate``, ``{"sizes", "evaluate_ms"}``: per base size (4k, 16k
+  and 64k nodes), the median milliseconds of three ``evaluate_table`` calls
+  ranking 300 test users' held-out items against 99 sampled negatives each,
+  on a random hidden-32 table. No test reads it either.
 
 A round times its workloads back to back, so a slow stretch of a shared
 host hits all of its times alike. Each timed run follows an untimed one of
@@ -32,11 +36,12 @@ import scipy.spatial
 
 from oracles import full_lle_oracle, lle_weight_matrix
 
+from dhge.evaluation import EvalProtocol, evaluate_table
 from dhge.fixtures import swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
 from dhge.incremental import (UpdateConfig, capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
-from dhge.model import ModelConfig, ModelParams, embed_all
+from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -97,6 +102,22 @@ def refresh_times(sizes=(4000, 16000, 64000)):
             out["capture_alignment"].append(time.perf_counter() - t1)
     finally:
         gc.enable()
+    return out
+
+
+def evaluate_times(sizes=(4000, 16000, 64000), n_users=300, repeats=3):
+    protocol = EvalProtocol(k_values=(10,), negatives_per_user=99, rng_seed=0)
+    out = {"sizes": list(sizes), "evaluate_ms": []}
+    for n in sizes:
+        g = scaling_graph(n, seed=1)
+        rng = np.random.default_rng(2)
+        table = EmbeddingTable([rng.normal(size=(c, 32)) for c in g.counts])
+        users = rng.choice(g.counts[0], size=n_users, replace=False)
+        tests = [(NodeRef(0, int(u)), NodeRef(1, int(i)), 1.0)
+                 for u, i in zip(users, rng.integers(0, g.counts[1], size=n_users))]
+        times, _ = _rounds([functools.partial(evaluate_table, g, table, tests, protocol, 0, 1)],
+                           repeats)
+        out["evaluate_ms"].append(float(np.median(times)) * 1000.0)
     return out
 
 
@@ -166,5 +187,5 @@ if __name__ == "__main__":
     # one CPU, as bench/run.py runs: the scheduler cannot move the run
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    modes = {"rebuild": rebuild_times, "refresh": refresh_times}
+    modes = {"rebuild": rebuild_times, "refresh": refresh_times, "evaluate": evaluate_times}
     print(json.dumps(modes[sys.argv[1]]() if sys.argv[1:] else round_times()))
