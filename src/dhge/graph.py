@@ -244,21 +244,6 @@ class HeteroGraph:
     def degree_of(self, node):
         return len(self.neighbors_of(node))
 
-    def incident_edges(self, ref, relation):
-        """Edge ids of ``relation`` touching ``ref`` (either role), ascending."""
-        ref = self.check_ref(ref)
-        s_t, d_t = self.schema.pairs[relation]
-        parts = []
-        if ref.node_type == s_t:
-            indptr, order = self._inc_src[relation]
-            parts.append(order[indptr[ref.intra_id]:indptr[ref.intra_id + 1]])
-        if ref.node_type == d_t:
-            indptr, order = self._inc_dst[relation]
-            parts.append(order[indptr[ref.intra_id]:indptr[ref.intra_id + 1]])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
-
 
 def _group_edges(endpoint_intra, count):
     # CSR-style grouping of edge ids by endpoint intra id
@@ -351,10 +336,11 @@ def sample_subgraph(graph, seeds, degree_limit, rng_seed):
     seeds plus endpoints of retained edges; retained edges are exactly the
     sampled ones (not the full induced subgraph).
 
-    The pairs kept in full are gathered from the CSR incidence in array
-    passes. Only a pair over the limit pays per pair: one ``rng.choice`` over
-    its ascending ``incident_edges``, in seed-major then relation order, so
-    the draws are bit-identical to visiting every pair in that order.
+    Every pair's incident edges are gathered from the CSR incidence in
+    array passes. Only a pair over the limit pays per pair: one
+    ``rng.choice`` over its ascending incident edge ids, in seed-major then
+    relation order, so the draws are bit-identical to visiting every pair
+    in that order.
     """
     if degree_limit < 1:
         raise ValueError("degree_limit must be >= 1")
@@ -375,12 +361,27 @@ def sample_subgraph(graph, seeds, degree_limit, rng_seed):
             counts[at, r] += n
             runs[r].append((at, first, n, order))
     over = counts > degree_limit
-    kept = [[order[_ranges(first[~over[at, r]], n[~over[at, r]])] for at, first, n, order in runs[r]]
-            for r in range(n_rel)]
+    # over-limit pairs numbered row-major (seed, then relation): the draw order
+    n_over = np.count_nonzero(over)
+    pair_of = np.full(over.shape, -1, dtype=np.int64)
+    pair_of[over] = np.arange(n_over)
+    kept = [[] for _ in range(n_rel)]
+    pairs, edges = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r in range(n_rel):
+        for at, first, n, order in runs[r]:
+            big = over[at, r]
+            kept[r].append(order[_ranges(first[~big], n[~big])])
+            pairs.append(np.repeat(pair_of[at[big], r], n[big]))
+            edges.append(order[_ranges(first[big], n[big])])
+    # each over-limit pair's edge ids, both roles merged, ascending
+    width = max(graph.num_edges, 1)
+    owner, incident = np.divmod(np.sort(np.concatenate(pairs) * width + np.concatenate(edges)),
+                                width)
+    bounds = _indptr(owner, n_over)
     rng = derived_rng(TAG_SUBGRAPH, rng_seed)
-    for j, r in np.argwhere(over).tolist():   # row-major: seed, then relation
-        ids = graph.incident_edges((types[j], intra[j]), r)
-        kept[r].append(np.sort(rng.choice(ids, size=degree_limit, replace=False)))
+    for p, r in enumerate(np.nonzero(over)[1].tolist()):
+        draw = rng.choice(incident[bounds[p]:bounds[p + 1]], size=degree_limit, replace=False)
+        kept[r].append(np.sort(draw))
     nodes = [seeds]
     rel_pairs = []
     for r in range(n_rel):

@@ -282,29 +282,43 @@ def global_attention(x0, params, global_mix):
     return (numer / denom) * global_mix + x0 * (1.0 - global_mix)
 
 
-def edge_attention(g, sub, params, schema, dropout=0.0, rng=None):
+def edge_attention(g, sub, params, schema, dropout=0.0, rng=None, rows=None):
     """Per-relation softmax attention over retained in-edges.
 
     Each relation r: s -> t projects sources with type-s key/value maps and
     targets with type-t query maps, bilinearly scores through the relation's
     matrix, softmax-normalizes per target, and aggregates transformed
     messages. Per-type output: beta_t * messages + (1 - beta_t) * g.
+
+    With ``rows`` (ascending sub-local ids) only those output rows are made:
+    their queries and the edges into them, a relation with none skipped.
+    Keys and values still cover every node, as those edges' sources need.
     """
     n = g.value.shape[0]
     d = params.hidden_dim
     scale = 1.0 / np.sqrt(d)
-    q_parts, k_parts, v_parts = [], [], []
+    kept = np.arange(n) if rows is None else rows
+    q_parts, k_parts, v_parts, n_kept = [], [], [], []
     for t in range(params.num_types):
         start, stop = sub.type_slices[t]
-        rows = T.gather_rows(g, np.arange(start, stop))
-        q_parts.append(rows @ params.type_query[t])
-        k_parts.append(rows @ params.type_key[t])
-        v_parts.append(rows @ params.type_value[t])
+        block = T.gather_rows(g, np.arange(start, stop))
+        lo, hi = np.searchsorted(kept, (start, stop))
+        if rows is None:
+            q_parts.append(block @ params.type_query[t])
+        else:
+            q_parts.append(_gather_times(g, np.arange(start, stop), params.type_query[t],
+                                         kept[lo:hi] - start))
+        k_parts.append(block @ params.type_key[t])
+        v_parts.append(block @ params.type_value[t])
+        n_kept.append(hi - lo)
     q_all = T.concat_rows(q_parts)
     k_all = T.concat_rows(k_parts)
     v_all = T.concat_rows(v_parts)
 
-    total = Tensor(np.zeros((n, d)))
+    m = len(kept)
+    slot = np.full(n, -1)
+    slot[kept] = np.arange(m)                          # output row of each node, or -1
+    total = Tensor(np.zeros((m, d)))
     for r in range(schema.num_relations):
         src, dst = sub.rel_src[r], sub.rel_dst[r]
         if len(src) == 0:
@@ -312,21 +326,42 @@ def edge_attention(g, sub, params, schema, dropout=0.0, rng=None):
         s_t, d_t = schema.pairs[r]
         if (np.any(sub.node_types[src] != s_t)) or (np.any(sub.node_types[dst] != d_t)):
             raise DataError("relation %d endpoint type mismatch in subgraph" % r)
-        q_e = T.gather_rows(q_all, dst)
-        k_e = T.gather_rows(k_all, src) @ params.rel_attn[r]
+        if rows is None:
+            pick, seg = None, dst
+        else:
+            pick = np.flatnonzero(slot[dst] >= 0)
+            if not len(pick):
+                continue
+            seg = slot[dst[pick]]
+        q_e = T.gather_rows(q_all, seg)
+        k_e = _gather_times(k_all, src, params.rel_attn[r], pick)
         logits = (q_e * k_e).sum(axis=1) * params.rel_factor[r] * scale
-        attn = T.segment_softmax(logits, dst, n)
-        msg = (T.gather_rows(v_all, src) @ params.rel_msg[r]) * T.reshape(attn, (len(src), 1))
-        total = total + T.segment_sum(msg, dst, n)
+        attn = T.segment_softmax(logits, seg, m)
+        msg = _gather_times(v_all, src, params.rel_msg[r], pick) * T.reshape(attn, (len(seg), 1))
+        total = total + T.segment_sum(msg, seg, m)
     if dropout > 0.0:
         total = apply_dropout(total, dropout, rng)
 
     beta_parts = []
     for t in range(params.num_types):
-        start, stop = sub.type_slices[t]
-        beta_parts.append(T.broadcast_rows(T.reshape(params.type_mix[t], (1, 1)), stop - start))
-    beta = T.concat_rows(beta_parts)                   # (n, 1)
-    return beta * total + (1.0 - beta) * g
+        beta_parts.append(T.broadcast_rows(T.reshape(params.type_mix[t], (1, 1)), n_kept[t]))
+    beta = T.concat_rows(beta_parts)                   # (m, 1)
+    return beta * total + (1.0 - beta) * (g if rows is None else T.gather_rows(g, rows))
+
+
+def _gather_times(x, idx, w, pick=None):
+    """``gather_rows(x, idx) @ w``, or only its rows ``pick``.
+
+    Picked rows are multiplied on their own: from two rows up, each comes
+    out bit for bit as in the full product. NumPy sends a one-row product
+    to gemv, which rounds differently from the same row inside gemm, so a
+    single picked row is read off the full product instead.
+    """
+    if pick is None:
+        return T.gather_rows(x, idx) @ w
+    if len(pick) == 1 and len(idx) > 1:
+        return T.gather_rows(T.gather_rows(x, idx) @ w, pick)
+    return T.gather_rows(x, idx[pick]) @ w
 
 
 def normalized_adjacency(sub):
@@ -346,12 +381,20 @@ def normalized_adjacency(sub):
     return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
 
 
-def gcn_forward(x0, sub, params):
-    """Stacked graph convolution: relu between layers, final layer linear."""
+def gcn_forward(x0, sub, params, rows=None):
+    """Stacked graph convolution: relu between layers, final layer linear.
+
+    With ``rows`` the final layer runs on those rows of the adjacency alone
+    (all of it for a single row, as ``_gather_times`` explains).
+    """
     a_hat = normalized_adjacency(sub)
     h = x0
     last = params.num_gcn_layers - 1
     for l, w in enumerate(params.gcn_weight):
+        if l == last and rows is not None:
+            if len(rows) == 1 and sub.num_nodes > 1:
+                return T.gather_rows(T.spmm(a_hat, h) @ w, rows)
+            return T.spmm(a_hat[rows], h) @ w
         h = T.spmm(a_hat, h) @ w
         if l != last:
             h = T.relu(h)
@@ -363,8 +406,22 @@ def fuse(z_id, z_edge, z_gcn, fusion_weights):
     return z_id * float(w0) + z_edge * float(w1) + z_gcn * float(w2)
 
 
-def forward_subgraph(graph, sub, params, config, training=False, rng=None):
-    """Full encoder over one sampled subgraph; returns (n, hidden_dim) tensor."""
+def forward_subgraph(graph, sub, params, config, training=False, rng=None, rows=None):
+    """Full encoder over one sampled subgraph; returns (n, hidden_dim) tensor.
+
+    ``rows``, ascending unique sub-local ids, asks for those rows only, for
+    inference: the result is bit for bit those rows of the full output.
+    Initial features, global attention, keys and values and every GCN layer
+    but the last still run on all nodes, because the kept rows read them;
+    the queries, the edges into kept rows, the last GCN layer, the identity
+    rows and the fusion run on the kept rows alone.
+    """
+    if rows is not None:
+        if training:
+            raise ValueError("rows restricts inference only")
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows) or rows[0] < 0 or rows[-1] >= sub.num_nodes or np.any(rows[1:] <= rows[:-1]):
+            raise ValueError("rows must be ascending unique sub-local ids")
     x_parts, m_parts = [], []
     for t in range(graph.num_types):
         start, stop = sub.type_slices[t]
@@ -376,9 +433,10 @@ def forward_subgraph(graph, sub, params, config, training=False, rng=None):
     drop = config.dropout if training else 0.0
     x0 = init_features(x_raw, mask, params, config.input_activation, drop, rng)
     g_t = global_attention(x0, params, config.global_mix)
-    z_edge = edge_attention(g_t, sub, params, graph.schema, drop, rng)
-    z_id = identity_embed(sub.node_types, sub.intra_ids, params)
-    z_gcn = gcn_forward(x0, sub, params)
+    z_edge = edge_attention(g_t, sub, params, graph.schema, drop, rng, rows=rows)
+    keep = slice(None) if rows is None else rows
+    z_id = identity_embed(sub.node_types[keep], sub.intra_ids[keep], params)
+    z_gcn = gcn_forward(x0, sub, params, rows=rows)
     return fuse(z_id, z_edge, z_gcn, config.fusion_weights)
 
 
@@ -585,8 +643,10 @@ def embed_all(graph, params, config, version=0):
     """Deterministic full-coverage inference; returns an ``EmbeddingTable``.
 
     Nodes are processed in fixed type-major chunks (no shuffling, dropout
-    off), and each chunk writes embeddings for its seed nodes only, so two
-    calls with identical inputs produce bit-identical blocks.
+    off). Each chunk's encoder tail runs for its seed rows only (see
+    ``forward_subgraph``), and those are the rows it writes, so two calls
+    with identical inputs produce bit-identical blocks, equal to keeping
+    the seed rows of a full-subgraph forward.
     """
     if graph.num_nodes == 0:
         raise DataError("cannot embed an empty graph")
@@ -596,11 +656,14 @@ def embed_all(graph, params, config, version=0):
         chunk = order[b:b + config.batch_size]
         sub = sample_subgraph(graph, chunk, config.degree_limit,
                               mix(config.rng_seed, b, TAG_EMBED))
-        z = forward_subgraph(graph, sub, params, config, training=False)
-        rows = z.value[sub.seed_locals]
+        # z and its tape stay alive until the next chunk's forward returns:
+        # freeing them sooner leaves glibc's heap smaller, and a later
+        # ille_update on a 16k-node base then page-faults its N-sized copies
+        # afresh (about 2,500 faults and +40% time per update; ROADMAP item 5)
+        z = forward_subgraph(graph, sub, params, config, rows=sub.seed_locals)
         types = sub.node_types[sub.seed_locals]
         intras = sub.intra_ids[sub.seed_locals]
         for t in range(graph.num_types):
             pick = types == t
-            blocks[t][intras[pick]] = rows[pick]
+            blocks[t][intras[pick]] = z.value[pick]
     return EmbeddingTable(blocks, version=version)

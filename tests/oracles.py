@@ -6,10 +6,12 @@ bug in a fast path cannot hide inside its own checker. Exceptions: the
 batch LLE oracle reuses the package's weight solve, which is itself checked
 against ``constrained_weights``; ``replay_graph`` rebuilds a snapshot
 version's graph with the package's TSV loaders, which the graph tests check
-on their own; and the ``*_loop`` oracles are the per-pair and per-node
+on their own; the ``*_loop`` oracles are the per-pair and per-node
 loops that batched paths replaced, kept as exact references. They read the
-graph through its per-node accessors and draw from ``dhge.seeding``'s
-``derived_rng`` / ``mix``, thin wrappers of NumPy's ``SeedSequence``.
+graph through its per-node accessors or raw edge arrays and draw from
+``dhge.seeding``'s ``derived_rng`` / ``mix``, thin wrappers of NumPy's
+``SeedSequence``. ``embed_all_full_rows`` runs the package's full-row
+forward, which the dense oracles here check layer by layer.
 """
 import numpy as np
 import scipy.linalg
@@ -246,6 +248,19 @@ def reconstruction_weights_loop(x_center, x_neighbors, eps):
     return w / total
 
 
+def incident_edges_scan(graph, ref, relation):
+    """Ids of the ``relation`` edges touching ``ref`` in either role,
+    ascending, by a scan of the relation's edge arrays."""
+    t, i = ref
+    s_t, d_t = graph.schema.pairs[relation]
+    hit = np.zeros(len(graph.rel_src[relation]), dtype=bool)
+    if t == s_t:
+        hit |= graph.rel_src[relation] == i
+    if t == d_t:
+        hit |= graph.rel_dst[relation] == i
+    return np.flatnonzero(hit)
+
+
 def sample_subgraph_loop(graph, seeds, degree_limit, rng_seed):
     """``sample_subgraph`` one (seed, relation) pair at a time: each pair's
     ascending incident edges, a sorted ``rng.choice`` of ``degree_limit`` of
@@ -258,7 +273,7 @@ def sample_subgraph_loop(graph, seeds, degree_limit, rng_seed):
     for g in seeds:
         ref = graph.ref_of(int(g))
         for r in range(graph.schema.num_relations):
-            ids = graph.incident_edges(ref, r)
+            ids = incident_edges_scan(graph, ref, r)
             if len(ids) > degree_limit:
                 ids = np.sort(rng.choice(ids, size=degree_limit, replace=False))
             if len(ids):
@@ -282,6 +297,23 @@ def sample_subgraph_loop(graph, seeds, degree_limit, rng_seed):
                     seeds=seeds, seed_locals=np.searchsorted(nodes, seeds).astype(np.int64),
                     rel_src=[np.searchsorted(nodes, gs).astype(np.int64) for gs, _ in rel_pairs],
                     rel_dst=[np.searchsorted(nodes, gd).astype(np.int64) for _, gd in rel_pairs])
+
+
+def embed_all_full_rows(graph, params, config):
+    """``embed_all`` with the whole encoder run on every chunk: each chunk's
+    full-subgraph forward, of which only the seed rows are written."""
+    from dhge.model import forward_subgraph
+    from dhge.graph import sample_subgraph
+    from dhge.seeding import TAG_EMBED, mix
+    blocks = [np.zeros((c, config.hidden_dim)) for c in graph.counts]
+    for b in range(0, graph.num_nodes, config.batch_size):
+        chunk = np.arange(b, min(b + config.batch_size, graph.num_nodes))
+        sub = sample_subgraph(graph, chunk, config.degree_limit, mix(config.rng_seed, b, TAG_EMBED))
+        z = forward_subgraph(graph, sub, params, config).value
+        for g, row in zip(sub.seeds.tolist(), z[sub.seed_locals]):
+            t, i = graph.ref_of(g)
+            blocks[t][i] = row
+    return blocks
 
 
 def scatter_add_at(index, rows, n):

@@ -516,12 +516,14 @@ def test_update_cost_flat_in_base_size():
     out = _pinned_rounds()
     rounds = out["times"]
     ratios = [float(np.median([t[c + 1] / t[c] for t in rounds])) for c in (0, 1)]
-    # on failure, the median ms of each ille_update stage per base size
+    # on failure, the median ms of each ille_update stage and the median
+    # minor page faults of an update, per base size
     stages = {n: {name: round(float(np.median([r[c][name] for r in out["stage_ms"]])), 2)
                   for name in out["stage_ms"][0][c]}
               for c, n in enumerate(out["sizes"])}
-    assert max(ratios) <= 1.3, "doubling ratios %s; median stage ms by base size %s" % (
-        ratios, stages)
+    faults = {n: float(np.median([r[c] for r in out["minflt"]])) for c, n in enumerate(out["sizes"])}
+    assert max(ratios) <= 1.3, ("doubling ratios %s; median stage ms by base size %s; "
+                                "median minor page faults per update %s" % (ratios, stages, faults))
 
 
 # ---------------------------------------------------------------------------

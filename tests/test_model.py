@@ -6,15 +6,17 @@ here does exactly that, on graphs small enough to brute-force.
 import numpy as np
 import pytest
 
-from dhge.graph import DataError, NodeRef
+from dhge.graph import DataError, NodeRef, sample_subgraph
 from dhge.model import (ModelConfig, ModelParams, init_features, identity_embed,
                         global_attention, edge_attention, gcn_forward, fuse,
                         forward_subgraph, edge_loss, dynamic_negative_sample,
                         train_epoch, embed_all, apply_dropout)
 from dhge.tensor import Tensor, Param, backward
 from dhge.optim import AdamW
+from dhge.seeding import TAG_EMBED, mix
 from conftest import build_graph, full_subgraph, tiny_bipartite, tiny_params
-from oracles import (dense_global_attention, dense_edge_attention, dense_gcn,
+from update_scaling import scaling_graph
+from oracles import (dense_global_attention, dense_edge_attention, dense_gcn, embed_all_full_rows,
                      dynamic_negative_sample_loop, pair_loss_ref, fd_gradient, rel_err)
 
 
@@ -456,6 +458,99 @@ class TestEmbedAll:
         t1 = embed_all(g, params, cfg1, version=0)
         t1b = embed_all(g, params, cfg1, version=0)
         assert t1.blocks_equal(t1b)
+
+
+def _three_type_graph(seed=0):
+    """19 nodes: 9 of type 0, 7 of type 1, 3 of type 2. Relation 2 joins
+    type 0 to itself; relation 3 has two edges, (2, 0) -> (1, 3) and
+    (2, 2) -> (1, 5); node (2, 1) has no edge."""
+    rng = np.random.default_rng(seed)
+    ui = sorted({(int(u), int(i)) for u, i in zip(rng.integers(0, 9, 20), rng.integers(0, 7, 20))})
+    uu = sorted({(int(a), int(b)) for a, b in zip(rng.integers(0, 9, 8), rng.integers(0, 9, 8))
+                 if a != b})
+    return build_graph([(0, 1), (1, 0), (0, 0), (2, 1)], [9, 7, 3],
+                       [ui, [(i, u) for u, i in ui], uu, [(0, 3), (2, 5)]],
+                       seed=seed, missing_rate=0.2)
+
+
+def _chunk_cases(g, cfg):
+    """The edge cases of the restricted forward that ``embed_all``'s chunks
+    reach under ``cfg``."""
+    out = set()
+    for b in range(0, g.num_nodes, cfg.batch_size):
+        sub = sample_subgraph(g, np.arange(b, min(b + cfg.batch_size, g.num_nodes)),
+                              cfg.degree_limit, mix(cfg.rng_seed, b, TAG_EMBED))
+        kept = np.zeros(sub.num_nodes, dtype=bool)
+        kept[sub.seed_locals] = True
+        if len(sub.seeds) == 1 and sub.num_nodes > 1:
+            out.add("one seed")
+        if any(kept[a:z].sum() == 1 and z - a > 1 for a, z in sub.type_slices):
+            out.add("one seed of a type")
+        for dst in sub.rel_dst:
+            into = int(kept[dst].sum())
+            if len(dst) > 1 and into == 1:
+                out.add("one edge into kept rows")
+            if len(dst) and not into:
+                out.add("no edge into kept rows")
+    return out
+
+
+# encoder settings that take different paths through the restricted tail
+_VARIANTS = [{}, {"input_activation": "relu"}, {"num_gcn_layers": 1}, {"num_gcn_layers": 3},
+             {"fusion_weights": (1.0, 0.0, 0.5)}, {"fusion_weights": (0.0, 0.7, 0.0)},
+             {"global_mix": 0.0}, {"global_mix": 1.0}]
+
+
+class TestRestrictedForward:
+    """The seed-row tail of ``forward_subgraph`` and ``embed_all`` against the
+    full-row encoder, at exact equality."""
+
+    def test_rows_equal_those_rows_of_the_full_output(self):
+        g = _three_type_graph()
+        for variant in _VARIANTS:
+            cfg, params = tiny_params(g, hidden_dim=6, seed=3, **variant)
+            for seeds in (np.arange(g.num_nodes), np.arange(6, 16)):
+                sub = sample_subgraph(g, seeds, 2, 5)
+                full = forward_subgraph(g, sub, params, cfg).value
+                n = sub.num_nodes
+                picks = ([[i] for i in range(n)] + [[i, i + 1] for i in range(n - 1)]
+                         + [[0, n - 1], list(range(n))])
+                for r in picks:
+                    got = forward_subgraph(g, sub, params, cfg, rows=np.array(r)).value
+                    assert np.array_equal(got, full[r]), (variant, r)
+
+    def test_embed_all_equals_full_row_oracle(self):
+        g = _three_type_graph()
+        reached = set()
+        for batch_size in (2, 3, 6):
+            assert g.num_nodes % batch_size == 1     # the last chunk has one seed
+            for variant in _VARIANTS:
+                cfg, params = tiny_params(g, hidden_dim=6, seed=3, batch_size=batch_size,
+                                          degree_limit=2, rng_seed=1, **variant)
+                got = embed_all(g, params, cfg).blocks
+                want = embed_all_full_rows(g, params, cfg)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (batch_size, variant)
+            reached |= _chunk_cases(g, cfg)
+        assert reached == {"one seed", "one seed of a type", "one edge into kept rows",
+                           "no edge into kept rows"}
+
+    def test_embed_all_equals_full_row_oracle_at_full_width(self):
+        g = scaling_graph(1000, seed=2)
+        cfg = ModelConfig(input_dim=8, batch_size=333, rng_seed=4)   # hidden 64; 1000 = 3 * 333 + 1
+        params = ModelParams(cfg, num_types=2, num_relations=2, id_capacity=max(g.counts))
+        got = embed_all(g, params, cfg).blocks
+        want = embed_all_full_rows(g, params, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_rows_are_ascending_unique_and_for_inference_only(self):
+        g = _three_type_graph()
+        cfg, params = tiny_params(g)
+        sub = sample_subgraph(g, np.arange(6), 2, 5)
+        for rows in ([1, 0], [2, 2], [], [-1, 0], [sub.num_nodes]):
+            with pytest.raises(ValueError, match="ascending"):
+                forward_subgraph(g, sub, params, cfg, rows=np.array(rows, dtype=np.int64))
+        with pytest.raises(ValueError, match="inference"):
+            forward_subgraph(g, sub, params, cfg, training=True, rows=sub.seed_locals)
 
 
 class TestParamPlumbing:

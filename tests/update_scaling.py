@@ -2,11 +2,12 @@
 
 Run as a script, it prints one JSON line:
 
-* with no argument, ``{"sizes", "times", "stage_ms"}``: per round, the
-  times in seconds of one fixed 20-node ``ille_update`` on 4k, 8k and
-  16k-node bases and each timed update's ``report["stage_ms"]``;
-  ``test_acceptance.test_update_cost_flat_in_base_size`` checks their
-  doubling ratios;
+* with no argument, ``{"sizes", "times", "stage_ms", "minflt"}``: per
+  round, the times in seconds of one fixed 20-node ``ille_update`` on 4k,
+  8k and 16k-node bases, each timed update's ``report["stage_ms"]`` and
+  the minor page faults it took (``getrusage`` of this process);
+  ``test_acceptance.test_update_cost_flat_in_base_size`` checks the
+  doubling ratios of the times;
 * with ``rebuild``, per round, criterion 05's incremental embedding and
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
   ratio;
@@ -28,6 +29,7 @@ import functools
 import gc
 import json
 import os
+import resource
 import sys
 import time
 
@@ -81,8 +83,8 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
         batch = IncrementBatch(new_nodes=new_nodes, new_edges=new_edges, batch_time=1e6)
         updates.append(functools.partial(_update_stages, g, batch, params, table, cfg, ucfg,
                                          alignment=alignment, rng_seed=1))
-    times, stages = _rounds(updates, rounds)
-    return {"sizes": list(sizes), "times": times, "stage_ms": stages}
+    times, stages, faults = _rounds(updates, rounds)
+    return {"sizes": list(sizes), "times": times, "stage_ms": stages, "minflt": faults}
 
 
 def refresh_times(sizes=(4000, 16000, 64000)):
@@ -115,8 +117,8 @@ def evaluate_times(sizes=(4000, 16000, 64000), n_users=300, repeats=3):
         users = rng.choice(g.counts[0], size=n_users, replace=False)
         tests = [(NodeRef(0, int(u)), NodeRef(1, int(i)), 1.0)
                  for u, i in zip(users, rng.integers(0, g.counts[1], size=n_users))]
-        times, _ = _rounds([functools.partial(evaluate_table, g, table, tests, protocol, 0, 1)],
-                           repeats)
+        times = _rounds([functools.partial(evaluate_table, g, table, tests, protocol, 0, 1)],
+                        repeats)[0]
         out["evaluate_ms"].append(float(np.median(times)) * 1000.0)
     return out
 
@@ -164,23 +166,27 @@ def rebuild_times(rounds=15):
 
 
 def _rounds(work, rounds):
-    """Per round, the seconds and the result of each timed call."""
-    times, results = [], []
+    """Per round, the seconds, the result and the minor page faults of each
+    timed call."""
+    times, results, faults = [], [], []
     gc.collect()
     gc.disable()
     try:
         for _ in range(rounds):
-            row, outs = [], []
+            row, outs, flts = [], [], []
             for fn in work:
                 fn()
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 outs.append(fn())
                 row.append(time.perf_counter() - t0)
+                flts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             times.append(row)
             results.append(outs)
+            faults.append(flts)
     finally:
         gc.enable()
-    return times, results
+    return times, results, faults
 
 
 if __name__ == "__main__":
