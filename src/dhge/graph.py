@@ -224,9 +224,6 @@ class HeteroGraph:
         global_ids = np.asarray(global_ids, dtype=np.int64)
         return (np.searchsorted(self.offsets, global_ids, side="right") - 1).astype(np.int64)
 
-    def all_refs(self):
-        return [NodeRef(t, i) for t in range(self.num_types) for i in range(self.counts[t])]
-
     # -- neighborhood --------------------------------------------------------
 
     def neighbors_of(self, node):
@@ -235,14 +232,6 @@ class HeteroGraph:
         if g < 0 or g >= self.num_nodes:
             raise DataError("global index %d out of range" % g)
         return self._adj_indices[self._adj_indptr[g]:self._adj_indptr[g + 1]]
-
-    def has_edge(self, gi, gj):
-        nbrs = self.neighbors_of(gi)
-        pos = np.searchsorted(nbrs, gj)
-        return pos < len(nbrs) and nbrs[pos] == gj
-
-    def degree_of(self, node):
-        return len(self.neighbors_of(node))
 
 
 def _group_edges(endpoint_intra, count):

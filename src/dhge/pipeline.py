@@ -2,7 +2,8 @@
 
 A snapshot directory holds numbered versions. Each version owns a model
 file, an embedding-table file, optionally an alignment file, a file with
-the graph it was built on, and a manifest JSON that names them all.
+the graph it was built on and a mappable copy of that graph's adjacency
+index, and a manifest JSON that names them all.
 The manifest is written last, with an atomic rename, so a crash mid-save
 can leave stray data files but never a manifest pointing at missing or
 half-written state: a version exists if and only if its manifest parses.
@@ -21,17 +22,18 @@ from typing import Optional
 
 import numpy as np
 
+from .config import ConfigError
 from .graph import DataError, load_graph, read_increment, NodeRef, _edge_rows
 # not called here; bench/spans.py wraps this name, so it must resolve
 from .graph import apply_increment  # noqa: F401
 from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
-from .evaluation import evaluate_table
-from .snapshot import (save_model, load_model, save_table, load_table,
+from .evaluation import cosine_topk, evaluate_table
+from .snapshot import (save_model, load_model, save_table, load_table, load_table_blocks,
                        save_alignment, load_alignment, save_graph_arrays,
-                       load_graph_arrays, stored_table, SnapshotFormatError,
-                       _atomic_bytes)
+                       load_graph_arrays, save_adjacency, map_adjacency,
+                       check_adjacency, stored_table, SnapshotFormatError, _atomic_bytes)
 from .seeding import mix
 from .timing import Stages
 
@@ -54,6 +56,7 @@ class Manifest:
     # applied since the base graph; nothing reads them back
     increments: list = field(default_factory=list)
     graph_path: Optional[str] = None
+    adjacency_path: Optional[str] = None
 
     def to_json_dict(self):
         return {
@@ -67,6 +70,7 @@ class Manifest:
             "parent_version": self.parent_version,
             "increments": [list(pair) for pair in self.increments],
             "graph_path": self.graph_path,
+            "adjacency_path": self.adjacency_path,
         }
 
     @classmethod
@@ -85,7 +89,8 @@ class Manifest:
                    config_digest=data["config_digest"],
                    alignment_path=data.get("alignment_path"),
                    parent_version=data.get("parent_version"),
-                   increments=incs, graph_path=data.get("graph_path"))
+                   increments=incs, graph_path=data.get("graph_path"),
+                   adjacency_path=data.get("adjacency_path"))
 
 
 def manifest_path(snapshot_dir, version):
@@ -192,8 +197,10 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
     """Persist all state files, then the manifest (last, atomically).
 
     ``graph`` is the graph the version was built on; commands read it back
-    through ``graph_for_manifest``. A version written without one cannot be
-    read by a command, only by a caller that holds its graph.
+    through ``graph_for_manifest``, and ``cmd_retrieve`` reads single rows of
+    its adjacency index from the version's ``.adj.npy`` file. A version
+    written without one cannot be read by a command, only by a caller that
+    holds its graph.
     """
     sd = os.fspath(snapshot_dir)
     os.makedirs(sd, exist_ok=True)
@@ -204,18 +211,21 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
     table_name = stem + ".table.npz"
     align_name = stem + ".align.npz" if alignment is not None else None
     graph_name = stem + ".graph.npz" if graph is not None else None
+    adj_name = stem + ".adj.npy" if graph is not None else None
     save_model(os.path.join(sd, model_name), params, model_config)
     save_table(os.path.join(sd, table_name), table)
     if alignment is not None:
         save_alignment(os.path.join(sd, align_name), alignment)
     if graph is not None:
         save_graph_arrays(os.path.join(sd, graph_name), graph)
+        save_adjacency(os.path.join(sd, adj_name), graph)
     man = Manifest(version=version, kind=kind,
                    created_ms=int(time.time() * 1000),
                    model_path=model_name, table_path=table_name,
                    alignment_path=align_name, config_digest=config_digest,
                    parent_version=parent_version,
-                   increments=list(increments), graph_path=graph_name)
+                   increments=list(increments), graph_path=graph_name,
+                   adjacency_path=adj_name)
     blob = json.dumps(man.to_json_dict(), indent=2, sort_keys=True).encode("utf-8")
     _atomic_bytes(manifest_path(sd, version), blob)
     return man
@@ -237,14 +247,29 @@ def base_graph(cfg):
     return load_graph(cfg.paths["edges"], cfg.paths["features"], cfg.paths["schema"])
 
 
-def graph_for_manifest(cfg, man):
-    """The graph a version was built on, read from the version's graph file."""
+def _require_graph(man):
     if man.graph_path is None:
         raise SnapshotFormatError(
             "snapshot version %d stores no graph file (written without a graph,"
             " or before versions stored one); train into a new snapshot"
             " directory" % man.version)
-    return load_graph_arrays(os.path.join(cfg.paths["snapshot_dir"], man.graph_path))
+
+
+def graph_for_manifest(cfg, man):
+    """The graph a version was built on, rebuilt from the version's graph file.
+
+    The graph file is the only source of truth. When the version also stores
+    an adjacency file, that file must equal the index rebuilt here, entry for
+    entry, or the version is corrupt. This compare is what catches an in-range
+    value flipped in the adjacency file, which ``cmd_retrieve``'s range checks
+    cannot.
+    """
+    _require_graph(man)
+    sd = cfg.paths["snapshot_dir"]
+    graph = load_graph_arrays(os.path.join(sd, man.graph_path))
+    if man.adjacency_path is not None:
+        check_adjacency(os.path.join(sd, man.adjacency_path), graph)
+    return graph
 
 
 def read_test_interactions(path, user_type, item_type):
@@ -429,35 +454,55 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
 
     Returns a list of {type, id, score} dicts, best first, and logs a
     ``retrieve`` record with the version and ``stage_ms``.
+
+    It builds no graph. It maps the version's adjacency file and reads the
+    user's row of it (``load_graph``), then reads the user-type and
+    item-type blocks of the table file and no other (``load_table``). What
+    it reads is range-checked, so a malformed or truncated file is a
+    ``SnapshotFormatError``. A range check cannot catch an in-range flipped
+    value, though: only the next full load of the version
+    (``graph_for_manifest``) does.
     """
+    if k < 1:
+        raise ConfigError("retrieve k must be >= 1, got %d" % k)
     cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     stages = Stages()
     man = resolve_manifest(sd, version)
-    graph = graph_for_manifest(cfg, man)
-    stages.lap("load_graph")
-    table = load_table(os.path.join(sd, man.table_path))
-    stages.lap("load_table")
+    _require_graph(man)
+    if man.adjacency_path is None:
+        raise SnapshotFormatError(
+            "snapshot version %d stores no adjacency file (written before versions"
+            " stored one); write a new version with update or train" % man.version)
+    adj = map_adjacency(os.path.join(sd, man.adjacency_path))
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
-    ref = NodeRef(user_type, int(user_intra_id))
-    graph.check_ref(ref)
-    if ref.intra_id >= table.counts[user_type]:
-        raise DataError("user %d not present in table version %d"
-                        % (ref.intra_id, table.version))
-    from .evaluation import cosine_topk
-    query = table.row(ref)
-    n_items = min(int(graph.counts[item_type]), int(table.counts[item_type]))
-    items = table.blocks[item_type][:n_items]
+    for key, t in (("user_type", user_type), ("item_type", item_type)):
+        if not 0 <= t < len(adj.counts):
+            raise DataError("eval.%s %d is not a node type of snapshot version %d"
+                            " (%d types)" % (key, t, man.version, len(adj.counts)))
+    user = int(user_intra_id)
+    if not 0 <= user < adj.counts[user_type]:
+        raise DataError("intra id %d out of range for type %d (count %d)"
+                        % (user, user_type, adj.counts[user_type]))
+    nbrs = adj.row(adj.offsets[user_type] + user)
+    stages.lap("load_graph")
+    blocks = load_table_blocks(os.path.join(sd, man.table_path), {user_type, item_type})
+    if user >= len(blocks[user_type]):
+        raise DataError("user %d not present in the table of snapshot version %d"
+                        % (user, man.version))
+    stages.lap("load_table")
+    n_items = min(int(adj.counts[item_type]), len(blocks[item_type]))
     keep = np.ones(n_items, dtype=bool)
     if exclude_known:
-        nbrs = graph.neighbors_of(ref)
-        known = nbrs[graph.type_of_global(nbrs) == item_type] - graph.offsets[item_type]
+        lo, hi = adj.offsets[item_type], adj.offsets[item_type + 1]
+        known = nbrs[(nbrs >= lo) & (nbrs < hi)] - lo
         keep[known[known < n_items]] = False
     keep = np.flatnonzero(keep)
     hits = []
     if keep.size:
-        order, scores = cosine_topk(query, items[keep], min(k, keep.size))
+        order, scores = cosine_topk(blocks[user_type][user], blocks[item_type][keep],
+                                    min(k, keep.size))
         hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
                 for j, s in zip(order, scores)]
     stages.lap("rank")

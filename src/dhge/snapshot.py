@@ -1,4 +1,5 @@
-"""Binary persistence for model parameters, embedding tables, alignment and graphs.
+"""Binary persistence for model parameters, embedding tables, alignment, graphs
+and adjacency indexes.
 
 Model files are a little-endian framed format: magic ``DHGM``, a u32 format
 version, a length-prefixed UTF-8 ``key=value`` config block, then a count of
@@ -13,6 +14,7 @@ import io
 import os
 import struct
 import zipfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,14 +178,17 @@ def stored_table(table):
                           version=table.version, created_ms=table.created_ms)
 
 
-def _read_npz(path):
-    """Every array of an npz file; a corrupt or non-npz file is a SnapshotFormatError."""
+def _read_npz(path, keys=None):
+    """The arrays of an npz file named in ``keys`` (all of them when None),
+    each member read only when named; a named member the file lacks is left
+    out. A corrupt or non-npz file is a SnapshotFormatError."""
     try:
         data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("a single array, not an npz archive")
         with data:
-            return {key: data[key] for key in data.files}
+            names = data.files if keys is None else [key for key in keys if key in data.files]
+            return {key: data[key] for key in names}
     except FileNotFoundError:
         raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -200,6 +205,17 @@ def load_table(path):
     except (KeyError, IndexError) as exc:
         raise SnapshotFormatError("%s: malformed table file: missing %s" % (path, exc)) from None
     return EmbeddingTable(blocks, version=version, created_ms=created_ms)
+
+
+def load_table_blocks(path, types):
+    """The blocks of ``types`` in a table file, by type, reading no other
+    member of the file; each block equals ``load_table``'s."""
+    path = os.fspath(path)
+    data = _read_npz(path, ["block_%d" % t for t in types])
+    try:
+        return {t: data["block_%d" % t].astype(np.float64) for t in types}
+    except KeyError as exc:
+        raise SnapshotFormatError("%s: malformed table file: missing %s" % (path, exc)) from None
 
 
 ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
@@ -305,3 +321,82 @@ def load_graph_arrays(path):
         return HeteroGraph(RelationSchema(pairs.tolist()), features, masks, edges)
     except DataError as exc:
         raise SnapshotFormatError("%s: %s" % (path, exc)) from None
+
+
+def adjacency_array(graph):
+    """A graph's type-erased CSR adjacency as one int64 array:
+    ``[T, counts[0..T-1], indptr[0..N], indices[0..nnz-1]]``."""
+    return np.concatenate([[graph.num_types], graph.counts, graph._adj_indptr,
+                           graph._adj_indices]).astype("<i8", copy=False)
+
+
+def save_adjacency(path, graph):
+    """``adjacency_array(graph)`` as one ``.npy`` file, which a reader can map."""
+    buf = io.BytesIO()
+    np.save(buf, adjacency_array(graph), allow_pickle=False)
+    _atomic_bytes(path, buf.getvalue())
+
+
+def _map_npy(path):
+    """A 1-D little-endian int64 ``.npy`` file, mapped read-only."""
+    try:
+        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise SnapshotFormatError("%s: not a readable adjacency file: %s" % (path, exc)) from None
+    if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype != np.dtype("<i8"):
+        raise SnapshotFormatError("%s: not a 1-D little-endian int64 array" % path)
+    return arr
+
+
+class MappedAdjacency(NamedTuple):
+    """An adjacency file mapped read-only, its header checked."""
+
+    path: str
+    counts: np.ndarray
+    offsets: np.ndarray
+    indptr: np.ndarray      # views into the map
+    indices: np.ndarray
+
+    def row(self, g):
+        """Node ``g``'s sorted neighbour global ids, read after checking
+        ``0 <= indptr[g] <= indptr[g + 1] <= nnz`` and that each id is below N."""
+        lo, hi = int(self.indptr[g]), int(self.indptr[g + 1])
+        if not 0 <= lo <= hi <= len(self.indices):
+            raise SnapshotFormatError("%s: row %d spans [%d, %d), outside the %d neighbours"
+                                      % (self.path, g, lo, hi, len(self.indices)))
+        row = np.array(self.indices[lo:hi])
+        if len(row) and (row.min() < 0 or row.max() >= self.offsets[-1]):
+            raise SnapshotFormatError("%s: row %d names a node outside [0, %d)"
+                                      % (self.path, g, self.offsets[-1]))
+        return row
+
+
+def map_adjacency(path):
+    """Map an adjacency file and check its header: ``T >= 1``, counts
+    non-negative, and a length of exactly ``1 + T + N + 1 + nnz``, where
+    ``nnz`` is the last ``indptr`` entry. Nothing past the header is read."""
+    path = os.fspath(path)
+    arr = _map_npy(path)
+    size = len(arr)
+    n_types = int(arr[0]) if size else 0
+    if not 1 <= n_types < size:
+        raise SnapshotFormatError("%s: type count %d does not fit a file of %d entries"
+                                  % (path, n_types, size))
+    counts = np.array(arr[1:1 + n_types])
+    if counts.min() < 0 or counts.max() > size:
+        raise SnapshotFormatError("%s: node counts %s out of range" % (path, counts.tolist()))
+    head = 1 + n_types + int(counts.sum()) + 1
+    nnz = int(arr[head - 1]) if head <= size else -1
+    if nnz < 0 or head + nnz != size:
+        raise SnapshotFormatError("%s: %d entries, but the header gives %d node counts %s and"
+                                  " %d neighbours" % (path, size, n_types, counts.tolist(), nnz))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return MappedAdjacency(path, counts, offsets, arr[1 + n_types:head], arr[head:])
+
+
+def check_adjacency(path, graph):
+    """Compare an adjacency file with ``adjacency_array(graph)``, exactly."""
+    path = os.fspath(path)
+    if not np.array_equal(_map_npy(path), adjacency_array(graph)):
+        raise SnapshotFormatError("%s: adjacency index differs from the one rebuilt from"
+                                  " the graph file" % path)

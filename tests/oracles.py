@@ -12,7 +12,11 @@ graph through its per-node accessors or raw edge arrays and draw from
 ``dhge.seeding``'s ``derived_rng`` / ``mix``, thin wrappers of NumPy's
 ``SeedSequence``. ``embed_all_full_rows`` runs the package's full-row
 forward, which the dense oracles here check layer by layer.
+``retrieve_full_load`` is the read path ``cmd_retrieve`` replaced: the
+package's full graph and table loads, then its ``cosine_topk``.
 """
+import os
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -392,6 +396,57 @@ def reconstruction_operator_loop(graph, refs, nbrs, weights):
     return scipy.sparse.coo_matrix(
         (np.asarray(data), (np.asarray(ri, dtype=np.int64), np.asarray(ci, dtype=np.int64))),
         shape=(n, n)).tocsr()
+
+
+def all_refs(graph):
+    """Every node of ``graph`` as a (type, intra id) pair, in global order."""
+    from dhge.graph import NodeRef
+    return [NodeRef(t, i) for t in range(graph.num_types) for i in range(graph.counts[t])]
+
+
+def has_edge(graph, gi, gj):
+    nbrs = graph.neighbors_of(gi)
+    pos = np.searchsorted(nbrs, gj)
+    return pos < len(nbrs) and nbrs[pos] == gj
+
+
+def degree_of(graph, node):
+    return len(graph.neighbors_of(node))
+
+
+def retrieve_full_load(cfg, user_intra_id, k=10, version=None, exclude_known=True):
+    """``cmd_retrieve``'s hits through a full load of the version: its whole
+    graph, rebuilt from the graph file, and its whole table."""
+    from dhge.evaluation import cosine_topk
+    from dhge.graph import DataError, NodeRef
+    from dhge.pipeline import graph_for_manifest, resolve_manifest
+    from dhge.snapshot import load_table
+    sd = cfg.paths["snapshot_dir"]
+    man = resolve_manifest(sd, version)
+    graph = graph_for_manifest(cfg, man)
+    table = load_table(os.path.join(sd, man.table_path))
+    user_type = cfg.eval["user_type"]
+    item_type = cfg.eval["item_type"]
+    ref = NodeRef(user_type, int(user_intra_id))
+    graph.check_ref(ref)
+    if ref.intra_id >= table.counts[user_type]:
+        raise DataError("user %d not present in table version %d"
+                        % (ref.intra_id, table.version))
+    query = table.row(ref)
+    n_items = min(int(graph.counts[item_type]), int(table.counts[item_type]))
+    items = table.blocks[item_type][:n_items]
+    keep = np.ones(n_items, dtype=bool)
+    if exclude_known:
+        nbrs = graph.neighbors_of(ref)
+        known = nbrs[graph.type_of_global(nbrs) == item_type] - graph.offsets[item_type]
+        keep[known[known < n_items]] = False
+    keep = np.flatnonzero(keep)
+    hits = []
+    if keep.size:
+        order, scores = cosine_topk(query, items[keep], min(k, keep.size))
+        hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
+                for j, s in zip(order, scores)]
+    return hits
 
 
 def adjacency_by_unique(graph):

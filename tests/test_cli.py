@@ -1,12 +1,13 @@
 """End-to-end command line flows driven through main()."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
-from dhge.pipeline import latest_manifest, load_snapshot_state, write_snapshot
+from dhge.pipeline import latest_manifest, load_snapshot_state, manifest_path, write_snapshot
 
 
 def run(capsys, *argv):
@@ -237,7 +238,7 @@ class TestCorruptSnapshotExit3:
 
     @pytest.mark.parametrize("target, command", [("table", "retrieve"),
                                                  ("alignment", "update"),
-                                                 ("graph", "retrieve")])
+                                                 ("graph", "evaluate")])
     def test_garbage_npz(self, workspace, capsys, tmp_path, target, command):
         _, data, cfg = workspace
         snaps = tmp_path / "snaps"
@@ -248,6 +249,8 @@ class TestCorruptSnapshotExit3:
         argv = [command, "--config", str(cfg), "--snapshot-dir", str(snaps)]
         if command == "retrieve":
             argv += ["--user", "0"]
+        elif command == "evaluate":
+            argv += ["--test", str(data / "base_test.tsv")]
         else:
             argv += ["--increment-edges", str(data / "increments" / "batch_000.edges.tsv")]
         code, _, err = run(capsys, *argv)
@@ -260,7 +263,7 @@ class TestCorruptSnapshotExit3:
         ("duplicate", "relation 0: duplicate edge"),
     ])
     def test_bad_graph_file(self, workspace, capsys, tmp_path, fault, message):
-        _, _, cfg = workspace
+        _, data_dir, cfg = workspace
         snaps = tmp_path / "snaps"
         assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
         path = snaps / latest_manifest(str(snaps)).graph_path
@@ -275,8 +278,8 @@ class TestCorruptSnapshotExit3:
             payload["dst_0"][1] = payload["dst_0"][0]
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
-        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
-                           "--snapshot-dir", str(snaps), "--user", "0")
+        code, _, err = run(capsys, "evaluate", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--test", str(data_dir / "base_test.tsv"))
         assert code == 3
         assert "%s: %s" % (path.name, message) in err
         assert "Traceback" not in err
@@ -293,6 +296,161 @@ class TestCorruptSnapshotExit3:
                            "--snapshot-dir", str(snaps), "--user", "0")
         assert code == 3
         assert "snapshot version 2 stores no graph file" in err
+        assert "Traceback" not in err
+
+    def test_version_without_adjacency_file(self, workspace, capsys, tmp_path):
+        _, data, cfg = workspace
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+        path = manifest_path(str(snaps), 1)
+        with open(path) as fh:
+            man = json.load(fh)
+        os.unlink(snaps / man.pop("adjacency_path"))
+        with open(path, "w") as fh:
+            json.dump(man, fh)   # as versions were written before the index
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0")
+        assert code == 3
+        assert ("snapshot version 1 stores no adjacency file (written before versions"
+                " stored one); write a new version with update or train") in err
+        assert "Traceback" not in err
+        # a full load does not need it
+        code, records, _ = run(capsys, "evaluate", "--config", str(cfg),
+                               "--snapshot-dir", str(snaps),
+                               "--test", str(data / "base_test.tsv"))
+        assert code == 0 and records[-1]["table_version"] == 1
+
+
+def _adjacency_layout(arr):
+    """(T, N, start of indptr, start of indices) of an adjacency array."""
+    n_types = int(arr[0])
+    n_nodes = int(arr[1:1 + n_types].sum())
+    return n_types, n_nodes, 1 + n_types, 2 + n_types + n_nodes
+
+
+class TestAdjacencyFileExit3:
+    """Retrieve reads the adjacency file point by point; every fault it can
+    see exits 3 without a traceback, and a full load sees the rest."""
+
+    @pytest.fixture
+    def snaps(self, trained, tmp_path):
+        _, _, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        return snaps
+
+    def _retrieve(self, capsys, trained, snaps):
+        _, cfg, _ = trained
+        return run(capsys, "retrieve", "--config", str(cfg), "--snapshot-dir", str(snaps),
+                   "--user", "0")
+
+    def _rewrite(self, snaps, change):
+        path = snaps / latest_manifest(str(snaps)).adjacency_path
+        arr = np.load(path).copy()
+        change(arr)
+        np.save(path, arr)
+        return path
+
+    def _garbage(self, path):
+        path.write_bytes(b"garbage")
+
+    def _truncated(self, path):
+        path.write_bytes(path.read_bytes()[:-9])
+
+    def _missing(self, path):
+        os.unlink(path)
+
+    @pytest.mark.parametrize("fault", ["_garbage", "_truncated", "_missing"])
+    def test_unreadable_file(self, trained, snaps, capsys, fault):
+        path = snaps / latest_manifest(str(snaps)).adjacency_path
+        getattr(self, fault)(path)
+        code, _, err = self._retrieve(capsys, trained, snaps)
+        assert code == 3
+        assert "%s: not a readable adjacency file" % path.name in err
+        assert "Traceback" not in err
+
+    def test_out_of_range_indptr(self, trained, snaps, capsys):
+        def change(arr):
+            _, _, indptr, indices = _adjacency_layout(arr)
+            arr[indptr + 1] = len(arr) - indices + 1   # user 0's row ends past nnz
+        path = self._rewrite(snaps, change)
+        code, _, err = self._retrieve(capsys, trained, snaps)
+        assert code == 3
+        assert "%s: row 0 spans" % path.name in err
+        assert "Traceback" not in err
+
+    def test_out_of_range_index(self, trained, snaps, capsys):
+        def change(arr):
+            _, n_nodes, indptr, indices = _adjacency_layout(arr)
+            assert arr[indptr + 1] > arr[indptr]   # user 0 has neighbours
+            arr[indices + arr[indptr]] = n_nodes + 7
+        path = self._rewrite(snaps, change)
+        code, _, err = self._retrieve(capsys, trained, snaps)
+        assert code == 3
+        assert "%s: row 0 names a node outside" % path.name in err
+        assert "Traceback" not in err
+
+    def test_bad_length(self, trained, snaps, capsys):
+        path = snaps / latest_manifest(str(snaps)).adjacency_path
+        np.save(path, np.append(np.load(path), 0))
+        code, _, err = self._retrieve(capsys, trained, snaps)
+        assert code == 3
+        assert "%s: " % path.name in err and "entries, but the header gives" in err
+        assert "Traceback" not in err
+
+    def test_in_range_flip_caught_by_the_next_full_load(self, trained, snaps, capsys):
+        data, cfg, _ = trained
+        _, before, _ = self._retrieve(capsys, trained, snaps)
+
+        def change(arr):
+            _, n_nodes, _, _ = _adjacency_layout(arr)
+            arr[-1] = (arr[-1] + 1) % n_nodes   # the last node's row, not user 0's
+        path = self._rewrite(snaps, change)
+        code, after, err = self._retrieve(capsys, trained, snaps)
+        assert code == 0 and after == before
+        message = "%s: adjacency index differs from the one rebuilt from the graph file" % path.name
+        common = ["--config", str(cfg), "--snapshot-dir", str(snaps)]
+        code, _, err = run(capsys, "evaluate", *common, "--test", str(data / "base_test.tsv"))
+        assert code == 3 and message in err and "Traceback" not in err
+        code, _, err = run(capsys, "update", *common, "--increment-edges",
+                           str(data / "increments" / "batch_000.edges.tsv"))
+        assert code == 3 and message in err and "Traceback" not in err
+
+
+class TestRetrieveArguments:
+    """Retrieve checks its type and k arguments instead of indexing with them."""
+
+    def _config(self, trained, tmp_path, item_type):
+        _, cfg, _ = trained
+        path = tmp_path / "run.ini"
+        path.write_text(cfg.read_text().replace("[eval]\n", "[eval]\nitem_type = %d\n" % item_type))
+        return path
+
+    def test_item_type_beyond_the_snapshot_is_3(self, trained, capsys, tmp_path):
+        _, _, snaps = trained
+        cfg = self._config(trained, tmp_path, 7)
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0")
+        assert code == 3
+        assert "eval.item_type 7 is not a node type of snapshot version 1 (2 types)" in err
+        assert "Traceback" not in err
+
+    def test_negative_item_type_is_2(self, trained, capsys, tmp_path):
+        _, _, snaps = trained
+        cfg = self._config(trained, tmp_path, -1)
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0")
+        assert code == 2
+        assert "eval.item_type must be >= 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_2(self, trained, capsys, k):
+        _, cfg, snaps = trained
+        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
+                           "--snapshot-dir", str(snaps), "--user", "0", "--k", k)
+        assert code == 2
+        assert "retrieve k must be >= 1, got %s" % k in err
         assert "Traceback" not in err
 
 

@@ -12,7 +12,8 @@ from dhge.graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                         save_graph, read_increment, apply_increment,
                         graphs_equal, minibatch_partition, sample_subgraph)
 from conftest import build_graph, tiny_bipartite
-from oracles import adjacency_by_unique, incidence_by_argsort, sample_subgraph_loop
+from oracles import (adjacency_by_unique, all_refs, degree_of, has_edge, incidence_by_argsort,
+                     sample_subgraph_loop)
 from update_scaling import scaling_graph
 
 
@@ -25,7 +26,7 @@ class TestContainer:
         assert g.num_edges == 8
         assert g.global_index(NodeRef(1, 0)) == 3
         assert g.ref_of(3) == NodeRef(1, 0)
-        assert [g.ref_of(i) for i in range(7)] == g.all_refs()
+        assert [g.ref_of(i) for i in range(7)] == all_refs(g)
 
     def test_neighbors_type_erased_and_sorted(self, bipartite_graph):
         g = bipartite_graph
@@ -33,9 +34,9 @@ class TestContainer:
         # links back to user 0, and direction is erased in the adjacency
         nbrs = g.neighbors_of(NodeRef(0, 0))
         assert list(nbrs) == [3, 4, 6]
-        assert g.degree_of(NodeRef(0, 0)) == 3
-        assert g.has_edge(0, 3) and g.has_edge(3, 0)
-        assert not g.has_edge(0, 5)  # user 0 never touches item 2
+        assert degree_of(g, NodeRef(0, 0)) == 3
+        assert has_edge(g, 0, 3) and has_edge(g, 3, 0)
+        assert not has_edge(g, 0, 5)  # user 0 never touches item 2
 
     def test_dangling_edge_rejected(self):
         with pytest.raises(DataError, match="dangling"):

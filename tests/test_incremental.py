@@ -14,7 +14,7 @@ from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors
                               _neighborhoods, _reconstruction_operator, _weight_rows)
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import (bfs_neighbors_loop, constrained_weights, coupled_rows_solve,
+from oracles import (all_refs, bfs_neighbors_loop, constrained_weights, coupled_rows_solve,
                      full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
                      neighborhoods_loop, reconstruction_operator_loop,
                      reconstruction_weights_loop, refine_per_trial)
@@ -295,7 +295,7 @@ class TestAlignmentAndRefine:
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
         assert state.k == 3
-        assert [tuple(r) for r in state.refs] == g.all_refs()
+        assert [tuple(r) for r in state.refs] == all_refs(g)
         assert state.lam.shape == (table.dim, table.dim)
         assert state.nbrs.shape == (len(state.refs), 3, 2)
         assert np.all(np.abs(state.weights.sum(axis=1) - 1.0) <= 1e-10)
@@ -368,7 +368,7 @@ class TestAlignmentAndRefine:
             g, params, table, _, state = ille_update(
                 g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
             offsets.append(g.offsets.tolist())
-            assert [tuple(r) for r in state.refs] == sorted(g.all_refs())
+            assert [tuple(r) for r in state.refs] == sorted(all_refs(g))
             got = _reconstruction_operator(g, state)
             got.sum_duplicates()   # canonical form: sorted columns, repeats summed
             want = reconstruction_operator_loop(g, state.refs, state.nbrs, state.weights)

@@ -17,7 +17,7 @@ from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            cmd_simulate_stream)
 from dhge.snapshot import SnapshotFormatError, load_alignment, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
-from oracles import replay_graph
+from oracles import replay_graph, retrieve_full_load
 
 CFG_TEXT = """
 [model]
@@ -207,6 +207,17 @@ class TestTrainUpdateLineage:
             raise RuntimeError("injected crash during graph write")
 
         monkeypatch.setattr(pipeline_mod, "save_graph_arrays", exploding_save_graph)
+        with pytest.raises(RuntimeError, match="injected"):
+            cmd_train(cfg)
+        assert list_versions(sd) == [1]
+        monkeypatch.undo()
+
+        def exploding_save_adjacency(path, graph):
+            with open(path, "wb") as fh:   # a torn write at the target path
+                fh.write(b"\x93NUMPY")
+            raise RuntimeError("injected crash during adjacency write")
+
+        monkeypatch.setattr(pipeline_mod, "save_adjacency", exploding_save_adjacency)
         with pytest.raises(RuntimeError, match="injected"):
             cmd_train(cfg)
         assert list_versions(sd) == [1]
@@ -428,6 +439,52 @@ class TestEvaluateRetrieve:
         cfg, _ = trained
         with pytest.raises(DataError):
             cmd_retrieve(cfg, user_intra_id=10_000)
+
+
+class TestRetrievePointRead:
+    """``cmd_retrieve`` reads one adjacency row and two table blocks; its hits
+    equal those of ``retrieve_full_load``, which loads the whole version."""
+
+    def test_equals_full_load_for_every_user_and_version(self, stream_data, tmp_path):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        cmd_train(cfg)
+        for edges, feats in stats["batch_files"]:
+            cmd_update(cfg, edges, feats)
+        sd = cfg.paths["snapshot_dir"]
+        assert list_versions(sd) == [1, 2, 3]
+        for version in (1, 2, 3):
+            man = load_manifest(sd, version)
+            graph = graph_for_manifest(cfg, man)
+            n_users, n_items = graph.counts
+            for user in range(n_users):   # the last user row included
+                n_known = int(np.count_nonzero(graph.neighbors_of(NodeRef(0, user))
+                                               >= graph.offsets[1]))
+                for exclude_known in (True, False):
+                    # k below, and k above, the number of candidates
+                    for k in (5, n_items + 3):
+                        args = (cfg, user, k, version, exclude_known)
+                        hits = cmd_retrieve(*args)
+                        assert hits == retrieve_full_load(*args)
+                    assert len(hits) == n_items - n_known * exclude_known
+
+    def test_user_without_neighbours(self, stream_data, tmp_path):
+        data_dir, _ = stream_data
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        user = 20   # the fixture's base users are 0..19: a new user with no edges
+        with open(data_dir / "features.tsv", "a") as f:
+            f.write("0\t%d\t" % user + ",".join(["0.5"] * 6) + "\n")
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        man, _ = cmd_train(cfg)
+        graph = graph_for_manifest(cfg, man)
+        assert graph.counts[0] == user + 1
+        assert len(graph.neighbors_of(NodeRef(0, user))) == 0
+        for exclude_known in (True, False):
+            hits = cmd_retrieve(cfg, user, k=100, exclude_known=exclude_known)
+            assert hits == retrieve_full_load(cfg, user, 100, None, exclude_known)
+            assert len(hits) == graph.counts[1]
 
 
 class TestSimulateStream:

@@ -10,8 +10,9 @@ from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import capture_alignment
 from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError,
                            save_model, load_model, save_table, load_table,
-                           save_alignment, load_alignment, save_graph_arrays,
-                           load_graph_arrays)
+                           load_table_blocks, save_alignment, load_alignment,
+                           save_graph_arrays, load_graph_arrays, save_adjacency,
+                           map_adjacency, check_adjacency)
 from conftest import tiny_bipartite, tiny_params
 
 
@@ -134,6 +135,17 @@ class TestTableSnapshot:
         save_table(tmp_path / "t.npz", EmbeddingTable([rng.normal(size=(2, 2))]))
         assert os.listdir(tmp_path) == ["t.npz"]
 
+    def test_blocks_read_alone_equal_the_full_load(self, tmp_path, rng):
+        path = tmp_path / "t.npz"
+        save_table(path, EmbeddingTable([rng.normal(size=(n, 3)) for n in (5, 2, 4)]))
+        blocks = load_table_blocks(path, [2, 0])
+        assert sorted(blocks) == [0, 2]
+        for t in (0, 2):
+            assert blocks[t].dtype == np.float64
+            assert np.array_equal(blocks[t], load_table(path).blocks[t])
+        with pytest.raises(SnapshotFormatError, match="missing 'block_3'"):
+            load_table_blocks(path, [3])
+
 
 class TestAlignmentSnapshot:
     def test_round_trip_exact(self, tmp_path):
@@ -233,6 +245,46 @@ class TestGraphSnapshot:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(got._adj_indptr, g._adj_indptr)
         assert np.array_equal(got._adj_indices, g._adj_indices)
+
+    def test_adjacency_file_maps_every_row(self, tmp_path):
+        g = tiny_bipartite(seed=1)
+        path = tmp_path / "g.adj.npy"
+        save_adjacency(path, g)
+        assert os.listdir(tmp_path) == ["g.adj.npy"]
+        adj = map_adjacency(path)
+        assert adj.counts.tolist() == g.counts
+        assert np.array_equal(adj.offsets, g.offsets)
+        for node in range(g.num_nodes):
+            assert np.array_equal(adj.row(node), g.neighbors_of(node))
+        check_adjacency(path, g)
+        arr = np.load(path)
+        arr[-1] = (arr[-1] + 1) % g.num_nodes   # in range: only the compare sees it
+        np.save(path, arr)
+        map_adjacency(path)
+        with pytest.raises(SnapshotFormatError, match="adjacency index differs"):
+            check_adjacency(path, g)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("dtype", "not a 1-D little-endian int64 array"),
+        ("types", "type count 0 does not fit"),
+        ("counts", "node counts .* out of range"),
+        ("length", "entries, but the header gives"),
+    ])
+    def test_malformed_adjacency_rejected(self, tmp_path, fault, match):
+        path = tmp_path / "g.adj.npy"
+        save_adjacency(path, tiny_bipartite(seed=1))
+        arr = np.load(path)
+        if fault == "dtype":
+            arr = arr.astype(">i8")
+        elif fault == "types":
+            arr[0] = 0
+        elif fault == "counts":
+            arr[1] = -1
+        else:
+            arr = arr[:-1]
+        np.save(path, arr)
+        with pytest.raises(SnapshotFormatError, match=match):
+            map_adjacency(path)
 
     @pytest.mark.parametrize("fault, match", [
         ("missing", "lacks array 'ts_1'"),

@@ -15,15 +15,29 @@ Run as a script, it prints one JSON line:
   seconds of one full-coverage ``embed_all`` and one ``capture_alignment``
   (hidden 32, k=8) on 4k, 16k and 64k-node bases, the two halves of the
   refresh that ends every retrain. No test reads it;
+* with ``linear``, ``{"embed", "update", "solve"}``: per round, criterion
+  09's times in seconds: one full-coverage ``embed_all`` (hidden 64) on
+  10k, 20k and 40k-node bases, one ``ille_update`` of 50, 100 and 200 new
+  users onto a fixed 4k-node base, and 2,000 weight solves at k = 4, 8 and
+  16; ``test_acceptance.test_09_...`` checks the doubling ratios and the
+  solve-size exponent;
 * with ``evaluate``, ``{"sizes", "evaluate_ms"}``: per base size (4k, 16k
   and 64k nodes), the median milliseconds of three ``evaluate_table`` calls
   ranking 300 test users' held-out items against 99 sampled negatives each,
-  on a random hidden-32 table. No test reads it either.
+  on a random hidden-32 table. No test reads it either;
+* with ``retrieve``, ``{"sizes", "full_load_ms", "point_read_ms"}``: per
+  base size (4k, 16k and 64k nodes, one static version with a random
+  hidden-32 table), the median milliseconds of one top-10 retrieve for 20
+  users, through ``tests/oracles.retrieve_full_load`` (the whole graph and
+  table loaded) and through ``cmd_retrieve`` (one adjacency row and two
+  table blocks read). No test reads it.
 
 A round times its workloads back to back, so a slow stretch of a shared
 host hits all of its times alike. Each timed run follows an untimed one of
-the same work, as in a resident updater whose graph stays warm in cache,
-and, as in ``timeit``, the garbage collector is off while timing.
+the same work, as in a resident updater whose graph stays warm in cache
+(except in ``linear``, which times each run cold, as criterion 09 always
+has, and whose largest runs take seconds), and, as in ``timeit``, the
+garbage collector is off while timing.
 """
 import functools
 import gc
@@ -31,19 +45,22 @@ import json
 import os
 import resource
 import sys
+import tempfile
 import time
 
 import numpy as np
 import scipy.spatial
 
-from oracles import full_lle_oracle, lle_weight_matrix
+from oracles import full_lle_oracle, lle_weight_matrix, retrieve_full_load
 
+from dhge.config import RunConfig
 from dhge.evaluation import EvalProtocol, evaluate_table
 from dhge.fixtures import swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
 from dhge.incremental import (UpdateConfig, capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
+from dhge.pipeline import cmd_retrieve, write_snapshot
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -123,6 +140,75 @@ def evaluate_times(sizes=(4000, 16000, 64000), n_users=300, repeats=3):
     return out
 
 
+def linear_times(rounds=5):
+    cfg = ModelConfig(input_dim=8, hidden_dim=64, rng_seed=0)
+    embed_all(scaling_graph(2000), ModelParams(cfg, 2, 2, 1000), cfg)  # warm up
+    work = []
+    for n in (10_000, 20_000, 40_000):
+        g = scaling_graph(n)
+        params = ModelParams(cfg, num_types=2, num_relations=2, id_capacity=max(g.counts))
+        work.append(functools.partial(_discard, embed_all, g, params, cfg))
+
+    # batches of doubling size against one fixed base
+    cfg_u = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
+    g = scaling_graph(4000, seed=1)
+    params = ModelParams(cfg_u, num_types=2, num_relations=2, id_capacity=max(g.counts))
+    table = embed_all(g, params, cfg_u)
+    alignment = capture_alignment(g, table, k=8, eps=1e-3, rng_seed=0)
+    ucfg = UpdateConfig(k=8, refine_steps=3)
+    for n_upd in (50, 100, 200):
+        rng = np.random.default_rng(n_upd)
+        new_nodes, new_edges = [], []
+        for j in range(n_upd):
+            ref = NodeRef(0, 2000 + j)
+            new_nodes.append((ref, rng.normal(size=8), np.ones(8, dtype=bool)))
+            for i in rng.choice(2000, size=5, replace=False):
+                new_edges.append((ref, NodeRef(1, int(i)), 0, 1e6 + j))
+                new_edges.append((NodeRef(1, int(i)), ref, 1, 1e6 + j))
+        batch = IncrementBatch(new_nodes=new_nodes, new_edges=new_edges, batch_time=1e6)
+        work.append(functools.partial(_update_stages, g, batch, params, table, cfg_u, ucfg,
+                                      alignment=alignment, rng_seed=1))
+
+    # the reconstruction weight solve as the neighborhood grows
+    rng = np.random.default_rng(0)
+    for k in (4, 8, 16):
+        work.append(functools.partial(_solves, rng.normal(size=16), rng.normal(size=(k, 16))))
+    times = _rounds(work, rounds, warm=False)[0]
+    return {"embed": [t[0:3] for t in times], "update": [t[3:6] for t in times],
+            "solve": [t[6:9] for t in times]}
+
+
+def retrieve_times(sizes=(4000, 16000, 64000), n_users=20, rounds=3):
+    out = {"sizes": list(sizes), "full_load_ms": [], "point_read_ms": []}
+    for n in sizes:
+        g = scaling_graph(n, seed=1)
+        rng = np.random.default_rng(2)
+        table = EmbeddingTable([rng.normal(size=(c, 32)) for c in g.counts])
+        model_cfg = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
+        params = ModelParams(model_cfg, num_types=2, num_relations=2, id_capacity=max(g.counts))
+        with tempfile.TemporaryDirectory() as sd:
+            cfg = RunConfig.defaults(snapshot_dir=sd)
+            write_snapshot(sd, "static", model_cfg, params, table, None, cfg.digest(), None, [],
+                           graph=g)
+            work = []
+            for user in rng.choice(g.counts[0], size=n_users, replace=False).tolist():
+                work += [functools.partial(retrieve_full_load, cfg, user),
+                         functools.partial(cmd_retrieve, cfg, user)]
+            times = np.asarray(_rounds(work, rounds)[0]) * 1000.0
+        out["full_load_ms"].append(float(np.median(times[:, 0::2])))
+        out["point_read_ms"].append(float(np.median(times[:, 1::2])))
+    return out
+
+
+def _discard(fn, *args):
+    fn(*args)
+
+
+def _solves(center, nbrs, repeats=2000):
+    for _ in range(repeats):
+        reconstruction_weights(center, nbrs, 1e-3)
+
+
 def _update_stages(*args, **kwargs):
     return ille_update(*args, **kwargs)[3]["stage_ms"]
 
@@ -165,9 +251,9 @@ def rebuild_times(rounds=15):
     return _rounds([incremental_once, rebuild_once], rounds)[0]
 
 
-def _rounds(work, rounds):
+def _rounds(work, rounds, warm=True):
     """Per round, the seconds, the result and the minor page faults of each
-    timed call."""
+    timed call; with ``warm``, each timed call follows an untimed one."""
     times, results, faults = [], [], []
     gc.collect()
     gc.disable()
@@ -175,7 +261,8 @@ def _rounds(work, rounds):
         for _ in range(rounds):
             row, outs, flts = [], [], []
             for fn in work:
-                fn()
+                if warm:
+                    fn()
                 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 outs.append(fn())
@@ -193,5 +280,6 @@ if __name__ == "__main__":
     # one CPU, as bench/run.py runs: the scheduler cannot move the run
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    modes = {"rebuild": rebuild_times, "refresh": refresh_times, "evaluate": evaluate_times}
+    modes = {"rebuild": rebuild_times, "refresh": refresh_times, "linear": linear_times,
+             "evaluate": evaluate_times, "retrieve": retrieve_times}
     print(json.dumps(modes[sys.argv[1]]() if sys.argv[1:] else round_times()))
