@@ -273,7 +273,8 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     of the graph's CSR arrays. Test users beyond the table's rows (events
     newer than the snapshot) are dropped by default;
     ``missing_users="miss"`` scores them as guaranteed misses instead, which
-    is how a stale snapshot behaves in serving.
+    is how a stale snapshot behaves in serving. A negative user id, or a
+    negative item id of a user the table holds, is a ``DataError``.
     """
     t0 = time.perf_counter()
     n_users, n_items = len(table.blocks[user_type]), len(table.blocks[item_type])
@@ -282,11 +283,11 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     typed = (refs[:, 0] == user_type) & (refs[:, 2] == item_type)
     fits = typed & (refs[:, 1] < n_users) & (refs[:, 3] < n_items)
     missing = typed & ~fits
-    served = fits & (refs[:, 1] >= 0)
-    bad = np.flatnonzero(served & (refs[:, 3] < 0))
-    if len(bad):
-        raise DataError("test interaction references unknown item %r"
-                        % (NodeRef(item_type, int(refs[bad[0], 3])),))
+    for rows, col, what, t in ((typed, 1, "user", user_type), (fits, 3, "item", item_type)):
+        bad = np.flatnonzero(rows & (refs[:, col] < 0))
+        if len(bad):
+            raise DataError("test interaction references unknown %s %r"
+                            % (what, NodeRef(t, int(refs[bad[0], col]))))
     if not fits.any() and missing_users == "miss" and missing.any():
         zeros = {k: 0.0 for k in protocol.k_values}
         report = EvalReport(hitrate=dict(zeros), recall=dict(zeros), ndcg=dict(zeros),
@@ -300,8 +301,8 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
         # dropping other types' neighbors keeps each user's items one run
         indptr = np.concatenate(([0], np.cumsum(hit)))[indptr - indptr[0]]
         indptr = np.concatenate((indptr, np.full(n_users - n_graph, indptr[-1])))
-        rows = refs[served]
-        ts = np.array([float(t) for _, _, t in test_interactions])[served]
+        rows = refs[fits]
+        ts = np.array([float(t) for _, _, t in test_interactions])[fits]
         users = np.unique(rows[:, 1])   # user keys (user_type, row) sort by row
         report = _evaluate_rows(table.blocks[user_type], table.blocks[item_type],
                                 (indptr, items[hit]), users,

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError
-from .graph import DataError, load_graph, read_increment, NodeRef, _edge_rows
+from .graph import DataError, load_graph, read_increment, NodeRef, _edge_columns
 # not called here; bench/spans.py wraps this name, so it must resolve
 from .graph import apply_increment  # noqa: F401
 from .model import ModelParams, train_epoch, embed_all
@@ -276,20 +276,23 @@ def read_test_interactions(path, user_type, item_type):
     """Load held-out (user_ref, item_ref, ts) rows from an edge-format TSV.
 
     Rows whose source type is not user_type are skipped (mirrored link
-    rows in reused files), so a training-format file works unchanged.
+    rows in reused files), so a training-format file works unchanged. A
+    negative node id in any row is an error.
     """
     label = os.fspath(path)
-    rows = []
-    for lineno, (st, si, dt, di, _, ts) in _edge_rows(label, label):
-        if st != user_type:
-            continue
-        if dt != item_type:
-            raise DataError("%s:%d: test row destination type %d, expected %d"
-                            % (label, lineno, dt, item_type))
-        rows.append((NodeRef(st, si), NodeRef(dt, di), ts))
-    if not rows:
+    lines, (st, si, dt, di, _, ts) = _edge_columns(label, label)
+    users = st == user_type
+    bad = np.flatnonzero(users & (dt != item_type))
+    if len(bad):
+        raise DataError("%s:%d: test row destination type %d, expected %d"
+                        % (label, lines[bad[0]], dt[bad[0]], item_type))
+    bad = np.flatnonzero((si < 0) | (di < 0))
+    if len(bad):
+        raise DataError("%s:%d: negative node id" % (label, lines[bad[0]]))
+    if not users.any():
         raise DataError("%s: no test interactions for user type %d" % (path, user_type))
-    return rows
+    return [(NodeRef(user_type, u), NodeRef(item_type, i), t)
+            for u, i, t in zip(si[users].tolist(), di[users].tolist(), ts[users].tolist())]
 
 
 def _check_digest(cfg, man, log):

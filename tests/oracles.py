@@ -14,6 +14,9 @@ graph through its per-node accessors or raw edge arrays and draw from
 forward, which the dense oracles here check layer by layer.
 ``retrieve_full_load`` is the read path ``cmd_retrieve`` replaced: the
 package's full graph and table loads, then its ``cosine_topk``.
+``load_graph_sets`` is the set-based loader that ``load_graph`` replaced;
+it and ``apply_increment_loop`` share the package's TSV row parsers and
+``HeteroGraph`` constructor, whose index build the graph tests check.
 """
 import os
 
@@ -483,6 +486,159 @@ def replay_graph(cfg, man):
     return graph
 
 
+def load_graph_sets(edges, features, schema):
+    """The set-based ``load_graph``: node counts inferred from the ids
+    mentioned anywhere, a per-row schema check, a Python key set for
+    duplicate edges and a block fill, then the ``HeteroGraph`` constructor."""
+    import warnings
+    from dhge.graph import (DataError, GraphFormatError, HeteroGraph, RelationSchema,
+                            _edge_columns, _feature_columns, load_schema)
+    if not isinstance(schema, RelationSchema):
+        schema = load_schema(schema)
+    feat_label, lines, (types, ids, values, masks) = _feature_columns(features)
+    feat_rows = {}
+    for lineno, t, i, v, m in zip(lines, types.tolist(), ids.tolist(), values, masks):
+        if t < 0 or i < 0:
+            raise GraphFormatError("%s:%d: negative node address" % (feat_label, lineno))
+        if (t, i) in feat_rows:
+            raise DataError("%s:%d: duplicate feature row for node (%d, %d)"
+                            % (feat_label, lineno, t, i))
+        feat_rows[(t, i)] = (v, m)
+    dim = values.shape[1]
+    edge_label = getattr(edges, "name", None) or str(edges)
+    lines, columns = _edge_columns(edges, edge_label)
+    edge_rows = []
+    for lineno, row in zip(lines, zip(*(c.tolist() for c in columns))):
+        st, si, dt, di, r, _ = row
+        if r < 0 or r >= schema.num_relations:
+            raise DataError("%s:%d: unknown relation id %d" % (edge_label, lineno, r))
+        s_t, d_t = schema.pairs[r]
+        if st != s_t or dt != d_t:
+            raise DataError("%s:%d: relation %d endpoint type mismatch: got (%d, %d), schema"
+                            " (%d, %d)" % (edge_label, lineno, r, st, dt, s_t, d_t))
+        if st == dt and si == di:
+            raise DataError("%s:%d: self-loop rejected" % (edge_label, lineno))
+        if si < 0 or di < 0:
+            raise GraphFormatError("%s:%d: negative node id" % (edge_label, lineno))
+        edge_rows.append(row)
+    num_types = max(schema.num_types, 1 + max(t for t, _ in feat_rows))
+    seen = [set() for _ in range(num_types)]
+    for (t, i) in feat_rows:
+        seen[t].add(i)
+    for st, si, dt, di, r, ts in edge_rows:
+        seen[st].add(si)
+        seen[dt].add(di)
+    counts = []
+    for t in range(num_types):
+        if seen[t]:
+            top = max(seen[t])
+            if len(seen[t]) != top + 1:
+                missing = sorted(set(range(top + 1)) - seen[t])[:5]
+                raise DataError("type %d: intra id gap; ids such as %s never appear" % (t, missing))
+            counts.append(top + 1)
+        else:
+            counts.append(0)
+    feature_blocks = [np.zeros((counts[t], dim)) for t in range(num_types)]
+    mask_blocks = [np.zeros((counts[t], dim), dtype=bool) for t in range(num_types)]
+    for (t, i), (values, mask) in feat_rows.items():
+        feature_blocks[t][i] = values
+        mask_blocks[t][i] = mask
+    keys = set()
+    rel_edges = [([], [], []) for _ in range(schema.num_relations)]
+    dropped = 0
+    for st, si, dt, di, r, ts in edge_rows:
+        if (r, si, di) in keys:
+            dropped += 1
+            continue
+        keys.add((r, si, di))
+        rel_edges[r][0].append(si)
+        rel_edges[r][1].append(di)
+        rel_edges[r][2].append(ts)
+    if dropped:
+        warnings.warn("%s: dropped %d duplicate edges" % (edge_label, dropped))
+    return HeteroGraph(schema, feature_blocks, mask_blocks,
+                       [(np.asarray(s, dtype=np.int64), np.asarray(d, dtype=np.int64),
+                         np.asarray(ts, dtype=np.float64)) for s, d, ts in rel_edges])
+
+
+def apply_increment_loop(graph, batch):
+    """The per-tuple ``apply_increment``: every node and edge checked in a
+    Python loop, duplicate edges found through a key set, and the grown
+    graph built by the ``HeteroGraph`` constructor instead of merged."""
+    import warnings
+    from dhge.graph import DataError, HeteroGraph
+    counts = list(graph.counts)
+    dim = graph.input_dim
+    per_type_new = [[] for _ in range(graph.num_types)]
+    seen_new = set()
+    for ref, values, mask in batch.new_nodes:
+        t, i = int(ref[0]), int(ref[1])
+        if t < 0 or t >= graph.num_types:
+            raise DataError("unknown node type %d in increment" % t)
+        if (t, i) in seen_new:
+            raise DataError("duplicate new node (%d, %d) in increment" % (t, i))
+        seen_new.add((t, i))
+        if i < counts[t]:
+            raise DataError("new node (%d, %d) already exists" % (t, i))
+        if values is None:
+            values = np.zeros(dim)
+            mask = np.zeros(dim, dtype=bool)
+        else:
+            values = np.asarray(values, dtype=np.float64)
+            mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+            if values.shape != (dim,) or mask.shape != (dim,):
+                raise DataError("new node (%d, %d): feature shape %s != (%d,)"
+                                % (t, i, values.shape, dim))
+            if not np.all(np.isfinite(values[mask])):
+                raise DataError("new node (%d, %d): non-finite feature values" % (t, i))
+        per_type_new[t].append((i, values, mask))
+    feature_blocks, mask_blocks = [], []
+    new_counts = list(counts)
+    for t in range(graph.num_types):
+        entries = sorted(per_type_new[t], key=lambda e: e[0])
+        ids = [e[0] for e in entries]
+        if ids != list(range(counts[t], counts[t] + len(ids))):
+            raise DataError("type %d: new intra ids %s do not contiguously extend count %d"
+                            % (t, ids, counts[t]))
+        new_counts[t] = counts[t] + len(ids)
+        feature_blocks.append(np.concatenate([graph.feature_blocks[t]]
+                                             + [e[1][None] for e in entries]))
+        mask_blocks.append(np.concatenate([graph.mask_blocks[t]] + [e[2][None] for e in entries]))
+    rel_edges = [[list(graph.rel_src[r]), list(graph.rel_dst[r]), list(graph.rel_ts[r])]
+                 for r in range(graph.schema.num_relations)]
+    keys = {(r, s, d) for r, (src, dst, _) in enumerate(rel_edges) for s, d in zip(src, dst)}
+    n_added = dropped = 0
+    for src_ref, dst_ref, r, ts in batch.new_edges:
+        r = int(r)
+        if r < 0 or r >= graph.schema.num_relations:
+            raise DataError("unknown relation id %d in increment" % r)
+        s_t, d_t = graph.schema.pairs[r]
+        st, si = int(src_ref[0]), int(src_ref[1])
+        dt, di = int(dst_ref[0]), int(dst_ref[1])
+        if st != s_t or dt != d_t:
+            raise DataError("relation %d endpoint type mismatch: got (%d, %d), schema (%d, %d)"
+                            % (r, st, dt, s_t, d_t))
+        if si < 0 or si >= new_counts[st] or di < 0 or di >= new_counts[dt]:
+            raise DataError("dangling endpoint in increment edge (%d,%d)->(%d,%d)"
+                            % (st, si, dt, di))
+        if st == dt and si == di:
+            raise DataError("self-loop rejected in increment: (%d, %d)" % (st, si))
+        if (r, si, di) in keys:
+            dropped += 1
+            continue
+        keys.add((r, si, di))
+        n_added += 1
+        for column, value in zip(rel_edges[r], (si, di, float(ts))):
+            column.append(value)
+    if dropped:
+        warnings.warn("increment: dropped %d duplicate edges" % dropped)
+    out = HeteroGraph(graph.schema, feature_blocks, mask_blocks,
+                      [(np.asarray(s, dtype=np.int64), np.asarray(d, dtype=np.int64),
+                        np.asarray(ts, dtype=np.float64)) for s, d, ts in rel_edges])
+    return out, {"n_new_nodes": len(batch.new_nodes), "n_new_edges": n_added,
+                 "n_duplicate_edges_dropped": dropped}
+
+
 def alignment_objectives(i_minus_w, lam, mu, y):
     """J_align, J_pen and the residual terms R, S, P at ``y``, over all rows."""
     r = i_minus_w @ y
@@ -741,7 +897,7 @@ def evaluate_table_loop(graph, table, test_interactions, protocol, user_type, it
     """The ``evaluate_table`` adapter over ``evaluate_loop``: NodeRef keys for
     every table row, known pairs from each user's ``neighbors_of``."""
     from dhge.evaluation import EvalReport
-    from dhge.graph import NodeRef
+    from dhge.graph import DataError, NodeRef
     user_keys = [NodeRef(user_type, i) for i in range(len(table.blocks[user_type]))]
     item_keys = [NodeRef(item_type, i) for i in range(len(table.blocks[item_type]))]
     known = []
@@ -755,6 +911,8 @@ def evaluate_table_loop(graph, table, test_interactions, protocol, user_type, it
     for u, i, ts in test_interactions:
         if u[0] != user_type or i[0] != item_type:
             continue
+        if u[1] < 0:
+            raise DataError("test interaction references unknown user %r" % (NodeRef(*u),))
         if u[1] < len(user_keys) and i[1] < len(item_keys):
             tests.append((NodeRef(*u), NodeRef(*i), ts))
         else:

@@ -223,6 +223,50 @@ class TestMalformedCellsExit3:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edges, features, message", [
+        ("0\t20\t1\t4\t0\t1.0\n", "0\t-2\t{cells}\n",
+         "bad.features.tsv:1: negative node id (0, -2)"),
+        ("0\t20\t1\t4\t0\t1.0\n", "0\t20\t{cells}\n0\t20\t{cells}\n",
+         "bad.features.tsv:2: node (0, 20) is listed twice"),
+        ("0\t20\t1\t4\t0\t1.0\n", "0\t3\t{cells}\n",
+         "bad.features.tsv:1: new node (0, 3) names an existing node"),
+        ("0\t20\t1\t4\t0\t1.0\n", "0\t20\tinf,{cells}\n",
+         "bad.features.tsv:1: non-finite feature values for node (0, 20)"),
+        ("0\t20\t1\t4\t0\t1.0\n0\t23\t1\t4\t0\t1.0\n", None,
+         "bad.edges.tsv:2: type 0: intra id gap; ids such as [21, 22] never appear"),
+        ("0\t20\t1\t4\t0\t1.0\n1\t-1\t0\t20\t1\t1.0\n", None,
+         "bad.edges.tsv:2: dangling endpoint in edge (1, -1) -> (0, 20)"),
+        ("0\t20\t1\t4\t0\tinf\n", None, "bad.edges.tsv:1: bad timestamp 'inf'"),
+    ])
+    def test_increment_rule_names_its_row(self, trained, capsys, tmp_path, edges, features,
+                                          message):
+        data, _, _ = trained
+        dim = len((data / "features.tsv").read_text().splitlines()[0].split("\t")[2].split(","))
+        if features is not None:
+            n_cells = dim - 1 if "inf," in features else dim
+            features = features.replace("{cells}", ",".join(["0.5"] * n_cells))
+        code, _, err = self._update(capsys, trained, tmp_path, edges, features)
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0\t1\t1\t2\t0\tinf\n", "bad_test.tsv:1: bad timestamp 'inf'"),
+        ("0\t0\t1\t2\t0\t1.0\n0\t-1\t1\t2\t0\tnan\n", "bad_test.tsv:2: bad timestamp 'nan'"),
+        ("0\t-1\t1\t2\t0\t1.0\n0\t0\t1\t2\t0\t1.0\n", "bad_test.tsv:1: negative node id"),
+        ("0\t0\t1\t-2\t0\t1.0\n", "bad_test.tsv:1: negative node id"),
+    ])
+    def test_test_file_rule_names_its_row(self, trained, capsys, tmp_path, rows, message):
+        _, cfg, snaps = trained
+        bad = tmp_path / "bad_test.tsv"
+        bad.write_text(rows)
+        for missing in ("drop", "miss"):
+            code, _, err = run(capsys, "evaluate", "--config", str(cfg), "--snapshot-dir",
+                               str(snaps), "--test", str(bad), "--missing-users", missing)
+            assert code == 3
+            assert message in err
+            assert "Traceback" not in err
+
     def test_test_interaction_id(self, trained, capsys, tmp_path):
         _, cfg, snaps = trained
         bad = tmp_path / "bad_test.tsv"
@@ -231,6 +275,46 @@ class TestMalformedCellsExit3:
                            "--snapshot-dir", str(snaps), "--test", str(bad))
         assert code == 3
         assert "bad_test.tsv:2: src_id is not an integer: 'u7'" in err
+
+
+class TestBaseFileRulesExit3:
+    """A base graph file meets the rules an increment file meets: the first
+    row that breaks one is named by file:line, with exit 3 and no traceback."""
+
+    @pytest.mark.parametrize("name, row, schema, message", [
+        ("features", "1\t12\tnan,{cells}", "",
+         "features.tsv:{line}: non-finite feature values for node (1, 12)"),
+        ("features", "0\t-3\t0.5,{cells}", "", "features.tsv:{line}: negative node id (0, -3)"),
+        ("features", "0\t4\t0.5,{cells}", "", "features.tsv:{line}: node (0, 4) is listed twice"),
+        ("features", "0\t25\t0.5,{cells}", "",
+         "features.tsv:{line}: type 0: intra id gap; ids such as [20, 21, 22, 23, 24] never"
+         " appear"),
+        ("edges", "0\t1\t0\t2\t0\t1.0", "",
+         "edges.tsv:{line}: relation 0 endpoint type mismatch: got (0, 0), schema (0, 1)"),
+        ("edges", "0\t3\t0\t3\t2\t1.0", "2\t0\t0\n",
+         "edges.tsv:{line}: self-loop rejected: (0, 3)"),
+        ("edges", "0\t1\t1\t2\t0\t-inf", "", "edges.tsv:{line}: bad timestamp '-inf'"),
+        ("edges", "0\t-1\t1\t2\t0\t1.0", "",
+         "edges.tsv:{line}: dangling endpoint in edge (0, -1) -> (1, 2)"),
+    ])
+    def test_base_rule_names_its_row(self, workspace, capsys, tmp_path, name, row, schema,
+                                     message):
+        _, data, cfg = workspace
+        text = {n: (data / ("%s.tsv" % n)).read_text() for n in ("edges", "features", "schema")}
+        dim = len(text["features"].splitlines()[0].split("\t")[2].split(","))
+        line = len(text[name].splitlines()) + 1
+        text[name] += row.replace("{cells}", ",".join(["0.5"] * (dim - 1))) + "\n"
+        text["schema"] += schema
+        conf = cfg.read_text()
+        for n in text:
+            (tmp_path / ("%s.tsv" % n)).write_text(text[n])
+            conf = conf.replace(str(data / ("%s.tsv" % n)), str(tmp_path / ("%s.tsv" % n)))
+        (tmp_path / "run.ini").write_text(conf)
+        code, _, err = run(capsys, "train", "--config", str(tmp_path / "run.ini"),
+                           "--snapshot-dir", str(tmp_path / "snaps"))
+        assert code == 3
+        assert message.format(line=line) in err
+        assert "Traceback" not in err
 
 
 class TestCorruptSnapshotExit3:

@@ -378,13 +378,18 @@ class TestEvaluateMatchesLoop:
         g = tiny_bipartite(seed=0)
         table = EmbeddingTable([basis(3, 4), basis(4, 4)], version=1)
         proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
-        tests = [(NodeRef(0, -1), NodeRef(1, 2), 1.0), (NodeRef(0, 1), NodeRef(1, 2), 2.0)]
+        tests = [(NodeRef(0, 1), NodeRef(1, 2), 2.0)]
         for missing in ("drop", "miss"):
             args = (g, table, tests, proto, 0, 1, missing)
             assert _fields(evaluate_table(*args)) == _fields(evaluate_table_loop(*args))
-        for fn in (evaluate_table, evaluate_table_loop):
-            with pytest.raises(DataError, match="intra_id=-2"):
-                fn(g, table, tests + [(NodeRef(0, 2), NodeRef(1, -2), 1.0)], proto, 0, 1)
+            for fn in (evaluate_table, evaluate_table_loop):
+                # a negative user is an error, not a user the table lacks
+                with pytest.raises(DataError, match=r"unknown user .*intra_id=-1"):
+                    fn(g, table, [(NodeRef(0, -1), NodeRef(1, 2), 1.0)] + tests, proto, 0, 1,
+                       missing)
+                with pytest.raises(DataError, match=r"unknown item .*intra_id=-2"):
+                    fn(g, table, tests + [(NodeRef(0, 2), NodeRef(1, -2), 1.0)], proto, 0, 1,
+                       missing)
 
 
 class TestChronologicalSplit:

@@ -11,9 +11,10 @@ from dhge.graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                         HeteroGraph, IncrementBatch, load_graph, load_schema,
                         save_graph, read_increment, apply_increment,
                         graphs_equal, minibatch_partition, sample_subgraph)
+from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, gen_swiss_roll
 from conftest import build_graph, tiny_bipartite
-from oracles import (adjacency_by_unique, all_refs, degree_of, has_edge, incidence_by_argsort,
-                     sample_subgraph_loop)
+from oracles import (adjacency_by_unique, all_refs, apply_increment_loop, degree_of, has_edge,
+                     incidence_by_argsort, load_graph_sets, sample_subgraph_loop)
 from update_scaling import scaling_graph
 
 
@@ -439,3 +440,165 @@ class TestFileFormats:
         assert values is None and mask is None
         g2, _ = apply_increment(g, batch)
         assert np.all(~g2.mask_blocks[0][2])
+
+
+def _assert_same(got, want, path="graph"):
+    """Equal down to every array's dtype, shape and bytes."""
+    if isinstance(want, HeteroGraph):
+        assert isinstance(got, HeteroGraph) and vars(got).keys() == vars(want).keys()
+        for name in vars(want):
+            _assert_same(getattr(got, name), getattr(want, name), "%s.%s" % (path, name))
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), path
+        assert got.tobytes() == want.tobytes(), path
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for j, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, "%s[%d]" % (path, j))
+    else:
+        assert got == want, path
+
+
+def _warned(fn, *args):
+    """``fn(*args)`` and the texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in rec]
+
+
+def _files(directory):
+    return [str(directory / name) for name in ("edges.tsv", "features.tsv", "schema.tsv")]
+
+
+@pytest.fixture(scope="module")
+def ingest_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ingest")
+    gen_planted_bipartite(root / "planted", n_users=500, n_items=400, communities=8,
+                          missing_rate=0.1, seed=7)
+    stream = gen_drift_stream(root / "stream", base_users=150, base_items=80, n_batches=4,
+                              users_per_batch=6, seed=4)
+    gen_swiss_roll(root / "roll", n=120, seed=2)
+    # duplicate edges, an item that only edges mention, and a feature-only
+    # node type beyond the schema's
+    odd = root / "odd"
+    odd.mkdir()
+    (odd / "edges.tsv").write_text(EDGES + EDGES + "0\t1\t1\t2\t0\t3.0\n")
+    (odd / "features.tsv").write_text(FEATURES + "2\t0\t1.0,,\n")
+    (odd / "schema.tsv").write_text(SCHEMA)
+    return root, stream
+
+
+# small files that each break one ingest rule: (edges, features, schema)
+BAD_FILES = {
+    "negative feature id": (EDGES, FEATURES + "0\t-1\t1.0,2.0,3.0\n", SCHEMA),
+    "negative feature type": (EDGES, FEATURES + "-1\t0\t1.0,2.0,3.0\n", SCHEMA),
+    "non-finite feature": (EDGES, FEATURES.replace("4.0,,6.0", "4.0,,inf"), SCHEMA),
+    "duplicate feature row": (EDGES, FEATURES + "1\t0\t0.5,0.5,0.5\n", SCHEMA),
+    "id gap": (EDGES, FEATURES + "1\t3\t0.5,0.5,0.5\n", SCHEMA),
+    "unknown relation": (EDGES + "0\t0\t1\t1\t5\t1.0\n", FEATURES, SCHEMA),
+    "endpoint type mismatch": (EDGES + "0\t0\t0\t1\t0\t1.0\n", FEATURES, SCHEMA),
+    "self-loop": (EDGES + "0\t1\t0\t1\t2\t1.0\n", FEATURES, SCHEMA + "2\t0\t0\n"),
+    "negative endpoint": (EDGES + "0\t-1\t1\t0\t0\t1.0\n", FEATURES, SCHEMA),
+    "non-finite timestamp": (EDGES + "0\t0\t1\t1\t0\tinf\n", FEATURES, SCHEMA),
+    "no feature rows": (EDGES, "# none\n", SCHEMA),
+}
+
+# hand-built batches that each break one rule: (new_nodes, new_edges, message)
+BAD_BATCHES = {
+    "unknown node type": ([(NodeRef(2, 0), None, None)], [],
+                          "unknown node type 2"),
+    "negative id": ([(NodeRef(0, -2), None, None)], [], "negative node id (0, -2)"),
+    "existing node": ([(NodeRef(0, 1), None, None)], [],
+                      "new node (0, 1) names an existing node"),
+    "duplicate node": ([(NodeRef(0, 3), None, None), (NodeRef(0, 3), np.ones(5), None)], [],
+                       "node (0, 3) is listed twice"),
+    "non-finite features": ([(NodeRef(0, 3), np.array([1.0, np.nan, 1, 1, 1]), None)], [],
+                            "non-finite feature values for node (0, 3)"),
+    "feature width": ([(NodeRef(0, 3), np.ones(4), None)], [],
+                      "every new node's features need 5 values"),
+    "unknown relation": ([], [(NodeRef(0, 0), NodeRef(1, 0), 3, 1.0)], "unknown relation id 3"),
+    "endpoint type mismatch": ([], [(NodeRef(0, 0), NodeRef(0, 1), 0, 1.0)],
+                               "relation 0 endpoint type mismatch: got (0, 0), schema (0, 1)"),
+    "self-loop": ([], [(NodeRef(0, 1), NodeRef(0, 1), 2, 1.0)], "self-loop rejected: (0, 1)"),
+    "non-finite timestamp": ([], [(NodeRef(0, 0), NodeRef(1, 3), 0, float("nan"))],
+                             "non-finite timestamp nan"),
+    "id gap": ([(NodeRef(0, 6), None, None), (NodeRef(0, 3), None, None)], [],
+               "type 0: intra id gap; ids such as [4, 5] never appear"),
+    "dangling endpoint": ([], [(NodeRef(0, 3), NodeRef(1, 0), 0, 1.0)],
+                          "dangling endpoint in edge (0, 3) -> (1, 0)"),
+    "negative endpoint": ([], [(NodeRef(0, 0), NodeRef(1, -1), 0, 1.0)],
+                          "dangling endpoint in edge (0, 0) -> (1, -1)"),
+}
+
+
+class TestIngestMatchesOracles:
+    """``load_graph`` and ``apply_increment`` give exactly what the set-based
+    loader and the per-tuple increment they replaced give: every array and
+    its dtype, the stats and the warning texts."""
+
+    @pytest.mark.parametrize("name", ["planted", "stream", "roll", "odd"])
+    def test_load_graph(self, ingest_data, name):
+        root, _ = ingest_data
+        got, got_warned = _warned(load_graph, *_files(root / name))
+        want, want_warned = _warned(load_graph_sets, *_files(root / name))
+        _assert_same(got, want)
+        assert got_warned == want_warned
+        assert bool(got_warned) == (name == "odd")
+
+    def test_drift_stream_base_and_batches(self, ingest_data):
+        root, stream = ingest_data
+        graph = load_graph(*_files(root / "stream"))
+        for edges, features in stream["batch_files"]:
+            batch = read_increment(graph, edges, features)
+            (got, got_stats), got_warned = _warned(apply_increment, graph, batch)
+            (want, want_stats), want_warned = _warned(apply_increment_loop, graph, batch)
+            _assert_same(got, want)
+            assert got_stats == want_stats and got_warned == want_warned
+            graph = got
+
+    def test_hand_built_batches(self):
+        # duplicates against the base and inside the batch, featureless new
+        # items and both types growing in each batch
+        rng = np.random.default_rng(3)
+        maker = TestIncrementIndexes()
+        edges = [sorted({(int(rng.integers(8)), int(rng.integers(6))) for _ in range(15)}),
+                 sorted({(int(rng.integers(6)), int(rng.integers(8))) for _ in range(10)}),
+                 sorted({(a, b) for a, b in rng.integers(8, size=(10, 2)).tolist() if a != b})]
+        graph = build_graph(maker.SCHEMA, [8, 6], edges, input_dim=3, seed=1)
+        edges = [[e + (1.0,) for e in rel] for rel in edges]
+        for step in range(1, 4):
+            batch = maker._batch(rng, graph, edges, step)
+            (got, got_stats), got_warned = _warned(apply_increment, graph, batch)
+            (want, want_stats), want_warned = _warned(apply_increment_loop, graph, batch)
+            _assert_same(got, want)
+            assert got_stats == want_stats and got_warned == want_warned
+            assert got_stats["n_duplicate_edges_dropped"] >= 2
+            for r in range(3):
+                edges[r] = [(s, d, t) for s, d, t in zip(got.rel_src[r].tolist(),
+                                                         got.rel_dst[r].tolist(),
+                                                         got.rel_ts[r].tolist())]
+            graph = got
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_malformed_files_rejected_by_both(self, case):
+        for load in (load_graph, load_graph_sets):
+            with pytest.raises(DataError):
+                load(*(io.StringIO(text) for text in BAD_FILES[case]))
+
+    @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+    def test_malformed_batches(self, case):
+        nodes, edges, message = BAD_BATCHES[case]
+        graph = build_graph([(0, 1), (1, 0), (0, 0)], [3, 4], [[(0, 0)], [(1, 2)], [(0, 2)]])
+        batch = IncrementBatch(new_nodes=nodes, new_edges=edges)
+        # every rule names the batch's rows "increment"
+        with pytest.raises(DataError) as exc:
+            apply_increment(graph, batch)
+        assert str(exc.value) == "increment: " + message
+        if case == "non-finite timestamp":
+            # accepted before the checker: the edge joined with its nan time
+            assert np.isnan(apply_increment_loop(graph, batch)[0].rel_ts[0][-1])
+        else:
+            with pytest.raises(DataError):
+                apply_increment_loop(graph, batch)
