@@ -13,8 +13,7 @@ import os
 
 import numpy as np
 
-from .fixtures import _write_edges, _write_features, _write_schema
-from .graph import DataError, parse_feature_cells
+from .graph import DataError, parse_feature_cells, write_edges, write_features, write_schema
 from .seeding import derived_rng, TAG_FIXTURE
 
 USER_TYPE = 0
@@ -178,10 +177,10 @@ def prepare_click_log(log_path, out_dir, user_col, item_col, ts_col,
 
     out = os.fspath(out_dir)
     os.makedirs(out, exist_ok=True)
-    _write_schema(os.path.join(out, "schema.tsv"), [(USER_TYPE, ITEM_TYPE), (ITEM_TYPE, USER_TYPE)])
-    _write_edges(os.path.join(out, "edges.tsv"), train_rows)
-    _write_edges(os.path.join(out, "test.tsv"), test_rows)
-    _write_features(os.path.join(out, "features.tsv"), feat_rows)
+    write_schema(os.path.join(out, "schema.tsv"), [(USER_TYPE, ITEM_TYPE), (ITEM_TYPE, USER_TYPE)])
+    write_edges(os.path.join(out, "edges.tsv"), train_rows)
+    write_edges(os.path.join(out, "test.tsv"), test_rows)
+    write_features(os.path.join(out, "features.tsv"), feat_rows)
     return {
         "n_users": len(user_ids),
         "n_items": len(item_ids),

@@ -8,7 +8,8 @@ config should never silently fall back to a default).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .model import ModelConfig
 from .incremental import UpdateConfig
@@ -49,6 +50,14 @@ def _parse_opt_int(text):
     return int(text)
 
 
+def _dataclass_keys(cls, skip=(), **parsers):
+    """A section of the fields of dataclass ``cls`` but ``skip``: each field's
+    default, converted from text by its entry in ``parsers`` or its type."""
+    types = typing.get_type_hints(cls)
+    return {f.name: (parsers.get(f.name, types[f.name]), f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
 # section -> key -> (converter, default). None default means required-if-used.
 _SCHEMA = {
     "paths": {
@@ -57,32 +66,15 @@ _SCHEMA = {
         "schema": (str, None),
         "snapshot_dir": (str, "snapshots"),
     },
-    "model": {
-        "hidden_dim": (int, 64),
-        "num_gcn_layers": (int, 2),
-        "global_mix": (float, 0.5),
-        "fusion_weights": (_parse_float_triple, (1.0, 1.0, 1.0)),
-        "dropout": (float, 0.0),
-        "degree_limit": (int, 10),
-        "neg_pool_size": (int, 32),
-        "batch_size": (int, 256),
-        "input_activation": (str, "identity"),
-    },
+    "model": _dataclass_keys(ModelConfig, skip=("input_dim", "rng_seed"),
+                             fusion_weights=_parse_float_triple),
     "train": {
         "epochs": (int, 20),
         "learning_rate": (float, 5e-4),
         "weight_decay": (float, 1e-4),
         "cold_start_retrain": (_parse_bool, False),
     },
-    "update": {
-        "k": (int, 8),
-        "alpha": (float, 0.5),
-        "eps": (float, 1e-3),
-        "refine_steps": (int, 10),
-        "refine_step_size": (float, 1e-3),
-        "refine_mu": (float, 1.0),
-        "weight_space": (str, "embedding"),
-    },
+    "update": _dataclass_keys(UpdateConfig),
     "eval": {
         "k_values": (_parse_int_list, (10,)),
         "negatives_per_user": (_parse_opt_int, 99),
@@ -194,29 +186,10 @@ class RunConfig:
                 raise ConfigError("missing required [paths] entry: %s" % key)
 
     def model_config(self, input_dim):
-        m = self.model
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_dim=m["hidden_dim"],
-            num_gcn_layers=m["num_gcn_layers"],
-            global_mix=m["global_mix"],
-            fusion_weights=tuple(m["fusion_weights"]),
-            dropout=m["dropout"],
-            degree_limit=m["degree_limit"],
-            neg_pool_size=m["neg_pool_size"],
-            batch_size=m["batch_size"],
-            input_activation=m["input_activation"],
-            rng_seed=self.pipeline["rng_seed"],
-        )
+        return ModelConfig(input_dim=input_dim, rng_seed=self.pipeline["rng_seed"], **self.model)
 
     def update_config(self):
-        u = self.update
-        return UpdateConfig(
-            k=u["k"], alpha=u["alpha"], eps=u["eps"],
-            refine_steps=u["refine_steps"],
-            refine_step_size=u["refine_step_size"],
-            refine_mu=u["refine_mu"], weight_space=u["weight_space"],
-        )
+        return UpdateConfig(**self.update)
 
     def protocol(self):
         e = self.eval

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .graph import write_edges, write_features, write_schema
 from .seeding import derived_rng, TAG_FIXTURE
 
 
@@ -24,27 +25,6 @@ def swiss_roll_points(n, seed=0, noise=0.0):
     if noise > 0:
         x = x + rng.normal(0.0, noise, size=x.shape)
     return x, np.stack([t, height], axis=1)
-
-
-def _write_features(path, rows):
-    # rows: iterable of (type, intra, values, mask)
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for t, i, values, mask in rows:
-            cells = [repr(float(v)) if m else "" for v, m in zip(values, mask)]
-            fh.write("%d\t%d\t%s\n" % (t, i, ",".join(cells)))
-
-
-def _write_edges(path, rows):
-    # rows: iterable of (src_type, src_id, dst_type, dst_id, relation, ts)
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for st, si, dt, di, r, ts in rows:
-            fh.write("%d\t%d\t%d\t%d\t%d\t%s\n" % (st, si, dt, di, r, repr(float(ts))))
-
-
-def _write_schema(path, pairs):
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for r, (s, t) in enumerate(pairs):
-            fh.write("%d\t%d\t%d\n" % (r, s, t))
 
 
 def _community_features(rng, comm, communities, feature_dim, noise, missing_rate):
@@ -120,10 +100,10 @@ def gen_planted_bipartite(out_dir, n_users=400, n_items=200, communities=4,
         feat_rows.append((1, i, v, m))
 
     out = os.fspath(out_dir)
-    _write_schema(os.path.join(out, "schema.tsv"), [(0, 1), (1, 0)])
-    _write_features(os.path.join(out, "features.tsv"), feat_rows)
-    _write_edges(os.path.join(out, "edges.tsv"), train_rows)
-    _write_edges(os.path.join(out, "test.tsv"), test_rows)
+    write_schema(os.path.join(out, "schema.tsv"), [(0, 1), (1, 0)])
+    write_features(os.path.join(out, "features.tsv"), feat_rows)
+    write_edges(os.path.join(out, "edges.tsv"), train_rows)
+    write_edges(os.path.join(out, "test.tsv"), test_rows)
     return {
         "n_users": n_users, "n_items": n_items, "communities": communities,
         "n_train_edges": n_train_edges, "n_test_rows": len(test_rows),
@@ -139,10 +119,10 @@ def gen_swiss_roll(out_dir, n=300, seed=0, noise=0.0):
     os.makedirs(os.fspath(out_dir), exist_ok=True)
     x, plane = swiss_roll_points(n, seed=seed, noise=noise)
     out = os.fspath(out_dir)
-    _write_schema(os.path.join(out, "schema.tsv"), [])
-    _write_features(os.path.join(out, "features.tsv"),
-                    [(0, i, x[i], np.ones(x.shape[1], dtype=bool)) for i in range(n)])
-    _write_edges(os.path.join(out, "edges.tsv"), [])
+    write_schema(os.path.join(out, "schema.tsv"), [])
+    write_features(os.path.join(out, "features.tsv"),
+                   [(0, i, x[i], np.ones(x.shape[1], dtype=bool)) for i in range(n)])
+    write_edges(os.path.join(out, "edges.tsv"), [])
     return {"n_points": n, "dim": x.shape[1]}
 
 
@@ -193,14 +173,14 @@ def gen_drift_stream(out_dir, base_users=200, base_items=100, communities=4,
             test_rows.append((0, u, 1, held, 0, t_base + 9_000.0))
         e_path = os.path.join(inc_dir, "batch_%03d.edges.tsv" % j)
         f_path = os.path.join(inc_dir, "batch_%03d.features.tsv" % j)
-        _write_edges(e_path, edge_rows)
-        _write_features(f_path, feat_rows)
+        write_edges(e_path, edge_rows)
+        write_features(f_path, feat_rows)
         batch_files.append((e_path, f_path))
 
     # the shared test file: stream holdouts only (base holdouts kept aside)
     with open(os.path.join(out, "base_test.tsv"), "w", encoding="utf-8") as fh:
         fh.write(base_test)
-    _write_edges(os.path.join(out, "test.tsv"), test_rows)
+    write_edges(os.path.join(out, "test.tsv"), test_rows)
     stats.update({"n_batches": n_batches, "users_per_batch": users_per_batch,
                   "batch_files": batch_files, "n_stream_test_rows": len(test_rows)})
     return stats

@@ -720,6 +720,8 @@ def load_schema(source):
         r = _parse_int(f[0], label, lineno, "relation_id")
         s = _parse_int(f[1], label, lineno, "src_type")
         t = _parse_int(f[2], label, lineno, "dst_type")
+        if min(s, t) < 0:
+            raise GraphFormatError("%s:%d: negative node type %d" % (label, lineno, min(s, t)))
         if r in rows:
             raise GraphFormatError("%s:%d: duplicate relation id %d" % (label, lineno, r))
         rows[r] = (s, t)
@@ -737,12 +739,23 @@ def load_graph(edges, features, schema):
     1 + largest feature type)`` types and the first feature row's width,
     read as ``read_increment`` reads one and merged as ``apply_increment``
     merges one: errors name file:line, duplicate edges are dropped with a
-    warning, and an edge-only node has all-missing features.
+    warning, and an edge-only node has all-missing features. Every type
+    below a feature row's type is a schema endpoint or has a feature row.
     """
     if not isinstance(schema, RelationSchema):
         schema = load_schema(schema)
     features = _feature_columns(features)
-    types, _, values, masks = features[2]
+    label, lines, (types, _, values, masks) = features
+    # every type below the largest gets blocks, so a type past a gap is refused
+    # before any block is allocated
+    known = _unique(np.concatenate([np.array(schema.pairs, dtype=np.int64).ravel(),
+                                    types[types >= 0]]))
+    gap = np.flatnonzero(np.searchsorted(known, types) < types)
+    if len(gap):
+        j, t = gap[0], types[gap[0]]
+        missing = np.setdiff1d(np.arange(min(t, len(known) + 5)), known)[:5]
+        raise DataError("%s:%d: node type %d leaves a gap: types %s have no schema relation"
+                        " and no feature row" % (label, lines[j], t, missing.tolist()))
     n_types = max(schema.num_types, 1 + int(types.max()), 1)
     no_edge = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
     empty = HeteroGraph(schema, [values[:0].copy()] * n_types, [masks[:0].copy()] * n_types,
@@ -751,22 +764,37 @@ def load_graph(edges, features, schema):
     return _merge_rows(empty, nodes, edge_columns, label)[0]
 
 
+def write_schema(path, pairs):
+    """Schema rows from (source type, target type) pairs, relation ids in order."""
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        for r, (s, t) in enumerate(pairs):
+            fh.write("%d\t%d\t%d\n" % (r, s, t))
+
+
+def write_features(path, rows):
+    """Feature rows from (type, id, values, mask) tuples; a masked value is an empty cell."""
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        for t, i, values, mask in rows:
+            cells = [repr(float(v)) if m else "" for v, m in zip(values, mask)]
+            fh.write("%d\t%d\t%s\n" % (t, i, ",".join(cells)))
+
+
+def write_edges(path, rows):
+    """Edge rows from (src type, src id, dst type, dst id, relation, timestamp) tuples."""
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        for st, si, dt, di, r, ts in rows:
+            fh.write("%d\t%d\t%d\t%d\t%d\t%s\n" % (st, si, dt, di, r, repr(float(ts))))
+
+
 def save_graph(graph, edges_path, features_path, schema_path):
     """Write a graph back out in the load_graph formats (lossless round trip)."""
-    with open(os.fspath(schema_path), "w", encoding="utf-8") as fh:
-        for r, (s, t) in enumerate(graph.schema.pairs):
-            fh.write("%d\t%d\t%d\n" % (r, s, t))
-    with open(os.fspath(features_path), "w", encoding="utf-8") as fh:
-        for t in range(graph.num_types):
-            fb, mb = graph.feature_blocks[t], graph.mask_blocks[t]
-            for i in range(graph.counts[t]):
-                cells = [repr(float(fb[i, j])) if mb[i, j] else "" for j in range(graph.input_dim)]
-                fh.write("%d\t%d\t%s\n" % (t, i, ",".join(cells)))
-    with open(os.fspath(edges_path), "w", encoding="utf-8") as fh:
-        for r in range(graph.schema.num_relations):
-            s_t, d_t = graph.schema.pairs[r]
-            for si, di, ts in zip(graph.rel_src[r], graph.rel_dst[r], graph.rel_ts[r]):
-                fh.write("%d\t%d\t%d\t%d\t%d\t%s\n" % (s_t, si, d_t, di, r, repr(float(ts))))
+    write_schema(schema_path, graph.schema.pairs)
+    write_features(features_path, ((t, i, graph.feature_blocks[t][i], graph.mask_blocks[t][i])
+                                   for t in range(graph.num_types) for i in range(graph.counts[t])))
+    write_edges(edges_path, ((s_t, si, d_t, di, r, ts)
+                             for r, (s_t, d_t) in enumerate(graph.schema.pairs)
+                             for si, di, ts in zip(graph.rel_src[r], graph.rel_dst[r],
+                                                   graph.rel_ts[r])))
 
 
 def read_increment(graph, edges_source, features_source=None):

@@ -618,8 +618,6 @@ class UpdateConfig:
     refine_step_size: float = 1e-3
     refine_mu: float = 1.0
     weight_space: str = "embedding"
-    tol: float = 1e-8
-    max_sweeps: int = 100
 
     def __post_init__(self):
         if self.k < 1:
@@ -630,12 +628,6 @@ class UpdateConfig:
             raise ValueError("eps must be non-negative")
         if self.weight_space not in ("embedding", "feature"):
             raise ValueError("weight_space must be 'embedding' or 'feature'")
-
-    def to_items(self):
-        return {"k": self.k, "alpha": self.alpha, "eps": self.eps,
-                "refine_steps": self.refine_steps, "refine_step_size": self.refine_step_size,
-                "refine_mu": self.refine_mu, "weight_space": self.weight_space,
-                "tol": self.tol, "max_sweeps": self.max_sweeps}
 
 
 def disentangled_update(params, refs, rows, grow_seed=0):
@@ -770,8 +762,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     sweeps = 0
     if n_new:
         rows, reconstruction_loss, sweeps = embed_increment(
-            dense, centers[:n_new], nbrs[:n_new], weights[:n_new],
-            tol=update_config.tol, max_sweeps=update_config.max_sweeps)
+            dense, centers[:n_new], nbrs[:n_new], weights[:n_new])
         dense[centers[:n_new]] = rows
 
     # a cold node has no neighbors, so no other row reads it

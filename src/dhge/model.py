@@ -14,7 +14,8 @@ same-type negatives score low.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse
@@ -25,6 +26,10 @@ from .seeding import (derived_rng, mix, TAG_DROPOUT, TAG_EMBED, TAG_NEGSAMPLE,
                       TAG_PARAM_INIT, TAG_SUBGRAPH)
 from .tensor import Param, Tensor
 from .timing import Stages
+
+
+# the items that hold ModelConfig.fusion_weights, in its order
+FUSION_KEYS = ("fusion_identity", "fusion_edge", "fusion_gcn")
 
 
 @dataclass
@@ -58,33 +63,48 @@ class ModelConfig:
             raise ValueError("input_activation must be 'identity' or 'relu'")
 
     def to_items(self):
-        return {
-            "input_dim": self.input_dim, "hidden_dim": self.hidden_dim,
-            "num_gcn_layers": self.num_gcn_layers, "global_mix": self.global_mix,
-            "fusion_identity": self.fusion_weights[0], "fusion_edge": self.fusion_weights[1],
-            "fusion_gcn": self.fusion_weights[2], "dropout": self.dropout,
-            "degree_limit": self.degree_limit, "neg_pool_size": self.neg_pool_size,
-            "batch_size": self.batch_size, "input_activation": self.input_activation,
-            "rng_seed": self.rng_seed,
-        }
+        """One item per field, ``fusion_weights`` split over ``FUSION_KEYS``."""
+        items = {f.name: getattr(self, f.name) for f in fields(self)}
+        items.update(zip(FUSION_KEYS, items.pop("fusion_weights")))
+        return items
 
     @classmethod
     def from_items(cls, items):
-        conv = dict(items)
-        return cls(
-            input_dim=int(conv["input_dim"]), hidden_dim=int(conv["hidden_dim"]),
-            num_gcn_layers=int(conv["num_gcn_layers"]), global_mix=float(conv["global_mix"]),
-            fusion_weights=(float(conv["fusion_identity"]), float(conv["fusion_edge"]),
-                            float(conv["fusion_gcn"])),
-            dropout=float(conv["dropout"]), degree_limit=int(conv["degree_limit"]),
-            neg_pool_size=int(conv["neg_pool_size"]), batch_size=int(conv["batch_size"]),
-            input_activation=str(conv["input_activation"]), rng_seed=int(conv["rng_seed"]),
-        )
+        """Inverse of ``to_items`` on text values, each converted by its
+        field's type. A missing key raises ``KeyError``, a bad value
+        ``ValueError``."""
+        items = dict(items, fusion_weights=tuple(float(items[k]) for k in FUSION_KEYS))
+        return cls(**{f.name: _CONFIG_TYPES[f.name](items[f.name]) for f in fields(cls)})
 
 
-def _xavier(rng, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+_CONFIG_TYPES = typing.get_type_hints(ModelConfig)   # once: it evaluates each annotation
+
+
+# Every parameter, in the order ModelParams draws it, all_params lists it and
+# a model file stores it: (attribute, what it repeats over, shape, initial
+# value). A parameter repeated over types, relations or GCN layers is a list
+# whose j-th entry is named "<attribute>_<j>". A shape is in the input and
+# hidden dims, the type count, or any row count ("rows": the id table grows);
+# () is a scalar. Values start as xavier draws, zeros, normal(0, 0.1) draws,
+# or the constant given.
+PARAM_LAYOUT = (
+    ("input_weight", None, ("input", "hidden"), "xavier"),
+    ("input_bias", None, (1, "hidden"), "zeros"),
+    ("imputation_token", None, (1, "input"), "zeros"),
+    ("id_table", None, ("rows", "hidden"), "normal"),
+    ("type_table", None, ("types", "hidden"), "normal"),
+    ("attn_query", None, ("hidden", "hidden"), "xavier"),
+    ("attn_key", None, ("hidden", "hidden"), "xavier"),
+    ("attn_value", None, ("hidden", "hidden"), "xavier"),
+    ("type_query", "types", ("hidden", "hidden"), "xavier"),
+    ("type_key", "types", ("hidden", "hidden"), "xavier"),
+    ("type_value", "types", ("hidden", "hidden"), "xavier"),
+    ("rel_factor", "relations", (), 1.0),
+    ("rel_attn", "relations", ("hidden", "hidden"), "xavier"),
+    ("rel_msg", "relations", ("hidden", "hidden"), "xavier"),
+    ("type_mix", "types", (), 0.5),
+    ("gcn_weight", "layers", ("hidden", "hidden"), "xavier"),
+)
 
 
 class ModelParams:
@@ -101,43 +121,42 @@ class ModelParams:
             raise ValueError("num_types must be >= 1")
         if id_capacity < 1:
             raise ValueError("id_capacity must be >= 1")
-        self.num_types = num_types
-        self.num_relations = num_relations
-        self.input_dim = config.input_dim
-        self.hidden_dim = config.hidden_dim
+        rng = derived_rng(TAG_PARAM_INIT, config.rng_seed if init_seed is None else init_seed)
+
+        def draw(name, shape, init):
+            shape = tuple(id_capacity if s == "rows" else s for s in shape)
+            if init == "xavier":
+                limit = np.sqrt(6.0 / sum(shape))
+                return rng.uniform(-limit, limit, size=shape)
+            if init == "normal":
+                return rng.normal(0.0, 0.1, size=shape)
+            return np.zeros(shape) if init == "zeros" else init
+        self._fill(config, num_types, num_relations, draw)
+
+    def _fill(self, config, num_types, num_relations, value_of):
+        """Set the counts, ``config``'s input_dim, hidden_dim and num_gcn_layers,
+        then each parameter of ``PARAM_LAYOUT`` in order to ``Param(value_of(name,
+        shape, init), name)``, every size in the shape filled in but "rows"."""
+        self.num_types, self.num_relations = num_types, num_relations
+        self.input_dim, self.hidden_dim = config.input_dim, config.hidden_dim
         self.num_gcn_layers = config.num_gcn_layers
-        seed = config.rng_seed if init_seed is None else init_seed
-        rng = derived_rng(TAG_PARAM_INIT, seed)
-        d_in, d = config.input_dim, config.hidden_dim
-        self.input_weight = Param(_xavier(rng, d_in, d), "input_weight")
-        self.input_bias = Param(np.zeros((1, d)), "input_bias")
-        self.imputation_token = Param(np.zeros((1, d_in)), "imputation_token")
-        self.id_table = Param(rng.normal(0.0, 0.1, size=(id_capacity, d)), "id_table")
-        self.type_table = Param(rng.normal(0.0, 0.1, size=(num_types, d)), "type_table")
-        self.attn_query = Param(_xavier(rng, d, d), "attn_query")
-        self.attn_key = Param(_xavier(rng, d, d), "attn_key")
-        self.attn_value = Param(_xavier(rng, d, d), "attn_value")
-        self.type_query = [Param(_xavier(rng, d, d), "type_query_%d" % t) for t in range(num_types)]
-        self.type_key = [Param(_xavier(rng, d, d), "type_key_%d" % t) for t in range(num_types)]
-        self.type_value = [Param(_xavier(rng, d, d), "type_value_%d" % t) for t in range(num_types)]
-        self.rel_factor = [Param(1.0, "rel_factor_%d" % r) for r in range(num_relations)]
-        self.rel_attn = [Param(_xavier(rng, d, d), "rel_attn_%d" % r) for r in range(num_relations)]
-        self.rel_msg = [Param(_xavier(rng, d, d), "rel_msg_%d" % r) for r in range(num_relations)]
-        self.type_mix = [Param(0.5, "type_mix_%d" % t) for t in range(num_types)]
-        self.gcn_weight = [Param(_xavier(rng, d, d), "gcn_weight_%d" % l)
-                           for l in range(config.num_gcn_layers)]
+        sizes = {"input": self.input_dim, "hidden": self.hidden_dim, "types": num_types,
+                 "relations": num_relations, "layers": self.num_gcn_layers}
+        for attr, over, shape, init in PARAM_LAYOUT:
+            shape = tuple(sizes.get(s, s) for s in shape)
+            names = [attr] if over is None else ["%s_%d" % (attr, j) for j in range(sizes[over])]
+            made = [Param(value_of(name, shape, init), name) for name in names]
+            setattr(self, attr, made[0] if over is None else made)
 
     @property
     def id_capacity(self):
         return self.id_table.value.shape[0]
 
     def all_params(self):
-        out = [self.input_weight, self.input_bias, self.imputation_token,
-               self.id_table, self.type_table,
-               self.attn_query, self.attn_key, self.attn_value]
-        out += self.type_query + self.type_key + self.type_value
-        out += self.rel_factor + self.rel_attn + self.rel_msg + self.type_mix
-        out += self.gcn_weight
+        out = []
+        for attr, over, _, _ in PARAM_LAYOUT:
+            value = getattr(self, attr)
+            out += [value] if over is None else value
         return out
 
     def zero_grads(self):
@@ -161,25 +180,12 @@ class ModelParams:
     def copy(self, id_capacity=0, grow_seed=0):
         """A deep copy whose id table has at least ``id_capacity`` rows, grown
         as ``ensure_id_capacity`` grows it but allocated once."""
+        values = {p.name: p.value for p in self.all_params()}
+        values["id_table"] = np.empty((0, self.hidden_dim))
         out = object.__new__(ModelParams)
-        out.num_types = self.num_types
-        out.num_relations = self.num_relations
-        out.input_dim = self.input_dim
-        out.hidden_dim = self.hidden_dim
-        out.num_gcn_layers = self.num_gcn_layers
-        for name in ("input_weight", "input_bias", "imputation_token",
-                     "type_table", "attn_query", "attn_key", "attn_value"):
-            setattr(out, name, _copy_param(getattr(self, name)))
-        for name in ("type_query", "type_key", "type_value", "rel_factor",
-                     "rel_attn", "rel_msg", "type_mix", "gcn_weight"):
-            setattr(out, name, [_copy_param(p) for p in getattr(self, name)])
-        out.id_table = Param(np.empty((0, self.hidden_dim)), self.id_table.name)
+        out._fill(self, self.num_types, self.num_relations, lambda name, shape, init: values[name])
         out._set_id_rows(self.id_table.value, max(id_capacity, self.id_capacity), grow_seed)
         return out
-
-
-def _copy_param(p):
-    return Param(p.value, p.name)   # Param copies its value
 
 
 class EmbeddingTable:

@@ -21,7 +21,6 @@ import numpy as np
 from .graph import DataError, HeteroGraph, RelationSchema
 from .incremental import AlignmentState
 from .model import EmbeddingTable, ModelConfig, ModelParams
-from .tensor import Param
 
 MAGIC = b"DHGM"
 FORMAT_VERSION = 1
@@ -51,8 +50,6 @@ def _tensor_record(name, value):
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ValueError("tensor %r has unsupported rank %d" % (name, arr.ndim))
     payload = arr.astype("<f4").tobytes(order="C")
@@ -75,10 +72,9 @@ def save_model(path, params, config):
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
+    if n > len(fh.getbuffer()) - fh.tell():   # before read() is asked for n bytes
         raise SnapshotFormatError("truncated snapshot while reading %s" % what)
-    return buf
+    return fh.read(n)
 
 
 def load_model(path):
@@ -87,14 +83,14 @@ def load_model(path):
     Float32 payloads are promoted to float64 in memory, so a subsequent
     ``save_model`` reproduces the file byte for byte.
     """
-    with open(os.fspath(path), "rb") as fh:
+    with open(os.fspath(path), "rb") as raw, io.BytesIO(raw.read()) as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise SnapshotFormatError("bad magic; not a model snapshot")
         version = struct.unpack("<I", _read_exact(fh, 4, "format version"))[0]
         if version != FORMAT_VERSION:
             raise SnapshotFormatError("unsupported snapshot format version %d" % version)
         cfg_len = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-        cfg_text = _read_exact(fh, cfg_len, "config block").decode("utf-8")
+        cfg_text = _read_exact(fh, cfg_len, "config block").decode("utf-8", "replace")
         items = {}
         for line in cfg_text.splitlines():
             if not line.strip():
@@ -105,58 +101,45 @@ def load_model(path):
             items[key] = value
         n_tensors = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))[0]
         tensors = {}
-        order = []
         for _ in range(n_tensors):
             name_len = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _read_exact(fh, name_len, "tensor name").decode("utf-8", "replace")
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, "tensor shape"))
             payload = _read_exact(fh, rows * cols * 4, "tensor payload %r" % name)
             arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
             tensors[name] = arr
-            order.append(name)
         if fh.read(1):
             raise SnapshotFormatError("trailing bytes after final tensor record")
-    config = ModelConfig.from_items(items)
+    try:
+        config = ModelConfig.from_items(items)
+    except KeyError as exc:
+        raise SnapshotFormatError("%s: config block lacks key %s" % (path, exc)) from None
+    except ValueError as exc:
+        raise SnapshotFormatError("%s: bad config block: %s" % (path, exc)) from None
     return config, _assemble_params(config, tensors)
 
 
 def _assemble_params(config, tensors):
-    def take(name, scalar=False, row=False):
+    """``ModelParams`` from the records of ``PARAM_LAYOUT``, each checked
+    against its shape there; any other record is an error."""
+    num_types = tensors["type_table"].shape[0] if "type_table" in tensors else 0
+    num_relations = sum(1 for n in tensors if n.startswith("rel_factor_"))
+
+    def take(name, shape, init):
         if name not in tensors:
             raise SnapshotFormatError("model snapshot missing tensor %r" % name)
         arr = tensors.pop(name)
-        if scalar:
+        if shape == ():
             if arr.shape != (1, 1):
                 raise SnapshotFormatError("tensor %r expected scalar, got %s" % (name, arr.shape))
-            return Param(arr.reshape(()), name)
-        if row:
-            return Param(arr.reshape(1, -1), name)
-        return Param(arr, name)
+            return arr.reshape(())
+        if any(want not in ("rows", got) for want, got in zip(shape, arr.shape)):
+            raise SnapshotFormatError("tensor %r has shape %s, expected %s"
+                                      % (name, arr.shape, shape))
+        return arr
 
-    num_types = tensors["type_table"].shape[0] if "type_table" in tensors else 0
-    num_relations = sum(1 for n in tensors if n.startswith("rel_factor_"))
     out = object.__new__(ModelParams)
-    out.num_types = num_types
-    out.num_relations = num_relations
-    out.input_dim = config.input_dim
-    out.hidden_dim = config.hidden_dim
-    out.num_gcn_layers = config.num_gcn_layers
-    out.input_weight = take("input_weight")
-    out.input_bias = take("input_bias", row=True)
-    out.imputation_token = take("imputation_token", row=True)
-    out.id_table = take("id_table")
-    out.type_table = take("type_table")
-    out.attn_query = take("attn_query")
-    out.attn_key = take("attn_key")
-    out.attn_value = take("attn_value")
-    out.type_query = [take("type_query_%d" % t) for t in range(num_types)]
-    out.type_key = [take("type_key_%d" % t) for t in range(num_types)]
-    out.type_value = [take("type_value_%d" % t) for t in range(num_types)]
-    out.rel_factor = [take("rel_factor_%d" % r, scalar=True) for r in range(num_relations)]
-    out.rel_attn = [take("rel_attn_%d" % r) for r in range(num_relations)]
-    out.rel_msg = [take("rel_msg_%d" % r) for r in range(num_relations)]
-    out.type_mix = [take("type_mix_%d" % t, scalar=True) for t in range(num_types)]
-    out.gcn_weight = [take("gcn_weight_%d" % l) for l in range(config.num_gcn_layers)]
+    out._fill(config, num_types, num_relations, take)
     if tensors:
         raise SnapshotFormatError("model snapshot has unexpected tensors: %s" % sorted(tensors))
     return out

@@ -2,12 +2,15 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
 from dhge.pipeline import latest_manifest, load_snapshot_state, manifest_path, write_snapshot
+from dhge.snapshot import load_model, save_model
+from dhge.tensor import Param
 
 
 def run(capsys, *argv):
@@ -296,6 +299,10 @@ class TestBaseFileRulesExit3:
         ("edges", "0\t1\t1\t2\t0\t-inf", "", "edges.tsv:{line}: bad timestamp '-inf'"),
         ("edges", "0\t-1\t1\t2\t0\t1.0", "",
          "edges.tsv:{line}: dangling endpoint in edge (0, -1) -> (1, 2)"),
+        ("features", "1000000000\t0\t0.5,{cells}", "",
+         "features.tsv:{line}: node type 1000000000 leaves a gap: types [2, 3, 4, 5, 6] have no"
+         " schema relation and no feature row"),
+        ("schema", "2\t-1\t0", "", "schema.tsv:{line}: negative node type -1"),
     ])
     def test_base_rule_names_its_row(self, workspace, capsys, tmp_path, name, row, schema,
                                      message):
@@ -499,6 +506,46 @@ class TestAdjacencyFileExit3:
         code, _, err = run(capsys, "update", *common, "--increment-edges",
                            str(data / "increments" / "batch_000.edges.tsv"))
         assert code == 3 and message in err and "Traceback" not in err
+
+
+def _edit_config_block(raw, old, new):
+    """A model file's bytes with ``old`` replaced by ``new`` in its config block."""
+    n = struct.unpack("<I", raw[8:12])[0]
+    block = raw[12:12 + n].decode().replace(old, new).encode()
+    assert block != raw[12:12 + n]
+    return raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:]
+
+
+class TestMalformedModelExit3:
+    """A model file whose config block or tensors disagree with the parameter
+    table fails ``update`` with exit 3 and no traceback."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("hidden_dim=8\n", "hidden_dim=x\n",
+         "bad config block: invalid literal for int() with base 10: 'x'"),
+        ("hidden_dim=8\n", "", "config block lacks key 'hidden_dim'"),
+        ("hidden_dim=8\n", "hidden_dim=0\n",
+         "bad config block: input_dim and hidden_dim must be >= 1"),
+        ("hidden_dim=8\n", "hidden_dim=9\n",
+         "tensor 'input_weight' has shape ({dim}, 8), expected ({dim}, 9)"),
+        (None, None, "tensor 'gcn_weight_0' has shape (8, 7), expected (8, 8)"),
+    ])
+    def test_update(self, trained, capsys, tmp_path, old, new, message):
+        data, cfg, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        path = snaps / latest_manifest(str(snaps)).model_path
+        config, params = load_model(path)
+        if old is None:
+            params.gcn_weight[0] = Param(params.gcn_weight[0].value[:, :7], "gcn_weight_0")
+            save_model(path, params, config)
+        else:
+            path.write_bytes(_edit_config_block(path.read_bytes(), old, new))
+        code, _, err = run(capsys, "update", "--config", str(cfg), "--snapshot-dir", str(snaps),
+                           "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
+        assert code == 3
+        assert message.format(dim=config.input_dim) in err
+        assert "Traceback" not in err
 
 
 class TestRetrieveArguments:

@@ -1,7 +1,11 @@
 """Config parsing: schema enforcement, defaults, and the settings digest."""
+from dataclasses import fields
+
 import pytest
 
-from dhge.config import ConfigError, RunConfig, parse_config_text
+from dhge.config import _SCHEMA, ConfigError, RunConfig, parse_config_text
+from dhge.incremental import UpdateConfig
+from dhge.model import ModelConfig
 
 GOOD = """
 # retrieval run
@@ -141,3 +145,14 @@ class TestDigest:
         a = RunConfig.from_text("[train]\ncold_start_retrain = yes\n")
         b = RunConfig.from_text("[train]\ncold_start_retrain = 1\n")
         assert a.digest() == b.digest()
+
+    def test_defaults_digest_matches_golden(self):
+        # the digest of the defaults before [model] and [update] were derived
+        assert (RunConfig.defaults().digest()
+                == "c4a2edf7996d4349df8777bb5a3a9cd3a87fca94a7ee587b0dadfebb1be8ffb5")
+
+
+def test_model_and_update_keys_are_the_dataclass_fields():
+    assert set(_SCHEMA["update"]) == {f.name for f in fields(UpdateConfig)}
+    assert set(_SCHEMA["model"]) == {f.name for f in fields(ModelConfig)} - {"input_dim",
+                                                                               "rng_seed"}

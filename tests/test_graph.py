@@ -1,5 +1,6 @@
 """Graph container, file formats, sampling, and increments."""
 import io
+import time
 import warnings
 
 import numpy as np
@@ -411,6 +412,19 @@ class TestFileFormats:
     def test_load_schema_requires_dense_ids(self):
         with pytest.raises(DataError):
             load_schema(io.StringIO("0\t0\t1\n2\t1\t0\n"))
+
+    def test_load_schema_names_a_negative_type(self):
+        with pytest.raises(GraphFormatError, match=r":2: negative node type -1$"):
+            load_schema(io.StringIO("0\t0\t1\n1\t-1\t0\n"))
+
+    def test_feature_type_past_a_gap_is_refused_before_allocating(self):
+        # the blocks of 10**9 types would exhaust memory
+        features = FEATURES + "2\t0\t1.0,,\n1000000000\t0\t1.0,2.0,3.0\n4\t0\t,,\n"
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=r":6: node type 1000000000 leaves a gap: types"
+                                            r" \[3, 5, 6, 7, 8\] have no schema relation"):
+            load_graph(io.StringIO(EDGES), io.StringIO(features), io.StringIO(SCHEMA))
+        assert time.perf_counter() - start < 0.5
 
     def test_read_increment_classifies_new_nodes(self, tmp_path):
         g = load_graph(io.StringIO(EDGES), io.StringIO(FEATURES), io.StringIO(SCHEMA))

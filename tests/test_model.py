@@ -3,6 +3,8 @@
 The fast attention paths never materialize score matrices; every oracle
 here does exactly that, on graphs small enough to brute-force.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -553,6 +555,15 @@ class TestRestrictedForward:
             forward_subgraph(g, sub, params, cfg, training=True, rows=sub.seed_locals)
 
 
+def _params_sha256(params):
+    """sha256 over each parameter's name, shape and float64 bytes, in order."""
+    h = hashlib.sha256()
+    for p in params.all_params():
+        value = np.asarray(p.value, dtype=np.float64)
+        h.update(p.name.encode() + repr(value.shape).encode() + value.tobytes())
+    return h.hexdigest()
+
+
 class TestParamPlumbing:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -570,6 +581,17 @@ class TestParamPlumbing:
                           dropout=0.1, degree_limit=5, neg_pool_size=16,
                           batch_size=128, input_activation="relu", rng_seed=42)
         assert ModelConfig.from_items(cfg.to_items()) == cfg
+
+    def test_init_and_copy_bytes_match_golden(self):
+        # digests of the parameters drawn before the layout table existed
+        cfg = ModelConfig(input_dim=5, hidden_dim=6, num_gcn_layers=3, rng_seed=11,
+                          fusion_weights=(1.0, 0.5, 0.25), global_mix=0.3)
+        params = ModelParams(cfg, num_types=3, num_relations=4, id_capacity=7)
+        init = "f720143616287f6f981d793bb02f8603c95aecb79d58bab69b18eb40ca4a6b33"
+        assert _params_sha256(params) == init
+        assert _params_sha256(params.copy()) == init
+        assert (_params_sha256(params.copy(id_capacity=12, grow_seed=9))
+                == "d33e69e82bd80e3652d1bdb276ec2cd9c9e56b17449ff11fcd59258f8f2b7e19")
 
     def test_ensure_id_capacity_is_deterministic_and_preserving(self):
         g = tiny_bipartite()

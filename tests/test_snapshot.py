@@ -1,4 +1,5 @@
 """Binary snapshot formats: round trips, quantization, and corruption."""
+import hashlib
 import os
 import struct
 
@@ -13,6 +14,7 @@ from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError,
                            load_table_blocks, save_alignment, load_alignment,
                            save_graph_arrays, load_graph_arrays, save_adjacency,
                            map_adjacency, check_adjacency)
+from dhge.tensor import Param
 from conftest import tiny_bipartite, tiny_params
 
 
@@ -73,6 +75,29 @@ class TestModelSnapshot:
             with pytest.raises(SnapshotFormatError, match="truncated"):
                 load_model(path)
 
+    def test_oversized_record_rejected_before_reading(self, tmp_path):
+        # a shape of 2**31 x 2**31 floats would ask read() for 16 EiB
+        cfg, params = self._cfg_params()
+        path = tmp_path / "x.model"
+        save_model(path, params, cfg)
+        raw = path.read_bytes()
+        at = raw.index(b"input_weight") + len(b"input_weight")
+        path.write_bytes(raw[:at] + struct.pack("<II", 2 ** 31, 2 ** 31) + raw[at + 8:])
+        with pytest.raises(SnapshotFormatError, match="truncated .* payload 'input_weight'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, message", [(b"hidden_dim=", "lacks key 'hidden_dim'"),
+                                                (b"input_weight", "missing tensor 'input_weight'")])
+    def test_non_utf8_bytes_are_a_format_error(self, tmp_path, field, message):
+        cfg, params = self._cfg_params()
+        path = tmp_path / "x.model"
+        save_model(path, params, cfg)
+        raw = path.read_bytes()
+        at = raw.index(field)
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(SnapshotFormatError, match=message):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg, params = self._cfg_params()
         path = tmp_path / "x.model"
@@ -93,6 +118,41 @@ class TestModelSnapshot:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="missing tensor"):
             load_model(path)
+
+    def test_save_model_bytes_match_golden(self, tmp_path):
+        # the digest of this file as written before the layout table existed
+        cfg = ModelConfig(input_dim=5, hidden_dim=6, num_gcn_layers=3, rng_seed=11,
+                          fusion_weights=(1.0, 0.5, 0.25), global_mix=0.3)
+        path = tmp_path / "x.model"
+        save_model(path, ModelParams(cfg, num_types=3, num_relations=4, id_capacity=7), cfg)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "758c2043ab7c297f38bc9555508c56384b6c4ff57905f2eb49f37275e462b4d9")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("scalar", "tensor 'rel_factor_0' expected scalar, got (1, 2)"),
+        ("extra", "model snapshot has unexpected tensors: ['gcn_weight_2']"),
+        ("width", r"tensor 'id_table' has shape (7, 5), expected ('rows', 6)"),
+    ])
+    def test_records_checked_against_the_layout(self, tmp_path, fault, message):
+        cfg = ModelConfig(input_dim=5, hidden_dim=6, rng_seed=11)
+        params = ModelParams(cfg, num_types=2, num_relations=2, id_capacity=7)
+        if fault == "scalar":
+            params.rel_factor[0] = Param(np.ones((1, 2)), "rel_factor_0")
+        elif fault == "extra":
+            params.gcn_weight.append(Param(np.ones((6, 6)), "gcn_weight_2"))
+        else:
+            params.id_table = Param(np.ones((7, 5)), "id_table")
+        path = tmp_path / "x.model"
+        save_model(path, params, cfg)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == message
+
+    def test_id_table_takes_any_row_count(self, tmp_path):
+        cfg, params = self._cfg_params()
+        params.ensure_id_capacity(params.id_capacity + 5, grow_seed=3)
+        save_model(tmp_path / "x.model", params, cfg)
+        assert load_model(tmp_path / "x.model")[1].id_capacity == params.id_capacity
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         cfg, params = self._cfg_params()
