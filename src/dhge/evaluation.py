@@ -16,6 +16,8 @@ from .graph import DataError, NodeRef
 from .seeding import _MASK, pcg64_state, seed_states, TAG_EVALNEG
 from .tensor import NumericError
 
+_CHUNK_FLOATS = 1 << 16   # item-vector floats gathered per stacked pool product
+
 
 @dataclass
 class EvalProtocol:
@@ -70,16 +72,45 @@ def cosine_topk(query, items, k):
     return _ranked(query, qn, items, np.linalg.norm(items, axis=1), k)
 
 
+def _scores(query, qn, items, norms):
+    """Cosine scores of the item rows, -inf for a row whose norm is not
+    positive. The product runs on ``items`` itself when every row is scored,
+    else on a copy of the scored rows only."""
+    ok = norms > 0.0
+    if ok.all():
+        return (items @ query) / (norms * qn)
+    scores = np.full(len(items), -np.inf)
+    scores[ok] = (items[ok] @ query) / (norms[ok] * qn)
+    return scores
+
+
 def _ranked(query, qn, items, norms, k):
     """``cosine_topk`` given the query's norm and the item rows' norms; a
     row's norm does not depend on the other rows, so callers may take them
-    once for a whole table."""
-    scores = np.full(len(items), -np.inf)
-    ok = norms > 0.0
-    scores[ok] = (items[ok] @ query) / (norms[ok] * qn)
-    order = np.lexsort((np.arange(len(items)), -scores))
-    k = min(k, len(items))
-    return order[:k], scores[order[:k]]
+    once for a whole table. Only the rows at or above the k-th best score
+    (every row if it is NaN, which sorts last) are ordered by (-score, row)."""
+    scores = _scores(query, qn, items, norms)
+    neg = -scores
+    k = min(k, len(neg))
+    rows = (np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1])) if k < len(neg)
+            else np.arange(len(neg)))
+    order = rows[np.argsort(neg[rows], kind="stable")[:k]]
+    return order, scores[order]
+
+
+def _pool_scores(vecs, qns, item_vectors, norms, pools):
+    """``_scores`` of each row of ``pools`` (equal-length pools of item rows,
+    one per query), bit for bit, from one stacked product. A pool holding a
+    row that ``_scores`` leaves out of its product is scored by ``_scores``:
+    the bits of a row's product depend on where the row sits in the matrix."""
+    nrm = norms[pools]
+    full = (nrm > 0.0).all(axis=1)
+    scores = np.empty(pools.shape)
+    scores[full] = (np.matmul(item_vectors[pools[full]], vecs[full][:, :, None])[:, :, 0]
+                    / (nrm[full] * qns[full, None]))
+    for j in np.flatnonzero(~full).tolist():
+        scores[j] = _scores(vecs[j], qns[j], item_vectors[pools[j]], nrm[j])
+    return scores
 
 
 def hitrate_at_k(rankings, truths, k):
@@ -203,9 +234,9 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
     row, item row, ts, tie) columns of the test events, where ``tie`` orders
     equal-time events as their item keys do.
 
-    Per user this pays one candidate mask, one ``choice`` on a shared
-    generator set to the state the user's own ``derived_rng`` starts from,
-    and one pool scoring, as ``cosine_topk`` scores it.
+    Per user this pays one candidate mask and one ``choice`` on a shared
+    generator set to the state the user's own ``derived_rng`` starts from;
+    the sampled pools of a chunk of users are scored by one stacked product.
     """
     t_user, t_item, t_ts, t_tie = tests
     if not len(t_user):
@@ -228,6 +259,17 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
     truths = []
     n_skipped = 0
     n_unrankable = 0
+    pending = []   # (ranking slot, user row, query norm, pool) of unscored sampled pools
+    chunk = max(1, _CHUNK_FLOATS // max(1, ((n_neg or 0) + 1) * item_vectors.shape[1]))
+
+    def rank_pending():
+        at, rows, qns, pools = (np.array(c) for c in zip(*pending))
+        scores = _pool_scores(user_vectors[rows], qns, item_vectors, norms, pools)
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
+        for a, ranking in zip(at.tolist(), np.take_along_axis(pools, top, axis=1).tolist()):
+            rankings[a] = ranking
+        pending.clear()
+
     for j, u in enumerate(users.tolist()):
         events = t_item[bounds[j]:bounds[j + 1]]
         mask.fill(True)
@@ -242,20 +284,24 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
                 n_skipped += 1
                 continue
             truth = {int(events[0])}
-        vec = user_vectors[u]
-        qn = np.linalg.norm(vec)
+        qn = np.linalg.norm(user_vectors[u])
+        truths.append(truth)
         if qn == 0.0:
             rankings.append([])
-            truths.append(truth)
             n_unrankable += 1
-            continue
-        if n_neg is not None:
+        elif n_neg is None:
+            idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
+            rankings.append(pool[idx].tolist())
+        else:
             rng.bit_generator.state = pcg64_state(states[:, j].tolist())
             pick = rng.choice(len(candidates), size=n_neg, replace=False)
-            pool = np.concatenate((events[:1], candidates[np.sort(pick)]))
-        idx, _ = _ranked(vec, qn, item_vectors[pool], norms[pool], max_k)
-        rankings.append(pool[idx].tolist())
-        truths.append(truth)
+            pending.append((len(rankings), u, qn,
+                            np.concatenate((events[:1], candidates[np.sort(pick)]))))
+            rankings.append(None)
+            if len(pending) == chunk:
+                rank_pending()
+    if pending:
+        rank_pending()
 
     return EvalReport(hitrate={k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values},
                       recall={k: recall_at_k(rankings, truths, k) for k in protocol.k_values},

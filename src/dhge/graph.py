@@ -714,8 +714,13 @@ def _checked_file_rows(graph, features, edges_source):
 
 
 def load_schema(source):
+    return _schema_rows(source)[1]
+
+
+def _schema_rows(source):
+    """A schema file as (the file:line of each relation, ``RelationSchema``)."""
     label = _label(source)
-    rows = {}
+    rows, where = {}, {}
     for lineno, f in _rows(source, 3, label):
         r = _parse_int(f[0], label, lineno, "relation_id")
         s = _parse_int(f[1], label, lineno, "src_type")
@@ -725,10 +730,12 @@ def load_schema(source):
         if r in rows:
             raise GraphFormatError("%s:%d: duplicate relation id %d" % (label, lineno, r))
         rows[r] = (s, t)
+        where[r] = "%s:%d" % (label, lineno)
     if rows and sorted(rows) != list(range(len(rows))):
         raise DataError("%s: relation ids must be dense 0..%d, got %s"
                         % (label, len(rows) - 1, sorted(rows)))
-    return RelationSchema([rows[r] for r in range(len(rows))])
+    ids = range(len(rows))
+    return [where[r] for r in ids], RelationSchema([rows[r] for r in ids])
 
 
 def load_graph(edges, features, schema):
@@ -740,22 +747,26 @@ def load_graph(edges, features, schema):
     read as ``read_increment`` reads one and merged as ``apply_increment``
     merges one: errors name file:line, duplicate edges are dropped with a
     warning, and an edge-only node has all-missing features. Every type
-    below a feature row's type is a schema endpoint or has a feature row.
+    below a schema or feature row type is a schema endpoint or has a feature row.
     """
-    if not isinstance(schema, RelationSchema):
-        schema = load_schema(schema)
+    if isinstance(schema, RelationSchema):
+        relation_rows = ["relation %d" % r for r in range(schema.num_relations)]
+    else:
+        relation_rows, schema = _schema_rows(schema)
     features = _feature_columns(features)
     label, lines, (types, _, values, masks) = features
     # every type below the largest gets blocks, so a type past a gap is refused
     # before any block is allocated
-    known = _unique(np.concatenate([np.array(schema.pairs, dtype=np.int64).ravel(),
-                                    types[types >= 0]]))
-    gap = np.flatnonzero(np.searchsorted(known, types) < types)
-    if len(gap):
-        j, t = gap[0], types[gap[0]]
-        missing = np.setdiff1d(np.arange(min(t, len(known) + 5)), known)[:5]
-        raise DataError("%s:%d: node type %d leaves a gap: types %s have no schema relation"
-                        " and no feature row" % (label, lines[j], t, missing.tolist()))
+    endpoints = np.array(schema.pairs, dtype=np.int64).reshape(-1, 2)
+    known = _unique(np.concatenate([endpoints.ravel(), types[types >= 0]]))
+    for where, tops in ((relation_rows.__getitem__, endpoints.max(axis=1, initial=0)),
+                        (lambda j: "%s:%d" % (label, lines[j]), types)):
+        gap = np.flatnonzero(np.searchsorted(known, tops) < tops)
+        if len(gap):
+            t = tops[gap[0]]
+            missing = np.setdiff1d(np.arange(min(t, len(known) + 5)), known)[:5]
+            raise DataError("%s: node type %d leaves a gap: types %s have no schema relation"
+                            " and no feature row" % (where(gap[0]), t, missing.tolist()))
     n_types = max(schema.num_types, 1 + int(types.max()), 1)
     no_edge = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
     empty = HeteroGraph(schema, [values[:0].copy()] * n_types, [masks[:0].copy()] * n_types,

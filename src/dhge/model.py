@@ -213,10 +213,6 @@ class EmbeddingTable:
     def dense(self):
         return np.concatenate(self.blocks, axis=0)
 
-    def blocks_equal(self, other):
-        return (len(self.blocks) == len(other.blocks) and
-                all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)))
-
 
 # ---------------------------------------------------------------------------
 # forward ops

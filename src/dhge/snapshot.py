@@ -106,6 +106,8 @@ def load_model(path):
             name = _read_exact(fh, name_len, "tensor name").decode("utf-8", "replace")
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, "tensor shape"))
             payload = _read_exact(fh, rows * cols * 4, "tensor payload %r" % name)
+            if name in tensors:
+                raise SnapshotFormatError("%s: tensor %r is stored twice" % (path, name))
             arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
             tensors[name] = arr
         if fh.read(1):

@@ -33,21 +33,6 @@ def set_debug_checks(enabled):
 # plain ndarray kernels
 
 
-def solve_ridge(gram, rhs, eps):
-    """Solve (G + eps*trace(G)/k * I) w = rhs by Cholesky factorization.
-
-    ``gram`` must be symmetric PSD of shape (k, k). With eps = 0 the system is
-    solved as-is and a singular G raises ``SingularMatrixError``. Note the
-    ridge term vanishes when trace(G) = 0, so an all-zero Gram fails for any
-    eps; callers that need a degenerate fallback handle that case themselves.
-    """
-    gram = np.asarray(gram, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError("gram must be square, got %s" % (gram.shape,))
-    return cholesky_solve(ridge_systems(gram, eps), rhs)
-
-
 def ridge_systems(grams, eps):
     """G + eps*trace(G)/k * I for a Gram or each of a (..., k, k) stack; a
     Gram whose ridge term is not positive stays as it is."""

@@ -13,7 +13,10 @@ graph through its per-node accessors or raw edge arrays and draw from
 ``SeedSequence``. ``embed_all_full_rows`` runs the package's full-row
 forward, which the dense oracles here check layer by layer.
 ``retrieve_full_load`` is the read path ``cmd_retrieve`` replaced: the
-package's full graph and table loads, then its ``cosine_topk``.
+package's full graph and table loads, then the full-sort ``_cosine_topk_ref``
+that ``cosine_topk``'s partial selection replaced. ``solve_ridge`` and
+``blocks_equal`` are test helpers over the package's weight solve and
+tables.
 ``load_graph_sets`` is the set-based loader that ``load_graph`` replaced;
 it and ``apply_increment_loop`` share the package's TSV row parsers and
 ``HeteroGraph`` constructor, whose index build the graph tests check.
@@ -419,8 +422,8 @@ def degree_of(graph, node):
 
 def retrieve_full_load(cfg, user_intra_id, k=10, version=None, exclude_known=True):
     """``cmd_retrieve``'s hits through a full load of the version: its whole
-    graph, rebuilt from the graph file, and its whole table."""
-    from dhge.evaluation import cosine_topk
+    graph, rebuilt from the graph file, and its whole table, ranked by the
+    reference ``_cosine_topk_ref``."""
     from dhge.graph import DataError, NodeRef
     from dhge.pipeline import graph_for_manifest, resolve_manifest
     from dhge.snapshot import load_table
@@ -446,7 +449,7 @@ def retrieve_full_load(cfg, user_intra_id, k=10, version=None, exclude_known=Tru
     keep = np.flatnonzero(keep)
     hits = []
     if keep.size:
-        order, scores = cosine_topk(query, items[keep], min(k, keep.size))
+        order, scores = _cosine_topk_ref(query, items[keep], min(k, keep.size))
         hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
                 for j, s in zip(order, scores)]
     return hits
@@ -793,6 +796,28 @@ def ndcg_ref(ranking, truth, k):
     if ideal == 0.0:
         return 0.0
     return dcg_ref(ranking, truth, k) / ideal
+
+
+def solve_ridge(gram, rhs, eps):
+    """Solve (G + eps*trace(G)/k * I) w = rhs by Cholesky factorization, with
+    the package's ``ridge_systems`` and ``cholesky_solve``.
+
+    ``gram`` must be symmetric PSD of shape (k, k). With eps = 0 the system is
+    solved as-is and a singular G raises ``SingularMatrixError``. The ridge
+    term vanishes when trace(G) = 0, so an all-zero Gram fails for any eps.
+    """
+    from dhge.tensor import cholesky_solve, ridge_systems
+    gram = np.asarray(gram, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError("gram must be square, got %s" % (gram.shape,))
+    return cholesky_solve(ridge_systems(gram, eps), rhs)
+
+
+def blocks_equal(table, other):
+    """Two embedding tables hold the same number of blocks, each equal."""
+    return (len(table.blocks) == len(other.blocks) and
+            all(np.array_equal(a, b) for a, b in zip(table.blocks, other.blocks)))
 
 
 def _cosine_topk_ref(query, items, k):

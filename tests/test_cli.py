@@ -3,13 +3,14 @@ import json
 import os
 import shutil
 import struct
+import time
 
 import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
 from dhge.pipeline import latest_manifest, load_snapshot_state, manifest_path, write_snapshot
-from dhge.snapshot import load_model, save_model
+from dhge.snapshot import _tensor_record, load_model, save_model
 from dhge.tensor import Param
 
 
@@ -303,6 +304,9 @@ class TestBaseFileRulesExit3:
          "features.tsv:{line}: node type 1000000000 leaves a gap: types [2, 3, 4, 5, 6] have no"
          " schema relation and no feature row"),
         ("schema", "2\t-1\t0", "", "schema.tsv:{line}: negative node type -1"),
+        ("schema", "2\t1000000000\t0", "",
+         "schema.tsv:{line}: node type 1000000000 leaves a gap: types [2, 3, 4, 5, 6] have no"
+         " schema relation and no feature row"),
     ])
     def test_base_rule_names_its_row(self, workspace, capsys, tmp_path, name, row, schema,
                                      message):
@@ -317,8 +321,11 @@ class TestBaseFileRulesExit3:
             (tmp_path / ("%s.tsv" % n)).write_text(text[n])
             conf = conf.replace(str(data / ("%s.tsv" % n)), str(tmp_path / ("%s.tsv" % n)))
         (tmp_path / "run.ini").write_text(conf)
+        start = time.perf_counter()
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "run.ini"),
                            "--snapshot-dir", str(tmp_path / "snaps"))
+        # refused while reading the files: no type block is allocated for 10**9 types
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert message.format(line=line) in err
         assert "Traceback" not in err
@@ -545,6 +552,24 @@ class TestMalformedModelExit3:
                            "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
         assert code == 3
         assert message.format(dim=config.input_dim) in err
+        assert "Traceback" not in err
+
+    def test_tensor_stored_twice(self, trained, capsys, tmp_path):
+        data, cfg, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        path = snaps / latest_manifest(str(snaps)).model_path
+        _, params = load_model(path)
+        raw = path.read_bytes()
+        at = 12 + struct.unpack("<I", raw[8:12])[0]   # the tensor count follows the config
+        count = struct.unpack("<I", raw[at:at + 4])[0] + 1
+        assert count == len(params.all_params()) + 1
+        path.write_bytes(raw[:at] + struct.pack("<I", count) + raw[at + 4:]
+                         + _tensor_record("input_weight", params.input_weight.value))
+        code, _, err = run(capsys, "update", "--config", str(cfg), "--snapshot-dir", str(snaps),
+                           "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
+        assert code == 3
+        assert "tensor 'input_weight' is stored twice" in err
         assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import dhge.evaluation
 from dhge.evaluation import (EvalProtocol, cosine_topk,
                              hitrate_at_k, recall_at_k, ndcg_at_k,
                              evaluate, evaluate_table, chronological_split)
@@ -9,7 +10,7 @@ from dhge.graph import DataError, NodeRef
 from dhge.model import EmbeddingTable
 from dhge.tensor import NumericError
 from conftest import build_graph, tiny_bipartite
-from oracles import evaluate_loop, evaluate_table_loop, ndcg_ref
+from oracles import _cosine_topk_ref, evaluate_loop, evaluate_table_loop, ndcg_ref
 
 
 def basis(n, dim):
@@ -48,6 +49,67 @@ class TestCosineTopk:
     def test_k_truncates_to_population(self):
         idx, _ = cosine_topk(np.ones(2), np.eye(2), 10)
         assert len(idx) == 2
+
+    def test_equals_full_sort_reference_bit_for_bit(self):
+        """The partial selection against the full lexsort it replaced: equal
+        ids and equal score bits. Integer-valued rows tie exactly, often
+        across the k-th place; rows of zero norm, all-zero tables and rows
+        holding NaN or inf (a NaN score) are mixed in; n runs from 1 and k
+        takes 1, n - 1, n, past n and a random value."""
+        rng = np.random.default_rng(7)
+        n_straddled = n_nan_scores = 0
+        for case in range(400):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            items = (rng.integers(-2, 3, size=(n, dim)).astype(np.float64) if case % 2
+                     else rng.normal(size=(n, dim)))
+            if case % 3 == 0:
+                items[rng.integers(n, size=n // 3 + 1)] = 0.0
+            if case % 5 == 0:
+                items[rng.integers(n)] = np.nan
+            if case % 7 == 0:
+                items[rng.integers(n, size=n // 4 + 1), 0] = np.inf
+            if case % 13 == 0:
+                items[:] = 0.0
+            query = rng.integers(-2, 3, size=dim).astype(np.float64)
+            query[0] = query[0] or 1.0
+            if case % 17 == 0:
+                query[-1] = np.nan
+            with np.errstate(invalid="ignore"):
+                _, full = _cosine_topk_ref(query, items, n)
+                for k in {1, n - 1, n, n + 2, int(rng.integers(1, n + 1))} - {0}:
+                    idx, scores = cosine_topk(query, items, k)
+                    want_idx, want_scores = _cosine_topk_ref(query, items, k)
+                    assert idx.tolist() == want_idx.tolist(), (case, k)
+                    assert scores.view(np.int64).tolist() == want_scores.view(np.int64).tolist()
+                    n_straddled += k < n and full[k - 1] == full[k]
+            n_nan_scores += bool(np.isnan(full).any())
+        assert n_straddled > 100 and n_nan_scores > 10
+
+    def test_tie_group_straddling_the_kth_place(self):
+        # rows 1, 3, 4, 6, 8 and 9 all score 1.0; k = 4 cuts that group
+        items = np.array([[0, 1], [1, 0], [-1, 0], [2, 0], [3, 0], [0, 0], [1, 0], [1, 1],
+                          [5, 0], [1, 0]], dtype=np.float64)
+        idx, scores = cosine_topk(np.array([1.0, 0.0]), items, 4)
+        assert idx.tolist() == [1, 3, 4, 6]
+        assert scores.tolist() == [1.0] * 4
+
+    def test_stacked_pool_scores_equal_one_pool_at_a_time(self):
+        """``_pool_scores`` against the reference scoring of each pool on its
+        own, bit for bit, with pools that hold a zero-norm row among pools
+        that do not."""
+        rng = np.random.default_rng(3)
+        for dim in (1, 3, 8, 64):
+            items = rng.normal(size=(300, dim))
+            items[rng.integers(300, size=4)] = 0.0
+            norms = np.linalg.norm(items, axis=1)
+            pools = np.array([rng.choice(300, size=50, replace=False) for _ in range(40)])
+            vecs = rng.normal(size=(40, dim))
+            qns = np.array([np.linalg.norm(v) for v in vecs])
+            got = dhge.evaluation._pool_scores(vecs, qns, items, norms, pools)
+            for j, pool in enumerate(pools):
+                idx, scores = _cosine_topk_ref(vecs[j], items[pool], len(pool))
+                assert got[j][idx].view(np.int64).tolist() == scores.view(np.int64).tolist()
+            assert (norms[pools] == 0.0).any(axis=1).sum() > 5
 
 
 class TestMetricFunctions:
@@ -292,11 +354,14 @@ class TestEvaluateMatchesLoop:
     def _check_keyed(self, user_keys, item_keys, seed):
         rng = np.random.default_rng(seed)
         users, items, tests, known = self._keyed_world(rng, user_keys, item_keys)
+        reports = []
         for kw in self.PROTOCOLS:
             proto = EvalProtocol(rng_seed=int(rng.integers(-2**40, 2**40)), **kw)
             got = evaluate(users, user_keys, items, item_keys, tests, proto, known)
             want = evaluate_loop(users, user_keys, items, item_keys, tests, proto, known)
             assert _fields(got) == _fields(want), (seed, kw)
+            reports.append(got)
+        return reports
 
     def test_noderef_keys(self):
         for seed in range(30):
@@ -315,6 +380,36 @@ class TestEvaluateMatchesLoop:
                      for j in rng.permutation(len(wide))[:n_u].tolist()]
             ikeys = [int(j) * 7 - 40 for j in rng.permutation(n_i)]
             self._check_keyed(ukeys, ikeys, seed)
+
+    @pytest.mark.parametrize("chunk_floats", [1, 40])
+    def test_pools_scored_in_chunks(self, monkeypatch, chunk_floats):
+        """More users than one chunk holds: with the chunk constant shrunk, a
+        chunk holds one user, or a few, and every report still equals the
+        loop's. The worlds hold zero-norm users, users skipped for too few
+        candidates and full-corpus protocols."""
+        sizes = []
+        pool_scores = dhge.evaluation._pool_scores
+
+        def counted(vecs, *args):
+            sizes.append(len(vecs))
+            return pool_scores(vecs, *args)
+        monkeypatch.setattr(dhge.evaluation, "_CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(dhge.evaluation, "_pool_scores", counted)
+        reports = []
+        for seed in range(20):
+            rng = np.random.default_rng(3000 + seed)
+            n_u, n_i = int(rng.integers(6, 14)), int(rng.integers(4, 16))
+            ukeys = [NodeRef(0, int(j)) for j in rng.permutation(n_u)]
+            ikeys = [NodeRef(1, int(j)) for j in rng.permutation(n_i)]
+            reports += self._check_keyed(ukeys, ikeys, seed)
+        for seed in range(10):
+            g, table, tests = self._table_world(seed, 0, 2)
+            for kw in self.PROTOCOLS:
+                args = (g, table, tests, EvalProtocol(rng_seed=seed, **kw), 0, 2, "drop")
+                assert _fields(evaluate_table(*args)) == _fields(evaluate_table_loop(*args))
+        # 90 sampled evaluations, pools of 2 to 10 rows of 3 or 4 floats
+        assert max(sizes) == max(1, chunk_floats // (2 * 3)) and len(sizes) > 90
+        assert sum(r.n_skipped for r in reports) and sum(r.n_unrankable for r in reports)
 
     def test_errors_match(self):
         items = basis(4, 4)

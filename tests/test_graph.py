@@ -426,6 +426,18 @@ class TestFileFormats:
             load_graph(io.StringIO(EDGES), io.StringIO(features), io.StringIO(SCHEMA))
         assert time.perf_counter() - start < 0.5
 
+    def test_schema_type_past_a_gap_is_refused_before_allocating(self):
+        # a schema endpoint sizes the type blocks as a feature row does
+        schema = SCHEMA + "2\t1\t0\n3\t1000000000\t3\n"
+        features = FEATURES + "3\t0\t1.0,2.0,3.0\n"
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=r":4: node type 1000000000 leaves a gap: types"
+                                            r" \[2, 4, 5, 6, 7\] have no schema relation"):
+            load_graph(io.StringIO(EDGES), io.StringIO(features), io.StringIO(schema))
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(DataError, match=r"^relation 3: node type 1000000000 leaves a gap"):
+            load_graph(io.StringIO(EDGES), io.StringIO(features), load_schema(io.StringIO(schema)))
+
     def test_read_increment_classifies_new_nodes(self, tmp_path):
         g = load_graph(io.StringIO(EDGES), io.StringIO(FEATURES), io.StringIO(SCHEMA))
         inc_e = tmp_path / "inc.edges.tsv"

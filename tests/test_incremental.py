@@ -14,9 +14,9 @@ from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors
                               _neighborhoods, _reconstruction_operator, _weight_rows)
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import (all_refs, bfs_neighbors_loop, constrained_weights, coupled_rows_solve,
-                     full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
-                     neighborhoods_loop, reconstruction_operator_loop,
+from oracles import (all_refs, bfs_neighbors_loop, blocks_equal, constrained_weights,
+                     coupled_rows_solve, full_lle_oracle, knn_brute, knn_indices, lle_loss,
+                     lle_weight_matrix, neighborhoods_loop, reconstruction_operator_loop,
                      reconstruction_weights_loop, refine_per_trial)
 from update_scaling import scaling_graph
 
@@ -569,7 +569,7 @@ class TestIlleUpdate:
         ucfg = UpdateConfig(k=2, refine_steps=0)
         out1 = ille_update(g, self._batch(), params, table, cfg, ucfg, rng_seed=9)
         out2 = ille_update(g, self._batch(), params, table, cfg, ucfg, rng_seed=9)
-        assert out1[2].blocks_equal(out2[2])
+        assert blocks_equal(out1[2], out2[2])
         assert np.array_equal(out1[1].id_table.value, out2[1].id_table.value)
 
     def test_only_update_set_rows_change_without_refine(self):

@@ -463,7 +463,7 @@ class TestRetrievePointRead:
                                                >= graph.offsets[1]))
                 for exclude_known in (True, False):
                     # k below, and k above, the number of candidates
-                    for k in (5, n_items + 3):
+                    for k in (1, 5, n_items + 3):
                         args = (cfg, user, k, version, exclude_known)
                         hits = cmd_retrieve(*args)
                         assert hits == retrieve_full_load(*args)

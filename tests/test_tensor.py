@@ -11,8 +11,8 @@ import scipy.special
 
 import dhge.tensor as T
 from dhge.tensor import (Tensor, Param, backward, NumericError,
-                         SingularMatrixError, solve_ridge, set_debug_checks)
-from oracles import fd_gradient, rel_err, scatter_add_at, segment_max_at
+                         SingularMatrixError, set_debug_checks)
+from oracles import fd_gradient, rel_err, scatter_add_at, segment_max_at, solve_ridge
 
 H = 1e-5
 TOL = 1e-4  # relative error allowed vs finite differences
