@@ -2,8 +2,8 @@
 
 A snapshot directory holds numbered versions. Each version owns a model
 file, an embedding-table file, optionally an alignment file, a file with
-the graph it was built on and a mappable copy of that graph's adjacency
-index, and a manifest JSON that names them all.
+the graph it was built on (its adjacency index included), and a manifest
+JSON that names them all.
 The manifest is written last, with an atomic rename, so a crash mid-save
 can leave stray data files but never a manifest pointing at missing or
 half-written state: a version exists if and only if its manifest parses.
@@ -17,7 +17,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,10 +30,10 @@ from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
 from .evaluation import cosine_topk, evaluate_table
-from .snapshot import (save_model, load_model, save_table, load_table, load_table_blocks,
-                       save_alignment, load_alignment, save_graph_arrays,
-                       load_graph_arrays, save_adjacency, map_adjacency,
-                       check_adjacency, stored_table, SnapshotFormatError, _atomic_bytes)
+from .snapshot import (save_model, load_model, save_table, load_table, save_alignment,
+                       load_alignment, save_graph_arrays, load_graph_arrays, ArrayFile,
+                       adjacency_row, table_shapes, stored_table,
+                       SnapshotFormatError, _atomic_bytes)
 from .seeding import mix
 from .timing import Stages
 
@@ -56,41 +56,58 @@ class Manifest:
     # applied since the base graph; nothing reads them back
     increments: list = field(default_factory=list)
     graph_path: Optional[str] = None
-    adjacency_path: Optional[str] = None
 
     def to_json_dict(self):
-        return {
-            "version": self.version,
-            "kind": self.kind,
-            "created_ms": self.created_ms,
-            "model_path": self.model_path,
-            "table_path": self.table_path,
-            "alignment_path": self.alignment_path,
-            "config_digest": self.config_digest,
-            "parent_version": self.parent_version,
-            "increments": [list(pair) for pair in self.increments],
-            "graph_path": self.graph_path,
-            "adjacency_path": self.adjacency_path,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, data):
-        required = ("version", "kind", "created_ms", "model_path",
-                    "table_path", "config_digest")
-        for key in required:
-            if key not in data:
-                raise SnapshotFormatError("manifest missing field %r" % key)
-        if data["kind"] not in ("static", "incremental"):
-            raise SnapshotFormatError("unknown snapshot kind %r" % data["kind"])
-        incs = [(pair[0], pair[1]) for pair in data.get("increments", [])]
-        return cls(version=int(data["version"]), kind=data["kind"],
-                   created_ms=int(data["created_ms"]),
-                   model_path=data["model_path"], table_path=data["table_path"],
-                   config_digest=data["config_digest"],
-                   alignment_path=data.get("alignment_path"),
-                   parent_version=data.get("parent_version"),
-                   increments=incs, graph_path=data.get("graph_path"),
-                   adjacency_path=data.get("adjacency_path"))
+    def from_json_dict(cls, data, source="manifest"):
+        """A manifest from its JSON object, each field's type checked; a fault
+        is a ``SnapshotFormatError`` that starts with ``source``."""
+        if not isinstance(data, dict):
+            raise SnapshotFormatError("%s: not a JSON object" % source)
+        for key, (required, valid, what) in _MANIFEST_FIELDS.items():
+            if key not in data and required:
+                raise SnapshotFormatError("%s: manifest missing field %r" % (source, key))
+            if key in data and not valid(data[key]):
+                raise SnapshotFormatError("%s: field %r must be %s, got %r"
+                                          % (source, key, what, data[key]))
+        if data["table_path"].endswith(".npz"):
+            raise SnapshotFormatError(
+                "%s: snapshot version %d is stored in the .npz layout, which this release"
+                " does not read; train into a new snapshot directory" % (source, data["version"]))
+        fields = {key: data[key] for key in _MANIFEST_FIELDS if key in data}
+        fields["increments"] = [tuple(pair) for pair in data.get("increments", [])]
+        return cls(**fields)
+
+
+def _is_name(value):
+    """A plain file name, which joined to the snapshot directory stays in it."""
+    return (isinstance(value, str) and value not in ("", ".", "..") and "\0" not in value
+            and os.path.basename(value) == value)
+
+
+def _is_increment(pair):
+    return (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+            and (pair[1] is None or isinstance(pair[1], str)))
+
+
+_NAME = "a file name inside the snapshot directory"
+# field: (required, valid, what a valid value is)
+_MANIFEST_FIELDS = {
+    "version": (True, lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "kind": (True, lambda v: v in ("static", "incremental"), "static or incremental"),
+    "created_ms": (True, lambda v: type(v) is int, "an integer"),
+    "model_path": (True, _is_name, _NAME),
+    "table_path": (True, _is_name, _NAME),
+    "config_digest": (True, lambda v: isinstance(v, str), "a string"),
+    "alignment_path": (False, lambda v: v is None or _is_name(v), "null or " + _NAME),
+    "parent_version": (False, lambda v: v is None or type(v) is int and v >= 1,
+                       "null or a positive integer"),
+    "increments": (False, lambda v: isinstance(v, list) and all(map(_is_increment, v)),
+                   "a list of [edges path, features path or null] pairs"),
+    "graph_path": (False, lambda v: v is None or _is_name(v), "null or " + _NAME),
+}
 
 
 def manifest_path(snapshot_dir, version):
@@ -168,9 +185,9 @@ def load_manifest(snapshot_dir, version):
             data = json.load(fh)
     except FileNotFoundError:
         raise DataError("no snapshot version %d in %s" % (version, snapshot_dir))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise SnapshotFormatError("corrupt manifest %s: %s" % (path, exc))
-    man = Manifest.from_json_dict(data)
+    man = Manifest.from_json_dict(data, path)
     if man.version != version:
         raise SnapshotFormatError("manifest %s claims version %d" % (path, man.version))
     return man
@@ -198,36 +215,28 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
 
     ``graph`` is the graph the version was built on; commands read it back
     through ``graph_for_manifest``, and ``cmd_retrieve`` reads single rows of
-    its adjacency index from the version's ``.adj.npy`` file. A version
-    written without one cannot be read by a command, only by a caller that
-    holds its graph.
+    the adjacency index stored with it. A version written without one cannot
+    be read by a command, only by a caller that holds its graph.
     """
     sd = os.fspath(snapshot_dir)
     os.makedirs(sd, exist_ok=True)
     versions = list_versions(sd)
     version = (versions[-1] + 1) if versions else 1
-    stem = "v%06d" % version
-    model_name = stem + ".model"
-    table_name = stem + ".table.npz"
-    align_name = stem + ".align.npz" if alignment is not None else None
-    graph_name = stem + ".graph.npz" if graph is not None else None
-    adj_name = stem + ".adj.npy" if graph is not None else None
-    save_model(os.path.join(sd, model_name), params, model_config)
-    save_table(os.path.join(sd, table_name), table)
+    name = "v%06d.%%s" % version
+    paths = {"model_path": name % "model", "table_path": name % "table",
+             "alignment_path": None if alignment is None else name % "align",
+             "graph_path": None if graph is None else name % "graph"}
+    save_model(os.path.join(sd, paths["model_path"]), params, model_config)
+    save_table(os.path.join(sd, paths["table_path"]), table)
     if alignment is not None:
-        save_alignment(os.path.join(sd, align_name), alignment)
+        save_alignment(os.path.join(sd, paths["alignment_path"]), alignment)
     if graph is not None:
-        save_graph_arrays(os.path.join(sd, graph_name), graph)
-        save_adjacency(os.path.join(sd, adj_name), graph)
-    man = Manifest(version=version, kind=kind,
-                   created_ms=int(time.time() * 1000),
-                   model_path=model_name, table_path=table_name,
-                   alignment_path=align_name, config_digest=config_digest,
-                   parent_version=parent_version,
-                   increments=list(increments), graph_path=graph_name,
-                   adjacency_path=adj_name)
+        save_graph_arrays(os.path.join(sd, paths["graph_path"]), graph)
+    man = Manifest(version=version, kind=kind, created_ms=int(time.time() * 1000),
+                   config_digest=config_digest, parent_version=parent_version,
+                   increments=list(increments), **paths)
     blob = json.dumps(man.to_json_dict(), indent=2, sort_keys=True).encode("utf-8")
-    _atomic_bytes(manifest_path(sd, version), blob)
+    _atomic_bytes(manifest_path(sd, version), [blob])
     return man
 
 
@@ -238,7 +247,11 @@ def load_snapshot_state(snapshot_dir, man):
     table = load_table(os.path.join(sd, man.table_path))
     alignment = None
     if man.alignment_path is not None:
-        alignment = load_alignment(os.path.join(sd, man.alignment_path))
+        path = os.path.join(sd, man.alignment_path)
+        alignment = load_alignment(path)
+        if alignment.lam.shape != (table.dim, table.dim):
+            raise SnapshotFormatError("%s: lam has shape %s, but the table is %d wide"
+                                      % (path, alignment.lam.shape, table.dim))
     return model_config, params, table, alignment
 
 
@@ -249,27 +262,16 @@ def base_graph(cfg):
 
 def _require_graph(man):
     if man.graph_path is None:
-        raise SnapshotFormatError(
-            "snapshot version %d stores no graph file (written without a graph,"
-            " or before versions stored one); train into a new snapshot"
-            " directory" % man.version)
+        raise SnapshotFormatError("snapshot version %d stores no graph file (written"
+                                  " without a graph); train into a new snapshot"
+                                  " directory" % man.version)
 
 
 def graph_for_manifest(cfg, man):
-    """The graph a version was built on, rebuilt from the version's graph file.
-
-    The graph file is the only source of truth. When the version also stores
-    an adjacency file, that file must equal the index rebuilt here, entry for
-    entry, or the version is corrupt. This compare is what catches an in-range
-    value flipped in the adjacency file, which ``cmd_retrieve``'s range checks
-    cannot.
-    """
+    """The graph a version was built on, rebuilt from the version's graph file
+    (``load_graph_arrays``, which also checks the stored adjacency)."""
     _require_graph(man)
-    sd = cfg.paths["snapshot_dir"]
-    graph = load_graph_arrays(os.path.join(sd, man.graph_path))
-    if man.adjacency_path is not None:
-        check_adjacency(os.path.join(sd, man.adjacency_path), graph)
-    return graph
+    return load_graph_arrays(os.path.join(cfg.paths["snapshot_dir"], man.graph_path))
 
 
 def read_test_interactions(path, user_type, item_type):
@@ -458,13 +460,10 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
     Returns a list of {type, id, score} dicts, best first, and logs a
     ``retrieve`` record with the version and ``stage_ms``.
 
-    It builds no graph. It maps the version's adjacency file and reads the
-    user's row of it (``load_graph``), then reads the user-type and
-    item-type blocks of the table file and no other (``load_table``). What
-    it reads is range-checked, so a malformed or truncated file is a
-    ``SnapshotFormatError``. A range check cannot catch an in-range flipped
-    value, though: only the next full load of the version
-    (``graph_for_manifest``) does.
+    It builds no graph. It maps the graph file and reads the user's row of
+    the stored adjacency (``load_graph``), then maps the table file and
+    widens only the user row and the kept item rows (``load_table``). Every
+    array it reads has its CRC-32 checked and is range-checked.
     """
     if k < 1:
         raise ConfigError("retrieve k must be >= 1, got %d" % k)
@@ -473,39 +472,39 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
     stages = Stages()
     man = resolve_manifest(sd, version)
     _require_graph(man)
-    if man.adjacency_path is None:
-        raise SnapshotFormatError(
-            "snapshot version %d stores no adjacency file (written before versions"
-            " stored one); write a new version with update or train" % man.version)
-    adj = map_adjacency(os.path.join(sd, man.adjacency_path))
+    graph_file = ArrayFile(os.path.join(sd, man.graph_path), "graph")
+    counts = [shape[0] for shape in graph_file.shapes("features_", "<f8", 2)]
     user_type = cfg.eval["user_type"]
     item_type = cfg.eval["item_type"]
     for key, t in (("user_type", user_type), ("item_type", item_type)):
-        if not 0 <= t < len(adj.counts):
+        if not 0 <= t < len(counts):
             raise DataError("eval.%s %d is not a node type of snapshot version %d"
-                            " (%d types)" % (key, t, man.version, len(adj.counts)))
+                            " (%d types)" % (key, t, man.version, len(counts)))
     user = int(user_intra_id)
-    if not 0 <= user < adj.counts[user_type]:
+    if not 0 <= user < counts[user_type]:
         raise DataError("intra id %d out of range for type %d (count %d)"
-                        % (user, user_type, adj.counts[user_type]))
-    nbrs = adj.row(adj.offsets[user_type] + user)
+                        % (user, user_type, counts[user_type]))
+    nbrs = adjacency_row(graph_file, sum(counts[:user_type]) + user, sum(counts))
     stages.lap("load_graph")
-    blocks = load_table_blocks(os.path.join(sd, man.table_path), {user_type, item_type})
-    if user >= len(blocks[user_type]):
+    table_file = ArrayFile(os.path.join(sd, man.table_path), "table")
+    table_shapes(table_file)
+    user_rows = table_file.array("block_%d" % user_type, "<f4", 2)
+    item_rows = table_file.array("block_%d" % item_type, "<f4", 2)
+    if user >= len(user_rows):
         raise DataError("user %d not present in the table of snapshot version %d"
                         % (user, man.version))
     stages.lap("load_table")
-    n_items = min(int(adj.counts[item_type]), len(blocks[item_type]))
+    n_items = min(counts[item_type], len(item_rows))
     keep = np.ones(n_items, dtype=bool)
     if exclude_known:
-        lo, hi = adj.offsets[item_type], adj.offsets[item_type + 1]
-        known = nbrs[(nbrs >= lo) & (nbrs < hi)] - lo
+        lo = sum(counts[:item_type])
+        known = nbrs[(nbrs >= lo) & (nbrs < lo + counts[item_type])] - lo
         keep[known[known < n_items]] = False
     keep = np.flatnonzero(keep)
     hits = []
     if keep.size:
-        order, scores = cosine_topk(blocks[user_type][user], blocks[item_type][keep],
-                                    min(k, keep.size))
+        order, scores = cosine_topk(user_rows[user].astype(np.float64),
+                                    item_rows[keep].astype(np.float64), min(k, keep.size))
         hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
                 for j, s in zip(order, scores)]
     stages.lap("rank")

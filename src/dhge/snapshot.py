@@ -1,20 +1,29 @@
-"""Binary persistence for model parameters, embedding tables, alignment, graphs
-and adjacency indexes.
+"""Binary persistence for model parameters, embedding tables, alignment and
+graphs.
 
 Model files are a little-endian framed format: magic ``DHGM``, a u32 format
 version, a length-prefixed UTF-8 ``key=value`` config block, then a count of
 tensor records (name, rows, cols, row-major float32 payload). Training math
 is float64 but snapshots quantize to float32; a load/save round trip of an
-existing snapshot is byte-identical. All writers are write-then-rename so a
-crash never leaves a partially written file at the target path.
+existing snapshot is byte-identical.
+
+Tables, alignment and graphs are array files: magic ``DHGA``, a u32 format
+version and a u32 header length, then a JSON header listing each array's
+name, dtype, shape, byte offset and CRC-32, padded with spaces to a 64-byte
+boundary. The payloads follow, each at a 64-byte-aligned offset counted
+from the end of the header, zero-padded in between; the file ends at the
+last payload. A reader maps the file and checks it array by array
+(``ArrayFile``). All writers are write-then-rename so a crash never leaves
+a partially written file at the target path.
 """
 from __future__ import annotations
 
-import io
+import json
+import math
+import mmap
 import os
 import struct
-import zipfile
-from typing import NamedTuple
+import zlib
 
 import numpy as np
 
@@ -30,20 +39,15 @@ class SnapshotFormatError(DataError):
     """A snapshot file is malformed or has an unsupported version."""
 
 
-def _atomic_bytes(path, payload):
+def _atomic_bytes(path, chunks):
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-
-
-def _atomic_npz(path, payload):
-    buf = io.BytesIO()
-    np.savez(buf, **payload)
-    _atomic_bytes(path, buf.getvalue())
 
 
 def _tensor_record(name, value):
@@ -68,13 +72,7 @@ def save_model(path, params, config):
             struct.pack("<I", len(tensors))]
     for p in tensors:
         body.append(_tensor_record(p.name, p.value))
-    _atomic_bytes(path, b"".join(body))
-
-
-def _read_exact(fh, n, what):
-    if n > len(fh.getbuffer()) - fh.tell():   # before read() is asked for n bytes
-        raise SnapshotFormatError("truncated snapshot while reading %s" % what)
-    return fh.read(n)
+    _atomic_bytes(path, body)
 
 
 def load_model(path):
@@ -83,35 +81,44 @@ def load_model(path):
     Float32 payloads are promoted to float64 in memory, so a subsequent
     ``save_model`` reproduces the file byte for byte.
     """
-    with open(os.fspath(path), "rb") as raw, io.BytesIO(raw.read()) as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise SnapshotFormatError("bad magic; not a model snapshot")
-        version = struct.unpack("<I", _read_exact(fh, 4, "format version"))[0]
-        if version != FORMAT_VERSION:
-            raise SnapshotFormatError("unsupported snapshot format version %d" % version)
-        cfg_len = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-        cfg_text = _read_exact(fh, cfg_len, "config block").decode("utf-8", "replace")
-        items = {}
-        for line in cfg_text.splitlines():
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise SnapshotFormatError("malformed config line %r" % line)
-            key, _, value = line.partition("=")
-            items[key] = value
-        n_tensors = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))[0]
-        tensors = {}
-        for _ in range(n_tensors):
-            name_len = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8", "replace")
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, "tensor shape"))
-            payload = _read_exact(fh, rows * cols * 4, "tensor payload %r" % name)
-            if name in tensors:
-                raise SnapshotFormatError("%s: tensor %r is stored twice" % (path, name))
-            arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-            tensors[name] = arr
-        if fh.read(1):
-            raise SnapshotFormatError("trailing bytes after final tensor record")
+    with open(os.fspath(path), "rb") as fh:
+        raw = fh.read()
+    pos = 0
+
+    def read(n, what):
+        nonlocal pos
+        if n > len(raw) - pos:   # before slicing n bytes
+            raise SnapshotFormatError("truncated snapshot while reading %s" % what)
+        pos += n
+        return raw[pos - n:pos]
+
+    if read(4, "magic") != MAGIC:
+        raise SnapshotFormatError("bad magic; not a model snapshot")
+    version = struct.unpack("<I", read(4, "format version"))[0]
+    if version != FORMAT_VERSION:
+        raise SnapshotFormatError("unsupported snapshot format version %d" % version)
+    cfg_len = struct.unpack("<I", read(4, "config length"))[0]
+    cfg_text = read(cfg_len, "config block").decode("utf-8", "replace")
+    items = {}
+    for line in cfg_text.splitlines():
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise SnapshotFormatError("malformed config line %r" % line)
+        key, _, value = line.partition("=")
+        items[key] = value
+    n_tensors = struct.unpack("<I", read(4, "tensor count"))[0]
+    tensors = {}
+    for _ in range(n_tensors):
+        name_len = struct.unpack("<I", read(4, "name length"))[0]
+        name = read(name_len, "tensor name").decode("utf-8", "replace")
+        rows, cols = struct.unpack("<II", read(8, "tensor shape"))
+        payload = read(rows * cols * 4, "tensor payload %r" % name)
+        if name in tensors:
+            raise SnapshotFormatError("%s: tensor %r is stored twice" % (path, name))
+        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    if pos != len(raw):
+        raise SnapshotFormatError("trailing bytes after final tensor record")
     try:
         config = ModelConfig.from_items(items)
     except KeyError as exc:
@@ -147,14 +154,118 @@ def _assemble_params(config, tensors):
     return out
 
 
+ARRAY_MAGIC = b"DHGA"
+ARRAY_FORMAT_VERSION = 1
+_ARRAY_PREFIX = struct.Struct("<4sII")   # magic, format version, header bytes
+_ALIGN = 64
+_ARRAY_DTYPES = ("<f4", "<f8", "<i8", "|b1")
+
+
+def _aligned(n):
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def save_arrays(path, arrays):
+    """Write the named arrays of ``arrays`` (a dict) as one array file."""
+    entries, chunks, end = [], [], 0
+    for name, value in arrays.items():
+        arr = np.asarray(value)
+        arr = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
+        if arr.dtype.str not in _ARRAY_DTYPES:
+            raise ValueError("array %r has unsupported dtype %s" % (name, arr.dtype))
+        start = _aligned(end)
+        entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                        "offset": start, "crc32": zlib.crc32(arr)})
+        chunks += [b"\0" * (start - end), arr]
+        end = start + arr.nbytes
+    header = json.dumps(entries, separators=(",", ":")).encode("utf-8")
+    header += b" " * (_aligned(_ARRAY_PREFIX.size + len(header)) - _ARRAY_PREFIX.size - len(header))
+    _atomic_bytes(path, [_ARRAY_PREFIX.pack(ARRAY_MAGIC, ARRAY_FORMAT_VERSION, len(header)),
+                         header] + chunks)
+
+
+class ArrayFile:
+    """An array file (``save_arrays``) mapped read-only, its header checked:
+    magic, version, and that the header's shapes times itemsizes place each
+    array at its offset and end the file where it ends.
+
+    ``shape`` reads the header alone; ``array`` checks the array's CRC-32
+    the first time it hands the array out. Any fault is a
+    ``SnapshotFormatError`` that names the file.
+    """
+
+    def __init__(self, path, kind):
+        self.path, self.kind = os.fspath(path), kind
+        try:
+            with open(self.path, "rb") as fh:
+                self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:   # ValueError: an empty file
+            self.fail("cannot read %s file: %s", kind, getattr(exc, "strerror", None) or exc)
+        if len(self._map) < _ARRAY_PREFIX.size or self._map[:4] != ARRAY_MAGIC:
+            self.fail("not an array file: no %s magic", ARRAY_MAGIC.decode())
+        _, version, header_len = _ARRAY_PREFIX.unpack_from(self._map)
+        if version != ARRAY_FORMAT_VERSION:
+            self.fail("unsupported array file format version %d", version)
+        self._start = _ARRAY_PREFIX.size + header_len
+        try:
+            entries = [(e["name"], e["dtype"], tuple(e["shape"]), e["offset"], e["crc32"])
+                       for e in json.loads(self._map[_ARRAY_PREFIX.size:self._start])]
+        except (ValueError, TypeError, KeyError) as exc:
+            self.fail("unreadable header: %s", exc)
+        self.entries, end = {}, 0
+        for name, dtype, shape, offset, crc in entries:
+            if not (isinstance(name, str) and dtype in _ARRAY_DTYPES
+                    and all(type(v) is int and v >= 0 for v in shape + (offset, crc))):
+                self.fail("malformed header entry %s", (name, dtype, shape, offset, crc))
+            if offset != _aligned(end):
+                self.fail("array %r starts at payload offset %d, but the header's shapes"
+                          " place it at %d", name, offset, _aligned(end))
+            end = offset + np.dtype(dtype).itemsize * math.prod(shape)
+            self.entries[name] = (dtype, shape, offset, crc)
+        if self._start + end != len(self._map):
+            self.fail("the header's shapes account for %d bytes, but the file holds %d",
+                      self._start + end, len(self._map))
+        self._checked = set()
+
+    def fail(self, message, *args):
+        raise SnapshotFormatError(("%s: " + message) % ((self.path,) + args)) from None
+
+    def shape(self, name, dtype, ndim):
+        """``name``'s shape from the header, its dtype and rank checked there."""
+        if name not in self.entries:
+            self.fail("%s file lacks array %r", self.kind, name)
+        stored, shape = self.entries[name][:2]
+        if stored != dtype or len(shape) != ndim:
+            self.fail("%s has shape %s and dtype %s, expected %d-D %s",
+                      name, shape, stored, ndim, dtype)
+        return shape
+
+    def array(self, name, dtype, ndim):
+        """``name`` as a read-only view of the map, after ``shape``'s checks
+        and, the first time, its CRC-32."""
+        shape = self.shape(name, dtype, ndim)
+        offset, crc = self.entries[name][2:]
+        out = np.ndarray(shape, dtype, self._map, self._start + offset)
+        if name not in self._checked and zlib.crc32(out) != crc:
+            self.fail("array %r fails its CRC-32 check", name)
+        self._checked.add(name)
+        return out
+
+    def shapes(self, prefix, dtype, ndim):
+        """``shape`` of arrays ``prefix0``, ``prefix1``, ... up to the first absent."""
+        out = []
+        while "%s%d" % (prefix, len(out)) in self.entries:
+            out.append(self.shape("%s%d" % (prefix, len(out)), dtype, ndim))
+        return out
+
+
 def save_table(path, table):
-    """Embedding table as float32 npz blocks plus version metadata."""
-    payload = {"version": np.asarray([table.version], dtype=np.int64),
-               "created_ms": np.asarray([table.created_ms], dtype=np.int64),
-               "num_types": np.asarray([len(table.blocks)], dtype=np.int64)}
+    """Embedding table as float32 blocks plus version metadata."""
+    arrays = {"version": np.asarray(table.version, dtype=np.int64),
+              "created_ms": np.asarray(table.created_ms, dtype=np.int64)}
     for t, block in enumerate(table.blocks):
-        payload["block_%d" % t] = block.astype("<f4")
-    _atomic_npz(path, payload)
+        arrays["block_%d" % t] = block.astype("<f4")
+    save_arrays(path, arrays)
 
 
 def stored_table(table):
@@ -163,44 +274,21 @@ def stored_table(table):
                           version=table.version, created_ms=table.created_ms)
 
 
-def _read_npz(path, keys=None):
-    """The arrays of an npz file named in ``keys`` (all of them when None),
-    each member read only when named; a named member the file lacks is left
-    out. A corrupt or non-npz file is a SnapshotFormatError."""
-    try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("a single array, not an npz archive")
-        with data:
-            names = data.files if keys is None else [key for key in keys if key in data.files]
-            return {key: data[key] for key in names}
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise SnapshotFormatError("%s: not a readable npz file: %s" % (path, exc)) from None
+def table_shapes(table_file):
+    """Each table block's header shape: float32, 2-D, one or more, one width."""
+    shapes = table_file.shapes("block_", "<f4", 2)
+    widths = sorted({shape[1] for shape in shapes})
+    if len(widths) != 1:
+        table_file.fail("table blocks have widths %s, expected one width", widths)
+    return shapes
 
 
 def load_table(path):
-    path = os.fspath(path)
-    data = _read_npz(path)
-    try:
-        num_types = int(data["num_types"][0])
-        blocks = [data["block_%d" % t].astype(np.float64) for t in range(num_types)]
-        version, created_ms = int(data["version"][0]), int(data["created_ms"][0])
-    except (KeyError, IndexError) as exc:
-        raise SnapshotFormatError("%s: malformed table file: missing %s" % (path, exc)) from None
-    return EmbeddingTable(blocks, version=version, created_ms=created_ms)
-
-
-def load_table_blocks(path, types):
-    """The blocks of ``types`` in a table file, by type, reading no other
-    member of the file; each block equals ``load_table``'s."""
-    path = os.fspath(path)
-    data = _read_npz(path, ["block_%d" % t for t in types])
-    try:
-        return {t: data["block_%d" % t].astype(np.float64) for t in types}
-    except KeyError as exc:
-        raise SnapshotFormatError("%s: malformed table file: missing %s" % (path, exc)) from None
+    table_file = ArrayFile(path, "table")
+    blocks = [table_file.array("block_%d" % t, "<f4", 2).astype(np.float64)
+              for t in range(len(table_shapes(table_file)))]
+    return EmbeddingTable(blocks, version=int(table_file.array("version", "<i8", 0)),
+                          created_ms=int(table_file.array("created_ms", "<i8", 0)))
 
 
 ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
@@ -208,180 +296,101 @@ ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
 
 
 def save_alignment(path, state):
-    """Alignment rows and spectrum, float64 (internal math, not serving data).
-
-    Rows are flattened row-major, k entries each; ``counts`` is all k.
-    """
-    payload = {
-        "k": np.asarray([state.k], dtype=np.int64),
-        "lam": np.asarray(state.lam, dtype=np.float64),
-        "row_types": np.asarray(state.refs[:, 0], dtype=np.int64),
-        "row_intras": np.asarray(state.refs[:, 1], dtype=np.int64),
-        "counts": np.full(len(state.refs), state.k, dtype=np.int64),
-        "nbr_types": np.asarray(state.nbrs[:, :, 0], dtype=np.int64).ravel(),
-        "nbr_intras": np.asarray(state.nbrs[:, :, 1], dtype=np.int64).ravel(),
-        "weights": np.asarray(state.weights, dtype=np.float64).ravel(),
-    }
-    _atomic_npz(path, payload)
+    """Alignment rows and spectrum, float64 (internal math, not serving data);
+    rows are flattened row-major, k entries each, and ``counts`` is all k."""
+    refs, nbrs = np.asarray(state.refs, dtype=np.int64), np.asarray(state.nbrs, dtype=np.int64)
+    save_arrays(path, {
+        "k": np.asarray(state.k, dtype=np.int64), "lam": np.asarray(state.lam, dtype=np.float64),
+        "row_types": refs[:, 0], "row_intras": refs[:, 1],
+        "counts": np.full(len(refs), state.k, dtype=np.int64),
+        "nbr_types": nbrs[:, :, 0].ravel(), "nbr_intras": nbrs[:, :, 1].ravel(),
+        "weights": np.asarray(state.weights, dtype=np.float64).ravel()})
 
 
 def load_alignment(path):
     """Parse an alignment file, rejecting missing arrays and ragged rows."""
-    path = os.fspath(path)
-    arrays = _read_npz(path)
-    missing = [key for key in ALIGNMENT_KEYS if key not in arrays]
+    align_file = ArrayFile(path, "alignment")
+    fail = align_file.fail
+    missing = [key for key in ALIGNMENT_KEYS if key not in align_file.entries]
     if missing:
-        raise SnapshotFormatError("%s: alignment file lacks arrays %s" % (path, missing))
-    k_arr, lam = arrays["k"], arrays["lam"]
-    if k_arr.shape != (1,) or k_arr[0] < 1:
-        raise SnapshotFormatError("%s: k must be one positive integer, got %s" % (path, k_arr))
-    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-        raise SnapshotFormatError("%s: lam must be square, got shape %s" % (path, lam.shape))
-    k = int(k_arr[0])
+        fail("alignment file lacks arrays %s", missing)
+    k, lam = int(align_file.array("k", "<i8", 0)), np.array(align_file.array("lam", "<f8", 2))
+    if k < 1 or lam.shape[0] != lam.shape[1]:
+        fail("k must be positive and lam square, got k=%d and lam of shape %s", k, lam.shape)
+    arrays = {key: align_file.array(key, "<f8" if key == "weights" else "<i8", 1)
+              for key in ALIGNMENT_KEYS[2:]}
     n_rows = arrays["row_types"].size
-    for key, want in (("row_types", n_rows), ("row_intras", n_rows), ("counts", n_rows),
-                      ("nbr_types", n_rows * k), ("nbr_intras", n_rows * k),
-                      ("weights", n_rows * k)):
+    for key in ALIGNMENT_KEYS[3:]:
+        want = n_rows if key in ("row_intras", "counts") else n_rows * k
         if arrays[key].shape != (want,):
-            raise SnapshotFormatError("%s: %s has shape %s, expected (%d,)"
-                                      % (path, key, arrays[key].shape, want))
+            fail("%s has shape %s, expected (%d,)", key, arrays[key].shape, want)
     if np.any(arrays["counts"] != k):
-        raise SnapshotFormatError("%s: every row must hold k=%d neighbors" % (path, k))
-    refs = np.stack([arrays["row_types"], arrays["row_intras"]], axis=1).astype(np.int64)
+        fail("every row must hold k=%d neighbors", k)
+    refs = np.stack([arrays["row_types"], arrays["row_intras"]], axis=1)
     # sorted and unique: each row strictly after the one before it
     t, i = refs[:, 0], refs[:, 1]
     if not np.all((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (i[1:] > i[:-1]))):
-        raise SnapshotFormatError("%s: alignment rows are not sorted and unique" % path)
-    nbrs = np.stack([arrays["nbr_types"], arrays["nbr_intras"]], axis=1).astype(np.int64)
-    return AlignmentState(k=k, lam=lam.astype(np.float64), refs=refs,
-                          nbrs=nbrs.reshape(n_rows, k, 2),
-                          weights=arrays["weights"].astype(np.float64).reshape(n_rows, k))
+        fail("alignment rows are not sorted and unique")
+    nbrs = np.stack([arrays["nbr_types"], arrays["nbr_intras"]], axis=1)
+    return AlignmentState(k=k, lam=lam, refs=refs, nbrs=nbrs.reshape(n_rows, k, 2),
+                          weights=np.array(arrays["weights"]).reshape(n_rows, k))
 
 
 def save_graph_arrays(path, graph):
-    """A graph's primary arrays: schema pairs, per-type feature and mask blocks,
-    and per-relation ``src``/``dst``/``ts``.
-
-    No index is stored: ``load_graph_arrays`` rebuilds them, so a file cannot
-    carry an index that disagrees with its edges.
-    """
-    payload = {"schema": np.asarray(graph.schema.pairs, dtype=np.int64).reshape(-1, 2),
-               "num_types": np.asarray([graph.num_types], dtype=np.int64)}
+    """A graph's schema pairs, per-type feature and mask blocks, per-relation
+    ``src``/``dst``/``ts``, and its CSR adjacency ``adj_indptr``/``adj_indices``,
+    from which ``adjacency_row`` reads a node's row without building the graph."""
+    arrays = {"schema": np.asarray(graph.schema.pairs, dtype=np.int64).reshape(-1, 2)}
     for t in range(graph.num_types):
-        payload["features_%d" % t] = graph.feature_blocks[t]
-        payload["mask_%d" % t] = graph.mask_blocks[t]
+        arrays["features_%d" % t] = graph.feature_blocks[t]
+        arrays["mask_%d" % t] = graph.mask_blocks[t]
     for r in range(graph.schema.num_relations):
-        payload["src_%d" % r] = graph.rel_src[r]
-        payload["dst_%d" % r] = graph.rel_dst[r]
-        payload["ts_%d" % r] = graph.rel_ts[r]
-    _atomic_npz(path, payload)
+        arrays["src_%d" % r] = graph.rel_src[r]
+        arrays["dst_%d" % r] = graph.rel_dst[r]
+        arrays["ts_%d" % r] = graph.rel_ts[r]
+    arrays["adj_indptr"] = graph._adj_indptr
+    arrays["adj_indices"] = graph._adj_indices
+    save_arrays(path, arrays)
 
 
 def load_graph_arrays(path):
     """Rebuild a ``HeteroGraph`` from a graph file through its constructor,
-    which validates endpoints, self-loops, duplicate edges, shapes and
-    feature values."""
-    path = os.fspath(path)
-    arrays = _read_npz(path)
-
-    def take(key, ndim, kinds):
-        if key not in arrays:
-            raise SnapshotFormatError("%s: graph file lacks array %r" % (path, key))
-        arr = arrays[key]
-        if arr.ndim != ndim or arr.dtype.kind not in kinds:
-            raise SnapshotFormatError("%s: %s has shape %s and dtype %s, expected %d-D %s"
-                                      % (path, key, arr.shape, arr.dtype, ndim, kinds))
-        return arr
-
-    pairs = take("schema", 2, "i")
-    num_types = take("num_types", 1, "i")
-    if pairs.shape[1] != 2 or num_types.shape != (1,):
-        raise SnapshotFormatError("%s: malformed schema %s or type count %s"
-                                  % (path, pairs.shape, num_types))
-    features = [take("features_%d" % t, 2, "f") for t in range(num_types[0])]
-    masks = [take("mask_%d" % t, 2, "b") for t in range(num_types[0])]
-    edges = [(take("src_%d" % r, 1, "i"), take("dst_%d" % r, 1, "i"), take("ts_%d" % r, 1, "f"))
-             for r in range(len(pairs))]
+    which validates endpoints, self-loops, duplicate edges, shapes and feature
+    values; then compare the stored adjacency with the rebuilt one."""
+    graph_file = ArrayFile(path, "graph")
+    pairs = graph_file.array("schema", "<i8", 2)
+    if pairs.shape[1] != 2:
+        graph_file.fail("malformed schema %s", pairs.shape)
+    take = graph_file.array
+    n_types = len(graph_file.shapes("features_", "<f8", 2))
+    features = [take("features_%d" % t, "<f8", 2) for t in range(n_types)]
+    masks = [take("mask_%d" % t, "|b1", 2) for t in range(n_types)]
+    edges = [(take("src_%d" % r, "<i8", 1), take("dst_%d" % r, "<i8", 1),
+              take("ts_%d" % r, "<f8", 1)) for r in range(len(pairs))]
     try:
-        return HeteroGraph(RelationSchema(pairs.tolist()), features, masks, edges)
+        graph = HeteroGraph(RelationSchema(pairs.tolist()), features, masks, edges)
     except DataError as exc:
-        raise SnapshotFormatError("%s: %s" % (path, exc)) from None
+        graph_file.fail("%s", exc)
+    if not (np.array_equal(graph_file.array("adj_indptr", "<i8", 1), graph._adj_indptr)
+            and np.array_equal(graph_file.array("adj_indices", "<i8", 1), graph._adj_indices)):
+        graph_file.fail("adjacency index differs from the one rebuilt from the graph file")
+    return graph
 
 
-def adjacency_array(graph):
-    """A graph's type-erased CSR adjacency as one int64 array:
-    ``[T, counts[0..T-1], indptr[0..N], indices[0..nnz-1]]``."""
-    return np.concatenate([[graph.num_types], graph.counts, graph._adj_indptr,
-                           graph._adj_indices]).astype("<i8", copy=False)
-
-
-def save_adjacency(path, graph):
-    """``adjacency_array(graph)`` as one ``.npy`` file, which a reader can map."""
-    buf = io.BytesIO()
-    np.save(buf, adjacency_array(graph), allow_pickle=False)
-    _atomic_bytes(path, buf.getvalue())
-
-
-def _map_npy(path):
-    """A 1-D little-endian int64 ``.npy`` file, mapped read-only."""
-    try:
-        arr = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise SnapshotFormatError("%s: not a readable adjacency file: %s" % (path, exc)) from None
-    if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype != np.dtype("<i8"):
-        raise SnapshotFormatError("%s: not a 1-D little-endian int64 array" % path)
-    return arr
-
-
-class MappedAdjacency(NamedTuple):
-    """An adjacency file mapped read-only, its header checked."""
-
-    path: str
-    counts: np.ndarray
-    offsets: np.ndarray
-    indptr: np.ndarray      # views into the map
-    indices: np.ndarray
-
-    def row(self, g):
-        """Node ``g``'s sorted neighbour global ids, read after checking
-        ``0 <= indptr[g] <= indptr[g + 1] <= nnz`` and that each id is below N."""
-        lo, hi = int(self.indptr[g]), int(self.indptr[g + 1])
-        if not 0 <= lo <= hi <= len(self.indices):
-            raise SnapshotFormatError("%s: row %d spans [%d, %d), outside the %d neighbours"
-                                      % (self.path, g, lo, hi, len(self.indices)))
-        row = np.array(self.indices[lo:hi])
-        if len(row) and (row.min() < 0 or row.max() >= self.offsets[-1]):
-            raise SnapshotFormatError("%s: row %d names a node outside [0, %d)"
-                                      % (self.path, g, self.offsets[-1]))
-        return row
-
-
-def map_adjacency(path):
-    """Map an adjacency file and check its header: ``T >= 1``, counts
-    non-negative, and a length of exactly ``1 + T + N + 1 + nnz``, where
-    ``nnz`` is the last ``indptr`` entry. Nothing past the header is read."""
-    path = os.fspath(path)
-    arr = _map_npy(path)
-    size = len(arr)
-    n_types = int(arr[0]) if size else 0
-    if not 1 <= n_types < size:
-        raise SnapshotFormatError("%s: type count %d does not fit a file of %d entries"
-                                  % (path, n_types, size))
-    counts = np.array(arr[1:1 + n_types])
-    if counts.min() < 0 or counts.max() > size:
-        raise SnapshotFormatError("%s: node counts %s out of range" % (path, counts.tolist()))
-    head = 1 + n_types + int(counts.sum()) + 1
-    nnz = int(arr[head - 1]) if head <= size else -1
-    if nnz < 0 or head + nnz != size:
-        raise SnapshotFormatError("%s: %d entries, but the header gives %d node counts %s and"
-                                  " %d neighbours" % (path, size, n_types, counts.tolist(), nnz))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return MappedAdjacency(path, counts, offsets, arr[1 + n_types:head], arr[head:])
-
-
-def check_adjacency(path, graph):
-    """Compare an adjacency file with ``adjacency_array(graph)``, exactly."""
-    path = os.fspath(path)
-    if not np.array_equal(_map_npy(path), adjacency_array(graph)):
-        raise SnapshotFormatError("%s: adjacency index differs from the one rebuilt from"
-                                  " the graph file" % path)
+def adjacency_row(graph_file, g, n_nodes):
+    """Node ``g``'s sorted neighbour global ids from a graph file's stored
+    adjacency, read after checking that ``adj_indptr`` holds ``n_nodes`` + 1
+    entries, ``0 <= indptr[g] <= indptr[g + 1] <= nnz`` and that each id is
+    below ``n_nodes``."""
+    indptr = graph_file.array("adj_indptr", "<i8", 1)
+    indices = graph_file.array("adj_indices", "<i8", 1)
+    if len(indptr) != n_nodes + 1:
+        graph_file.fail("adj_indptr has %d entries for %d nodes", len(indptr), n_nodes)
+    lo, hi = int(indptr[g]), int(indptr[g + 1])
+    if not 0 <= lo <= hi <= len(indices):
+        graph_file.fail("row %d spans [%d, %d), outside the %d neighbours",
+                        g, lo, hi, len(indices))
+    row = np.array(indices[lo:hi])
+    if len(row) and (row.min() < 0 or row.max() >= n_nodes):
+        graph_file.fail("row %d names a node outside [0, %d)", g, n_nodes)
+    return row

@@ -1,9 +1,13 @@
 """Shared builders for the test suite."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from dhge.graph import HeteroGraph, RelationSchema, Subgraph, NodeRef
 from dhge.model import ModelConfig, ModelParams
+from dhge.snapshot import ArrayFile
 
 # one line per shipped behavior contract, printed after the run
 CRITERION_LINES = []
@@ -83,6 +87,33 @@ def tiny_params(graph, hidden_dim=4, num_gcn_layers=2, seed=0, **cfg_kw):
                          num_relations=graph.schema.num_relations,
                          id_capacity=max(graph.counts), init_seed=seed)
     return cfg, params
+
+
+def stored_arrays(path):
+    """Every array of an array file, as writable copies, in file order."""
+    stored = ArrayFile(path, "test")
+    return {name: np.array(stored.array(name, dtype, len(shape)))
+            for name, (dtype, shape, _, _) in stored.entries.items()}
+
+
+def payload_start(path, name):
+    """The file offset of array ``name``'s first byte in an array file."""
+    raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[8:12])[0]
+    entries = json.loads(raw[12:12 + header_len])
+    return 12 + header_len + next(e["offset"] for e in entries if e["name"] == name)
+
+
+def edit_header(path, change):
+    """Rewrite an array file's JSON header through ``change`` (called with the
+    list of entries), keeping every payload byte where it was."""
+    raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[8:12])[0]
+    entries = json.loads(raw[12:12 + header_len])
+    change(entries)
+    header = json.dumps(entries, separators=(",", ":")).encode()
+    header = header.ljust(-(-(12 + len(header)) // 64) * 64 - 12)
+    path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + header_len:])
 
 
 @pytest.fixture

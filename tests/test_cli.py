@@ -10,8 +10,9 @@ import pytest
 
 from dhge.cli import main, _features_for
 from dhge.pipeline import latest_manifest, load_snapshot_state, manifest_path, write_snapshot
-from dhge.snapshot import _tensor_record, load_model, save_model
+from dhge.snapshot import _tensor_record, load_model, save_arrays, save_model
 from dhge.tensor import Param
+from conftest import edit_header, payload_start, stored_arrays
 
 
 def run(capsys, *argv):
@@ -332,7 +333,7 @@ class TestBaseFileRulesExit3:
 
 
 class TestCorruptSnapshotExit3:
-    """A corrupt or non-npz snapshot file is a data error, never a traceback."""
+    """A corrupt snapshot file is a data error, never a traceback."""
 
     @pytest.mark.parametrize("target, command", [("table", "retrieve"),
                                                  ("alignment", "update"),
@@ -343,7 +344,7 @@ class TestCorruptSnapshotExit3:
         assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
         man = latest_manifest(str(snaps))
         path = snaps / getattr(man, target + "_path")
-        path.write_bytes(b"garbage")   # 7 bytes, neither zip nor npy
+        path.write_bytes(b"garbage")   # 7 bytes, not an array file
         argv = [command, "--config", str(cfg), "--snapshot-dir", str(snaps)]
         if command == "retrieve":
             argv += ["--user", "0"]
@@ -353,7 +354,7 @@ class TestCorruptSnapshotExit3:
             argv += ["--increment-edges", str(data / "increments" / "batch_000.edges.tsv")]
         code, _, err = run(capsys, *argv)
         assert code == 3
-        assert "%s: not a readable npz file" % path.name in err
+        assert "%s: not an array file" % path.name in err
 
     @pytest.mark.parametrize("fault, message", [
         ("missing", "graph file lacks array 'ts_0'"),
@@ -365,8 +366,7 @@ class TestCorruptSnapshotExit3:
         snaps = tmp_path / "snaps"
         assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
         path = snaps / latest_manifest(str(snaps)).graph_path
-        with np.load(path) as data:
-            payload = {key: data[key] for key in data.files}
+        payload = stored_arrays(path)
         if fault == "missing":
             del payload["ts_0"]
         elif fault == "dangling":
@@ -374,8 +374,7 @@ class TestCorruptSnapshotExit3:
         else:
             payload["src_0"][1] = payload["src_0"][0]
             payload["dst_0"][1] = payload["dst_0"][0]
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+        save_arrays(path, payload)
         code, _, err = run(capsys, "evaluate", "--config", str(cfg),
                            "--snapshot-dir", str(snaps), "--test", str(data_dir / "base_test.tsv"))
         assert code == 3
@@ -396,39 +395,155 @@ class TestCorruptSnapshotExit3:
         assert "snapshot version 2 stores no graph file" in err
         assert "Traceback" not in err
 
-    def test_version_without_adjacency_file(self, workspace, capsys, tmp_path):
+    def test_old_layout_version_exits_3(self, workspace, capsys, tmp_path):
+        # a version as written before array files: three .npz archives and an
+        # adjacency .npy, which its manifest names
         _, data, cfg = workspace
         snaps = tmp_path / "snaps"
         assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
         path = manifest_path(str(snaps), 1)
         with open(path) as fh:
             man = json.load(fh)
-        os.unlink(snaps / man.pop("adjacency_path"))
+        for key in ("table_path", "alignment_path", "graph_path"):
+            with open(snaps / (man[key] + ".npz"), "wb") as fh:
+                np.savez(fh, **stored_arrays(snaps / man[key]))
+            os.unlink(snaps / man[key])
+            man[key] += ".npz"
+        man["adjacency_path"] = "v000001.adj.npy"
         with open(path, "w") as fh:
-            json.dump(man, fh)   # as versions were written before the index
-        code, _, err = run(capsys, "retrieve", "--config", str(cfg),
-                           "--snapshot-dir", str(snaps), "--user", "0")
+            json.dump(man, fh)
+        message = ("%s: snapshot version 1 is stored in the .npz layout, which this release"
+                   " does not read; train into a new snapshot directory" % path)
+        for argv in (["retrieve", "--user", "0"], ["evaluate", "--test", str(data / "base_test.tsv")],
+                     ["update", "--increment-edges",
+                      str(data / "increments" / "batch_000.edges.tsv")]):
+            code, _, err = run(capsys, *argv, "--config", str(cfg), "--snapshot-dir", str(snaps))
+            assert code == 3 and message in err and "Traceback" not in err
+
+
+class TestArrayFileFaultsExit3:
+    """Each array file, broken in each way, fails each command that reads it
+    with exit 3, the file named and no traceback. ``retrieve`` and
+    ``evaluate`` do not read the alignment file, so they still succeed."""
+
+    # an array every command reads, where a fault is put
+    ARRAY = {"table": "block_1", "alignment": "weights", "graph": "adj_indices"}
+    MESSAGE = {"flip": "fails its CRC-32 check", "truncate": "the header's shapes account",
+               "garbage": "not an array file", "missing": "cannot read",
+               "header_shape": "the header's shapes account"}
+
+    @pytest.mark.parametrize("command", ["retrieve", "evaluate", "update"])
+    @pytest.mark.parametrize("fault", ["flip", "truncate", "garbage", "missing", "header_shape"])
+    @pytest.mark.parametrize("target", ["table", "alignment", "graph"])
+    def test_fault(self, trained, capsys, tmp_path, target, fault, command):
+        data, cfg, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        path = snaps / getattr(latest_manifest(str(snaps)), target + "_path")
+        name = self.ARRAY[target]
+        if fault == "flip":
+            raw = bytearray(path.read_bytes())
+            raw[payload_start(path, name) + 3] ^= 0x10
+            path.write_bytes(bytes(raw))
+        elif fault == "truncate":
+            path.write_bytes(path.read_bytes()[:-5])
+        elif fault == "garbage":
+            path.write_bytes(b"garbage")
+        elif fault == "missing":
+            os.unlink(path)
+        else:
+            def change(entries):
+                entry = next(e for e in entries if e["name"] == name)
+                entry["shape"][0] += 9
+            edit_header(path, change)
+        argv = {"retrieve": ["--user", "0"],
+                "evaluate": ["--test", str(data / "base_test.tsv")],
+                "update": ["--increment-edges", str(data / "increments" / "batch_000.edges.tsv")]}
+        code, _, err = run(capsys, command, "--config", str(cfg), "--snapshot-dir", str(snaps),
+                           *argv[command])
+        if target == "alignment" and command != "update":
+            assert code == 0
+            return
         assert code == 3
-        assert ("snapshot version 1 stores no adjacency file (written before versions"
-                " stored one); write a new version with update or train") in err
+        assert "%s: " % path.name in err and self.MESSAGE[fault] in err
         assert "Traceback" not in err
-        # a full load does not need it
-        code, records, _ = run(capsys, "evaluate", "--config", str(cfg),
-                               "--snapshot-dir", str(snaps),
-                               "--test", str(data / "base_test.tsv"))
-        assert code == 0 and records[-1]["table_version"] == 1
 
 
-def _adjacency_layout(arr):
-    """(T, N, start of indptr, start of indices) of an adjacency array."""
-    n_types = int(arr[0])
-    n_nodes = int(arr[1:1 + n_types].sum())
-    return n_types, n_nodes, 1 + n_types, 2 + n_types + n_nodes
+class TestShapesFromTheHeaderExit3:
+    """Table blocks of the wrong rank or of unequal widths, and an alignment
+    spectrum that does not fit the table, exit 3 with the file named."""
+
+    @pytest.mark.parametrize("fault, target, message", [
+        ("rank", "table", "block_0 has shape (20, 8, 1) and dtype <f4, expected 2-D <f4"),
+        ("width", "table", "table blocks have widths [7, 8], expected one width"),
+        ("lam", "alignment", "lam has shape (3, 3), but the table is 8 wide"),
+    ])
+    def test_fault(self, trained, capsys, tmp_path, fault, target, message):
+        data, cfg, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        path = snaps / getattr(latest_manifest(str(snaps)), target + "_path")
+        arrays = stored_arrays(path)
+        if fault == "rank":
+            arrays["block_0"] = arrays["block_0"][:, :, None]
+        elif fault == "width":
+            arrays["block_1"] = arrays["block_1"][:, 1:]
+        else:
+            arrays["lam"] = np.eye(3)
+        save_arrays(path, arrays)
+        commands = [["update", "--increment-edges",
+                     str(data / "increments" / "batch_000.edges.tsv")]]
+        if target == "table":
+            commands += [["retrieve", "--user", "0"],
+                         ["evaluate", "--test", str(data / "base_test.tsv")]]
+        for argv in commands:
+            code, _, err = run(capsys, *argv, "--config", str(cfg), "--snapshot-dir", str(snaps))
+            assert code == 3
+            assert "%s: %s" % (path.name, message) in err
+            assert "Traceback" not in err
+
+
+class TestManifestFieldsExit3:
+    """A manifest field of the wrong type, or a file name that leaves the
+    snapshot directory, exits 3 naming the manifest, on every command."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", "x", "field 'version' must be a positive integer, got 'x'"),
+        ("created_ms", None, "field 'created_ms' must be an integer, got None"),
+        ("increments", [["a"]], "field 'increments' must be a list of [edges path, features"
+                                " path or null] pairs, got [['a']]"),
+        ("model_path", 5, "field 'model_path' must be a file name inside the snapshot"
+                          " directory, got 5"),
+        ("parent_version", "p", "field 'parent_version' must be null or a positive integer,"
+                                " got 'p'"),
+        ("table_path", "../v000001.table", "field 'table_path' must be a file name inside"
+                                           " the snapshot directory, got '../v000001.table'"),
+        ("graph_path", "/v000001.graph", "field 'graph_path' must be null or a file name"
+                                         " inside the snapshot directory"),
+        ("kind", "partial", "field 'kind' must be static or incremental, got 'partial'"),
+    ])
+    def test_fault(self, trained, capsys, tmp_path, key, value, message):
+        data, cfg, trained_snaps = trained
+        snaps = tmp_path / "snaps"
+        shutil.copytree(trained_snaps, snaps)
+        path = manifest_path(str(snaps), 1)
+        with open(path) as fh:
+            man = json.load(fh)
+        man[key] = value
+        with open(path, "w") as fh:
+            json.dump(man, fh)
+        for argv in (["retrieve", "--user", "0"], ["evaluate", "--test", str(data / "base_test.tsv")],
+                     ["update", "--increment-edges",
+                      str(data / "increments" / "batch_000.edges.tsv")]):
+            code, _, err = run(capsys, *argv, "--config", str(cfg), "--snapshot-dir", str(snaps))
+            assert code == 3
+            assert "%s: %s" % (path, message) in err
+            assert "Traceback" not in err
 
 
 class TestAdjacencyFileExit3:
-    """Retrieve reads the adjacency file point by point; every fault it can
-    see exits 3 without a traceback, and a full load sees the rest."""
+    """Retrieve reads the graph file's adjacency point by point; every fault
+    it can see exits 3 without a traceback, and a full load sees the rest."""
 
     @pytest.fixture
     def snaps(self, trained, tmp_path):
@@ -443,10 +558,12 @@ class TestAdjacencyFileExit3:
                    "--user", "0")
 
     def _rewrite(self, snaps, change):
-        path = snaps / latest_manifest(str(snaps)).adjacency_path
-        arr = np.load(path).copy()
-        change(arr)
-        np.save(path, arr)
+        """Edit the graph file's adjacency, with CRC-32s to match, so that
+        retrieve's range checks are what is reached."""
+        path = snaps / latest_manifest(str(snaps)).graph_path
+        arrays = stored_arrays(path)
+        change(arrays)
+        save_arrays(path, arrays)
         return path
 
     def _garbage(self, path):
@@ -460,17 +577,19 @@ class TestAdjacencyFileExit3:
 
     @pytest.mark.parametrize("fault", ["_garbage", "_truncated", "_missing"])
     def test_unreadable_file(self, trained, snaps, capsys, fault):
-        path = snaps / latest_manifest(str(snaps)).adjacency_path
+        path = snaps / latest_manifest(str(snaps)).graph_path
         getattr(self, fault)(path)
         code, _, err = self._retrieve(capsys, trained, snaps)
         assert code == 3
-        assert "%s: not a readable adjacency file" % path.name in err
+        message = {"_garbage": "not an array file: no DHGA magic",
+                   "_truncated": "the header's shapes account for",
+                   "_missing": "cannot read graph file: No such file or directory"}[fault]
+        assert "%s: %s" % (path.name, message) in err
         assert "Traceback" not in err
 
     def test_out_of_range_indptr(self, trained, snaps, capsys):
-        def change(arr):
-            _, _, indptr, indices = _adjacency_layout(arr)
-            arr[indptr + 1] = len(arr) - indices + 1   # user 0's row ends past nnz
+        def change(arrays):
+            arrays["adj_indptr"][1] = len(arrays["adj_indices"]) + 1   # user 0's row ends past nnz
         path = self._rewrite(snaps, change)
         code, _, err = self._retrieve(capsys, trained, snaps)
         assert code == 3
@@ -478,10 +597,10 @@ class TestAdjacencyFileExit3:
         assert "Traceback" not in err
 
     def test_out_of_range_index(self, trained, snaps, capsys):
-        def change(arr):
-            _, n_nodes, indptr, indices = _adjacency_layout(arr)
-            assert arr[indptr + 1] > arr[indptr]   # user 0 has neighbours
-            arr[indices + arr[indptr]] = n_nodes + 7
+        def change(arrays):
+            indptr = arrays["adj_indptr"]
+            assert indptr[1] > indptr[0]   # user 0 has neighbours
+            arrays["adj_indices"][indptr[0]] = len(indptr) - 1 + 7
         path = self._rewrite(snaps, change)
         code, _, err = self._retrieve(capsys, trained, snaps)
         assert code == 3
@@ -489,21 +608,34 @@ class TestAdjacencyFileExit3:
         assert "Traceback" not in err
 
     def test_bad_length(self, trained, snaps, capsys):
-        path = snaps / latest_manifest(str(snaps)).adjacency_path
-        np.save(path, np.append(np.load(path), 0))
+        def change(arrays):
+            arrays["adj_indptr"] = np.append(arrays["adj_indptr"], 0)
+        path = self._rewrite(snaps, change)
         code, _, err = self._retrieve(capsys, trained, snaps)
         assert code == 3
-        assert "%s: " % path.name in err and "entries, but the header gives" in err
+        assert "%s: adj_indptr has" % path.name in err and "entries for" in err
+        assert "Traceback" not in err
+
+    def _flip_last(self, arrays):
+        n_nodes = len(arrays["adj_indptr"]) - 1
+        arrays["adj_indices"][-1] = (arrays["adj_indices"][-1] + 1) % n_nodes   # not user 0's row
+
+    def test_in_range_flip_caught_by_retrieve(self, trained, snaps, capsys):
+        path = snaps / latest_manifest(str(snaps)).graph_path
+        arrays = stored_arrays(path)
+        self._flip_last(arrays)
+        raw = path.read_bytes()
+        at = payload_start(path, "adj_indices") + arrays["adj_indices"][:-1].nbytes
+        path.write_bytes(raw[:at] + arrays["adj_indices"][-1:].tobytes() + raw[at + 8:])
+        code, _, err = self._retrieve(capsys, trained, snaps)
+        assert code == 3
+        assert "%s: array 'adj_indices' fails its CRC-32 check" % path.name in err
         assert "Traceback" not in err
 
     def test_in_range_flip_caught_by_the_next_full_load(self, trained, snaps, capsys):
         data, cfg, _ = trained
         _, before, _ = self._retrieve(capsys, trained, snaps)
-
-        def change(arr):
-            _, n_nodes, _, _ = _adjacency_layout(arr)
-            arr[-1] = (arr[-1] + 1) % n_nodes   # the last node's row, not user 0's
-        path = self._rewrite(snaps, change)
+        path = self._rewrite(snaps, self._flip_last)
         code, after, err = self._retrieve(capsys, trained, snaps)
         assert code == 0 and after == before
         message = "%s: adjacency index differs from the one rebuilt from the graph file" % path.name

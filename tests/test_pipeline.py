@@ -63,7 +63,7 @@ def stream_data(tmp_path_factory):
 class TestManifest:
     def _man(self):
         return Manifest(version=3, kind="incremental", created_ms=17,
-                        model_path="v000003.model", table_path="v000003.table.npz",
+                        model_path="v000003.model", table_path="v000003.table",
                         config_digest="d" * 64, alignment_path=None,
                         parent_version=2, increments=[("a.tsv", None)])
 
@@ -203,7 +203,7 @@ class TestTrainUpdateLineage:
 
         def exploding_save_graph(path, graph):
             with open(path, "wb") as fh:   # a torn write at the target path
-                fh.write(b"PK\x03\x04")
+                fh.write(b"DHGA")
             raise RuntimeError("injected crash during graph write")
 
         monkeypatch.setattr(pipeline_mod, "save_graph_arrays", exploding_save_graph)
@@ -212,16 +212,6 @@ class TestTrainUpdateLineage:
         assert list_versions(sd) == [1]
         monkeypatch.undo()
 
-        def exploding_save_adjacency(path, graph):
-            with open(path, "wb") as fh:   # a torn write at the target path
-                fh.write(b"\x93NUMPY")
-            raise RuntimeError("injected crash during adjacency write")
-
-        monkeypatch.setattr(pipeline_mod, "save_adjacency", exploding_save_adjacency)
-        with pytest.raises(RuntimeError, match="injected"):
-            cmd_train(cfg)
-        assert list_versions(sd) == [1]
-        monkeypatch.undo()
         man, _ = cmd_train(cfg)   # recovery run claims version 2 cleanly
         assert man.version == 2
         assert latest_manifest(sd).version == 2
@@ -248,7 +238,7 @@ class TestStoredGraph:
         mans.append(cmd_train(cfg)[0])   # warm retrain over the history
         sd = cfg.paths["snapshot_dir"]
         for man in mans:
-            assert man.graph_path == "v%06d.graph.npz" % man.version
+            assert man.graph_path == "v%06d.graph" % man.version
             stored = load_graph_arrays(os.path.join(sd, man.graph_path))
             replayed = replay_graph(cfg, man)
             assert graphs_equal(stored, replayed)

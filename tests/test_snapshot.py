@@ -1,7 +1,9 @@
 """Binary snapshot formats: round trips, quantization, and corruption."""
 import hashlib
+import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,13 +11,12 @@ import pytest
 from dhge.graph import graphs_equal
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import capture_alignment
-from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError,
-                           save_model, load_model, save_table, load_table,
-                           load_table_blocks, save_alignment, load_alignment,
-                           save_graph_arrays, load_graph_arrays, save_adjacency,
-                           map_adjacency, check_adjacency)
+from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError, ArrayFile,
+                           save_arrays, save_model, load_model, save_table, load_table,
+                           table_shapes, save_alignment, load_alignment, save_graph_arrays,
+                           load_graph_arrays, adjacency_row)
 from dhge.tensor import Param
-from conftest import tiny_bipartite, tiny_params
+from conftest import edit_header, payload_start, stored_arrays, tiny_bipartite, tiny_params
 
 
 class TestModelSnapshot:
@@ -172,11 +173,119 @@ class TestModelSnapshot:
         assert all(np.all(np.isfinite(b)) for b in t1.blocks)
 
 
+class TestArrayFile:
+    ARRAYS = {"scalar": np.asarray(7, dtype=np.int64),
+              "empty": np.zeros((0, 3), dtype="<f4"),
+              "mask": np.array([[True, False, True]]),
+              "values": np.arange(10, dtype=np.float64).reshape(5, 2),
+              "ids": np.arange(3, dtype=np.int64)}
+
+    def test_round_trip_and_layout(self, tmp_path):
+        path = tmp_path / "a.arrays"
+        save_arrays(path, self.ARRAYS)
+        assert os.listdir(tmp_path) == ["a.arrays"]
+        raw = path.read_bytes()
+        magic, version, header_len = struct.unpack("<4sII", raw[:12])
+        assert (magic, version) == (b"DHGA", 1) and (12 + header_len) % 64 == 0
+        entries = json.loads(raw[12:12 + header_len])
+        assert [e["name"] for e in entries] == list(self.ARRAYS)
+        for e, arr in zip(entries, self.ARRAYS.values()):
+            start = 12 + header_len + e["offset"]
+            assert start % 64 == 0
+            assert e["crc32"] == zlib.crc32(raw[start:start + arr.nbytes])
+        assert len(raw) == 12 + header_len + entries[-1]["offset"] + 3 * 8   # ends at "ids"
+        stored = ArrayFile(path, "test")
+        for name, arr in self.ARRAYS.items():
+            got = stored.array(name, arr.dtype.str, arr.ndim)
+            assert got.dtype == arr.dtype and np.array_equal(got, arr)
+            assert not got.flags.writeable
+        save_arrays(tmp_path / "b.arrays", stored_arrays(path))
+        assert (tmp_path / "b.arrays").read_bytes() == raw
+
+    def test_each_array_checked_before_it_is_handed_out(self, tmp_path):
+        path = tmp_path / "a.arrays"
+        save_arrays(path, self.ARRAYS)
+        raw = bytearray(path.read_bytes())
+        raw[payload_start(path, "values") + 9] ^= 1
+        path.write_bytes(bytes(raw))
+        stored = ArrayFile(path, "test")
+        assert np.array_equal(stored.array("ids", "<i8", 1), self.ARRAYS["ids"])
+        assert stored.shape("values", "<f8", 2) == (5, 2)   # the header alone
+        with pytest.raises(SnapshotFormatError, match="a.arrays: array 'values' fails its"
+                                                      " CRC-32 check"):
+            stored.array("values", "<f8", 2)
+
+    def test_unsupported_dtype_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            save_arrays(tmp_path / "a.arrays", {"x": np.zeros(2, dtype=np.complex128)})
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fault, match", [
+        ("empty", "cannot read test file: cannot mmap an empty file"),
+        ("magic", "not an array file: no DHGA magic"),
+        ("version", "unsupported array file format version 2"),
+        ("header_len", "unreadable header"),
+        ("json", "unreadable header"),
+        ("entry", "unreadable header: 'crc32'"),
+        ("dtype", r"malformed header entry \('scalar', '\|O', \(\), 0, \d+\)"),
+        ("shape", "array 'ids' starts at payload offset 256, but the header's shapes place it"
+                  " at 320"),
+        ("offset", "array 'scalar' starts at payload offset 64, but the header's shapes place"
+                   " it at 0"),
+        ("trailing", "the header's shapes account for 664 bytes, but the file holds 665"),
+        ("truncated", "the header's shapes account for 664 bytes, but the file holds 663"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, fault, match):
+        path = tmp_path / "a.arrays"
+        save_arrays(path, self.ARRAYS)
+        raw = path.read_bytes()
+
+        def change(entries):
+            if fault == "entry":
+                del entries[0]["crc32"]
+            elif fault == "dtype":
+                entries[0]["dtype"] = "|O"
+            elif fault == "shape":
+                entries[3]["shape"] = [9, 2]
+            else:
+                entries[0]["offset"] = 64
+
+        if fault == "empty":
+            path.write_bytes(b"")
+        elif fault == "magic":
+            path.write_bytes(b"PK\x03\x04" + raw[4:])
+        elif fault == "version":
+            path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        elif fault == "header_len":
+            path.write_bytes(raw[:8] + struct.pack("<I", 2 ** 32 - 1) + raw[12:])
+        elif fault == "json":
+            path.write_bytes(raw[:12] + b"{" + raw[13:])
+        elif fault == "trailing":
+            path.write_bytes(raw + b"\0")
+        elif fault == "truncated":
+            path.write_bytes(raw[:-1])
+        else:
+            edit_header(path, change)
+        with pytest.raises(SnapshotFormatError, match="a.arrays: " + match):
+            ArrayFile(path, "test")
+
+    def test_missing_file_and_missing_array(self, tmp_path):
+        with pytest.raises(SnapshotFormatError, match="a.arrays: cannot read test file"):
+            ArrayFile(tmp_path / "a.arrays", "test")
+        save_arrays(tmp_path / "a.arrays", self.ARRAYS)
+        stored = ArrayFile(tmp_path / "a.arrays", "test")
+        with pytest.raises(SnapshotFormatError, match="test file lacks array 'other'"):
+            stored.array("other", "<f8", 1)
+        with pytest.raises(SnapshotFormatError, match=r"ids has shape \(3,\) and dtype <i8,"
+                                                      " expected 2-D <i8"):
+            stored.array("ids", "<i8", 2)
+
+
 class TestTableSnapshot:
     def test_round_trip_bit_exact_at_float32(self, tmp_path, rng):
         blocks = [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]
         table = EmbeddingTable(blocks, version=4, created_ms=123456)
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.table"
         save_table(path, table)
         got = load_table(path)
         assert got.version == 4
@@ -186,25 +295,47 @@ class TestTableSnapshot:
 
     def test_second_save_is_byte_identical(self, tmp_path, rng):
         table = EmbeddingTable([rng.normal(size=(4, 3))], version=2)
-        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
+        p1, p2 = tmp_path / "a.table", tmp_path / "b.table"
         save_table(p1, table)
         save_table(p2, load_table(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_no_tmp_left_behind(self, tmp_path, rng):
-        save_table(tmp_path / "t.npz", EmbeddingTable([rng.normal(size=(2, 2))]))
-        assert os.listdir(tmp_path) == ["t.npz"]
+        save_table(tmp_path / "t.table", EmbeddingTable([rng.normal(size=(2, 2))]))
+        assert os.listdir(tmp_path) == ["t.table"]
 
     def test_blocks_read_alone_equal_the_full_load(self, tmp_path, rng):
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.table"
         save_table(path, EmbeddingTable([rng.normal(size=(n, 3)) for n in (5, 2, 4)]))
-        blocks = load_table_blocks(path, [2, 0])
-        assert sorted(blocks) == [0, 2]
+        stored = ArrayFile(path, "table")
+        assert table_shapes(stored) == [(5, 3), (2, 3), (4, 3)]
         for t in (0, 2):
-            assert blocks[t].dtype == np.float64
-            assert np.array_equal(blocks[t], load_table(path).blocks[t])
-        with pytest.raises(SnapshotFormatError, match="missing 'block_3'"):
-            load_table_blocks(path, [3])
+            block = stored.array("block_%d" % t, "<f4", 2).astype(np.float64)
+            assert np.array_equal(block, load_table(path).blocks[t])
+        with pytest.raises(SnapshotFormatError, match="table file lacks array 'block_3'"):
+            stored.array("block_3", "<f4", 2)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("rank", r"block_0 has shape \(5, 3, 1\) and dtype <f4, expected 2-D <f4"),
+        ("width", r"table blocks have widths \[2, 3\], expected one width"),
+        ("dtype", r"block_1 has shape \(2, 3\) and dtype <f8, expected 2-D <f4"),
+        ("none", r"table blocks have widths \[\], expected one width"),
+    ])
+    def test_block_shapes_checked_in_the_header(self, tmp_path, rng, fault, match):
+        path = tmp_path / "t.table"
+        save_table(path, EmbeddingTable([rng.normal(size=(n, 3)) for n in (5, 2)]))
+        arrays = stored_arrays(path)
+        if fault == "rank":
+            arrays["block_0"] = arrays["block_0"][:, :, None]
+        elif fault == "width":
+            arrays["block_1"] = arrays["block_1"][:, :2]
+        elif fault == "dtype":
+            arrays["block_1"] = arrays["block_1"].astype(np.float64)
+        else:
+            del arrays["block_0"]
+        save_arrays(path, arrays)
+        with pytest.raises(SnapshotFormatError, match="t.table: " + match):
+            load_table(path)
 
 
 class TestAlignmentSnapshot:
@@ -213,7 +344,7 @@ class TestAlignmentSnapshot:
         cfg, params = tiny_params(g, seed=2)
         table = embed_all(g, params, cfg, version=1)
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        path = tmp_path / "a.npz"
+        path = tmp_path / "a.align"
         save_alignment(path, state)
         got = load_alignment(path)
         assert got.k == state.k
@@ -228,43 +359,13 @@ class TestAlignmentSnapshot:
         table = embed_all(g, params, cfg, version=1)
         return capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
 
-    @staticmethod
-    def _ragged_payload(state):
-        """The eight arrays flattened from a {ref: (neighbor refs, weights)} map."""
-        rows = {tuple(r): ([tuple(nb) for nb in nbrs], w)
-                for r, nbrs, w in zip(state.refs.tolist(), state.nbrs.tolist(), state.weights)}
-        refs = sorted(rows)
-        nbr_types, nbr_intras, weights = [], [], []
-        for r in refs:
-            nbrs, w = rows[r]
-            nbr_types.extend(nb[0] for nb in nbrs)
-            nbr_intras.extend(nb[1] for nb in nbrs)
-            weights.extend(np.asarray(w, dtype=np.float64).tolist())
-        return {
-            "k": np.asarray([state.k], dtype=np.int64),
-            "lam": np.asarray(state.lam, dtype=np.float64),
-            "row_types": np.asarray([r[0] for r in refs], dtype=np.int64),
-            "row_intras": np.asarray([r[1] for r in refs], dtype=np.int64),
-            "counts": np.asarray([len(rows[r][0]) for r in refs], dtype=np.int64),
-            "nbr_types": np.asarray(nbr_types, dtype=np.int64),
-            "nbr_intras": np.asarray(nbr_intras, dtype=np.int64),
-            "weights": np.asarray(weights, dtype=np.float64),
-        }
-
-    def test_row_map_layout_loads_and_matches_saved_bytes(self, tmp_path):
-        state = self._state()
-        legacy = tmp_path / "legacy.npz"
-        with open(legacy, "wb") as fh:
-            np.savez(fh, **self._ragged_payload(state))
-        got = load_alignment(legacy)
-        assert got.k == state.k
-        assert np.array_equal(got.lam, state.lam)
-        assert np.array_equal(got.refs, state.refs)
-        assert np.array_equal(got.nbrs, state.nbrs)
-        assert np.array_equal(got.weights, state.weights)
-        # same eight keys, dtypes and values: the files match byte for byte
-        save_alignment(tmp_path / "new.npz", got)
-        assert (tmp_path / "new.npz").read_bytes() == legacy.read_bytes()
+    def test_npz_file_refused(self, tmp_path):
+        path = tmp_path / "a.npz"
+        save_alignment(tmp_path / "a.align", self._state())
+        with open(path, "wb") as fh:
+            np.savez(fh, **stored_arrays(tmp_path / "a.align"))
+        with pytest.raises(SnapshotFormatError, match="a.npz: not an array file"):
+            load_alignment(path)
 
     @pytest.mark.parametrize("fault, match", [
         ("counts", "every row must hold k=3"),
@@ -274,7 +375,9 @@ class TestAlignmentSnapshot:
         ("duplicate", "not sorted and unique"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, match):
-        payload = self._ragged_payload(self._state())
+        path = tmp_path / "bad.align"
+        save_alignment(path, self._state())
+        payload = stored_arrays(path)
         if fault == "counts":
             payload["counts"][0] = 2
         elif fault == "short_nbrs":
@@ -286,9 +389,7 @@ class TestAlignmentSnapshot:
             payload["row_intras"][1] = payload["row_intras"][0]
         else:
             payload["row_intras"][[0, 1]] = payload["row_intras"][[1, 0]]
-        path = tmp_path / "bad.npz"
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+        save_arrays(path, payload)
         with pytest.raises(SnapshotFormatError, match=match):
             load_alignment(path)
 
@@ -296,9 +397,9 @@ class TestAlignmentSnapshot:
 class TestGraphSnapshot:
     def test_round_trip_rebuilds_the_same_graph(self, tmp_path):
         g = tiny_bipartite(seed=1, missing_rate=0.3)
-        save_graph_arrays(tmp_path / "g.npz", g)
-        assert os.listdir(tmp_path) == ["g.npz"]
-        got = load_graph_arrays(tmp_path / "g.npz")
+        save_graph_arrays(tmp_path / "g.graph", g)
+        assert os.listdir(tmp_path) == ["g.graph"]
+        got = load_graph_arrays(tmp_path / "g.graph")
         assert graphs_equal(got, g)
         for name in ("rel_src", "rel_dst", "rel_ts"):   # edge order kept too
             for a, b in zip(getattr(got, name), getattr(g, name)):
@@ -308,43 +409,40 @@ class TestGraphSnapshot:
 
     def test_adjacency_file_maps_every_row(self, tmp_path):
         g = tiny_bipartite(seed=1)
-        path = tmp_path / "g.adj.npy"
-        save_adjacency(path, g)
-        assert os.listdir(tmp_path) == ["g.adj.npy"]
-        adj = map_adjacency(path)
-        assert adj.counts.tolist() == g.counts
-        assert np.array_equal(adj.offsets, g.offsets)
+        path = tmp_path / "g.graph"
+        save_graph_arrays(path, g)
+        stored = ArrayFile(path, "graph")
+        assert [shape[0] for shape in stored.shapes("features_", "<f8", 2)] == g.counts
         for node in range(g.num_nodes):
-            assert np.array_equal(adj.row(node), g.neighbors_of(node))
-        check_adjacency(path, g)
-        arr = np.load(path)
-        arr[-1] = (arr[-1] + 1) % g.num_nodes   # in range: only the compare sees it
-        np.save(path, arr)
-        map_adjacency(path)
+            assert np.array_equal(adjacency_row(stored, node, 7), g.neighbors_of(node))
+        arrays = stored_arrays(path)
+        arrays["adj_indices"][-1] = (arrays["adj_indices"][-1] + 1) % g.num_nodes
+        save_arrays(path, arrays)   # in range, CRC-32 to match: only the compare sees it
+        adjacency_row(ArrayFile(path, "graph"), 0, 7)
         with pytest.raises(SnapshotFormatError, match="adjacency index differs"):
-            check_adjacency(path, g)
+            load_graph_arrays(path)
 
     @pytest.mark.parametrize("fault, match", [
-        ("dtype", "not a 1-D little-endian int64 array"),
-        ("types", "type count 0 does not fit"),
-        ("counts", "node counts .* out of range"),
-        ("length", "entries, but the header gives"),
+        ("dtype", r"adj_indices has shape \(16,\) and dtype <f8, expected 1-D <i8"),
+        ("length", "adj_indptr has 9 entries for 7 nodes"),
+        ("span", r"row 0 spans \[0, 17\), outside the 16 neighbours"),
+        ("node", r"row 0 names a node outside \[0, 7\)"),
     ])
     def test_malformed_adjacency_rejected(self, tmp_path, fault, match):
-        path = tmp_path / "g.adj.npy"
-        save_adjacency(path, tiny_bipartite(seed=1))
-        arr = np.load(path)
+        path = tmp_path / "g.graph"
+        save_graph_arrays(path, tiny_bipartite(seed=1))
+        arrays = stored_arrays(path)
         if fault == "dtype":
-            arr = arr.astype(">i8")
-        elif fault == "types":
-            arr[0] = 0
-        elif fault == "counts":
-            arr[1] = -1
+            arrays["adj_indices"] = arrays["adj_indices"].astype(np.float64)
+        elif fault == "length":
+            arrays["adj_indptr"] = np.append(arrays["adj_indptr"], 16)
+        elif fault == "span":
+            arrays["adj_indptr"][1] = 17
         else:
-            arr = arr[:-1]
-        np.save(path, arr)
-        with pytest.raises(SnapshotFormatError, match=match):
-            map_adjacency(path)
+            arrays["adj_indices"][0] = 7
+        save_arrays(path, arrays)
+        with pytest.raises(SnapshotFormatError, match="g.graph: " + match):
+            adjacency_row(ArrayFile(path, "graph"), 0, 7)
 
     @pytest.mark.parametrize("fault, match", [
         ("missing", "lacks array 'ts_1'"),
@@ -354,10 +452,9 @@ class TestGraphSnapshot:
         ("non_finite", "type 1: non-finite feature values"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, match):
-        path = tmp_path / "g.npz"
+        path = tmp_path / "g.graph"
         save_graph_arrays(path, tiny_bipartite(seed=1))
-        with np.load(path) as data:
-            payload = {key: data[key] for key in data.files}
+        payload = stored_arrays(path)
         if fault == "missing":
             del payload["ts_1"]
         elif fault == "rank":
@@ -368,7 +465,6 @@ class TestGraphSnapshot:
             payload["dst_0"][0] = 4   # type 1 has 4 nodes
         else:
             payload["features_1"][0, 0] = np.nan
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+        save_arrays(path, payload)
         with pytest.raises(SnapshotFormatError, match=match):
             load_graph_arrays(path)
