@@ -1,13 +1,7 @@
 """Binary persistence for model parameters, embedding tables, alignment and
 graphs.
 
-Model files are a little-endian framed format: magic ``DHGM``, a u32 format
-version, a length-prefixed UTF-8 ``key=value`` config block, then a count of
-tensor records (name, rows, cols, row-major float32 payload). Training math
-is float64 but snapshots quantize to float32; a load/save round trip of an
-existing snapshot is byte-identical.
-
-Tables, alignment and graphs are array files: magic ``DHGA``, a u32 format
+Every file of a version is an array file: magic ``DHGA``, a u32 format
 version and a u32 header length, then a JSON header listing each array's
 name, dtype, shape, byte offset and CRC-32, padded with spaces to a 64-byte
 boundary. The payloads follow, each at a 64-byte-aligned offset counted
@@ -15,6 +9,12 @@ from the end of the header, zero-padded in between; the file ends at the
 last payload. A reader maps the file and checks it array by array
 (``ArrayFile``). All writers are write-then-rename so a crash never leaves
 a partially written file at the target path.
+
+A model file holds its sorted UTF-8 ``key=value`` config block as the byte
+array ``config``, then each parameter in ``ModelParams.all_params`` order as
+a float32 array of its own shape. Training math is float64 but snapshots
+quantize to float32; a load/save round trip of an existing snapshot is
+byte-identical.
 """
 from __future__ import annotations
 
@@ -30,9 +30,6 @@ import numpy as np
 from .graph import DataError, HeteroGraph, RelationSchema
 from .incremental import AlignmentState
 from .model import EmbeddingTable, ModelConfig, ModelParams
-
-MAGIC = b"DHGM"
-FORMAT_VERSION = 1
 
 
 class SnapshotFormatError(DataError):
@@ -50,29 +47,14 @@ def _atomic_bytes(path, chunks):
     os.replace(tmp, path)
 
 
-def _tensor_record(name, value):
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim != 2:
-        raise ValueError("tensor %r has unsupported rank %d" % (name, arr.ndim))
-    payload = arr.astype("<f4").tobytes(order="C")
-    name_b = name.encode("utf-8")
-    head = struct.pack("<I", len(name_b)) + name_b + struct.pack("<II", arr.shape[0], arr.shape[1])
-    return head + payload
-
-
 def save_model(path, params, config):
-    """Serialize ModelParams plus its config block; atomic on completion."""
+    """Serialize ModelParams plus its config block as an array file."""
     items = config.to_items()
-    config_block = "".join("%s=%s\n" % (k, items[k]) for k in sorted(items)).encode("utf-8")
-    tensors = params.all_params()
-    body = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-            struct.pack("<I", len(config_block)), config_block,
-            struct.pack("<I", len(tensors))]
-    for p in tensors:
-        body.append(_tensor_record(p.name, p.value))
-    _atomic_bytes(path, body)
+    block = "".join("%s=%s\n" % (k, items[k]) for k in sorted(items)).encode("utf-8")
+    arrays = {"config": np.frombuffer(block, dtype="|u1")}
+    for p in params.all_params():
+        arrays[p.name] = np.asarray(p.value, dtype="<f4")
+    save_arrays(path, arrays)
 
 
 def load_model(path):
@@ -81,76 +63,43 @@ def load_model(path):
     Float32 payloads are promoted to float64 in memory, so a subsequent
     ``save_model`` reproduces the file byte for byte.
     """
-    with open(os.fspath(path), "rb") as fh:
-        raw = fh.read()
-    pos = 0
-
-    def read(n, what):
-        nonlocal pos
-        if n > len(raw) - pos:   # before slicing n bytes
-            raise SnapshotFormatError("truncated snapshot while reading %s" % what)
-        pos += n
-        return raw[pos - n:pos]
-
-    if read(4, "magic") != MAGIC:
-        raise SnapshotFormatError("bad magic; not a model snapshot")
-    version = struct.unpack("<I", read(4, "format version"))[0]
-    if version != FORMAT_VERSION:
-        raise SnapshotFormatError("unsupported snapshot format version %d" % version)
-    cfg_len = struct.unpack("<I", read(4, "config length"))[0]
-    cfg_text = read(cfg_len, "config block").decode("utf-8", "replace")
+    model_file = ArrayFile(path, "model")
+    text = model_file.array("config", "|u1", 1).tobytes().decode("utf-8", "replace")
     items = {}
-    for line in cfg_text.splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
-            raise SnapshotFormatError("malformed config line %r" % line)
+            model_file.fail("malformed config line %r", line)
         key, _, value = line.partition("=")
         items[key] = value
-    n_tensors = struct.unpack("<I", read(4, "tensor count"))[0]
-    tensors = {}
-    for _ in range(n_tensors):
-        name_len = struct.unpack("<I", read(4, "name length"))[0]
-        name = read(name_len, "tensor name").decode("utf-8", "replace")
-        rows, cols = struct.unpack("<II", read(8, "tensor shape"))
-        payload = read(rows * cols * 4, "tensor payload %r" % name)
-        if name in tensors:
-            raise SnapshotFormatError("%s: tensor %r is stored twice" % (path, name))
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    if pos != len(raw):
-        raise SnapshotFormatError("trailing bytes after final tensor record")
     try:
         config = ModelConfig.from_items(items)
     except KeyError as exc:
-        raise SnapshotFormatError("%s: config block lacks key %s" % (path, exc)) from None
+        model_file.fail("config block lacks key %s", exc)
     except ValueError as exc:
-        raise SnapshotFormatError("%s: bad config block: %s" % (path, exc)) from None
-    return config, _assemble_params(config, tensors)
+        model_file.fail("bad config block: %s", exc)
+    return config, _assemble_params(config, model_file)
 
 
-def _assemble_params(config, tensors):
-    """``ModelParams`` from the records of ``PARAM_LAYOUT``, each checked
-    against its shape there; any other record is an error."""
-    num_types = tensors["type_table"].shape[0] if "type_table" in tensors else 0
-    num_relations = sum(1 for n in tensors if n.startswith("rel_factor_"))
+def _assemble_params(config, model_file):
+    """``ModelParams`` from the arrays of ``PARAM_LAYOUT``, each checked
+    against its rank and shape there; any other array is an error."""
+    left = set(model_file.entries) - {"config"}
+    num_types = model_file.shape("type_table", "<f4", 2)[0]
+    num_relations = sum(1 for n in left if n.startswith("rel_factor_"))
 
     def take(name, shape, init):
-        if name not in tensors:
-            raise SnapshotFormatError("model snapshot missing tensor %r" % name)
-        arr = tensors.pop(name)
-        if shape == ():
-            if arr.shape != (1, 1):
-                raise SnapshotFormatError("tensor %r expected scalar, got %s" % (name, arr.shape))
-            return arr.reshape(())
+        left.discard(name)
+        arr = model_file.array(name, "<f4", len(shape)).astype(np.float64)
         if any(want not in ("rows", got) for want, got in zip(shape, arr.shape)):
-            raise SnapshotFormatError("tensor %r has shape %s, expected %s"
-                                      % (name, arr.shape, shape))
+            model_file.fail("tensor %r has shape %s, expected %s", name, arr.shape, shape)
         return arr
 
     out = object.__new__(ModelParams)
     out._fill(config, num_types, num_relations, take)
-    if tensors:
-        raise SnapshotFormatError("model snapshot has unexpected tensors: %s" % sorted(tensors))
+    if left:
+        model_file.fail("model snapshot has unexpected tensors: %s", sorted(left))
     return out
 
 
@@ -158,7 +107,7 @@ ARRAY_MAGIC = b"DHGA"
 ARRAY_FORMAT_VERSION = 1
 _ARRAY_PREFIX = struct.Struct("<4sII")   # magic, format version, header bytes
 _ALIGN = 64
-_ARRAY_DTYPES = ("<f4", "<f8", "<i8", "|b1")
+_ARRAY_DTYPES = ("<f4", "<f8", "<i8", "|b1", "|u1")
 
 
 def _aligned(n):
@@ -217,6 +166,8 @@ class ArrayFile:
             if not (isinstance(name, str) and dtype in _ARRAY_DTYPES
                     and all(type(v) is int and v >= 0 for v in shape + (offset, crc))):
                 self.fail("malformed header entry %s", (name, dtype, shape, offset, crc))
+            if name in self.entries:
+                self.fail("header lists array %r twice", name)
             if offset != _aligned(end):
                 self.fail("array %r starts at payload offset %d, but the header's shapes"
                           " place it at %d", name, offset, _aligned(end))

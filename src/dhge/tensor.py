@@ -20,15 +20,6 @@ class SingularMatrixError(NumericError):
     """Direct factorization failed on a singular system."""
 
 
-# When enabled, every op output is checked for NaN/Inf. Slow; meant for tests.
-_debug_check = False
-
-
-def set_debug_checks(enabled):
-    global _debug_check
-    _debug_check = bool(enabled)
-
-
 # ---------------------------------------------------------------------------
 # plain ndarray kernels
 
@@ -77,8 +68,6 @@ class Tensor:
         out.value = value
         out.parents = parents
         out._grad_rule = grad_rule
-        if _debug_check and not np.all(np.isfinite(value)):
-            raise NumericError("non-finite entries in op output")
         return out
 
     @property

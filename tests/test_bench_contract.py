@@ -2,11 +2,13 @@
 
 ``bench/spans.py`` wraps package functions where their callers look them up,
 and ``bench/workloads.py`` reads snapshot versions through the manifest's
-file names and ``load_table``. This test imports ``bench/spans.py`` and
-changes nothing under ``bench/``.
+file names and ``load_table``. This test imports ``bench/spans.py``,
+``bench/checks.py`` and ``bench/workloads.py``, so renaming a package name
+they import fails here, and changes nothing under ``bench/``.
 """
-import importlib.util
+import importlib
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +21,28 @@ from conftest import tiny_bipartite, tiny_params
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _bench_module(name):
+    """``bench/<name>.py``, imported with ``bench/`` on ``sys.path`` only for
+    the import (``workloads`` imports ``checks`` as a top-level module)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_checks_and_workloads_import():
+    # checks.sampled_hitrate recomputes hitrate10 with
+    # derived_rng(TAG_EVALNEG, seed, type, id), so evaluation's negative
+    # draws must stay on that stream
+    checks = _bench_module("checks")
+    workloads = _bench_module("workloads")
+    assert callable(checks.sampled_hitrate) and workloads.checks is checks
+    assert set(workloads.WORKLOADS) == {"stream", "resident"}
 
 
 def test_every_traced_site_resolves():
-    for owner, attr, _ in _spans().SITES:
+    for owner, attr, _ in _bench_module("spans").SITES:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
 
 

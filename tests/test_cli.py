@@ -2,15 +2,15 @@
 import json
 import os
 import shutil
-import struct
 import time
 
 import numpy as np
 import pytest
 
 from dhge.cli import main, _features_for
-from dhge.pipeline import latest_manifest, load_snapshot_state, manifest_path, write_snapshot
-from dhge.snapshot import _tensor_record, load_model, save_arrays, save_model
+from dhge.pipeline import (latest_manifest, load_manifest, load_snapshot_state, manifest_path,
+                           write_snapshot)
+from dhge.snapshot import ArrayFile, load_model, save_arrays, save_model
 from dhge.tensor import Param
 from conftest import edit_header, payload_start, stored_arrays
 
@@ -81,6 +81,10 @@ class TestCommandFlow:
         assert records[-1]["event"] == "update"
         assert records[-1]["version"] == 2
         assert records[-1]["n_new_nodes"] == 3
+        for version in (1, 2):   # one format: every file a version names is an array file
+            man = load_manifest(str(root / "snaps"), version)
+            for field in ("model_path", "table_path", "alignment_path", "graph_path"):
+                ArrayFile(root / "snaps" / getattr(man, field), field)
 
         code, records, _ = run(capsys, "evaluate", "--config", str(cfg),
                                "--test", str(data / "base_test.tsv"))
@@ -424,17 +428,19 @@ class TestCorruptSnapshotExit3:
 class TestArrayFileFaultsExit3:
     """Each array file, broken in each way, fails each command that reads it
     with exit 3, the file named and no traceback. ``retrieve`` and
-    ``evaluate`` do not read the alignment file, so they still succeed."""
+    ``evaluate`` do not read the alignment or model file, so they still
+    succeed."""
 
-    # an array every command reads, where a fault is put
-    ARRAY = {"table": "block_1", "alignment": "weights", "graph": "adj_indices"}
+    # where a fault is put: an array that every command reading the file reads
+    ARRAY = {"table": "block_1", "alignment": "weights", "graph": "adj_indices",
+             "model": "id_table"}
     MESSAGE = {"flip": "fails its CRC-32 check", "truncate": "the header's shapes account",
                "garbage": "not an array file", "missing": "cannot read",
-               "header_shape": "the header's shapes account"}
+               "header_shape": "the header's shapes"}   # account for the file, or place an array
 
     @pytest.mark.parametrize("command", ["retrieve", "evaluate", "update"])
     @pytest.mark.parametrize("fault", ["flip", "truncate", "garbage", "missing", "header_shape"])
-    @pytest.mark.parametrize("target", ["table", "alignment", "graph"])
+    @pytest.mark.parametrize("target", ["table", "alignment", "graph", "model"])
     def test_fault(self, trained, capsys, tmp_path, target, fault, command):
         data, cfg, trained_snaps = trained
         snaps = tmp_path / "snaps"
@@ -461,7 +467,7 @@ class TestArrayFileFaultsExit3:
                 "update": ["--increment-edges", str(data / "increments" / "batch_000.edges.tsv")]}
         code, _, err = run(capsys, command, "--config", str(cfg), "--snapshot-dir", str(snaps),
                            *argv[command])
-        if target == "alignment" and command != "update":
+        if target in ("alignment", "model") and command != "update":
             assert code == 0
             return
         assert code == 3
@@ -647,12 +653,13 @@ class TestAdjacencyFileExit3:
         assert code == 3 and message in err and "Traceback" not in err
 
 
-def _edit_config_block(raw, old, new):
-    """A model file's bytes with ``old`` replaced by ``new`` in its config block."""
-    n = struct.unpack("<I", raw[8:12])[0]
-    block = raw[12:12 + n].decode().replace(old, new).encode()
-    assert block != raw[12:12 + n]
-    return raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:]
+def _edit_config_block(path, old, new):
+    """Rewrite a model file with ``old`` replaced by ``new`` in its config block."""
+    arrays = stored_arrays(path)
+    block = arrays["config"].tobytes()
+    assert old.encode() in block
+    arrays["config"] = np.frombuffer(block.replace(old.encode(), new.encode()), dtype="|u1")
+    save_arrays(path, arrays)
 
 
 class TestMalformedModelExit3:
@@ -679,7 +686,7 @@ class TestMalformedModelExit3:
             params.gcn_weight[0] = Param(params.gcn_weight[0].value[:, :7], "gcn_weight_0")
             save_model(path, params, config)
         else:
-            path.write_bytes(_edit_config_block(path.read_bytes(), old, new))
+            _edit_config_block(path, old, new)
         code, _, err = run(capsys, "update", "--config", str(cfg), "--snapshot-dir", str(snaps),
                            "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
         assert code == 3
@@ -691,17 +698,15 @@ class TestMalformedModelExit3:
         snaps = tmp_path / "snaps"
         shutil.copytree(trained_snaps, snaps)
         path = snaps / latest_manifest(str(snaps)).model_path
-        _, params = load_model(path)
-        raw = path.read_bytes()
-        at = 12 + struct.unpack("<I", raw[8:12])[0]   # the tensor count follows the config
-        count = struct.unpack("<I", raw[at:at + 4])[0] + 1
-        assert count == len(params.all_params()) + 1
-        path.write_bytes(raw[:at] + struct.pack("<I", count) + raw[at + 4:]
-                         + _tensor_record("input_weight", params.input_weight.value))
+
+        def change(entries):
+            assert [e["name"] for e in entries[:3]] == ["config", "input_weight", "input_bias"]
+            entries[2]["name"] = "input_weight"
+        edit_header(path, change)
         code, _, err = run(capsys, "update", "--config", str(cfg), "--snapshot-dir", str(snaps),
                            "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
         assert code == 3
-        assert "tensor 'input_weight' is stored twice" in err
+        assert "%s: header lists array 'input_weight' twice" % path.name in err
         assert "Traceback" not in err
 
 

@@ -11,7 +11,7 @@ import pytest
 from dhge.graph import graphs_equal
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import capture_alignment
-from dhge.snapshot import (MAGIC, FORMAT_VERSION, SnapshotFormatError, ArrayFile,
+from dhge.snapshot import (ARRAY_FORMAT_VERSION, SnapshotFormatError, ArrayFile,
                            save_arrays, save_model, load_model, save_table, load_table,
                            table_shapes, save_alignment, load_alignment, save_graph_arrays,
                            load_graph_arrays, adjacency_row)
@@ -51,9 +51,10 @@ class TestModelSnapshot:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
+        # a model file in the framed format of earlier releases is refused this way
         path = tmp_path / "x.model"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(SnapshotFormatError, match="magic"):
+        path.write_bytes(b"DHGM" + b"\x00" * 32)
+        with pytest.raises(SnapshotFormatError, match="x.model: not an array file: no DHGA magic"):
             load_model(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -61,9 +62,10 @@ class TestModelSnapshot:
         path = tmp_path / "x.model"
         save_model(path, params, cfg)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", FORMAT_VERSION + 9)
+        raw[4:8] = struct.pack("<I", ARRAY_FORMAT_VERSION + 9)
         path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotFormatError, match="version"):
+        with pytest.raises(SnapshotFormatError, match="x.model: unsupported array file format"
+                                                      " version 10"):
             load_model(path)
 
     def test_truncation_rejected_at_any_point(self, tmp_path):
@@ -73,64 +75,82 @@ class TestModelSnapshot:
         raw = path.read_bytes()
         for cut in (2, 6, 10, len(raw) // 2, len(raw) - 3):
             path.write_bytes(raw[:cut])
-            with pytest.raises(SnapshotFormatError, match="truncated"):
+            with pytest.raises(SnapshotFormatError, match="x.model: "):
                 load_model(path)
 
     def test_oversized_record_rejected_before_reading(self, tmp_path):
-        # a shape of 2**31 x 2**31 floats would ask read() for 16 EiB
+        # a header shape of 2**31 x 2**31 floats is refused before any payload is read
         cfg, params = self._cfg_params()
         path = tmp_path / "x.model"
         save_model(path, params, cfg)
-        raw = path.read_bytes()
-        at = raw.index(b"input_weight") + len(b"input_weight")
-        path.write_bytes(raw[:at] + struct.pack("<II", 2 ** 31, 2 ** 31) + raw[at + 8:])
-        with pytest.raises(SnapshotFormatError, match="truncated .* payload 'input_weight'"):
+
+        def change(entries):
+            entries[1]["shape"] = [2 ** 31, 2 ** 31]
+        edit_header(path, change)
+        with pytest.raises(SnapshotFormatError, match="x.model: array 'input_bias' starts at"
+                                                      " payload offset"):
             load_model(path)
 
-    @pytest.mark.parametrize("field, message", [(b"hidden_dim=", "lacks key 'hidden_dim'"),
-                                                (b"input_weight", "missing tensor 'input_weight'")])
+    @pytest.mark.parametrize("field, message", [(b"hidden_dim=", "lacks key 'hidden_dim'")])
     def test_non_utf8_bytes_are_a_format_error(self, tmp_path, field, message):
         cfg, params = self._cfg_params()
         path = tmp_path / "x.model"
         save_model(path, params, cfg)
-        raw = path.read_bytes()
-        at = raw.index(field)
-        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-        with pytest.raises(SnapshotFormatError, match=message):
+        arrays = stored_arrays(path)
+        block = arrays["config"].tobytes()
+        at = block.index(field)
+        arrays["config"] = np.frombuffer(block[:at] + b"\xff" + block[at + 1:], dtype="|u1")
+        save_arrays(path, arrays)
+        with pytest.raises(SnapshotFormatError, match="x.model: config block " + message):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg, params = self._cfg_params()
         path = tmp_path / "x.model"
         save_model(path, params, cfg)
+        size = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(SnapshotFormatError, match="trailing"):
+        with pytest.raises(SnapshotFormatError, match="x.model: the header's shapes account for"
+                                                      " %d bytes, but the file holds %d"
+                                                      % (size, size + 1)):
             load_model(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         cfg, params = self._cfg_params()
         path = tmp_path / "x.model"
         save_model(path, params, cfg)
-        raw = bytearray(path.read_bytes())
-        # rename id_table -> zz_table: assembly must notice both the absence
-        # and the unexpected leftover
-        idx = raw.find(b"id_table")
-        raw[idx:idx + 8] = b"zz_table"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotFormatError, match="missing tensor"):
+
+        def change(entries):
+            next(e for e in entries if e["name"] == "id_table")["name"] = "zz_table"
+        edit_header(path, change)
+        with pytest.raises(SnapshotFormatError, match="x.model: model file lacks array 'id_table'"):
+            load_model(path)
+
+    def test_malformed_config_line_rejected(self, tmp_path):
+        cfg, params = self._cfg_params()
+        path = tmp_path / "x.model"
+        save_model(path, params, cfg)
+        arrays = stored_arrays(path)
+        arrays["config"] = np.frombuffer(arrays["config"].tobytes() + b"no equals sign\n",
+                                         dtype="|u1")
+        save_arrays(path, arrays)
+        with pytest.raises(SnapshotFormatError, match="x.model: malformed config line"
+                                                      " 'no equals sign'"):
             load_model(path)
 
     def test_save_model_bytes_match_golden(self, tmp_path):
-        # the digest of this file as written before the layout table existed
+        # the digest of this file as first written in the array-file layout;
+        # each parameter's payload equals its float32 record in the framed
+        # layout of earlier releases (digest 758c2043...)
         cfg = ModelConfig(input_dim=5, hidden_dim=6, num_gcn_layers=3, rng_seed=11,
                           fusion_weights=(1.0, 0.5, 0.25), global_mix=0.3)
         path = tmp_path / "x.model"
         save_model(path, ModelParams(cfg, num_types=3, num_relations=4, id_capacity=7), cfg)
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == "758c2043ab7c297f38bc9555508c56384b6c4ff57905f2eb49f37275e462b4d9")
+                == "886d9d8b52f204c386e2ece32bbb1b770e286f5af2e02d307884227bb23adc42")
 
     @pytest.mark.parametrize("fault, message", [
-        ("scalar", "tensor 'rel_factor_0' expected scalar, got (1, 2)"),
+        ("scalar", "rel_factor_0 has shape (1, 2) and dtype <f4, expected 0-D <f4"),
         ("extra", "model snapshot has unexpected tensors: ['gcn_weight_2']"),
         ("width", r"tensor 'id_table' has shape (7, 5), expected ('rows', 6)"),
     ])
@@ -147,7 +167,7 @@ class TestModelSnapshot:
         save_model(path, params, cfg)
         with pytest.raises(SnapshotFormatError) as exc:
             load_model(path)
-        assert str(exc.value) == message
+        assert str(exc.value) == "%s: %s" % (path, message)
 
     def test_id_table_takes_any_row_count(self, tmp_path):
         cfg, params = self._cfg_params()
@@ -234,6 +254,7 @@ class TestArrayFile:
                    " it at 0"),
         ("trailing", "the header's shapes account for 664 bytes, but the file holds 665"),
         ("truncated", "the header's shapes account for 664 bytes, but the file holds 663"),
+        ("duplicate", "header lists array 'scalar' twice"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, match):
         path = tmp_path / "a.arrays"
@@ -247,6 +268,8 @@ class TestArrayFile:
                 entries[0]["dtype"] = "|O"
             elif fault == "shape":
                 entries[3]["shape"] = [9, 2]
+            elif fault == "duplicate":
+                entries[1]["name"] = "scalar"
             else:
                 entries[0]["offset"] = 64
 
