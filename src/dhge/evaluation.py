@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DataError, NodeRef
-from .seeding import _MASK, pcg64_state, seed_states, TAG_EVALNEG
+from .graph import DataError, NodeRef, _ranges, _unique
+from .seeding import _MASK, seed_states, seeded_choice_rows, TAG_EVALNEG
 from .tensor import NumericError
 
 _CHUNK_FLOATS = 1 << 16   # item-vector floats gathered per stacked pool product
@@ -233,81 +233,103 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
     ``states`` each one's ``seed_states`` column; ``tests`` is the (user
     row, item row, ts, tie) columns of the test events, where ``tie`` orders
     equal-time events as their item keys do.
-
-    Per user this pays one candidate mask and one ``choice`` on a shared
-    generator set to the state the user's own ``derived_rng`` starts from;
-    the sampled pools of a chunk of users are scored by one stacked product.
     """
     t_user, t_item, t_ts, t_tie = tests
     if not len(t_user):
         raise DataError("no evaluable test interactions")
     user_vectors = np.asarray(user_vectors, dtype=np.float64)
     item_vectors = np.asarray(item_vectors, dtype=np.float64)
-    indptr, known_items = known
     slot = np.empty(len(user_vectors), dtype=np.int64)
     slot[users] = np.arange(len(users))
     order = np.lexsort((t_tie, t_ts, slot[t_user]))
-    t_item = t_item[order]
-    bounds = np.searchsorted(slot[t_user][order], np.arange(len(users) + 1))
-
-    n_neg = protocol.negatives_per_user
-    max_k = max(protocol.k_values)
+    events = (slot[t_user][order], t_item[order])
     norms = np.linalg.norm(item_vectors, axis=1)
-    mask = np.empty(len(item_vectors), dtype=bool)
-    rng = np.random.Generator(np.random.PCG64())
-    rankings = []
-    truths = []
-    n_skipped = 0
-    n_unrankable = 0
-    pending = []   # (ranking slot, user row, query norm, pool) of unscored sampled pools
-    chunk = max(1, _CHUNK_FLOATS // max(1, ((n_neg or 0) + 1) * item_vectors.shape[1]))
-
-    def rank_pending():
-        at, rows, qns, pools = (np.array(c) for c in zip(*pending))
-        scores = _pool_scores(user_vectors[rows], qns, item_vectors, norms, pools)
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
-        for a, ranking in zip(at.tolist(), np.take_along_axis(pools, top, axis=1).tolist()):
-            rankings[a] = ranking
-        pending.clear()
-
-    for j, u in enumerate(users.tolist()):
-        events = t_item[bounds[j]:bounds[j + 1]]
-        mask.fill(True)
-        mask[known_items[indptr[u]:indptr[u + 1]]] = False
-        if n_neg is None:
-            pool = np.flatnonzero(mask)
-            truth = set(events.tolist())
-        else:
-            mask[events] = False
-            candidates = np.flatnonzero(mask)
-            if len(candidates) < n_neg:
-                n_skipped += 1
-                continue
-            truth = {int(events[0])}
-        qn = np.linalg.norm(user_vectors[u])
-        truths.append(truth)
-        if qn == 0.0:
-            rankings.append([])
-            n_unrankable += 1
-        elif n_neg is None:
-            idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
-            rankings.append(pool[idx].tolist())
-        else:
-            rng.bit_generator.state = pcg64_state(states[:, j].tolist())
-            pick = rng.choice(len(candidates), size=n_neg, replace=False)
-            pending.append((len(rankings), u, qn,
-                            np.concatenate((events[:1], candidates[np.sort(pick)]))))
-            rankings.append(None)
-            if len(pending) == chunk:
-                rank_pending()
-    if pending:
-        rank_pending()
-
+    if protocol.negatives_per_user is None:
+        rankings, truths, n_unrankable = _full_rankings(
+            user_vectors, item_vectors, norms, known, users, events, max(protocol.k_values))
+        n_skipped = 0
+    else:
+        rankings, truths, n_skipped, n_unrankable = _sampled_rankings(
+            user_vectors, item_vectors, norms, known, users, states, events, protocol)
     return EvalReport(hitrate={k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values},
                       recall={k: recall_at_k(rankings, truths, k) for k in protocol.k_values},
                       ndcg={k: ndcg_at_k(rankings, truths, k) for k in protocol.k_values},
                       n_users=len(rankings), n_skipped=n_skipped,
                       n_unrankable=n_unrankable, wall_ms=0.0)
+
+
+def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_k):
+    """Full-corpus mode: each user's items outside its known set, ranked in
+    turn by ``_ranked``; its truth is every test item."""
+    indptr, known_items = known
+    e_slot, e_item = events
+    bounds = np.searchsorted(e_slot, np.arange(len(users) + 1))
+    mask = np.empty(len(item_vectors), dtype=bool)
+    rankings, truths = [], []
+    n_unrankable = 0
+    for j, u in enumerate(users.tolist()):
+        mask.fill(True)
+        mask[known_items[indptr[u]:indptr[u + 1]]] = False
+        pool = np.flatnonzero(mask)
+        truths.append(set(e_item[bounds[j]:bounds[j + 1]].tolist()))
+        qn = np.linalg.norm(user_vectors[u])
+        if qn == 0.0:
+            rankings.append([])
+            n_unrankable += 1
+        else:
+            idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
+            rankings.append(pool[idx].tolist())
+    return rankings, truths, n_unrankable
+
+
+def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, events,
+                      protocol):
+    """Sampled mode: each user's earliest test item ranked against
+    ``negatives_per_user`` draws from the items it neither knows nor holds
+    out; users with fewer such candidates are skipped.
+
+    The candidates are counted from one sorted array of (user, blocked item)
+    keys, every pool is drawn by ``seeded_choice_rows`` from the state each
+    user's own ``derived_rng`` starts from, and the pools of a chunk of users
+    are scored by one stacked product.
+    """
+    indptr, known_items = known
+    e_slot, e_item = events
+    n_neg, n_items = protocol.negatives_per_user, len(item_vectors)
+    max_k = max(protocol.k_values)
+    slots = np.arange(len(users))
+    n_known = indptr[users + 1] - indptr[users]
+    blocked = _unique(np.concatenate((
+        np.repeat(slots, n_known) * n_items + known_items[_ranges(indptr[users], n_known)],
+        e_slot * n_items + e_item)))
+    b_slot = blocked // n_items
+    n_blocked = np.bincount(b_slot, minlength=len(users))
+    n_cands = n_items - n_blocked
+    kept = np.flatnonzero(n_cands >= n_neg)
+    qns = np.array([np.linalg.norm(user_vectors[u]) for u in users[kept].tolist()])
+    scored = qns != 0.0
+    live, live_qns = kept[scored], qns[scored]
+    picks = seeded_choice_rows(states[:, live], n_cands[live], n_neg)
+    # candidate r of a user is item r + #{its blocked items m: item_m - m <= r}
+    b_start = np.cumsum(n_blocked) - n_blocked
+    gaps = blocked - (np.arange(len(blocked)) - b_start[b_slot])
+    picks += (np.searchsorted(gaps, live[:, None] * n_items + picks, side="right")
+              - b_start[live, None])
+    positive = e_item[np.searchsorted(e_slot, slots)]
+    pools = np.concatenate((positive[live, None], picks), axis=1)
+    ranked = []
+    chunk = max(1, _CHUNK_FLOATS // ((n_neg + 1) * item_vectors.shape[1]))
+    for c in range(0, len(live), chunk):
+        at = slice(c, c + chunk)
+        scores = _pool_scores(user_vectors[users[live[at]]], live_qns[at], item_vectors, norms,
+                              pools[at])
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
+        ranked += np.take_along_axis(pools[at], top, axis=1).tolist()
+    rankings = [[] for _ in kept]
+    for j, ranking in zip(np.flatnonzero(scored).tolist(), ranked):
+        rankings[j] = ranking
+    truths = [{p} for p in positive[kept].tolist()]
+    return rankings, truths, len(users) - len(kept), len(kept) - len(live)
 
 
 def evaluate_table(graph, table, test_interactions, protocol, user_type, item_type,

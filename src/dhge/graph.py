@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import derived_rng, TAG_PARTITION, TAG_SUBGRAPH
+from .seeding import choice_rows, derived_rng, TAG_PARTITION, TAG_SUBGRAPH
 
 
 class DataError(ValueError):
@@ -323,10 +323,10 @@ def sample_subgraph(graph, seeds, degree_limit, rng_seed):
     sampled ones (not the full induced subgraph).
 
     Every pair's incident edges are gathered from the CSR incidence in
-    array passes. Only a pair over the limit pays per pair: one
-    ``rng.choice`` over its ascending incident edge ids, in seed-major then
-    relation order, so the draws are bit-identical to visiting every pair
-    in that order.
+    array passes. The pairs over the limit draw by ``seeding.choice_rows``,
+    one call over each pair's ascending incident edge ids, in seed-major
+    then relation order, so the draws are bit-identical to a per-pair
+    ``rng.choice`` visiting every pair in that order.
     """
     if degree_limit < 1:
         raise ValueError("degree_limit must be >= 1")
@@ -364,10 +364,11 @@ def sample_subgraph(graph, seeds, degree_limit, rng_seed):
     owner, incident = np.divmod(np.sort(np.concatenate(pairs) * width + np.concatenate(edges)),
                                 width)
     bounds = _indptr(owner, n_over)
-    rng = derived_rng(TAG_SUBGRAPH, rng_seed)
-    for p, r in enumerate(np.nonzero(over)[1].tolist()):
-        draw = rng.choice(incident[bounds[p]:bounds[p + 1]], size=degree_limit, replace=False)
-        kept[r].append(np.sort(draw))
+    picks = choice_rows(derived_rng(TAG_SUBGRAPH, rng_seed), np.diff(bounds), degree_limit)
+    drawn = incident[bounds[:-1, None] + picks]
+    pair_rel = np.nonzero(over)[1]
+    for r in range(n_rel):
+        kept[r].append(drawn[pair_rel == r].ravel())
     nodes = [seeds]
     rel_pairs = []
     for r in range(n_rel):

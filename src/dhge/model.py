@@ -22,7 +22,7 @@ import scipy.sparse
 
 from . import tensor as T
 from .graph import DataError, NodeRef, minibatch_partition, sample_subgraph
-from .seeding import (derived_rng, mix, TAG_DROPOUT, TAG_EMBED, TAG_NEGSAMPLE,
+from .seeding import (choice_rows, derived_rng, mix, TAG_DROPOUT, TAG_EMBED, TAG_NEGSAMPLE,
                       TAG_PARAM_INIT, TAG_SUBGRAPH)
 from .tensor import Param, Tensor
 from .timing import Stages
@@ -488,10 +488,11 @@ def dynamic_negative_sample(pos_pairs, emb, emb_ids, graph, pool_size, rng,
     admissible negative: that raises by default, or marks the output row's
     second column -1 when ``skip_exhausted`` is set (the caller filters).
 
-    The whole batch is handled in array passes; only the draws loop in
-    Python, one ``rng.choice`` over candidate ranks per pair with more than
-    ``pool_size`` candidates, in pair order, so a pair's draw is the one a
-    per-pair ``rng.choice`` over its sorted candidate array would make.
+    The whole batch is handled in array passes. The draws are
+    ``seeding.choice_rows`` over candidate ranks, one call per pair with
+    more than ``pool_size`` candidates, in pair order, so a pair's draw is
+    the one a per-pair ``rng.choice`` over its sorted candidate array would
+    make; an exhausted pair raises after the draws of the pairs before it.
     """
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     emb_ids = np.asarray(emb_ids, dtype=np.int64)
@@ -513,17 +514,20 @@ def dynamic_negative_sample(pos_pairs, emb, emb_ids, graph, pool_size, rng,
     # rank r sits at slice position r + #{blocked m: position_m - m <= r}
     gaps = b_pair * n + (keys % n - lo[b_pair]) - (np.arange(len(keys)) - b_start[b_pair])
 
-    # candidate ranks: all of them, or a sorted draw of pool_size
-    ranks = np.tile(np.arange(pool_size, dtype=np.int32), (n_pairs, 1))
-    sizes = n_cands.tolist()
-    for p in np.flatnonzero((n_cands > pool_size) | (n_cands == 0)).tolist():
-        if sizes[p] == 0:
-            if skip_exhausted:
-                continue
-            raise DataError("no admissible negative for pair (%d, %d): every candidate "
-                            "of type %d interacts with the source" % (src[p], dst[p], tau[p]))
-        ranks[p] = rng.choice(sizes[p], size=pool_size, replace=False)
-    ranks.sort(axis=1)
+    # candidate ranks: row 0 holds all of them, and row 1 + i the sorted
+    # draw of pool_size for the i-th pair with more
+    drawn = np.flatnonzero(n_cands > pool_size)
+    exhausted = np.flatnonzero(n_cands == 0)
+    if len(exhausted) and not skip_exhausted:
+        p = exhausted[0]
+        choice_rows(rng, n_cands[drawn[drawn < p]], pool_size)
+        raise DataError("no admissible negative for pair (%d, %d): every candidate "
+                        "of type %d interacts with the source" % (src[p], dst[p], tau[p]))
+    ranks = np.empty((1 + len(drawn), pool_size), dtype=np.int32)
+    ranks[0] = np.arange(pool_size)
+    choice_rows(rng, n_cands[drawn], pool_size, out=ranks[1:])
+    rank_row = np.zeros(n_pairs, dtype=np.int64)
+    rank_row[drawn] = np.arange(1, 1 + len(drawn))
 
     out = np.stack([src, np.full(n_pairs, -1, dtype=np.int64)], axis=1)
     live = np.flatnonzero(n_cands > 0)
@@ -531,7 +535,7 @@ def dynamic_negative_sample(pos_pairs, emb, emb_ids, graph, pool_size, rng,
     step = max(1, _SCORE_CHUNK_FLOATS // (pool_size * emb.shape[1]))
     for c in range(0, len(live), step):
         p = live[c:c + step]
-        r = ranks[p]
+        r = ranks[rank_row[p]]
         valid = r < n_cands[p, None]
         shift = np.searchsorted(gaps, p[:, None] * n + r, side="right") - b_start[p, None]
         rows = np.where(valid, lo[p, None] + r + shift, lo[p, None])

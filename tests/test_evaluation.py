@@ -381,6 +381,37 @@ class TestEvaluateMatchesLoop:
             ikeys = [int(j) * 7 - 40 for j in rng.permutation(n_i)]
             self._check_keyed(ukeys, ikeys, seed)
 
+    def test_exact_candidate_count_and_two_key_widths(self, monkeypatch):
+        """A user with exactly ``negatives_per_user`` candidates (NumPy's own
+        n == size call) beside users with more and with fewer, keyed by ints
+        and by pairs, so ``_user_states`` seeds two width groups."""
+        widths = []
+        user_states = dhge.evaluation._user_states
+
+        def recorded(keys, rng_seed):
+            widths.append(sorted({len(k) for k in keys}))
+            return user_states(keys, rng_seed)
+        monkeypatch.setattr(dhge.evaluation, "_user_states", recorded)
+        item_keys = list(range(12))
+        user_keys = [5, (1, 2), (1, 9), 2 ** 40, (3, -4)]
+        # known items per user; each user's one test item follows its run
+        known_runs = {5: 7, (1, 2): 3, (1, 9): 10, 2 ** 40: 0, (3, -4): 6}
+        known = [(u, i) for u, n in known_runs.items() for i in range(n)]
+        tests = [(u, n, 1.0) for u, n in known_runs.items()]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            users, items = _grid_vectors(rng, len(user_keys)), _grid_vectors(rng, len(item_keys))
+            for kw in self.PROTOCOLS[1:] + [dict(k_values=(1, 3), negatives_per_user=5)]:
+                proto = EvalProtocol(rng_seed=seed - 5, **kw)
+                got = evaluate(users, user_keys, items, item_keys, tests, proto, known)
+                want = evaluate_loop(users, user_keys, items, item_keys, tests, proto, known)
+                assert _fields(got) == _fields(want), (seed, kw)
+        # user 5 has 12 - 7 known - 1 test = 4 candidates, and (3, -4) has 5
+        assert widths[0] == [1, 2]
+        report = evaluate(users, user_keys, items, item_keys, tests,
+                          EvalProtocol(k_values=(1,), negatives_per_user=4), known)
+        assert report.n_skipped == 1 and report.n_users == 4
+
     @pytest.mark.parametrize("chunk_floats", [1, 40])
     def test_pools_scored_in_chunks(self, monkeypatch, chunk_floats):
         """More users than one chunk holds: with the chunk constant shrunk, a

@@ -30,7 +30,12 @@ Run as a script, it prints one JSON line:
   hidden-32 table), the median milliseconds of one top-10 retrieve for 20
   users, through ``tests/oracles.retrieve_full_load`` (the whole graph and
   table loaded) and through ``cmd_retrieve`` (one adjacency row and two
-  table blocks read). No test reads it.
+  table blocks read). No test reads it;
+* with ``epoch``, ``{"n_pairs", "wall_ms", "stage_ms"}``: one
+  default-config training epoch (through ``cmd_train``) on the drift base
+  ``gen_drift_stream(base_users=3000, base_items=1000, communities=8,
+  p_in=0.2, users_per_batch=20)``, with its wall time and the split over
+  sample, forward, negatives, loss, backward and step. No test reads it.
 
 A round times its workloads back to back, so a slow stretch of a shared
 host hits all of its times alike. Each timed run follows an untimed one of
@@ -55,12 +60,12 @@ from oracles import full_lle_oracle, lle_weight_matrix, retrieve_full_load
 
 from dhge.config import RunConfig
 from dhge.evaluation import EvalProtocol, evaluate_table
-from dhge.fixtures import swiss_roll_points
+from dhge.fixtures import gen_drift_stream, swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
 from dhge.incremental import (UpdateConfig, capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
-from dhge.pipeline import cmd_retrieve, write_snapshot
+from dhge.pipeline import cmd_retrieve, cmd_train, write_snapshot
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -200,6 +205,18 @@ def retrieve_times(sizes=(4000, 16000, 64000), n_users=20, rounds=3):
     return out
 
 
+def epoch_times():
+    with tempfile.TemporaryDirectory() as d:
+        gen_drift_stream(d, base_users=3000, base_items=1000, communities=8, p_in=0.2,
+                         users_per_batch=20)
+        cfg = RunConfig.defaults(snapshot_dir=os.path.join(d, "snapshots"),
+                                 **{k: os.path.join(d, k + ".tsv")
+                                    for k in ("edges", "features", "schema")})
+        cfg.train["epochs"] = 1
+        m = cmd_train(cfg)[1][0]
+    return {"n_pairs": m["n_pairs"], "wall_ms": m["wall_ms"], "stage_ms": m["stage_ms"]}
+
+
 def _discard(fn, *args):
     fn(*args)
 
@@ -281,5 +298,5 @@ if __name__ == "__main__":
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     modes = {"rebuild": rebuild_times, "refresh": refresh_times, "linear": linear_times,
-             "evaluate": evaluate_times, "retrieve": retrieve_times}
+             "evaluate": evaluate_times, "retrieve": retrieve_times, "epoch": epoch_times}
     print(json.dumps(modes[sys.argv[1]]() if sys.argv[1:] else round_times()))
