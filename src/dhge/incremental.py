@@ -20,7 +20,7 @@ from .graph import (DataError, NodeRef, _in_sorted, _pair_key, _ranges, _unique,
                     apply_increment)
 from .model import EmbeddingTable, init_features
 from .seeding import (_MASK, derived_rng, mix, mix_many, pcg64_state, seed_states,
-                      TAG_BFS, TAG_COLD)
+                      seeded_choice_rows, TAG_BFS, TAG_COLD)
 from .tensor import NumericError, SingularMatrixError, cholesky_solve, ridge_systems
 from .timing import Stages
 
@@ -65,10 +65,10 @@ def _neighborhoods(graph, ids, k, rng_seed):
 
     Node (t, i) draws from the seed ``mix(rng_seed, TAG_BFS, t, i)``, so its
     neighborhood does not depend on which other nodes are sampled with it.
-    The candidates of every node are gathered in array passes; only a node
-    that draws pays per node, about 20 us for one ``choice`` on a shared
-    generator set to the state its own ``derived_rng`` would start from, so
-    the draws are bit-identical to building one generator per node.
+    The candidates of every node are gathered and drawn in array passes,
+    bit-identical to building one generator per node; only a pad row still
+    sets a shared generator to the state its own ``derived_rng`` would
+    start from.
     """
     refs = _refs(graph, ids)
     connected, nbrs, _ = _sample_neighbors(
@@ -85,9 +85,13 @@ def _sample_neighbors(graph, ids, k, seeds_of):
     ``ids``, rows of unconnected ids left unset.
 
     Row j draws from ``derived_rng(TAG_BFS, s)`` for the seed s that
-    ``seeds_of(rows)`` gives for the row positions ``rows``; only rows that
-    draw ask for one: those with more than k 1-hop nodes, or with fewer and
-    a 2-hop count other than the k - deg still needed.
+    ``seeds_of(rows)`` gives for the row positions ``rows``. Rows with more
+    than k 1-hop nodes, and rows whose 2-hop set exceeds the k - deg they
+    still need, draw sorted ranks by ``seeded_choice_rows``, one call per
+    draw size; adjacency rows and 2-hop runs are sorted, so rank r picks
+    the r-th candidate. A row short of k with both hops pads by resampling
+    its collected set with replacement, on a shared generator set to its
+    state.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -98,52 +102,46 @@ def _sample_neighbors(graph, ids, k, seeds_of):
     hops = np.ones((len(ids), k), dtype=np.int64)
     exact = np.flatnonzero(deg == k)
     nbrs[exact] = indices[start[exact, None] + np.arange(k)]
-    rng = np.random.Generator(np.random.PCG64())
-
-    def draw(rows, hop2=None, lo2=None, hi2=None):
-        # each row's generator state, then its draws as bfs_neighbors makes
-        # them; rows[c]'s 2-hop nodes are hop2[lo2[c]:hi2[c]]
-        states = seed_states(TAG_BFS, seeds_of(rows))
-        for c, j in enumerate(rows.tolist()):
-            rng.bit_generator.state = pcg64_state(states[:, c].tolist())
-            h1 = indices[start[j]:start[j] + deg[j]]
-            if hop2 is None:
-                nbrs[j] = np.sort(rng.choice(h1, size=k, replace=False))
-                continue
-            h2, d = hop2[lo2[c]:hi2[c]], len(h1)
-            if len(h2) > k - d:
-                nbrs[j, :d] = h1
-                nbrs[j, d:] = np.sort(rng.choice(h2, size=k - d, replace=False))
-                hops[j, d:] = 2
-            else:
-                # short of k with both hops: pad by resampling the collected set
-                chosen = np.concatenate([h1, h2])
-                row_hops = np.repeat([1, 2], [d, len(h2)])
-                pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
-                nbrs[j] = np.concatenate([chosen, chosen[pad]])
-                hops[j] = np.concatenate([row_hops, row_hops[pad]])
-
-    draw(np.flatnonzero(deg > k))
+    # generator states of every row that may draw, in one pass
+    states = np.empty((4, len(ids)), dtype=np.uint64)
+    may = np.flatnonzero((deg > 0) & (deg != k))
+    states[:, may] = seed_states(TAG_BFS, seeds_of(may))
+    many = np.flatnonzero(deg > k)
+    ranks = seeded_choice_rows(states[:, many], deg[many], k)
+    nbrs[many] = indices[start[many, None] + ranks]
     short = np.flatnonzero((deg > 0) & (deg < k))
     pos1 = _ranges(start[short], deg[short])
     reach = np.add.reduceat(indptr[indices[pos1] + 1] - indptr[indices[pos1]],
                             np.cumsum(deg[short]) - deg[short]) if len(short) else short
     bounds = _budget_bounds(reach, _HOP2_CHUNK)
+    rng = np.random.Generator(np.random.PCG64())
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = short[lo:hi]
         first, hop2 = _hop2(graph, ids[rows], start[rows], deg[rows])
-        n2 = np.diff(first)
-        fill = n2 == k - deg[rows]
-        draw(rows[~fill], hop2, first[:-1][~fill], first[1:][~fill])
-        # rows whose 2-hop nodes exactly fill k: 1-hop nodes, then 2-hop
-        fill = np.flatnonzero(fill)
-        r1 = np.repeat(fill, deg[rows[fill]])
-        col = _ranges(np.zeros(len(fill), dtype=np.int64), deg[rows[fill]])
-        nbrs[rows[r1], col] = indices[_ranges(start[rows[fill]], deg[rows[fill]])]
-        pick = np.repeat(fill, n2[fill])
-        col = _ranges(deg[rows[fill]], n2[fill])
-        nbrs[rows[pick], col] = hop2[_ranges(first[fill], n2[fill])]
-        hops[rows[pick], col] = 2
+        n2, d = np.diff(first), deg[rows]
+        need = k - d
+        # 1-hop nodes first, then the whole 2-hop run where it does not
+        # exceed the need
+        col = _ranges(np.zeros(len(rows), dtype=np.int64), d)
+        nbrs[np.repeat(rows, d), col] = indices[_ranges(start[rows], d)]
+        take = n2 <= need
+        r2 = np.repeat(rows[take], n2[take])
+        col = _ranges(d[take], n2[take])
+        nbrs[r2, col] = hop2[_ranges(first[:-1][take], n2[take])]
+        hops[r2, col] = 2
+        draw = np.flatnonzero(~take)
+        for size in np.unique(need[draw]).tolist():
+            c = draw[need[draw] == size]
+            ranks = seeded_choice_rows(states[:, rows[c]], n2[c], size)
+            nbrs[rows[c], k - size:] = hop2[first[c, None] + ranks]
+            hops[rows[c], k - size:] = 2
+        # short of k with both hops: pad by resampling the collected set
+        pad = np.flatnonzero(n2 < need)
+        for j, have in zip(rows[pad].tolist(), (d + n2)[pad].tolist()):
+            rng.bit_generator.state = pcg64_state(states[:, j].tolist())
+            at = rng.choice(have, size=k - have, replace=True)
+            nbrs[j, have:] = nbrs[j, at]
+            hops[j, have:] = hops[j, at]
     return deg > 0, nbrs, hops
 
 
@@ -399,11 +397,11 @@ class AlignmentState:
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
     """Record per-node reconstruction rows and the alignment spectrum.
 
-    Every node with a neighbor gets a row. Neighborhoods and weights are
-    gathered and stacked in array passes; per node it still pays one
-    ``choice`` where the node draws (``_neighborhoods``) and one
-    ``dpotrf`` / ``dpotrs`` pair, with draws bit-identical to one
-    ``derived_rng`` per node and weights to ``reconstruction_weights``.
+    Every node with a neighbor gets a row. Neighborhoods are drawn and
+    weights stacked in array passes; per node it still pays one ``dpotrf``
+    / ``dpotrs`` pair, and a pad row one generator state
+    (``_neighborhoods``). Draws are bit-identical to one ``derived_rng``
+    per node, and weights to ``reconstruction_weights``.
     """
     ids = np.arange(graph.num_nodes)
     y = table.dense()

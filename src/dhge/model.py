@@ -378,9 +378,10 @@ def normalized_adjacency(sub):
     cols = np.concatenate(cols)
     a = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     a.sum_duplicates()
-    a.data[:] = 1.0                                    # parallel relations collapse to one link
-    dinv = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
-    return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+    # parallel relations collapse to one link, so a row's degree is its entry count
+    dinv = 1.0 / np.sqrt(np.diff(a.indptr).astype(np.float64))
+    a.data = dinv[np.repeat(np.arange(n), np.diff(a.indptr))] * dinv[a.indices]
+    return a
 
 
 def gcn_forward(x0, sub, params, rows=None):

@@ -12,6 +12,7 @@ from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors
                               AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
                               _neighborhoods, _reconstruction_operator, _weight_rows)
+from dhge.seeding import TAG_BFS, mix_many, seed_states
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
 from oracles import (all_refs, bfs_neighbors_loop, blocks_equal, constrained_weights,
@@ -143,6 +144,65 @@ class TestBatchedMatchesLoops:
         sub = np.array([15, 3, 0, 16, 12])
         assert all(np.array_equal(a, b) for a, b in zip(
             _neighborhoods(g, sub, 4, 9), neighborhoods_loop(g, sub, 4, 9)))
+
+    @staticmethod
+    def _draw_size_graph(k):
+        # k hubs with 12 leaves each, and three probes of every degree 1 to
+        # k - 1 on consecutive hubs, interleaved by degree: each probe and
+        # leaf sees more 2-hop nodes than the k - deg it still needs
+        edges, n = [], k
+        for h in range(k):
+            edges += [(h, n + j) for j in range(12)]
+            n += 12
+        for rep in range(3):
+            for d in range(1, k):
+                edges += [(n, (rep + d + j) % k) for j in range(d)]
+                n += 1
+        return build_graph([(0, 0)], [n], [edges])
+
+    def test_neighborhoods_every_draw_size(self, monkeypatch):
+        k = 8
+        g = self._draw_size_graph(k)
+        ids = np.arange(g.num_nodes)
+        sizes = []
+        draw = incremental.seeded_choice_rows
+        monkeypatch.setattr(incremental, "seeded_choice_rows",
+                            lambda states, n, size: sizes.append(size) or draw(states, n, size))
+        for chunk in (incremental._HOP2_CHUNK, 400):
+            monkeypatch.setattr(incremental, "_HOP2_CHUNK", chunk)
+            for rng_seed in (0, 2 ** 32 + 5, -7):
+                sizes.clear()
+                got = _neighborhoods(g, ids, k, rng_seed)
+                want = neighborhoods_loop(g, ids, k, rng_seed)
+                assert np.array_equal(got[0], want[0]), (chunk, rng_seed)
+                assert np.array_equal(got[1], want[1]), (chunk, rng_seed)
+                if chunk == 400:   # each 2-hop draw size spans passes
+                    assert min(sizes.count(s) for s in range(1, k)) >= 2
+                else:              # one call per draw size, 1 to k
+                    assert sorted(sizes) == list(range(1, k + 1))
+
+    def test_only_pad_rows_build_a_generator(self, monkeypatch):
+        cases = [(self._padding_graph(), k) for k in (2, 4, 12)]
+        cases += [(self._draw_size_graph(8), 8), (scaling_graph(1000, seed=4), 20)]
+        made, pads = [], 0
+        state = incremental.pcg64_state
+        monkeypatch.setattr(incremental, "pcg64_state",
+                            lambda words: made.append(tuple(words)) or state(words))
+        for g, k in cases:
+            # pad rows: connected, short of k with both hops together
+            pad = []
+            for j in range(g.num_nodes):
+                hop1 = set(g.neighbors_of(j).tolist())
+                hop2 = {int(m) for h in hop1 for m in g.neighbors_of(h)} - hop1 - {j}
+                if hop1 and len(hop1) + len(hop2) < k:
+                    pad.append(j)
+            pads += len(pad)
+            refs = np.array([g.ref_of(j) for j in pad], dtype=np.int64).reshape(-1, 2)
+            want = seed_states(TAG_BFS, mix_many(5, TAG_BFS, refs[:, 0], refs[:, 1]))
+            made.clear()
+            _neighborhoods(g, np.arange(g.num_nodes), k, 5)
+            assert sorted(made) == sorted(map(tuple, want.T.tolist())), k
+        assert pads
 
     def test_bfs_neighbors(self):
         g = self._padding_graph()

@@ -11,10 +11,14 @@ Run as a script, it prints one JSON line:
 * with ``rebuild``, per round, criterion 05's incremental embedding and
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
   ratio;
-* with ``refresh``, ``{"sizes", "embed_all", "capture_alignment"}``: the
-  seconds of one full-coverage ``embed_all`` and one ``capture_alignment``
-  (hidden 32, k=8) on 4k, 16k and 64k-node bases, the two halves of the
-  refresh that ends every retrain. No test reads it;
+* with ``refresh``, ``{"sizes", "embed_all", "capture_alignment",
+  "neighborhoods", "weights", "spectrum"}``: the seconds of one
+  full-coverage ``embed_all`` and one ``capture_alignment`` (hidden 32,
+  k=8) on 4k, 16k and 64k-node bases, the two halves of the refresh that
+  ends every retrain, then of ``capture_alignment``'s three stages run
+  again one at a time: ``_neighborhoods`` over every node, ``_weight_rows``
+  and the spectrum (``_grams`` of the reconstruction operator). No test
+  reads it;
 * with ``linear``, ``{"embed", "update", "solve"}``: per round, criterion
   09's times in seconds: one full-coverage ``embed_all`` (hidden 64) on
   10k, 20k and 40k-node bases, one ``ille_update`` of 50, 100 and 200 new
@@ -62,7 +66,8 @@ from dhge.config import RunConfig
 from dhge.evaluation import EvalProtocol, evaluate_table
 from dhge.fixtures import gen_drift_stream, swiss_roll_points
 from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
-from dhge.incremental import (UpdateConfig, capture_alignment, embed_increment, ille_update,
+from dhge.incremental import (UpdateConfig, _grams, _neighborhoods, _reconstruction_operator,
+                              _weight_rows, capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.pipeline import cmd_retrieve, cmd_train, write_snapshot
@@ -111,19 +116,32 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
 
 def refresh_times(sizes=(4000, 16000, 64000)):
     cfg = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
-    out = {"sizes": list(sizes), "embed_all": [], "capture_alignment": []}
+    parts = ("embed_all", "capture_alignment", "neighborhoods", "weights", "spectrum")
+    out = {"sizes": list(sizes), **{p: [] for p in parts}}
     gc.collect()
     gc.disable()
     try:
         for n in sizes:
             g = scaling_graph(n, seed=1)
             params = ModelParams(cfg, num_types=2, num_relations=2, id_capacity=max(g.counts))
-            t0 = time.perf_counter()
+            ids = np.arange(g.num_nodes)
+            t = [time.perf_counter()]
             table = embed_all(g, params, cfg)
-            t1 = time.perf_counter()
-            capture_alignment(g, table, k=8, eps=1e-3, rng_seed=0)
-            out["embed_all"].append(t1 - t0)
-            out["capture_alignment"].append(time.perf_counter() - t1)
+            t.append(time.perf_counter())
+            alignment = capture_alignment(g, table, k=8, eps=1e-3, rng_seed=0)
+            t.append(time.perf_counter())
+            # capture_alignment's three stages again, one at a time, after
+            # an untimed copy of the table
+            y = table.dense()
+            t.append(time.perf_counter())
+            connected, nbrs = _neighborhoods(g, ids, 8, 0)
+            t.append(time.perf_counter())
+            _weight_rows(y, ids[connected], nbrs, 1e-3)
+            t.append(time.perf_counter())
+            _grams(_reconstruction_operator(g, alignment), y)
+            t.append(time.perf_counter())
+            for p, dt in zip(parts, np.delete(np.diff(t), 2)):
+                out[p].append(float(dt))
     finally:
         gc.enable()
     return out
