@@ -578,8 +578,7 @@ def _merge_adjacency(graph, offsets, delta_keys):
     the new pairs are inserted in place, with no re-sort of the old ones.
     """
     n = int(offsets[-1])
-    remap = np.arange(graph.num_nodes, dtype=np.int64) + np.repeat(
-        offsets[:-1] - graph.offsets[:-1], graph.counts)
+    remap = id_remap(graph.counts, offsets)
     degree = np.diff(graph._adj_indptr)
     indices = remap[graph._adj_indices]
     pos, present = _in_sorted(np.repeat(remap, degree) * n + indices, delta_keys)
@@ -589,6 +588,12 @@ def _merge_adjacency(graph, offsets, delta_keys):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, np.insert(indices, pos[~present], cols)
+
+
+def id_remap(counts, offsets):
+    """Each global id of a graph with per-type ``counts``, re-addressed to a
+    graph grown from it whose types start at ``offsets``."""
+    return np.arange(sum(counts)) + np.repeat(offsets[:-1] - np.cumsum(counts) + counts, counts)
 
 
 def _merge_groups(groups, endpoints, count, first_id):

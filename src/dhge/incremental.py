@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .graph import (DataError, NodeRef, _in_sorted, _pair_key, _ranges, _unique,
-                    apply_increment)
+from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique, apply_increment, id_remap
 from .model import EmbeddingTable, init_features
 from .seeding import (_MASK, derived_rng, mix, mix_many, pcg64_state, seed_states,
                       seeded_choice_rows, TAG_BFS, TAG_COLD)
@@ -354,17 +353,17 @@ def embed_increment(y, centers, nbrs, weights, tol=1e-8, max_sweeps=100):
 class AlignmentState:
     """Reconstruction rows and target spectrum captured at a full retrain.
 
-    Row r reconstructs node ``refs[r]`` from the k nodes ``nbrs[r]`` with
-    ``weights[r]``. Rows are keyed by sorted, unique (type, intra) pairs, not
-    global ids, because a type's global offset shifts when an earlier type
-    grows. ``lam`` is the D x D alignment spectrum R^T R with R = (I - W) Y
-    taken over the full table at capture time.
+    Row r reconstructs the node ``rows[r]`` from the k nodes ``nbrs[r]``
+    with ``weights[r]``. Ids are global ids of a graph with the per-type
+    node counts ``counts``; ``in_graph`` re-addresses them to a graph grown
+    from it. ``lam`` is the D x D alignment spectrum R^T R with
+    R = (I - W) Y taken over the full table at capture time.
     """
 
-    k: int
     lam: np.ndarray
-    refs: np.ndarray       # (R, 2) int64
-    nbrs: np.ndarray       # (R, k, 2) int64
+    counts: tuple
+    rows: np.ndarray       # (R,) int64, ascending
+    nbrs: np.ndarray       # (R, k) int64
     weights: np.ndarray    # (R, k) float64
     # (table, R^T R, Y^T Y) for the table these rows were last applied to,
     # so the next update corrects both sums on the rows it changes instead
@@ -372,79 +371,76 @@ class AlignmentState:
     # that table is changed in place; tables are treated as immutable.
     grams: tuple = field(default=None, repr=False, compare=False)
 
-    def with_rows(self, refs, nbrs, weights):
+    k = property(lambda self: self.nbrs.shape[1])
+
+    def in_graph(self, graph):
+        """This state with its ids re-addressed to ``graph``, which must have
+        as many types and at least as many nodes of each; the cached sums
+        carry over, since new nodes have no rows."""
+        counts = tuple(graph.counts)
+        if counts == self.counts:
+            return self
+        if len(counts) != len(self.counts) or any(c < s for c, s in zip(counts, self.counts)):
+            raise DataError("alignment addresses a graph with node counts %s, which the graph"
+                            " with counts %s does not contain" % (self.counts, counts))
+        remap = id_remap(self.counts, graph.offsets)
+        return AlignmentState(self.lam, counts, remap[self.rows], remap[self.nbrs],
+                              self.weights, self.grams)
+
+    def with_rows(self, rows, nbrs, weights):
         """A copy with the given rows replacing or joining the stored ones."""
-        # on a ref given twice the first row wins
-        keys, first = np.unique(_pair_key(refs[:, 0], refs[:, 1]), return_index=True)
-        pos, present = _in_sorted(_pair_key(self.refs[:, 0], self.refs[:, 1]), keys)
+        # on an id given twice the first row wins
+        keys, first = np.unique(rows, return_index=True)
+        pos, present = _in_sorted(self.rows, keys)
         new_pos = pos[~present]
         # a given row lands at its stored position moved down by the new rows
         # that sort before it; each run of stored rows between two insertion
         # points is one slice copy, about 4x faster than np.insert's masked
         # copy on 16k rows
         dest = pos + np.cumsum(~present) - ~present
-        bounds = [0, *new_pos.tolist(), len(self.refs)]
+        bounds = [0, *new_pos.tolist(), len(self.rows)]
         merged = []
-        for stored, given in ((self.refs, refs), (self.nbrs, nbrs), (self.weights, weights)):
+        for stored, given in ((self.rows, rows), (self.nbrs, nbrs), (self.weights, weights)):
             out = np.empty((len(stored) + len(new_pos),) + stored.shape[1:], dtype=stored.dtype)
             for j in range(len(bounds) - 1):
                 out[bounds[j] + j:bounds[j + 1] + j] = stored[bounds[j]:bounds[j + 1]]
             out[dest] = given[first]
             merged.append(out)
-        return AlignmentState(self.k, self.lam, *merged)
+        return AlignmentState(self.lam, self.counts, *merged)
 
 
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
     """Record per-node reconstruction rows and the alignment spectrum.
 
-    Every node with a neighbor gets a row. Neighborhoods are drawn and
-    weights stacked in array passes; per node it still pays one ``dpotrf``
-    / ``dpotrs`` pair, and a pad row one generator state
-    (``_neighborhoods``). Draws are bit-identical to one ``derived_rng``
-    per node, and weights to ``reconstruction_weights``.
+    Every node with a neighbor gets a row, in ``graph``'s global ids.
+    Neighborhoods are drawn and weights stacked in array passes; per node it
+    still pays one ``dpotrf`` / ``dpotrs`` pair, and a pad row one generator
+    state (``_neighborhoods``). Draws are bit-identical to one
+    ``derived_rng`` per node, and weights to ``reconstruction_weights``.
     """
     ids = np.arange(graph.num_nodes)
     y = table.dense()
     vecs = _weight_space(graph, y, weight_space)
     connected, nbrs = _neighborhoods(graph, ids, k, rng_seed)
     centers = ids[connected]
-    state = AlignmentState(k, None, _refs(graph, centers), _refs(graph, nbrs),
+    state = AlignmentState(None, tuple(graph.counts), centers, nbrs,
                            _weight_rows(vecs, centers, nbrs, eps))
     state.lam, yty = _grams(_reconstruction_operator(graph, state), y)
     state.grams = (table, state.lam, yty)
     return state
 
 
-def _global_ids(graph, refs):
-    """Global ids for an (..., 2) array of (type, intra) pairs, range-checked."""
-    refs = np.asarray(refs, dtype=np.int64)
-    types, intras = refs[..., 0].view(np.uint64), refs[..., 1].view(np.uint64)
-    # read as unsigned, a negative value is out of range too; the per-type
-    # bound is only gathered when some intra id reaches the smallest count
-    counts = np.asarray(graph.counts, dtype=np.uint64)
-    if types.size and types.max() >= graph.num_types:
-        raise DataError("alignment row references an unknown node type")
-    if intras.size and intras.max() >= counts.min() and np.any(intras >= counts[types]):
-        raise DataError("alignment row references a node missing from the graph")
-    return graph.offsets[types] + refs[..., 1]
-
-
 def _reconstruction_operator(graph, alignment):
-    """(I - W) over the current global index, identity where no row exists."""
-    present = np.zeros(graph.num_nodes, dtype=bool)
-    present[_global_ids(graph, alignment.refs)] = True
-    return _operator_csr(graph.num_nodes, np.arange(graph.num_nodes), present,
-                         _global_ids(graph, alignment.nbrs), alignment.weights)
+    """(I - W) over ``graph``'s global index, identity where no row exists."""
+    return _operator_rows(graph, alignment, np.arange(graph.num_nodes))
 
 
 def _operator_rows(graph, alignment, ids):
     """Rows of (I - W) for the global ids ``ids``, as a (len(ids), N) matrix."""
-    refs = _refs(graph, ids)
-    pos, present = _in_sorted(_pair_key(alignment.refs[:, 0], alignment.refs[:, 1]),
-                              _pair_key(refs[:, 0], refs[:, 1]))
+    pos, present = _in_sorted(alignment.rows, ids)
     pos = pos[present]
-    return _operator_csr(graph.num_nodes, ids, present,
-                         _global_ids(graph, alignment.nbrs[pos]), alignment.weights[pos])
+    return _operator_csr(graph.num_nodes, ids, present, alignment.nbrs[pos],
+                         alignment.weights[pos])
 
 
 def _operator_csr(n, centers, present, nbrs, weights):
@@ -476,13 +472,13 @@ def _grams(i_minus_w, y):
 class AlignmentProblem:
     """Spectrum-matching objective restricted to an update neighborhood.
 
-    R = (I - W) Y with the (I - W) of ``alignment`` over ``graph``'s global
-    index, and the target spectrum ``alignment.lam``.
+    R = (I - W) Y with the (I - W) of ``alignment``, re-addressed to
+    ``graph``'s global index, and the target spectrum ``alignment.lam``.
     """
 
     def __init__(self, graph, alignment, y, update_mask, mu=1.0, grams=None):
         self.graph = graph
-        self.alignment = alignment
+        self.alignment = alignment.in_graph(graph)
         self.lam = np.asarray(alignment.lam, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.float64)
         self.update_mask = np.asarray(update_mask, dtype=bool)
@@ -495,18 +491,13 @@ class AlignmentProblem:
         ``grams`` need it."""
         return _reconstruction_operator(self.graph, self.alignment)
 
-    @functools.cached_property
-    def nbr_ids(self):
-        """(R, k) global ids of the alignment rows' neighbors."""
-        return _global_ids(self.graph, self.alignment.nbrs)
-
     def rows_reading(self, ids):
         """Sorted global ids of ``ids`` and of the alignment rows that read one:
         the rows of (I - W) with an entry in a column of ``ids``."""
         hit = np.zeros(self.graph.num_nodes, dtype=bool)
         hit[ids] = True
-        reads = np.flatnonzero(hit[self.nbr_ids.ravel()]) // self.alignment.k
-        hit[_global_ids(self.graph, self.alignment.refs[reads])] = True
+        reads = np.flatnonzero(hit[self.alignment.nbrs.ravel()]) // self.alignment.k
+        hit[self.alignment.rows[reads]] = True
         return np.flatnonzero(hit)
 
     @functools.cached_property
@@ -656,11 +647,11 @@ def _entry_grams(problem, table, alignment, u):
     caches for ``table``.
 
     ``problem.y`` is ``table`` grown to ``problem.graph`` with the rows of
-    the global ids ``u`` rewritten, and ``problem.alignment`` is
-    ``alignment`` with rows of ``u`` replaced or added. So Y changed on U
-    only, and R on the rows that are in U or read a row of U; both sums are
-    corrected on those rows. Without sums cached for ``table`` they are
-    taken over every row.
+    the global ids ``u`` rewritten. ``alignment`` is the parent's state
+    re-addressed to ``problem.graph``, and ``problem.alignment`` is it with
+    rows of ``u`` replaced or added. So Y changed on U only, and R on the
+    rows that are in U or read a row of U; both sums are corrected on those
+    rows. Without sums cached for ``table`` they are taken over every row.
     """
     graph, y = problem.graph, problem.y
     if alignment.grams is None or alignment.grams[0] is not table:
@@ -788,7 +779,8 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         if update_config.k != alignment.k:
             raise DataError("alignment was captured with k=%d but the update uses k=%d;"
                             " retrain to recapture it" % (alignment.k, update_config.k))
-        alignment2 = alignment.with_rows(_refs(graph2, centers), _refs(graph2, nbrs), weights)
+        alignment = alignment.in_graph(graph2)
+        alignment2 = alignment.with_rows(centers, nbrs, weights)
         if update_config.refine_steps > 0 and len(centers):
             mask_rows = np.zeros(graph2.num_nodes, dtype=bool)
             mask_rows[centers] = True

@@ -374,7 +374,7 @@ def _train_locked(cfg, sd, log):
     rows = cold = None
     if alignment is not None:
         # the capture leaves a node without neighbors without a row
-        rows = len(alignment.refs)
+        rows = len(alignment.rows)
         cold = graph.num_nodes - rows
     man = write_snapshot(sd, "static", model_config, params, table, alignment,
                          cfg.digest(),

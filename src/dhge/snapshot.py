@@ -242,49 +242,43 @@ def load_table(path):
                           created_ms=int(table_file.array("created_ms", "<i8", 0)))
 
 
-ALIGNMENT_KEYS = ("k", "lam", "row_types", "row_intras", "counts",
-                  "nbr_types", "nbr_intras", "weights")
+ALIGNMENT_KEYS = ("lam", "counts", "rows", "nbrs", "weights")
 
 
 def save_alignment(path, state):
-    """Alignment rows and spectrum, float64 (internal math, not serving data);
-    rows are flattened row-major, k entries each, and ``counts`` is all k."""
-    refs, nbrs = np.asarray(state.refs, dtype=np.int64), np.asarray(state.nbrs, dtype=np.int64)
-    save_arrays(path, {
-        "k": np.asarray(state.k, dtype=np.int64), "lam": np.asarray(state.lam, dtype=np.float64),
-        "row_types": refs[:, 0], "row_intras": refs[:, 1],
-        "counts": np.full(len(refs), state.k, dtype=np.int64),
-        "nbr_types": nbrs[:, :, 0].ravel(), "nbr_intras": nbrs[:, :, 1].ravel(),
-        "weights": np.asarray(state.weights, dtype=np.float64).ravel()})
+    """Alignment rows and spectrum, float64 (internal math, not serving data):
+    ``rows`` and ``nbrs`` are global ids of a graph with the per-type node
+    counts ``counts``."""
+    save_arrays(path, {"lam": state.lam, "counts": np.asarray(state.counts, dtype=np.int64),
+                       "rows": state.rows, "nbrs": state.nbrs, "weights": state.weights})
 
 
 def load_alignment(path):
-    """Parse an alignment file, rejecting missing arrays and ragged rows."""
+    """Parse an alignment file, rejecting missing arrays, disagreeing shapes,
+    rows out of order and ids outside the graph its counts describe."""
     align_file = ArrayFile(path, "alignment")
-    fail = align_file.fail
+    fail, take = align_file.fail, align_file.array
+    if "k" in align_file.entries:   # only the (type, intra) layout stores k
+        fail("alignment file is in the (type, intra) layout, which this release does not"
+             " read; train a new version")
     missing = [key for key in ALIGNMENT_KEYS if key not in align_file.entries]
     if missing:
         fail("alignment file lacks arrays %s", missing)
-    k, lam = int(align_file.array("k", "<i8", 0)), np.array(align_file.array("lam", "<f8", 2))
-    if k < 1 or lam.shape[0] != lam.shape[1]:
-        fail("k must be positive and lam square, got k=%d and lam of shape %s", k, lam.shape)
-    arrays = {key: align_file.array(key, "<f8" if key == "weights" else "<i8", 1)
-              for key in ALIGNMENT_KEYS[2:]}
-    n_rows = arrays["row_types"].size
-    for key in ALIGNMENT_KEYS[3:]:
-        want = n_rows if key in ("row_intras", "counts") else n_rows * k
-        if arrays[key].shape != (want,):
-            fail("%s has shape %s, expected (%d,)", key, arrays[key].shape, want)
-    if np.any(arrays["counts"] != k):
-        fail("every row must hold k=%d neighbors", k)
-    refs = np.stack([arrays["row_types"], arrays["row_intras"]], axis=1)
-    # sorted and unique: each row strictly after the one before it
-    t, i = refs[:, 0], refs[:, 1]
-    if not np.all((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (i[1:] > i[:-1]))):
+    lam, counts = np.array(take("lam", "<f8", 2)), take("counts", "<i8", 1)
+    rows, nbrs, weights = take("rows", "<i8", 1), take("nbrs", "<i8", 2), take("weights", "<f8", 2)
+    if lam.shape[0] != lam.shape[1] or np.any(counts < 0):
+        fail("lam must be square and counts non-negative, got lam of shape %s and counts %s",
+             lam.shape, counts.tolist())
+    if nbrs.shape != weights.shape or nbrs.shape[:1] != rows.shape or nbrs.shape[1] < 1:
+        fail("rows, nbrs and weights have shapes %s, %s and %s, expected (R,), (R, k) and"
+             " (R, k) with k >= 1", rows.shape, nbrs.shape, weights.shape)
+    if np.any(rows[1:] <= rows[:-1]):
         fail("alignment rows are not sorted and unique")
-    nbrs = np.stack([arrays["nbr_types"], arrays["nbr_intras"]], axis=1)
-    return AlignmentState(k=k, lam=lam, refs=refs, nbrs=nbrs.reshape(n_rows, k, 2),
-                          weights=np.array(arrays["weights"]).reshape(n_rows, k))
+    n = int(counts.sum())
+    if len(rows) and (min(rows[0], nbrs.min()) < 0 or max(rows[-1], nbrs.max()) >= n):
+        fail("alignment names a node id outside [0, %d)", n)
+    return AlignmentState(lam, tuple(counts.tolist()), np.array(rows), np.array(nbrs),
+                          np.array(weights))
 
 
 def save_graph_arrays(path, graph):

@@ -7,7 +7,7 @@ import pytest
 
 from dhge.graph import HeteroGraph, RelationSchema, Subgraph, NodeRef
 from dhge.model import ModelConfig, ModelParams
-from dhge.snapshot import ArrayFile
+from dhge.snapshot import ArrayFile, save_arrays
 
 # one line per shipped behavior contract, printed after the run
 CRITERION_LINES = []
@@ -94,6 +94,23 @@ def stored_arrays(path):
     stored = ArrayFile(path, "test")
     return {name: np.array(stored.array(name, dtype, len(shape)))
             for name, (dtype, shape, _, _) in stored.entries.items()}
+
+
+def old_layout_alignment(path):
+    """Rewrite the alignment file at ``path`` in the layout of earlier
+    releases: k, lam, then rows and neighbours as (type, intra) columns, each
+    row's neighbour count, and the weights, flattened row-major."""
+    arrays = stored_arrays(path)
+    offsets = np.concatenate([[0], np.cumsum(arrays["counts"])])
+    rows, nbrs = arrays["rows"], arrays["nbrs"].ravel()
+    row_types = np.searchsorted(offsets, rows, side="right") - 1
+    nbr_types = np.searchsorted(offsets, nbrs, side="right") - 1
+    save_arrays(path, {
+        "k": np.asarray(arrays["nbrs"].shape[1], dtype=np.int64), "lam": arrays["lam"],
+        "row_types": row_types, "row_intras": rows - offsets[row_types],
+        "counts": np.full(len(rows), arrays["nbrs"].shape[1], dtype=np.int64),
+        "nbr_types": nbr_types, "nbr_intras": nbrs - offsets[nbr_types],
+        "weights": arrays["weights"].ravel()})
 
 
 def payload_start(path, name):

@@ -384,8 +384,8 @@ def coupled_rows_solve(n_unknown, neighbor_lists, weight_lists, known_rows):
     return np.linalg.solve(a, b)
 
 
-def reconstruction_operator_loop(graph, refs, nbrs, weights):
-    """(I - W) built one alignment row at a time, one global_index per neighbor.
+def reconstruction_operator_loop(graph, rows, nbrs, weights):
+    """(I - W) built one alignment row at a time from global ids.
 
     COO entries go in the same order as the vectorized builder's (identity
     first, then each row's neighbors in sampled order), so duplicate
@@ -393,11 +393,10 @@ def reconstruction_operator_loop(graph, refs, nbrs, weights):
     """
     n = graph.num_nodes
     ri, ci, data = list(range(n)), list(range(n)), [1.0] * n
-    for ref, row_nbrs, row_w in zip(refs, nbrs, weights):
-        g = graph.global_index(tuple(ref))
+    for g, row_nbrs, row_w in zip(rows, nbrs, weights):
         for nb, w in zip(row_nbrs, row_w):
-            ri.append(g)
-            ci.append(graph.global_index(tuple(nb)))
+            ri.append(int(g))
+            ci.append(int(nb))
             data.append(-float(w))
     return scipy.sparse.coo_matrix(
         (np.asarray(data), (np.asarray(ri, dtype=np.int64), np.asarray(ci, dtype=np.int64))),

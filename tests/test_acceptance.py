@@ -292,9 +292,9 @@ def test_06_update_locality_by_byte_comparison():
                     for i in range(len(table.blocks[t]))
                     if table2.blocks[t][i].tobytes() != table.blocks[t][i].tobytes()}
     allowed_refs = set(update_set)
-    for ref, nbrs in zip(align2.refs.tolist(), align2.nbrs.tolist()):
-        if tuple(ref) in update_set:
-            allowed_refs.update(NodeRef(*nb) for nb in nbrs)
+    for row, nbrs in zip(align2.rows.tolist(), align2.nbrs.tolist()):
+        if g2.ref_of(row) in update_set:
+            allowed_refs.update(g2.ref_of(nb) for nb in nbrs)
 
     # and every sampled neighbor really is within two hops of the update set
     frontier = {g2.global_index(ref) for ref in update_set}

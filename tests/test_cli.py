@@ -12,7 +12,7 @@ from dhge.pipeline import (latest_manifest, load_manifest, load_snapshot_state, 
                            write_snapshot)
 from dhge.snapshot import ArrayFile, load_model, save_arrays, save_model
 from dhge.tensor import Param
-from conftest import edit_header, payload_start, stored_arrays
+from conftest import edit_header, old_layout_alignment, payload_start, stored_arrays
 
 
 def run(capsys, *argv):
@@ -423,6 +423,23 @@ class TestCorruptSnapshotExit3:
                       str(data / "increments" / "batch_000.edges.tsv")]):
             code, _, err = run(capsys, *argv, "--config", str(cfg), "--snapshot-dir", str(snaps))
             assert code == 3 and message in err and "Traceback" not in err
+
+
+    def test_old_layout_alignment_exits_3(self, workspace, capsys, tmp_path):
+        # an alignment file keyed by (type, intra) pairs, as written before
+        # the alignment stored global ids
+        _, data, cfg = workspace
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--snapshot-dir", str(snaps)]) == 0
+        path = snaps / latest_manifest(str(snaps)).alignment_path
+        old_layout_alignment(path)
+        code, _, err = run(capsys, "update", "--config", str(cfg), "--snapshot-dir", str(snaps),
+                           "--increment-edges", str(data / "increments" / "batch_000.edges.tsv"))
+        assert code == 3
+        assert ("%s: alignment file is in the (type, intra) layout, which this release does"
+                " not read; train a new version" % path) in err
+        assert "Traceback" not in err
+        assert latest_manifest(str(snaps)).version == 1
 
 
 class TestArrayFileFaultsExit3:

@@ -4,7 +4,7 @@ import pytest
 
 from dhge import incremental
 from dhge.fixtures import gen_planted_bipartite
-from dhge.graph import DataError, NodeRef, IncrementBatch, load_graph
+from dhge.graph import DataError, NodeRef, IncrementBatch, apply_increment, load_graph
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors,
                               reconstruction_weights, residual_blend,
@@ -354,10 +354,10 @@ class TestAlignmentAndRefine:
     def test_capture_covers_non_isolated_nodes(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        assert state.k == 3
-        assert [tuple(r) for r in state.refs] == all_refs(g)
+        assert state.k == 3 and state.counts == tuple(g.counts)
+        assert [g.ref_of(r) for r in state.rows] == all_refs(g)
         assert state.lam.shape == (table.dim, table.dim)
-        assert state.nbrs.shape == (len(state.refs), 3, 2)
+        assert state.nbrs.shape == (len(state.rows), 3)
         assert np.all(np.abs(state.weights.sum(axis=1) - 1.0) <= 1e-10)
 
     def test_capture_is_deterministic(self):
@@ -365,28 +365,31 @@ class TestAlignmentAndRefine:
         a = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=5)
         b = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=5)
         assert np.array_equal(a.lam, b.lam)
-        assert np.array_equal(a.refs, b.refs)
+        assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.nbrs, b.nbrs)
         assert np.array_equal(a.weights, b.weights)
 
     def test_with_rows_replaces_and_inserts_in_key_order(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        keep = state.rows != 3   # a gap in the stored rows
+        state = AlignmentState(state.lam, state.counts, state.rows[keep], state.nbrs[keep],
+                               state.weights[keep])
         rng = np.random.default_rng(2)
-        # two stored rows replaced, three new ones (one per gap and one at
-        # the end), and one ref given twice: its first row wins
-        refs = np.array([[1, 2], [0, 9], [0, 0], [2, 0], [0, 9], [0, 5]])
-        nbrs = rng.integers(0, 3, size=(6, 3, 2))
+        # two stored rows replaced, three new ones (one in the gap, two at
+        # the end), and one id given twice: its first row wins
+        rows = np.array([5, 3, 0, 20, 3, 9])
+        nbrs = rng.integers(0, 7, size=(6, 3))
         weights = rng.normal(size=(6, 3))
-        want = {tuple(r): (n, w) for r, n, w in zip(state.refs, state.nbrs, state.weights)}
-        for r, n, w in reversed(list(zip(refs, nbrs, weights))):
-            want[tuple(r)] = (n, w)
-        got = state.with_rows(refs, nbrs, weights)
-        assert [tuple(r) for r in got.refs] == sorted(want)
-        for r, n, w in zip(got.refs, got.nbrs, got.weights):
-            assert np.array_equal(n, want[tuple(r)][0])
-            assert np.array_equal(w, want[tuple(r)][1])
-        assert got.lam is state.lam and got.grams is None
+        want = {int(r): (n, w) for r, n, w in zip(state.rows, state.nbrs, state.weights)}
+        for r, n, w in reversed(list(zip(rows.tolist(), nbrs, weights))):
+            want[r] = (n, w)
+        got = state.with_rows(rows, nbrs, weights)
+        assert got.rows.tolist() == sorted(want)
+        for r, n, w in zip(got.rows.tolist(), got.nbrs, got.weights):
+            assert np.array_equal(n, want[r][0])
+            assert np.array_equal(w, want[r][1])
+        assert got.lam is state.lam and got.counts == state.counts and got.grams is None
 
     def test_refine_objective_never_increases_and_respects_mask(self):
         g, cfg, params, table = self._setup()
@@ -428,25 +431,65 @@ class TestAlignmentAndRefine:
             g, params, table, _, state = ille_update(
                 g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
             offsets.append(g.offsets.tolist())
-            assert [tuple(r) for r in state.refs] == sorted(all_refs(g))
+            assert [g.ref_of(r) for r in state.rows] == sorted(all_refs(g))
+            assert state.counts == tuple(g.counts)
             got = _reconstruction_operator(g, state)
             got.sum_duplicates()   # canonical form: sorted columns, repeats summed
-            want = reconstruction_operator_loop(g, state.refs, state.nbrs, state.weights)
+            want = reconstruction_operator_loop(g, state.rows, state.nbrs, state.weights)
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert got.data.tobytes() == want.data.tobytes()
         # the item block's global offset moved with each new user
         assert offsets == [[0, 3, 7], [0, 4, 9], [0, 5, 11]]
 
-    def test_operator_rejects_rows_outside_the_graph(self):
+    @staticmethod
+    def _grown(g, new_refs):
+        feats = (np.ones(5), np.ones(5, dtype=bool))
+        return apply_increment(g, IncrementBatch(
+            new_nodes=[(ref, *feats) for ref in new_refs], new_edges=[], batch_time=60.0))[0]
+
+    def test_in_graph_shifts_later_types_when_an_earlier_one_grows(self):
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
-        state.nbrs[0, 0] = (1, g.counts[1])
-        with pytest.raises(DataError, match="missing from the graph"):
-            _reconstruction_operator(g, state)
-        state.nbrs[0, 0] = (g.num_types, 0)
-        with pytest.raises(DataError, match="unknown node type"):
-            _reconstruction_operator(g, state)
+        g2 = self._grown(g, [NodeRef(0, 3), NodeRef(0, 4)])
+        got = state.in_graph(g2)
+        assert got.counts == (5, 4) and state.counts == (3, 4)
+        # every type-1 id moves by the two new users; the nodes stay the same
+        assert got.rows.tolist() == [g2.global_index(g.ref_of(r)) for r in state.rows]
+        assert got.nbrs.tolist() == [[g2.global_index(g.ref_of(n)) for n in nb]
+                                     for nb in state.nbrs]
+        assert got.rows.tolist() == [0, 1, 2, 5, 6, 7, 8]
+        assert got.weights is state.weights and got.lam is state.lam
+        assert got.grams is state.grams
+        op = _reconstruction_operator(g2, got)
+        op.sum_duplicates()
+        want = reconstruction_operator_loop(g2, got.rows, got.nbrs, got.weights)
+        assert (op != want).nnz == 0 and op.shape == (9, 9)
+        assert got.in_graph(g2) is got and state.in_graph(g) is state
+
+    def test_in_graph_moves_no_id_when_only_the_last_type_grows(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        got = state.in_graph(self._grown(g, [NodeRef(1, 4)]))
+        # the state must describe the grown graph's counts, so it is a new
+        # state, with the same ids
+        assert got.counts == (3, 5)
+        assert np.array_equal(got.rows, state.rows) and np.array_equal(got.nbrs, state.nbrs)
+        assert got.weights is state.weights and got.grams is state.grams
+
+    def test_in_graph_rejects_a_graph_it_does_not_fit(self):
+        g, cfg, params, table = self._setup()
+        state = capture_alignment(g, table, k=3, eps=1e-3, rng_seed=0)
+        smaller = AlignmentState(state.lam, (3, 5), state.rows, state.nbrs, state.weights)
+        with pytest.raises(DataError, match=r"counts \(3, 5\), which the graph with counts"
+                                            r" \(3, 4\) does not contain"):
+            smaller.in_graph(g)
+        with pytest.raises(DataError, match="does not contain"):
+            AlignmentProblem(g, smaller, table.dense(), np.zeros(g.num_nodes, dtype=bool))
+        other_types = AlignmentState(state.lam, (3, 4, 0), state.rows, state.nbrs,
+                                     state.weights)
+        with pytest.raises(DataError, match=r"counts \(3, 4, 0\)"):
+            other_types.in_graph(g)
 
     def test_refine_flags_hopeless_step(self):
         g, cfg, params, table = self._setup()
@@ -658,7 +701,7 @@ class TestIlleUpdate:
         g2, params2, table2, report, state2 = ille_update(
             g, self._batch(), params, table, cfg, ucfg,
             alignment=state, rng_seed=1)
-        assert [0, 3] in state2.refs.tolist()
+        assert g2.global_index((0, 3)) in state2.rows.tolist()
         assert np.array_equal(state2.lam, state.lam)
         assert report["refine_J_initial"] is not None
         assert report["refine_J_final"] <= report["refine_J_initial"]
@@ -684,7 +727,7 @@ class TestIlleUpdate:
         for b in range(3):
             batch = self._chain_batch(g, b)
             assert state.grams[0] is table
-            bare = AlignmentState(state.k, state.lam, state.refs, state.nbrs, state.weights)
+            bare = AlignmentState(state.lam, state.counts, state.rows, state.nbrs, state.weights)
             out = ille_update(g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=b)
             ref = ille_update(g, batch, params, table, cfg, ucfg, alignment=bare, rng_seed=b)
             for got, want in zip(out[4].grams[1:], ref[4].grams[1:]):
@@ -709,7 +752,7 @@ class TestIlleUpdate:
         report = ille_update(g, batch, params, table, cfg, ucfg, alignment=state, rng_seed=1)[3]
         assert calls == []
         assert report["refine_J_final"] is not None
-        bare = AlignmentState(state.k, state.lam, state.refs, state.nbrs, state.weights)
+        bare = AlignmentState(state.lam, state.counts, state.rows, state.nbrs, state.weights)
         ille_update(g, batch, params, table, cfg, ucfg, alignment=bare, rng_seed=1)
         assert len(calls) == 1
 
@@ -721,15 +764,15 @@ class TestIlleUpdate:
         g, cfg, params, table = self._setup()
         eps = 1e-3
 
-        def check(alignment, vec):
-            for r, nb, w in zip(alignment.refs, alignment.nbrs, alignment.weights):
-                want = reconstruction_weights(vec(tuple(r)), np.stack([vec(tuple(n)) for n in nb]),
-                                              eps)
+        def check(graph, alignment, vec):
+            for r, nb, w in zip(alignment.rows, alignment.nbrs, alignment.weights):
+                want = reconstruction_weights(vec(graph.ref_of(r)),
+                                              np.stack([vec(graph.ref_of(n)) for n in nb]), eps)
                 assert w.tobytes() == want.tobytes(), r
 
         state = capture_alignment(g, table, k=3, eps=eps, rng_seed=0, weight_space=space)
-        assert len(state.refs) == g.num_nodes
-        check(state, table.row if space == "embedding" else
+        assert len(state.rows) == g.num_nodes
+        check(g, state, table.row if space == "embedding" else
               lambda ref: g.feature_blocks[ref[0]][ref[1]])
         ucfg = UpdateConfig(k=3, refine_steps=2, refine_step_size=1e-4, weight_space=space)
         sweeps = 0
@@ -739,23 +782,24 @@ class TestIlleUpdate:
             sweeps += report["jacobi_sweeps"]
             new = {(0, g.counts[0]), (1, g.counts[1])}
             updated = new | {(0, b), (1, b)}
-            rows = {tuple(r): nb for r, nb in zip(state2.refs, state2.nbrs)}
+            rows = {g2.ref_of(r): [g2.ref_of(n) for n in nb]
+                    for r, nb in zip(state2.rows, state2.nbrs)}
 
             def vec(ref):
                 if space == "feature":
                     return g2.feature_blocks[ref[0]][ref[1]]
                 if ref not in new:
                     return table.row(ref)
-                known = [table.row(tuple(n)) for n in rows[ref] if tuple(n) not in new]
+                known = [table.row(n) for n in rows[ref] if n not in new]
                 return np.mean(known, axis=0) if known else np.zeros(table.dim)
 
-            old = {tuple(r): w for r, w in zip(state.refs, state.weights)}
-            rewritten = np.array([tuple(r) in updated for r in state2.refs])
+            old = {g.ref_of(r): w for r, w in zip(state.rows, state.weights)}
+            rewritten = np.array([g2.ref_of(r) in updated for r in state2.rows])
             assert rewritten.sum() == len(updated)
-            check(AlignmentState(3, None, state2.refs[rewritten], state2.nbrs[rewritten],
-                                 state2.weights[rewritten]), vec)
-            for r, w in zip(state2.refs[~rewritten], state2.weights[~rewritten]):
-                assert w.tobytes() == old[tuple(r)].tobytes()
+            check(g2, AlignmentState(None, state2.counts, state2.rows[rewritten],
+                                     state2.nbrs[rewritten], state2.weights[rewritten]), vec)
+            for r, w in zip(state2.rows[~rewritten], state2.weights[~rewritten]):
+                assert w.tobytes() == old[g2.ref_of(r)].tobytes()
             g, table, state = g2, table2, state2
         assert sweeps > 0
 

@@ -326,10 +326,10 @@ class TestStoredGraph:
         snap = next(r for r in records if r["event"] == "snapshot")
         sd = cfg.paths["snapshot_dir"]
         man = load_manifest(sd, 1)
-        refs = load_alignment(os.path.join(sd, man.alignment_path)).refs
+        rows = load_alignment(os.path.join(sd, man.alignment_path)).rows
         graph = graph_for_manifest(cfg, man)
         degree = np.diff(graph._adj_indptr)
-        assert snap["alignment_rows"] == len(refs) == graph.num_nodes - 1
+        assert snap["alignment_rows"] == len(rows) == graph.num_nodes - 1
         assert snap["cold_isolated"] == int((degree == 0).sum()) == 1
 
 

@@ -16,7 +16,8 @@ from dhge.snapshot import (ARRAY_FORMAT_VERSION, SnapshotFormatError, ArrayFile,
                            table_shapes, save_alignment, load_alignment, save_graph_arrays,
                            load_graph_arrays, adjacency_row)
 from dhge.tensor import Param
-from conftest import edit_header, payload_start, stored_arrays, tiny_bipartite, tiny_params
+from conftest import (edit_header, old_layout_alignment, payload_start, stored_arrays,
+                      tiny_bipartite, tiny_params)
 
 
 class TestModelSnapshot:
@@ -370,9 +371,9 @@ class TestAlignmentSnapshot:
         path = tmp_path / "a.align"
         save_alignment(path, state)
         got = load_alignment(path)
-        assert got.k == state.k
+        assert got.k == state.k and got.counts == state.counts == (3, 4)
         assert np.array_equal(got.lam, state.lam)
-        assert np.array_equal(got.refs, state.refs)
+        assert np.array_equal(got.rows, state.rows)
         assert np.array_equal(got.nbrs, state.nbrs)
         assert np.array_equal(got.weights, state.weights)
 
@@ -390,30 +391,59 @@ class TestAlignmentSnapshot:
         with pytest.raises(SnapshotFormatError, match="a.npz: not an array file"):
             load_alignment(path)
 
+    def test_file_holds_five_arrays(self, tmp_path):
+        path = tmp_path / "a.align"
+        save_alignment(path, self._state())
+        assert {name: entry[:2] for name, entry in ArrayFile(path, "alignment").entries.items()} == {
+            "lam": ("<f8", (4, 4)), "counts": ("<i8", (2,)), "rows": ("<i8", (7,)),
+            "nbrs": ("<i8", (7, 3)), "weights": ("<f8", (7, 3))}
+
+    def test_old_layout_refused(self, tmp_path):
+        path = tmp_path / "a.align"
+        save_alignment(path, self._state())
+        old_layout_alignment(path)
+        with pytest.raises(SnapshotFormatError, match="a.align: alignment file is in the"
+                                                      " \\(type, intra\\) layout.*train a new version"):
+            load_alignment(path)
+
     @pytest.mark.parametrize("fault, match", [
-        ("counts", "every row must hold k=3"),
-        ("short_nbrs", "nbr_types has shape"),
+        ("short_nbrs", r"rows, nbrs and weights have shapes \(7,\), \(6, 3\) and \(7, 3\)"),
+        ("narrow_weights", r"rows, nbrs and weights have shapes \(7,\), \(7, 3\) and \(7, 2\)"),
         ("missing_key", "lacks arrays"),
         ("unsorted", "not sorted and unique"),
         ("duplicate", "not sorted and unique"),
+        ("high_id", r"alignment names a node id outside \[0, 7\)"),
+        ("high_row", r"alignment names a node id outside \[0, 7\)"),
+        ("negative_id", r"alignment names a node id outside \[0, 7\)"),
+        ("negative_count", "counts non-negative"),
+        ("lam", "lam must be square"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, match):
         path = tmp_path / "bad.align"
         save_alignment(path, self._state())
         payload = stored_arrays(path)
-        if fault == "counts":
-            payload["counts"][0] = 2
-        elif fault == "short_nbrs":
-            payload["nbr_types"] = payload["nbr_types"][:-1]
+        if fault == "short_nbrs":
+            payload["nbrs"] = payload["nbrs"][:-1]
+        elif fault == "narrow_weights":
+            payload["weights"] = payload["weights"][:, :2]
         elif fault == "missing_key":
             del payload["weights"]
         elif fault == "duplicate":
-            assert payload["row_types"][1] == payload["row_types"][0]
-            payload["row_intras"][1] = payload["row_intras"][0]
+            payload["rows"][1] = payload["rows"][0]
+        elif fault == "unsorted":
+            payload["rows"][[0, 1]] = payload["rows"][[1, 0]]
+        elif fault == "high_id":
+            payload["nbrs"][2, 1] = 7   # the counts (3, 4) describe ids 0-6
+        elif fault == "high_row":
+            payload["rows"][-1] = 7
+        elif fault == "negative_id":
+            payload["nbrs"][0, 0] = -1
+        elif fault == "negative_count":
+            payload["counts"][0] = -1
         else:
-            payload["row_intras"][[0, 1]] = payload["row_intras"][[1, 0]]
+            payload["lam"] = payload["lam"][:, :3]
         save_arrays(path, payload)
-        with pytest.raises(SnapshotFormatError, match=match):
+        with pytest.raises(SnapshotFormatError, match="bad.align: .*" + match):
             load_alignment(path)
 
 

@@ -12,12 +12,15 @@ Run as a script, it prints one JSON line:
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
   ratio;
 * with ``refresh``, ``{"sizes", "embed_all", "capture_alignment",
-  "neighborhoods", "weights", "spectrum"}``: the seconds of one
+  "neighborhoods", "weights", "spectrum", "align_bytes",
+  "save_alignment_ms", "load_alignment_ms"}``: the seconds of one
   full-coverage ``embed_all`` and one ``capture_alignment`` (hidden 32,
   k=8) on 4k, 16k and 64k-node bases, the two halves of the refresh that
   ends every retrain, then of ``capture_alignment``'s three stages run
   again one at a time: ``_neighborhoods`` over every node, ``_weight_rows``
-  and the spectrum (``_grams`` of the reconstruction operator). No test
+  and the spectrum (``_grams`` of the reconstruction operator); then the
+  size in bytes of that alignment's ``.align`` file and the milliseconds
+  of one ``save_alignment`` and one ``load_alignment`` of it. No test
   reads it;
 * with ``linear``, ``{"embed", "update", "solve"}``: per round, criterion
   09's times in seconds: one full-coverage ``embed_all`` (hidden 64) on
@@ -71,6 +74,7 @@ from dhge.incremental import (UpdateConfig, _grams, _neighborhoods, _reconstruct
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.pipeline import cmd_retrieve, cmd_train, write_snapshot
+from dhge.snapshot import load_alignment, save_alignment
 
 
 def scaling_graph(n, input_dim=8, seed=0):
@@ -117,7 +121,8 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
 def refresh_times(sizes=(4000, 16000, 64000)):
     cfg = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
     parts = ("embed_all", "capture_alignment", "neighborhoods", "weights", "spectrum")
-    out = {"sizes": list(sizes), **{p: [] for p in parts}}
+    files = ("align_bytes", "save_alignment_ms", "load_alignment_ms")
+    out = {"sizes": list(sizes), **{p: [] for p in parts + files}}
     gc.collect()
     gc.disable()
     try:
@@ -142,6 +147,16 @@ def refresh_times(sizes=(4000, 16000, 64000)):
             t.append(time.perf_counter())
             for p, dt in zip(parts, np.delete(np.diff(t), 2)):
                 out[p].append(float(dt))
+            with tempfile.TemporaryDirectory() as d:
+                path = os.path.join(d, "v.align")
+                t0 = time.perf_counter()
+                save_alignment(path, alignment)
+                t1 = time.perf_counter()
+                load_alignment(path)
+                t2 = time.perf_counter()
+                out["align_bytes"].append(os.path.getsize(path))
+            out["save_alignment_ms"].append((t1 - t0) * 1000.0)
+            out["load_alignment_ms"].append((t2 - t1) * 1000.0)
     finally:
         gc.enable()
     return out
