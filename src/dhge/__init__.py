@@ -13,7 +13,7 @@ from .graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
 from .model import ModelConfig, ModelParams, EmbeddingTable, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
-                          ConvergenceError, capture_alignment, ille_update)
+                          capture_alignment, ille_update)
 from .evaluation import (EvalProtocol, EvalReport, cosine_topk, hitrate_at_k,
                          recall_at_k, ndcg_at_k, evaluate, evaluate_table,
                          chronological_split)
@@ -34,7 +34,7 @@ __all__ = [
     "load_schema", "read_increment", "graphs_equal",
     "ModelConfig", "ModelParams", "EmbeddingTable", "train_epoch", "embed_all",
     "AdamW",
-    "UpdateConfig", "AlignmentState", "ColdIsolatedError", "ConvergenceError",
+    "UpdateConfig", "AlignmentState", "ColdIsolatedError",
     "capture_alignment", "ille_update",
     "EvalProtocol", "EvalReport", "cosine_topk", "hitrate_at_k",
     "recall_at_k", "ndcg_at_k", "evaluate", "evaluate_table",

@@ -163,20 +163,16 @@ class RunConfig:
     def validate(self):
         if self.train["epochs"] < 0:
             raise ConfigError("train.epochs must be >= 0")
-        if self.update["k"] < 1:
-            raise ConfigError("update.k must be >= 1")
         if self.pipeline["static_refresh_every"] < 0:
             raise ConfigError("pipeline.static_refresh_every must be >= 0")
         for key in ("user_type", "item_type"):
             if self.eval[key] < 0:
                 raise ConfigError("eval.%s must be >= 0" % key)
-        sink = self.eval["negatives_per_user"]
-        if sink is not None and sink < 1:
-            raise ConfigError("eval.negatives_per_user must be >= 1 or none")
         # range checks shared with the dataclasses happen on construction
         try:
             self.model_config(input_dim=1)
             self.update_config()
+            self.protocol()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc))
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique, apply_increment, id_remap
 from .model import EmbeddingTable, init_features
@@ -31,10 +33,6 @@ class ColdIsolatedError(DataError):
         super().__init__("node (%d, %d) is cold-isolated: no neighbors at any hop"
                          % (ref[0], ref[1]))
         self.ref = NodeRef(*ref)
-
-
-class ConvergenceError(NumericError):
-    """An iterative solve failed to reach tolerance."""
 
 
 def bfs_neighbors(graph, center, k, rng_seed):
@@ -262,23 +260,23 @@ def residual_blend(x_center, x_neighbors, weights, alpha):
     return alpha * np.matmul(weights[:, None, :], x_neighbors)[:, 0] + (1.0 - alpha) * x_center
 
 
-def embed_increment(y, centers, nbrs, weights, tol=1e-8, max_sweeps=100):
+def embed_increment(y, centers, nbrs, weights):
     """Closed-form embeddings for new nodes from their neighbors' rows.
 
     Row i embeds the node ``centers[i]`` as the ``weights[i]``-weighted
     combination of the rows of its neighbors ``nbrs[i]``; ids index the rows
-    of the (N, D) array ``y``. Neighbors that are themselves in ``centers``
-    couple the system. It is then solved by Gauss-Seidel sweeps in row
-    order, initialized at the closed form over the already-known neighbors:
-    each row is written back before the next row reads it, and sweeps repeat
-    until the largest row change in a sweep drops below ``tol``. Returns
-    (rows, loss, sweeps) where loss is the summed squared reconstruction
-    residual.
+    of the (N, D) array ``y``. The rows U that read another new node solve
+    (I - W_UU) X_U = B_U by one sparse LU factorization, B_U being their
+    weighted sum of table rows and of the other new rows; a neighbor drawn
+    twice counts twice. A row of U that reaches, along nonzero weights, no
+    row with a nonzero weight outside U has no unique value and is 0. An
+    exactly singular system raises ``SingularMatrixError``. Returns (rows,
+    loss, |U|), loss being the summed squared reconstruction residual.
     """
     centers = np.asarray(centers, dtype=np.int64)
     nbrs = np.asarray(nbrs, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    n_new, dim = len(centers), y.shape[1]
+    n_new = len(centers)
     if nbrs.shape != weights.shape or len(nbrs) != n_new:
         raise ValueError("centers, nbrs and weights disagree in length")
     order = np.argsort(centers, kind="stable")
@@ -289,60 +287,41 @@ def embed_increment(y, centers, nbrs, weights, tol=1e-8, max_sweeps=100):
     if known.size and (known.min() < 0 or known.max() >= len(y)):
         raise DataError("neighbor %d missing from embedding table"
                         % known[(known < 0) | (known >= len(y))][0])
-    pos = order[np.minimum(pos, n_new - 1)]
+    pos = order[np.minimum(pos, n_new - 1)]   # the new row a coupled entry reads
 
-    # split each neighborhood once: the known-neighbor contribution is
-    # constant across sweeps, only same-batch couplings move
-    known_part = np.zeros((n_new, dim))
-    known_mass = np.zeros(n_new)
-    has_known = ~coupled.all(axis=1)
-    couplings = [None] * n_new
-    for i in range(n_new):
-        if has_known[i]:
-            k_w = weights[i][~coupled[i]]
-            known_part[i] = k_w @ y[nbrs[i][~coupled[i]]]
-            known_mass[i] = k_w.sum()
-        if coupled[i].any():
-            couplings[i] = (pos[i][coupled[i]], weights[i][coupled[i]])
+    # each row's weighted sum of its table rows, a coupled entry weighing 0
+    table_part = np.matmul(np.where(coupled, 0.0, weights)[:, None, :],
+                           y[np.where(coupled, 0, nbrs)])[:, 0]
+    rows = table_part.copy()
+    reads = coupled.any(axis=1)
+    if reads.any():
+        inner = coupled & reads[pos]   # entries that read a row of U
+        live = weights != 0
+        # a row of U is solved if it reaches an anchor, a row with a live
+        # entry outside U; one search along the reversed reads finds them all
+        src, _ = np.nonzero(inner & live)
+        reach = scipy.sparse.csr_matrix((np.ones(len(src)), (pos[inner & live], src)),
+                                        shape=(n_new, n_new))
+        anchors = np.flatnonzero((live & ~inner).any(axis=1))
+        solve = reads & np.isfinite(scipy.sparse.csgraph.dijkstra(reach, indices=anchors,
+                                                                  min_only=True))
+        rows[reads] = 0.0
+        s, at = np.flatnonzero(solve), np.cumsum(solve) - 1
+        inside = inner[s] & solve[pos[s]]
+        block = _operator_csr(len(s), at[s], np.ones(len(s), dtype=bool),
+                              np.where(inside, at[pos[s]], at[s, None]),
+                              np.where(inside, weights[s], 0.0))
+        rhs = table_part[s] + np.matmul(np.where(coupled[s] & ~inside, weights[s], 0.0)[:, None, :],
+                                        rows[pos[s]])[:, 0]
+        try:
+            lu = scipy.sparse.linalg.splu(block.tocsc())
+        except RuntimeError as exc:
+            raise SingularMatrixError("coupled new-node rows: %s" % exc) from exc
+        rows[s] = lu.solve(rhs)
 
-    rows = np.zeros((n_new, dim))
-    for i in range(n_new):
-        if couplings[i] is None:
-            rows[i] = known_part[i]
-        elif has_known[i] and abs(known_mass[i]) > 1e-12:
-            # closed form over the already-known part as the sweep seed
-            rows[i] = known_part[i] / known_mass[i]
-        # else: stay at zero and let the sweeps move it
-
-    sweeps = 0
-    coupled_rows = [i for i in range(n_new) if couplings[i] is not None]
-    if coupled_rows:
-        for sweeps in range(1, max_sweeps + 1):
-            delta = 0.0
-            for i in coupled_rows:
-                u_pos, u_w = couplings[i]
-                fresh = known_part[i] + u_w @ rows[u_pos]
-                change = float(np.abs(fresh - rows[i]).max()) if dim else 0.0
-                if change > delta:
-                    delta = change
-                rows[i] = fresh
-            if delta < tol:
-                break
-        else:
-            raise ConvergenceError(
-                "coupled reconstruction did not converge in %d sweeps; last max row "
-                "change %.3e exceeds tol %.3e" % (max_sweeps, delta, tol))
-
-    loss = 0.0
-    for i in range(n_new):
-        if couplings[i] is None:
-            recon = known_part[i]
-        else:
-            u_pos, u_w = couplings[i]
-            recon = known_part[i] + u_w @ rows[u_pos]
-        resid = rows[i] - recon
-        loss += float(resid @ resid)
-    return rows, loss, sweeps
+    resid = rows - table_part - np.matmul(np.where(coupled, weights, 0.0)[:, None, :],
+                                          rows[pos])[:, 0]
+    return rows, float(np.sum(resid * resid)), int(reads.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +594,12 @@ class UpdateConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.eps < 0:
             raise ValueError("eps must be non-negative")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be >= 0")
+        if self.refine_step_size <= 0:
+            raise ValueError("refine_step_size must be positive")
+        if self.refine_mu < 0:
+            raise ValueError("refine_mu must be non-negative")
         if self.weight_space not in ("embedding", "feature"):
             raise ValueError("weight_space must be 'embedding' or 'feature'")
 
@@ -697,8 +682,10 @@ def ille_update(graph, batch, params, table, model_config, update_config,
 
     Returns (new_graph, new_params, new_table, report, new_alignment).
     The update set is the batch's new nodes plus existing endpoints of its
-    accepted new edges. Cold-isolated new nodes fall back to the model's
-    feature pathway and are counted in the report. ``report["stage_ms"]``
+    accepted new edges. New nodes are placed by ``embed_increment``, those
+    that read another new node in one sparse direct solve; the report's
+    ``jacobi_sweeps`` counts them. Cold-isolated new nodes fall back to the
+    model's feature pathway and are counted in the report. ``report["stage_ms"]``
     splits the wall time into apply, sample, weights, embed, blend, refine
     and write-back.
     """
@@ -747,12 +734,9 @@ def ille_update(graph, batch, params, table, model_config, update_config,
                            centers, nbrs, update_config.eps)
     stages.lap("weights")
 
-    reconstruction_loss = 0.0
-    sweeps = 0
-    if n_new:
-        rows, reconstruction_loss, sweeps = embed_increment(
-            dense, centers[:n_new], nbrs[:n_new], weights[:n_new])
-        dense[centers[:n_new]] = rows
+    rows, reconstruction_loss, n_coupled = embed_increment(
+        dense, centers[:n_new], nbrs[:n_new], weights[:n_new])
+    dense[centers[:n_new]] = rows
 
     # a cold node has no neighbors, so no other row reads it
     for g, (t, i) in zip(cold.tolist(), _refs(graph2, cold).tolist()):
@@ -809,8 +793,9 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         "n_updated": int(len(update_set)),
         "n_cold_isolated": int(len(cold)),
         "reconstruction_loss": float(reconstruction_loss),
-        # Gauss-Seidel sweeps of embed_increment over the coupled new nodes
-        "jacobi_sweeps": int(sweeps),
+        # the new nodes that read another new node (embed_increment's
+        # n_coupled); the key keeps its old name because bench/ reads it
+        "jacobi_sweeps": int(n_coupled),
         "refine_J_initial": refine_j_initial,
         "refine_J_final": refine_j_final,
         "refine_step_warning": bool(step_warning),

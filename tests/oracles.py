@@ -17,6 +17,8 @@ package's full graph and table loads, then the full-sort ``_cosine_topk_ref``
 that ``cosine_topk``'s partial selection replaced. ``solve_ridge`` and
 ``blocks_equal`` are test helpers over the package's weight solve and
 tables.
+``embed_increment_sweeps`` is the iteration that the coupled direct solve
+replaced, kept as the reference for that re-baseline.
 ``load_graph_sets`` is the set-based loader that ``load_graph`` replaced;
 it and ``apply_increment_loop`` share the package's TSV row parsers and
 ``HeteroGraph`` constructor, whose index build the graph tests check.
@@ -382,6 +384,67 @@ def coupled_rows_solve(n_unknown, neighbor_lists, weight_lists, known_rows):
             else:
                 b[u] += w * known_rows[idx]
     return np.linalg.solve(a, b)
+
+
+def coupled_rows_dense(y, centers, nbrs, weights):
+    """``coupled_rows_solve`` on ``embed_increment``'s arguments: a neighbor
+    id in ``centers`` is an unknown, any other id a row of ``y``."""
+    unknown = {int(c): u for u, c in enumerate(centers)}
+    lists = [[("u", unknown[int(n)]) if int(n) in unknown else ("k", int(n)) for n in row]
+             for row in nbrs]
+    return coupled_rows_solve(len(centers), lists, weights, y)
+
+
+def embed_increment_sweeps(y, centers, nbrs, weights, tol=1e-8, max_sweeps=100):
+    """The Gauss-Seidel sweeps that ``embed_increment``'s direct solve replaced.
+
+    Rows are visited in order and each is written back before the next reads
+    it; a coupled row starts at the closed form over its table neighbors (0
+    where their weights sum to 0) and sweeps repeat until the largest row
+    change in a sweep is below ``tol``. Returns (rows, loss, sweeps); raises
+    ``ArithmeticError`` after ``max_sweeps`` sweeps.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    unknown = {int(c): u for u, c in enumerate(centers)}
+    n_new, dim = len(centers), y.shape[1]
+    known_part = np.zeros((n_new, dim))
+    couplings = [None] * n_new
+    rows = np.zeros((n_new, dim))
+    for i in range(n_new):
+        ids = [int(n) for n in nbrs[i]]
+        coupled = np.array([n in unknown for n in ids], dtype=bool)
+        w = np.asarray(weights[i], dtype=np.float64)
+        mass = w[~coupled].sum()
+        if (~coupled).any():
+            known_part[i] = w[~coupled] @ y[[n for n in ids if n not in unknown]]
+        if coupled.any():
+            couplings[i] = ([unknown[n] for n in ids if n in unknown], w[coupled])
+            if (~coupled).any() and abs(mass) > 1e-12:
+                rows[i] = known_part[i] / mass
+        else:
+            rows[i] = known_part[i]
+    sweeps = 0
+    coupled_rows = [i for i in range(n_new) if couplings[i] is not None]
+    if coupled_rows:
+        for sweeps in range(1, max_sweeps + 1):
+            delta = 0.0
+            for i in coupled_rows:
+                u_pos, u_w = couplings[i]
+                fresh = known_part[i] + u_w @ rows[u_pos]
+                delta = max(delta, float(np.abs(fresh - rows[i]).max()) if dim else 0.0)
+                rows[i] = fresh
+            if delta < tol:
+                break
+        else:
+            raise ArithmeticError("coupled reconstruction did not converge in %d sweeps"
+                                  % max_sweeps)
+    loss = 0.0
+    for i in range(n_new):
+        recon = known_part[i]
+        if couplings[i] is not None:
+            recon = recon + couplings[i][1] @ rows[couplings[i][0]]
+        loss += float((rows[i] - recon) @ (rows[i] - recon))
+    return rows, loss, sweeps
 
 
 def reconstruction_operator_loop(graph, rows, nbrs, weights):

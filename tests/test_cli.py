@@ -148,6 +148,16 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    def test_out_of_range_eval_key_is_2(self, workspace, capsys, tmp_path):
+        root, data, cfg = workspace
+        bad = tmp_path / "bad.ini"
+        bad.write_text(cfg.read_text().replace("k_values = 1, 3", "k_values = 0"))
+        code, _, err = run(capsys, "evaluate", "--config", str(bad),
+                           "--test", str(data / "base_test.tsv"))
+        assert code == 2
+        assert "config error" in err and "k_values" in err
+        assert "Traceback" not in err
+
     def test_missing_paths_is_2(self, capsys):
         code, _, err = run(capsys, "train")
         assert code == 2

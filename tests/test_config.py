@@ -103,6 +103,14 @@ class TestValidation:
             RunConfig.from_text("[train]\nepochs = -1\n")
         with pytest.raises(ConfigError):
             RunConfig.from_text("[eval]\nnegatives_per_user = 0\n")
+        with pytest.raises(ConfigError, match="k_values"):
+            RunConfig.from_text("[eval]\nk_values = 0\n")
+        with pytest.raises(ConfigError, match="refine_steps"):
+            RunConfig.from_text("[update]\nrefine_steps = -1\n")
+        with pytest.raises(ConfigError, match="refine_step_size"):
+            RunConfig.from_text("[update]\nrefine_step_size = 0\n")
+        with pytest.raises(ConfigError, match="refine_mu"):
+            RunConfig.from_text("[update]\nrefine_mu = -0.5\n")
 
     def test_require_paths(self):
         cfg = RunConfig.defaults(edges="e.tsv")

@@ -6,19 +6,21 @@ from dhge import incremental
 from dhge.fixtures import gen_planted_bipartite
 from dhge.graph import DataError, NodeRef, IncrementBatch, apply_increment, load_graph
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
-from dhge.incremental import (ColdIsolatedError, ConvergenceError, bfs_neighbors,
+from dhge.incremental import (ColdIsolatedError, bfs_neighbors,
                               reconstruction_weights, residual_blend,
                               embed_increment, capture_alignment,
                               AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
                               _neighborhoods, _reconstruction_operator, _weight_rows)
-from dhge.seeding import TAG_BFS, mix_many, seed_states
+from dhge.seeding import TAG_BFS, mix, mix_many, seed_states
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
 from oracles import (all_refs, bfs_neighbors_loop, blocks_equal, constrained_weights,
-                     coupled_rows_solve, full_lle_oracle, knn_brute, knn_indices, lle_loss,
-                     lle_weight_matrix, neighborhoods_loop, reconstruction_operator_loop,
+                     coupled_rows_dense, coupled_rows_solve, embed_increment_sweeps,
+                     full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
+                     neighborhoods_loop, reconstruction_operator_loop,
                      reconstruction_weights_loop, refine_per_trial)
+from test_bench_contract import _bench_module
 from update_scaling import scaling_graph
 
 
@@ -240,6 +242,11 @@ class TestBatchedMatchesLoops:
             reconstruction_weights_loop(vecs[8], vecs[nbrs[250]], 0.0)
 
 
+def _max_rel(got, want):
+    """Largest entry-wise difference relative to the largest entry of ``want``."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestEmbedIncrement:
     # a (5 + 5, 3) table: global ids 0-4 are type 0, 5-9 type 1
     def _table(self, rng):
@@ -249,32 +256,91 @@ class TestEmbedIncrement:
         y = self._table(rng)
         nbrs = [1, 7, 3]
         w = np.array([0.5, 0.25, 0.25])
-        rows, loss, sweeps = embed_increment(y, [4], [nbrs], [w])
-        assert np.allclose(rows[0], w @ y[nbrs], atol=1e-12)
+        rows, loss, n_coupled = embed_increment(y, [4], [nbrs], [w])
+        # a row that reads no new node is the per-row product, bit for bit
+        assert rows[0].tobytes() == (w @ y[nbrs]).tobytes()
         assert loss <= 1e-24
-        assert sweeps == 0
+        assert n_coupled == 0
 
     def test_coupled_pair_matches_dense_solve(self, rng):
         y = self._table(rng)
         a, b = 4, 9
         wa = np.array([0.4, 0.3, 0.3])
         wb = np.array([0.5, 0.5, 0.0])
-        rows, loss, sweeps = embed_increment(y, [a, b], [[b, 0, 1], [a, 5, 5]], [wa, wb],
-                                             tol=1e-13)
+        rows, loss, n_coupled = embed_increment(y, [a, b], [[b, 0, 1], [a, 5, 5]], [wa, wb])
         want = coupled_rows_solve(
             2,
             [[("u", 1), ("k", 0), ("k", 1)], [("u", 0), ("k", 2), ("k", 2)]],
             [wa, wb],
             np.stack([y[0], y[1], y[5]]))
-        assert sweeps > 0
-        assert np.max(np.abs(rows - want)) <= 1e-9
+        assert n_coupled == 2
+        assert _max_rel(rows, want) <= 1e-10
         assert loss <= 1e-18
 
-    def test_divergent_coupling_raises(self, rng):
+    def test_divergent_coupling_is_solved(self, rng):
+        # weights that sum to 1 but expand distances: the coupling's spectral
+        # radius is 2, where sweeps diverge; the direct solve does not care
         y = self._table(rng)
-        w = np.array([2.0, -1.0])   # sums to 1 but expands distances
-        with pytest.raises(ConvergenceError, match="sweeps"):
-            embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w], max_sweeps=30)
+        w = np.array([2.0, -1.0])
+        rows, loss, n_coupled = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
+        want = coupled_rows_solve(2, [[("u", 1), ("k", 0)], [("u", 0), ("k", 1)]], [w, w],
+                                  np.stack([y[0], y[5]]))
+        assert n_coupled == 2
+        assert _max_rel(rows, want) <= 1e-10
+        with pytest.raises(ArithmeticError, match="sweeps"):
+            embed_increment_sweeps(y, [4, 9], [[9, 0], [4, 5]], [w, w], max_sweeps=30)
+
+    def test_closed_pair_is_zero(self, rng):
+        # 4 reads only 9 and 9 reads only 4: any equal pair of rows solves
+        # the equations, so neither has a unique value
+        y = self._table(rng)
+        rows, loss, n_coupled = embed_increment(y, [4, 9], [[9], [4]], [np.ones(1), np.ones(1)])
+        assert not rows.any() and loss == 0.0 and n_coupled == 2
+
+    def test_pair_with_zero_table_weights_is_zero(self, rng):
+        y = self._table(rng)
+        w = np.array([1.0, 0.0])
+        rows, loss, _ = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
+        assert not rows.any() and loss == 0.0
+
+    def test_unanchored_row_does_not_move_the_rest(self, rng):
+        # 9 and 8 read only each other; 4 reads 9 and a table row, so it is
+        # its table part while 9 and 8 stay 0
+        y = self._table(rng)
+        rows, loss, n_coupled = embed_increment(
+            y, [4, 9, 8], [[9, 0], [8, 8], [9, 9]],
+            [np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.5])])
+        assert n_coupled == 3
+        assert not rows[1:].any()
+        assert np.array_equal(rows[0], 0.5 * y[0])
+        assert loss == 0.0
+
+    def test_singular_anchored_pair_raises(self, rng):
+        # det(I - W_UU) = 1 - 2 * 0.5 = 0 exactly, with a table anchor
+        y = self._table(rng)
+        with pytest.raises(SingularMatrixError, match="singular"):
+            embed_increment(y, [4, 9], [[9, 0], [4, 5]],
+                            [np.array([2.0, -1.0]), np.array([0.5, 0.5])])
+
+    def test_uncoupled_new_rows_feed_the_coupled_block(self, rng):
+        # 3 reads table rows only; 4 and 9 read 3 and each other
+        y = self._table(rng)
+        nbrs = [[0, 1], [9, 3], [4, 3]]
+        w = [np.array([0.6, 0.4]), np.array([0.3, 0.7]), np.array([0.8, 0.2])]
+        rows, loss, n_coupled = embed_increment(y, [3, 4, 9], nbrs, w)
+        assert n_coupled == 2
+        assert _max_rel(rows, coupled_rows_dense(y, [3, 4, 9], nbrs, w)) <= 1e-10
+        assert loss <= 1e-24
+
+    def test_matches_sweeps_where_they_converge(self, tmp_path, monkeypatch):
+        # every embed call of a resident chain in the embedding space
+        calls = []
+        for seed in (1, 2):
+            calls += _resident_chain(monkeypatch, tmp_path / str(seed), seed, "embedding")
+        assert sum(int(n_coupled) for *_, n_coupled in calls) > 0
+        for y, centers, nbrs, weights, rows, _ in calls:
+            want, _, _ = embed_increment_sweeps(y, centers, nbrs, weights)
+            assert np.max(np.abs(rows - want)) <= 1e-7
 
     def test_unknown_neighbor_rejected(self, rng):
         y = self._table(rng)
@@ -285,6 +351,55 @@ class TestEmbedIncrement:
         y = self._table(rng)
         with pytest.raises(DataError, match="duplicate"):
             embed_increment(y, [4, 4], [[0], [0]], [np.ones(1), np.ones(1)])
+
+
+def _resident_chain(monkeypatch, workdir, seed, weight_space):
+    """Every ``embed_increment`` call of the ``resident`` benchmark's update
+    chain at its tiny sizes with six batches, with untrained weights and the
+    alignment captured in ``weight_space``, as (y, centers, nbrs, weights,
+    rows, n_coupled)."""
+    workloads = _bench_module("workloads")
+    sizes = dict(workloads.TINY["resident"], batches=6)
+    resident = workloads.ResidentWorkload(sizes, seed, str(workdir))
+    resident.setup(0)
+    graph, params, cfg = resident.graph, resident.params, resident.model_config
+    ucfg = UpdateConfig(weight_space=weight_space)
+    calls = []
+
+    def record(y, centers, nbrs, weights):
+        out = embed_increment(y, centers, nbrs, weights)
+        calls.append((y.copy(), centers, nbrs, weights, *out[::2]))
+        return out
+
+    monkeypatch.setattr(incremental, "embed_increment", record)
+    table = embed_all(graph, params, cfg, version=1)
+    alignment = capture_alignment(graph, table, k=ucfg.k, eps=ucfg.eps, rng_seed=seed,
+                                  weight_space=weight_space)
+    batches = workloads.make_batches(seed, graph.counts, sizes["communities"],
+                                     graph.input_dim, sizes)
+    for version, (batch, _, _) in enumerate(batches, start=1):
+        graph, params, table, _, alignment = ille_update(
+            graph, batch, params, table, cfg, ucfg, alignment=alignment,
+            rng_seed=mix(seed, version))
+    assert len(calls) == len(batches)
+    return calls
+
+
+class TestFeatureSpaceChain:
+    def test_every_batch_is_solved_exactly(self, tmp_path, monkeypatch):
+        # the sweeps diverge on some of these batches (spectral radius of
+        # W_UU above 1); the direct solve places every batch
+        diverged = 0
+        for seed in range(1, 11):
+            for y, centers, nbrs, weights, rows, n_coupled in _resident_chain(
+                    monkeypatch, tmp_path / str(seed), seed, "feature"):
+                assert n_coupled > 0
+                assert _max_rel(rows, coupled_rows_dense(y, centers, nbrs, weights)) <= 1e-10
+                try:
+                    embed_increment_sweeps(y, centers, nbrs, weights)
+                except ArithmeticError:
+                    diverged += 1
+        assert diverged > 0
 
 
 class TestKnnAndWeights:
@@ -775,11 +890,11 @@ class TestIlleUpdate:
         check(g, state, table.row if space == "embedding" else
               lambda ref: g.feature_blocks[ref[0]][ref[1]])
         ucfg = UpdateConfig(k=3, refine_steps=2, refine_step_size=1e-4, weight_space=space)
-        sweeps = 0
+        coupled = 0
         for b in range(2):
             g2, params, table2, report, state2 = ille_update(
                 g, self._chain_batch(g, b), params, table, cfg, ucfg, alignment=state, rng_seed=b)
-            sweeps += report["jacobi_sweeps"]
+            coupled += report["jacobi_sweeps"]
             new = {(0, g.counts[0]), (1, g.counts[1])}
             updated = new | {(0, b), (1, b)}
             rows = {g2.ref_of(r): [g2.ref_of(n) for n in nb]
@@ -801,7 +916,7 @@ class TestIlleUpdate:
             for r, w in zip(state2.rows[~rewritten], state2.weights[~rewritten]):
                 assert w.tobytes() == old[g2.ref_of(r)].tobytes()
             g, table, state = g2, table2, state2
-        assert sweeps > 0
+        assert coupled > 0
 
     def test_alignment_k_mismatch_rejected(self):
         g, cfg, params, table = self._setup()

@@ -287,7 +287,7 @@ def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
             nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
             weights[j] = reconstruction_weights(pts[n_base + j], pts[nbrs[j]], eps)
         _, new_loss, _ = embed_increment(y_base, np.arange(n_base, n_base + n_new), nbrs,
-                                         weights, tol=1e-6)
+                                         weights)
         return base_loss + new_loss
 
     def rebuild_once():
