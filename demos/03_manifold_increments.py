@@ -57,8 +57,8 @@ def main():
         nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
         weights[j] = reconstruction_weights(pts[N_BASE + j], pts[nbrs[j]], EPS)
     # ids index the rows of y_base; the new points take ids N_BASE and up
-    rows, new_loss, coupled = embed_increment(y_base, np.arange(N_BASE, N_BASE + N_NEW),
-                                              nbrs, weights)
+    rows, new_loss, coupled, _ = embed_increment(y_base, np.arange(N_BASE, N_BASE + N_NEW),
+                                                 nbrs, weights)
     inc_s = time.perf_counter() - t0
     print("placed %d new points in %.1f ms (%d with coupled neighborhoods)"
           % (N_NEW, 1000 * inc_s, coupled))

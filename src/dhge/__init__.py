@@ -14,8 +14,7 @@ from .model import ModelConfig, ModelParams, EmbeddingTable, train_epoch, embed_
 from .optim import AdamW
 from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
                           capture_alignment, ille_update)
-from .evaluation import (EvalProtocol, EvalReport, cosine_topk, hitrate_at_k,
-                         recall_at_k, ndcg_at_k, evaluate, evaluate_table,
+from .evaluation import (EvalProtocol, EvalReport, cosine_topk, evaluate, evaluate_table,
                          chronological_split)
 from .snapshot import (SnapshotFormatError, save_model, load_model,
                        save_table, load_table, save_alignment, load_alignment)
@@ -36,8 +35,7 @@ __all__ = [
     "AdamW",
     "UpdateConfig", "AlignmentState", "ColdIsolatedError",
     "capture_alignment", "ille_update",
-    "EvalProtocol", "EvalReport", "cosine_topk", "hitrate_at_k",
-    "recall_at_k", "ndcg_at_k", "evaluate", "evaluate_table",
+    "EvalProtocol", "EvalReport", "cosine_topk", "evaluate", "evaluate_table",
     "chronological_split",
     "SnapshotFormatError", "save_model", "load_model", "save_table",
     "load_table", "save_alignment", "load_alignment",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DataError, NodeRef, _ranges, _unique
+from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique
 from .seeding import _MASK, seed_states, seeded_choice_rows, TAG_EVALNEG
 from .tensor import NumericError
 
@@ -113,48 +113,25 @@ def _pool_scores(vecs, qns, item_vectors, norms, pools):
     return scores
 
 
-def hitrate_at_k(rankings, truths, k):
-    """Fraction of queries whose top-k contains at least one relevant item."""
-    hits = 0
-    for ranking, truth in zip(rankings, truths):
-        truth = _as_set(truth)
-        hits += any(item in truth for item in list(ranking)[:k])
-    return hits / len(rankings) if rankings else 0.0
-
-
-def recall_at_k(rankings, truths, k):
-    """Mean fraction of each query's relevant set retrieved in the top-k."""
-    total = 0.0
-    for ranking, truth in zip(rankings, truths):
-        truth = _as_set(truth)
-        if not truth:
-            continue
-        got = sum(1 for item in list(ranking)[:k] if item in truth)
-        total += got / len(truth)
-    return total / len(rankings) if rankings else 0.0
-
-
-def ndcg_at_k(rankings, truths, k):
-    """Binary-relevance NDCG: DCG normalized by the ideal ordering's DCG."""
-    total = 0.0
-    for ranking, truth in zip(rankings, truths):
-        truth = _as_set(truth)
-        dcg = 0.0
-        for pos, item in enumerate(list(ranking)[:k], start=1):
-            if item in truth:
-                dcg += 1.0 / np.log2(pos + 1)
-        ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, min(k, len(truth)) + 1))
-        if ideal > 0:
-            total += dcg / ideal
-    return total / len(rankings) if rankings else 0.0
-
-
-def _as_set(truth):
-    if isinstance(truth, (set, frozenset)):
-        return truth
-    if isinstance(truth, (list, tuple)) and not isinstance(truth, NodeRef):
-        return set(truth)
-    return {truth}
+def _metrics(relevant, n_truth, k_values):
+    """Hit rate, recall and NDCG at each k, as dicts keyed by k, from the
+    (users, max k) matrix of which ranked items are relevant and each
+    user's count of relevant items (at least one). Gains add by position
+    and user terms in user order, left to right as the per-user definitions
+    do, so sums run by ``np.cumsum``, never the pairwise ``np.sum``."""
+    n = len(relevant)
+    if not n:
+        return tuple({k: 0.0 for k in k_values} for _ in range(3))
+    gains = np.array([1.0 / np.log2(pos + 1) for pos in range(1, relevant.shape[1] + 1)])
+    hits = np.cumsum(relevant, axis=1)
+    dcg = np.cumsum(np.where(relevant, gains, 0.0), axis=1)
+    ideal = np.cumsum(gains)
+    hitrate, recall, ndcg = {}, {}, {}
+    for k in k_values:
+        hitrate[k] = int(np.count_nonzero(hits[:, k - 1])) / n
+        recall[k] = float(np.cumsum(hits[:, k - 1] / n_truth)[-1]) / n
+        ndcg[k] = float(np.cumsum(dcg[:, k - 1] / ideal[np.minimum(n_truth, k) - 1])[-1]) / n
+    return hitrate, recall, ndcg
 
 
 def _key_ints(key):
@@ -232,7 +209,8 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
     holds each test user's row once, in the order users are ranked, and
     ``states`` each one's ``seed_states`` column; ``tests`` is the (user
     row, item row, ts, tie) columns of the test events, where ``tie`` orders
-    equal-time events as their item keys do.
+    equal-time events as their item keys do. Either mode reduces its
+    rankings to a relevance matrix, which ``_metrics`` turns into the report.
     """
     t_user, t_item, t_ts, t_tie = tests
     if not len(t_user):
@@ -245,41 +223,42 @@ def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, prot
     events = (slot[t_user][order], t_item[order])
     norms = np.linalg.norm(item_vectors, axis=1)
     if protocol.negatives_per_user is None:
-        rankings, truths, n_unrankable = _full_rankings(
+        relevant, n_truth, n_unrankable = _full_rankings(
             user_vectors, item_vectors, norms, known, users, events, max(protocol.k_values))
         n_skipped = 0
     else:
-        rankings, truths, n_skipped, n_unrankable = _sampled_rankings(
+        relevant, n_truth, n_skipped, n_unrankable = _sampled_rankings(
             user_vectors, item_vectors, norms, known, users, states, events, protocol)
-    return EvalReport(hitrate={k: hitrate_at_k(rankings, truths, k) for k in protocol.k_values},
-                      recall={k: recall_at_k(rankings, truths, k) for k in protocol.k_values},
-                      ndcg={k: ndcg_at_k(rankings, truths, k) for k in protocol.k_values},
-                      n_users=len(rankings), n_skipped=n_skipped,
-                      n_unrankable=n_unrankable, wall_ms=0.0)
+    hitrate, recall, ndcg = _metrics(relevant, n_truth, protocol.k_values)
+    return EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg, n_users=len(relevant),
+                      n_skipped=n_skipped, n_unrankable=n_unrankable, wall_ms=0.0)
 
 
 def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_k):
     """Full-corpus mode: each user's items outside its known set, ranked in
-    turn by ``_ranked``; its truth is every test item."""
+    turn by ``_ranked``; its truth is every test item. Returns the relevance
+    of each user's top ``max_k``, matched against the sorted (user, test
+    item) keys, and each user's count of distinct test items."""
     indptr, known_items = known
     e_slot, e_item = events
-    bounds = np.searchsorted(e_slot, np.arange(len(users) + 1))
-    mask = np.empty(len(item_vectors), dtype=bool)
-    rankings, truths = [], []
+    n_items = len(item_vectors)
+    mask = np.empty(n_items, dtype=bool)
+    ranked = np.full((len(users), max_k), -1, dtype=np.int64)
     n_unrankable = 0
     for j, u in enumerate(users.tolist()):
+        qn = np.linalg.norm(user_vectors[u])
+        if qn == 0.0:
+            n_unrankable += 1
+            continue
         mask.fill(True)
         mask[known_items[indptr[u]:indptr[u + 1]]] = False
         pool = np.flatnonzero(mask)
-        truths.append(set(e_item[bounds[j]:bounds[j + 1]].tolist()))
-        qn = np.linalg.norm(user_vectors[u])
-        if qn == 0.0:
-            rankings.append([])
-            n_unrankable += 1
-        else:
-            idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
-            rankings.append(pool[idx].tolist())
-    return rankings, truths, n_unrankable
+        idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
+        ranked[j, :len(idx)] = pool[idx]
+    truth = _unique(e_slot * n_items + e_item)
+    _, relevant = _in_sorted(truth, np.arange(len(users))[:, None] * n_items + ranked)
+    return (relevant & (ranked >= 0), np.bincount(truth // n_items, minlength=len(users)),
+            n_unrankable)
 
 
 def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, events,
@@ -291,7 +270,11 @@ def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, e
     The candidates are counted from one sorted array of (user, blocked item)
     keys, every pool is drawn by ``seeded_choice_rows`` from the state each
     user's own ``derived_rng`` starts from, and the pools of a chunk of users
-    are scored by one stacked product.
+    are scored by one stacked product. No pool is sorted: the positive sits
+    in column 0, so its place in a stable sort on descending score is the
+    count of scores strictly above it, and a NaN positive's is the count of
+    scores that are not NaN. Returns the kept users' relevance matrix, true
+    at each scored user's rank if it is below ``max(k_values)``.
     """
     indptr, known_items = known
     e_slot, e_item = events
@@ -317,19 +300,21 @@ def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, e
               - b_start[live, None])
     positive = e_item[np.searchsorted(e_slot, slots)]
     pools = np.concatenate((positive[live, None], picks), axis=1)
-    ranked = []
+    rank = np.empty(len(live), dtype=np.int64)
     chunk = max(1, _CHUNK_FLOATS // ((n_neg + 1) * item_vectors.shape[1]))
     for c in range(0, len(live), chunk):
         at = slice(c, c + chunk)
         scores = _pool_scores(user_vectors[users[live[at]]], live_qns[at], item_vectors, norms,
                               pools[at])
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
-        ranked += np.take_along_axis(pools[at], top, axis=1).tolist()
-    rankings = [[] for _ in kept]
-    for j, ranking in zip(np.flatnonzero(scored).tolist(), ranked):
-        rankings[j] = ranking
-    truths = [{p} for p in positive[kept].tolist()]
-    return rankings, truths, len(users) - len(kept), len(kept) - len(live)
+        above = scores[:, 1:] > scores[:, :1]
+        nan = np.isnan(scores[:, 0])
+        above[nan] = ~np.isnan(scores[nan, 1:])
+        rank[at] = np.count_nonzero(above, axis=1)
+    relevant = np.zeros((len(kept), max_k), dtype=bool)
+    top = rank < max_k
+    relevant[np.flatnonzero(scored)[top], rank[top]] = True
+    return (relevant, np.ones(len(kept), dtype=np.int64), len(users) - len(kept),
+            len(kept) - len(live))
 
 
 def evaluate_table(graph, table, test_interactions, protocol, user_type, item_type,

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique, apply_increment, id_remap
 from .model import EmbeddingTable, init_features
@@ -269,9 +267,10 @@ def embed_increment(y, centers, nbrs, weights):
     (I - W_UU) X_U = B_U by one sparse LU factorization, B_U being their
     weighted sum of table rows and of the other new rows; a neighbor drawn
     twice counts twice. A row of U that reaches, along nonzero weights, no
-    row with a nonzero weight outside U has no unique value and is 0. An
-    exactly singular system raises ``SingularMatrixError``. Returns (rows,
-    loss, |U|), loss being the summed squared reconstruction residual.
+    row with a nonzero weight outside U has no unique value: it is 0, and
+    true in the returned ``unsolved`` mask. An exactly singular system
+    raises ``SingularMatrixError``. Returns (rows, loss, |U|, unsolved),
+    loss being the summed squared reconstruction residual.
     """
     centers = np.asarray(centers, dtype=np.int64)
     nbrs = np.asarray(nbrs, dtype=np.int64)
@@ -294,17 +293,14 @@ def embed_increment(y, centers, nbrs, weights):
                            y[np.where(coupled, 0, nbrs)])[:, 0]
     rows = table_part.copy()
     reads = coupled.any(axis=1)
+    solve = np.zeros(n_new, dtype=bool)
     if reads.any():
         inner = coupled & reads[pos]   # entries that read a row of U
         live = weights != 0
         # a row of U is solved if it reaches an anchor, a row with a live
-        # entry outside U; one search along the reversed reads finds them all
+        # entry outside U, along the live entries that read a row of U
         src, _ = np.nonzero(inner & live)
-        reach = scipy.sparse.csr_matrix((np.ones(len(src)), (pos[inner & live], src)),
-                                        shape=(n_new, n_new))
-        anchors = np.flatnonzero((live & ~inner).any(axis=1))
-        solve = reads & np.isfinite(scipy.sparse.csgraph.dijkstra(reach, indices=anchors,
-                                                                  min_only=True))
+        solve = reads & _reaching((live & ~inner).any(axis=1), src, pos[inner & live])
         rows[reads] = 0.0
         s, at = np.flatnonzero(solve), np.cumsum(solve) - 1
         inside = inner[s] & solve[pos[s]]
@@ -313,6 +309,7 @@ def embed_increment(y, centers, nbrs, weights):
                               np.where(inside, weights[s], 0.0))
         rhs = table_part[s] + np.matmul(np.where(coupled[s] & ~inside, weights[s], 0.0)[:, None, :],
                                         rows[pos[s]])[:, 0]
+        import scipy.sparse.linalg   # loaded by coupled batches only
         try:
             lu = scipy.sparse.linalg.splu(block.tocsc())
         except RuntimeError as exc:
@@ -321,7 +318,19 @@ def embed_increment(y, centers, nbrs, weights):
 
     resid = rows - table_part - np.matmul(np.where(coupled, weights, 0.0)[:, None, :],
                                           rows[pos])[:, 0]
-    return rows, float(np.sum(resid * resid)), int(reads.sum())
+    return rows, float(np.sum(resid * resid)), int(reads.sum()), reads & ~solve
+
+
+def _reaching(seeds, src, dst):
+    """Which nodes reach a seed along the edges ``src[e] -> dst[e]``, as a
+    boolean mask; ``seeds`` masks the seed nodes. Each array pass over the
+    edges adds every node with an edge into the reached set."""
+    reached = seeds.copy()
+    while True:
+        grow = src[reached[dst] & ~reached[src]]
+        if not len(grow):
+            return reached
+        reached[grow] = True
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +693,10 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     The update set is the batch's new nodes plus existing endpoints of its
     accepted new edges. New nodes are placed by ``embed_increment``, those
     that read another new node in one sparse direct solve; the report's
-    ``jacobi_sweeps`` counts them. Cold-isolated new nodes fall back to the
-    model's feature pathway and are counted in the report. ``report["stage_ms"]``
+    ``jacobi_sweeps`` counts them. New nodes with no neighbor, and new nodes
+    whose rows reach no existing node's row (``embed_increment``'s unsolved
+    rows), fall back to the model's feature pathway and are counted in the
+    report's ``n_cold_isolated``. ``report["stage_ms"]``
     splits the wall time into apply, sample, weights, embed, blend, refine
     and write-back.
     """
@@ -734,11 +745,13 @@ def ille_update(graph, batch, params, table, model_config, update_config,
                            centers, nbrs, update_config.eps)
     stages.lap("weights")
 
-    rows, reconstruction_loss, n_coupled = embed_increment(
+    rows, reconstruction_loss, n_coupled, unsolved = embed_increment(
         dense, centers[:n_new], nbrs[:n_new], weights[:n_new])
     dense[centers[:n_new]] = rows
 
-    # a cold node has no neighbors, so no other row reads it
+    # a cold node has no neighbors, so no other row reads it; a new node that
+    # reaches no anchor is read as 0 by the rows solved with it
+    cold = np.concatenate((cold, centers[:n_new][unsolved]))
     for g, (t, i) in zip(cold.tolist(), _refs(graph2, cold).tolist()):
         x_raw = graph2.feature_blocks[t][i][None, :]
         mask = graph2.mask_blocks[t][i][None, :]

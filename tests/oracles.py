@@ -17,8 +17,12 @@ package's full graph and table loads, then the full-sort ``_cosine_topk_ref``
 that ``cosine_topk``'s partial selection replaced. ``solve_ridge`` and
 ``blocks_equal`` are test helpers over the package's weight solve and
 tables.
+``hitrate_at_k``, ``recall_at_k`` and ``ndcg_at_k`` are the per-user
+metric definitions over ranked lists and truth sets that the evaluation's
+relevance-matrix core replaced; ``evaluate_loop`` scores with them.
 ``embed_increment_sweeps`` is the iteration that the coupled direct solve
-replaced, kept as the reference for that re-baseline.
+replaced, kept as the reference for that re-baseline; ``reaching_dijkstra``
+is the shortest-path search that its reachability pass replaced.
 ``load_graph_sets`` is the set-based loader that ``load_graph`` replaced;
 it and ``apply_increment_loop`` share the package's TSV row parsers and
 ``HeteroGraph`` constructor, whose index build the graph tests check.
@@ -393,6 +397,18 @@ def coupled_rows_dense(y, centers, nbrs, weights):
     lists = [[("u", unknown[int(n)]) if int(n) in unknown else ("k", int(n)) for n in row]
              for row in nbrs]
     return coupled_rows_solve(len(centers), lists, weights, y)
+
+
+def reaching_dijkstra(seeds, src, dst):
+    """Which nodes reach a seed along the edges ``src[e] -> dst[e]``, found
+    as ``embed_increment`` found its solvable rows before its frontier pass:
+    one ``scipy.sparse.csgraph.dijkstra`` from every seed along the reversed
+    edges, a node being reached where its distance is finite."""
+    import scipy.sparse.csgraph
+    n = len(seeds)
+    reach = scipy.sparse.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
+    return np.isfinite(scipy.sparse.csgraph.dijkstra(reach, indices=np.flatnonzero(seeds),
+                                                     min_only=True))
 
 
 def embed_increment_sweeps(y, centers, nbrs, weights, tol=1e-8, max_sweeps=100):
@@ -906,12 +922,57 @@ def _key_ints_ref(key):
     return [int(key)]
 
 
+def hitrate_at_k(rankings, truths, k):
+    """Fraction of queries whose top-k contains at least one relevant item."""
+    hits = 0
+    for ranking, truth in zip(rankings, truths):
+        truth = _as_set(truth)
+        hits += any(item in truth for item in list(ranking)[:k])
+    return hits / len(rankings) if rankings else 0.0
+
+
+def recall_at_k(rankings, truths, k):
+    """Mean fraction of each query's relevant set retrieved in the top-k."""
+    total = 0.0
+    for ranking, truth in zip(rankings, truths):
+        truth = _as_set(truth)
+        if not truth:
+            continue
+        got = sum(1 for item in list(ranking)[:k] if item in truth)
+        total += got / len(truth)
+    return total / len(rankings) if rankings else 0.0
+
+
+def ndcg_at_k(rankings, truths, k):
+    """Binary-relevance NDCG: DCG normalized by the ideal ordering's DCG."""
+    total = 0.0
+    for ranking, truth in zip(rankings, truths):
+        truth = _as_set(truth)
+        dcg = 0.0
+        for pos, item in enumerate(list(ranking)[:k], start=1):
+            if item in truth:
+                dcg += 1.0 / np.log2(pos + 1)
+        ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, min(k, len(truth)) + 1))
+        if ideal > 0:
+            total += dcg / ideal
+    return total / len(rankings) if rankings else 0.0
+
+
+def _as_set(truth):
+    from dhge.graph import NodeRef
+    if isinstance(truth, (set, frozenset)):
+        return truth
+    if isinstance(truth, (list, tuple)) and not isinstance(truth, NodeRef):
+        return set(truth)
+    return {truth}
+
+
 def evaluate_loop(user_vectors, user_keys, item_vectors, item_keys,
                   test_interactions, protocol, known_interactions=()):
     """The per-user ``evaluate``: key sets, a Python candidate list and a
     fresh ``derived_rng`` per user, one cosine ranking per pool."""
     import time
-    from dhge.evaluation import EvalReport, hitrate_at_k, ndcg_at_k, recall_at_k
+    from dhge.evaluation import EvalReport
     from dhge.graph import DataError
     from dhge.seeding import TAG_EVALNEG, derived_rng
     t0 = time.perf_counter()

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 import dhge.evaluation
-from dhge.evaluation import (EvalProtocol, cosine_topk,
-                             hitrate_at_k, recall_at_k, ndcg_at_k,
-                             evaluate, evaluate_table, chronological_split)
+from dhge.evaluation import (EvalProtocol, cosine_topk, evaluate, evaluate_table,
+                             chronological_split)
 from dhge.graph import DataError, NodeRef
 from dhge.model import EmbeddingTable
 from dhge.tensor import NumericError
 from conftest import build_graph, tiny_bipartite
-from oracles import _cosine_topk_ref, evaluate_loop, evaluate_table_loop, ndcg_ref
+from oracles import (_cosine_topk_ref, evaluate_loop, evaluate_table_loop, hitrate_at_k,
+                     ndcg_at_k, ndcg_ref, recall_at_k)
 
 
 def basis(n, dim):
@@ -516,6 +516,84 @@ class TestEvaluateMatchesLoop:
                 with pytest.raises(DataError, match=r"unknown item .*intra_id=-2"):
                     fn(g, table, tests + [(NodeRef(0, 2), NodeRef(1, -2), 1.0)], proto, 0, 1,
                        missing)
+
+
+def _hex_fields(report):
+    """``_fields`` with every metric value as ``float.hex``, so equal means
+    equal bits."""
+    out = _fields(report)
+    for name in ("hitrate", "recall", "ndcg"):
+        out[name] = {k: float.hex(float(v)) for k, v in out[name].items()}
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestMetricCore:
+    """The relevance-matrix metrics of both modes against the per-user
+    definitions ``evaluate_loop`` scores with, compared by ``float.hex``, at
+    k values up to past every pool. An inf entry makes NaN scores."""
+
+    K_VALUES = (1, 3, 10, 150)
+
+    def _world(self, seed):
+        # -1/0/1 rows tie often; item 0 is zero-norm and item 1 holds an inf
+        # (its scores are NaN); item 3 copies item 2. User 0 is zero-norm,
+        # user 1's first positive is item 0, user 2's is item 1 and user 3's
+        # item 2, which item 3 ties; user 4 knows all but two items, and user
+        # 5 holds out twelve, so its ideal DCG sums up to ten gains
+        rng = np.random.default_rng(seed)
+        n_u, n_i = int(rng.integers(6, 12)), int(rng.integers(14, 30))
+        users, items = _grid_vectors(rng, n_u), _grid_vectors(rng, n_i)
+        users[0] = 0.0
+        users[3] = items[2] = items[3] = [1.0, 1.0, 0.0]
+        items[0] = 0.0
+        items[1] = [np.inf, 0.0, 1.0]
+        ukeys = [NodeRef(0, j) for j in range(n_u)]
+        ikeys = [NodeRef(1, j) for j in range(n_i)]
+        tests = [(ukeys[1], ikeys[0], 0.0), (ukeys[2], ikeys[1], 0.0), (ukeys[3], ikeys[2], 0.0),
+                 (ukeys[4], ikeys[n_i - 1], 0.0)]
+        for u in range(n_u):
+            for _ in range(int(rng.integers(1, 5))):
+                tests.append((ukeys[u], ikeys[int(rng.integers(n_i))], float(rng.integers(1, 4))))
+        tests += [(ukeys[5], ikeys[j], 5.0) for j in rng.permutation(n_i)[:12].tolist()]
+        known = [(ukeys[4], ikeys[j]) for j in range(n_i - 2)]
+        known += [(ukeys[int(rng.integers(5, n_u))], ikeys[int(rng.integers(4, n_i))])
+                  for _ in range(2 * n_u)]
+        return users, ukeys, items, ikeys, tests, known
+
+    def test_keyed_evaluate_bit_for_bit(self):
+        totals = dict(n_skipped=0, n_unrankable=0, partial=0)
+        for seed in range(25):
+            users, ukeys, items, ikeys, tests, known = self._world(seed)
+            n_i = len(ikeys)
+            # the last protocol draws every candidate of users 2 and 3, so
+            # item 3 ties user 3's positive in its pool
+            for n_neg in (None, 1, 4, 9, n_i - 4):
+                proto = EvalProtocol(k_values=self.K_VALUES, negatives_per_user=n_neg,
+                                     rng_seed=seed)
+                got = evaluate(users, ukeys, items, ikeys, tests, proto, known)
+                want = evaluate_loop(users, ukeys, items, ikeys, tests, proto, known)
+                assert _hex_fields(got) == _hex_fields(want), (seed, n_neg)
+                totals["n_skipped"] += got.n_skipped
+                totals["n_unrankable"] += got.n_unrankable
+                totals["partial"] += 0.0 < got.recall[10] < got.recall[150]
+        assert all(totals.values()), totals
+
+    def test_evaluate_table_bit_for_bit(self):
+        world = TestEvaluateMatchesLoop()._table_world
+        for seed in range(30):
+            for user_type, item_type in ((0, 2), (2, 0)):
+                g, table, tests = world(seed, user_type, item_type)
+                for n_neg in (None, 1, 3, 6):
+                    proto = EvalProtocol(k_values=self.K_VALUES, negatives_per_user=n_neg,
+                                         rng_seed=seed)
+                    for missing in ("drop", "miss"):
+                        args = (g, table, tests, proto, user_type, item_type, missing)
+                        try:
+                            want = _hex_fields(evaluate_table_loop(*args))
+                        except DataError:
+                            continue
+                        assert _hex_fields(evaluate_table(*args)) == want, (seed, n_neg)
 
 
 class TestChronologicalSplit:

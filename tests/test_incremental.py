@@ -1,24 +1,32 @@
 """Incremental embedding machinery against independent dense oracles."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from dhge import incremental
 from dhge.fixtures import gen_planted_bipartite
 from dhge.graph import DataError, NodeRef, IncrementBatch, apply_increment, load_graph
+from dhge.config import RunConfig
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
+from dhge.pipeline import cmd_retrieve, write_snapshot
 from dhge.incremental import (ColdIsolatedError, bfs_neighbors,
                               reconstruction_weights, residual_blend,
                               embed_increment, capture_alignment,
                               AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
-                              _neighborhoods, _reconstruction_operator, _weight_rows)
+                              _neighborhoods, _reaching, _reconstruction_operator,
+                              _weight_rows)
 from dhge.seeding import TAG_BFS, mix, mix_many, seed_states
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
 from oracles import (all_refs, bfs_neighbors_loop, blocks_equal, constrained_weights,
                      coupled_rows_dense, coupled_rows_solve, embed_increment_sweeps,
                      full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
-                     neighborhoods_loop, reconstruction_operator_loop,
+                     neighborhoods_loop, reaching_dijkstra, reconstruction_operator_loop,
                      reconstruction_weights_loop, refine_per_trial)
 from test_bench_contract import _bench_module
 from update_scaling import scaling_graph
@@ -256,24 +264,25 @@ class TestEmbedIncrement:
         y = self._table(rng)
         nbrs = [1, 7, 3]
         w = np.array([0.5, 0.25, 0.25])
-        rows, loss, n_coupled = embed_increment(y, [4], [nbrs], [w])
+        rows, loss, n_coupled, unsolved = embed_increment(y, [4], [nbrs], [w])
         # a row that reads no new node is the per-row product, bit for bit
         assert rows[0].tobytes() == (w @ y[nbrs]).tobytes()
         assert loss <= 1e-24
-        assert n_coupled == 0
+        assert n_coupled == 0 and unsolved.tolist() == [False]
 
     def test_coupled_pair_matches_dense_solve(self, rng):
         y = self._table(rng)
         a, b = 4, 9
         wa = np.array([0.4, 0.3, 0.3])
         wb = np.array([0.5, 0.5, 0.0])
-        rows, loss, n_coupled = embed_increment(y, [a, b], [[b, 0, 1], [a, 5, 5]], [wa, wb])
+        rows, loss, n_coupled, unsolved = embed_increment(y, [a, b], [[b, 0, 1], [a, 5, 5]],
+                                                          [wa, wb])
         want = coupled_rows_solve(
             2,
             [[("u", 1), ("k", 0), ("k", 1)], [("u", 0), ("k", 2), ("k", 2)]],
             [wa, wb],
             np.stack([y[0], y[1], y[5]]))
-        assert n_coupled == 2
+        assert n_coupled == 2 and not unsolved.any()
         assert _max_rel(rows, want) <= 1e-10
         assert loss <= 1e-18
 
@@ -282,7 +291,7 @@ class TestEmbedIncrement:
         # radius is 2, where sweeps diverge; the direct solve does not care
         y = self._table(rng)
         w = np.array([2.0, -1.0])
-        rows, loss, n_coupled = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
+        rows, loss, n_coupled, _ = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
         want = coupled_rows_solve(2, [[("u", 1), ("k", 0)], [("u", 0), ("k", 1)]], [w, w],
                                   np.stack([y[0], y[5]]))
         assert n_coupled == 2
@@ -294,23 +303,25 @@ class TestEmbedIncrement:
         # 4 reads only 9 and 9 reads only 4: any equal pair of rows solves
         # the equations, so neither has a unique value
         y = self._table(rng)
-        rows, loss, n_coupled = embed_increment(y, [4, 9], [[9], [4]], [np.ones(1), np.ones(1)])
+        rows, loss, n_coupled, unsolved = embed_increment(y, [4, 9], [[9], [4]],
+                                                          [np.ones(1), np.ones(1)])
         assert not rows.any() and loss == 0.0 and n_coupled == 2
+        assert unsolved.tolist() == [True, True]
 
     def test_pair_with_zero_table_weights_is_zero(self, rng):
         y = self._table(rng)
         w = np.array([1.0, 0.0])
-        rows, loss, _ = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
-        assert not rows.any() and loss == 0.0
+        rows, loss, _, unsolved = embed_increment(y, [4, 9], [[9, 0], [4, 5]], [w, w])
+        assert not rows.any() and loss == 0.0 and unsolved.all()
 
     def test_unanchored_row_does_not_move_the_rest(self, rng):
         # 9 and 8 read only each other; 4 reads 9 and a table row, so it is
         # its table part while 9 and 8 stay 0
         y = self._table(rng)
-        rows, loss, n_coupled = embed_increment(
+        rows, loss, n_coupled, unsolved = embed_increment(
             y, [4, 9, 8], [[9, 0], [8, 8], [9, 9]],
             [np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.5])])
-        assert n_coupled == 3
+        assert n_coupled == 3 and unsolved.tolist() == [False, True, True]
         assert not rows[1:].any()
         assert np.array_equal(rows[0], 0.5 * y[0])
         assert loss == 0.0
@@ -327,8 +338,8 @@ class TestEmbedIncrement:
         y = self._table(rng)
         nbrs = [[0, 1], [9, 3], [4, 3]]
         w = [np.array([0.6, 0.4]), np.array([0.3, 0.7]), np.array([0.8, 0.2])]
-        rows, loss, n_coupled = embed_increment(y, [3, 4, 9], nbrs, w)
-        assert n_coupled == 2
+        rows, loss, n_coupled, unsolved = embed_increment(y, [3, 4, 9], nbrs, w)
+        assert n_coupled == 2 and not unsolved.any()
         assert _max_rel(rows, coupled_rows_dense(y, [3, 4, 9], nbrs, w)) <= 1e-10
         assert loss <= 1e-24
 
@@ -341,6 +352,20 @@ class TestEmbedIncrement:
         for y, centers, nbrs, weights, rows, _ in calls:
             want, _, _ = embed_increment_sweeps(y, centers, nbrs, weights)
             assert np.max(np.abs(rows - want)) <= 1e-7
+
+    def test_reaching_matches_dijkstra(self, rng):
+        # random sparse read graphs with cycles, self-loops, repeated edges,
+        # chains longer than one pass and no seed at all
+        for trial in range(200):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 3 * n))
+            src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+            if trial % 10 == 0:
+                src, dst = np.arange(1, n), np.arange(n - 1)   # a chain into node 0
+            seeds = rng.random(n) < (0.0 if trial % 7 == 0 else 0.15)
+            seeds[0] |= trial % 10 == 0
+            got = _reaching(seeds, src, dst)
+            assert got.tolist() == reaching_dijkstra(seeds, src, dst).tolist(), trial
 
     def test_unknown_neighbor_rejected(self, rng):
         y = self._table(rng)
@@ -368,7 +393,7 @@ def _resident_chain(monkeypatch, workdir, seed, weight_space):
 
     def record(y, centers, nbrs, weights):
         out = embed_increment(y, centers, nbrs, weights)
-        calls.append((y.copy(), centers, nbrs, weights, *out[::2]))
+        calls.append((y.copy(), centers, nbrs, weights, out[0], out[2]))
         return out
 
     monkeypatch.setattr(incremental, "embed_increment", record)
@@ -781,6 +806,63 @@ class TestIlleUpdate:
         assert report["n_cold_isolated"] == 1
         assert np.all(np.isfinite(table2.blocks[0][3]))
         assert np.any(table2.blocks[0][3] != 0.0)
+
+    def test_unanchored_new_pair_uses_feature_pathway(self, tmp_path):
+        # a new user and a new item linked only to each other read only each
+        # other's rows, so embed_increment leaves both unsolved
+        g, cfg, params, table = self._setup()
+        u, it = g.counts
+        batch = IncrementBatch(
+            new_nodes=[(NodeRef(0, u), np.ones(5), np.ones(5, dtype=bool)),
+                       (NodeRef(1, it), None, None)],
+            new_edges=[(NodeRef(0, u), NodeRef(1, it), 0, 50.0),
+                       (NodeRef(1, it), NodeRef(0, u), 1, 50.0)],
+            batch_time=50.0)
+        ucfg = UpdateConfig(k=2)
+        alignment = capture_alignment(g, table, k=2, eps=ucfg.eps, rng_seed=0)
+        g2, params2, table2, report, alignment2 = ille_update(
+            g, batch, params, table, cfg, ucfg, alignment=alignment, rng_seed=1)
+        assert report["n_cold_isolated"] == 2 and report["jacobi_sweeps"] == 2
+        for row in (table2.blocks[0][u], table2.blocks[1][it]):
+            assert np.all(np.isfinite(row)) and np.any(row != 0.0)
+        run = RunConfig.from_text("")
+        run.paths["snapshot_dir"] = str(tmp_path)
+        write_snapshot(tmp_path, "incremental", cfg, params2, table2, alignment2, "0" * 64,
+                       None, [], graph=g2)
+        hits = cmd_retrieve(run, u, k=3)
+        assert len(hits) == 3 and all(np.isfinite(h["score"]) for h in hits)
+
+    def test_uncoupled_update_loads_no_sparse_solver(self):
+        # scipy's sparse LU and graph-search modules stay unloaded when no
+        # new node reads another
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from conftest import tiny_bipartite, tiny_params
+            from dhge.graph import IncrementBatch, NodeRef
+            from dhge.incremental import UpdateConfig, capture_alignment, ille_update
+            from dhge.model import embed_all
+            g = tiny_bipartite()
+            cfg, params = tiny_params(g)
+            table = embed_all(g, params, cfg, version=1)
+            ucfg = UpdateConfig(k=2)
+            alignment = capture_alignment(g, table, k=2, eps=ucfg.eps, rng_seed=0)
+            batch = IncrementBatch(
+                new_nodes=[(NodeRef(0, 3), np.ones(5), np.ones(5, dtype=bool))],
+                new_edges=[(NodeRef(0, 3), NodeRef(1, 1), 0, 50.0)], batch_time=50.0)
+            report = ille_update(g, batch, params, table, cfg, ucfg, alignment=alignment,
+                                 rng_seed=1)[3]
+            assert report["n_new_nodes"] == 1 and report["jacobi_sweeps"] == 0
+            print(sorted(m for m in sys.modules
+                         if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph"))))
+            """)
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     def test_determinism_per_seed(self):
         g, cfg, params, table = self._setup()
