@@ -9,13 +9,12 @@ Includes retrieval-style evaluation and a versioned snapshot store.
 from .tensor import NumericError, SingularMatrixError, Tensor, Param, backward
 from .graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                     HeteroGraph, IncrementBatch, load_graph, save_graph,
-                    load_schema, read_increment, graphs_equal)
+                    load_schema, read_increment)
 from .model import ModelConfig, ModelParams, EmbeddingTable, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
                           capture_alignment, ille_update)
-from .evaluation import (EvalProtocol, EvalReport, cosine_topk, evaluate, evaluate_table,
-                         chronological_split)
+from .evaluation import EvalProtocol, EvalReport, cosine_topk, evaluate_table
 from .snapshot import (SnapshotFormatError, save_model, load_model,
                        save_table, load_table, save_alignment, load_alignment)
 from .config import ConfigError, RunConfig
@@ -30,13 +29,12 @@ __all__ = [
     "NumericError", "SingularMatrixError", "Tensor", "Param", "backward",
     "DataError", "GraphFormatError", "NodeRef", "RelationSchema",
     "HeteroGraph", "IncrementBatch", "load_graph", "save_graph",
-    "load_schema", "read_increment", "graphs_equal",
+    "load_schema", "read_increment",
     "ModelConfig", "ModelParams", "EmbeddingTable", "train_epoch", "embed_all",
     "AdamW",
     "UpdateConfig", "AlignmentState", "ColdIsolatedError",
     "capture_alignment", "ille_update",
-    "EvalProtocol", "EvalReport", "cosine_topk", "evaluate", "evaluate_table",
-    "chronological_split",
+    "EvalProtocol", "EvalReport", "cosine_topk", "evaluate_table",
     "SnapshotFormatError", "save_model", "load_model", "save_table",
     "load_table", "save_alignment", "load_alignment",
     "ConfigError", "RunConfig",

@@ -1,19 +1,19 @@
 """Top-K retrieval metrics over embedding tables.
 
 Rankings are by cosine similarity with deterministic tie handling: equal
-scores order by ascending item key, and zero-norm item vectors sort after
+scores order by ascending item row, and zero-norm item vectors sort after
 every real score. The sampled protocol ranks each user's earliest held-out
 positive against per-user seeded negatives drawn from non-interacted items.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique
-from .seeding import _MASK, seed_states, seeded_choice_rows, TAG_EVALNEG
+from .seeding import seed_states, seeded_choice_rows, TAG_EVALNEG
 from .tensor import NumericError
 
 _CHUNK_FLOATS = 1 << 16   # item-vector floats gathered per stacked pool product
@@ -134,106 +134,6 @@ def _metrics(relevant, n_truth, k_values):
     return hitrate, recall, ndcg
 
 
-def _key_ints(key):
-    if isinstance(key, (tuple, NodeRef)):
-        return [int(x) for x in key]
-    return [int(key)]
-
-
-def evaluate(user_vectors, user_keys, item_vectors, item_keys,
-             test_interactions, protocol, known_interactions=()):
-    """Rank held-out positives for each test user and aggregate metrics.
-
-    ``test_interactions`` is a list of (user_key, item_key, timestamp).
-    Sampled mode scores each user's earliest positive against
-    ``negatives_per_user`` seeded draws from items the user never interacted
-    with; users without enough candidates are skipped. Full-corpus mode
-    (``negatives_per_user=None``) ranks every item outside the user's known
-    interactions against the whole held-out set. Users whose vector has zero
-    norm are unrankable and count as misses.
-
-    Keys are mapped to table rows once; the ranking itself runs on rows.
-    """
-    t0 = time.perf_counter()
-    user_keys, item_keys = list(user_keys), list(item_keys)
-    user_row = {k: i for i, k in enumerate(user_keys)}
-    item_row = {k: i for i, k in enumerate(item_keys)}
-    if len(user_row) != len(user_vectors) or len(item_row) != len(item_vectors):
-        raise DataError("duplicate or missing keys for evaluation tables")
-    known = np.array([(user_row[u], item_row[i]) for u, i in known_interactions
-                      if u in user_row and i in item_row], dtype=np.int64).reshape(-1, 2)
-    order = np.argsort(known[:, 0], kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(known[:, 0],
-                                                        minlength=len(user_keys)))))
-    tests = []
-    for u, i, ts in test_interactions:
-        if u not in user_row:
-            continue  # user unknown to this table version
-        if i not in item_row:
-            raise DataError("test interaction references unknown item %r" % (i,))
-        tests.append((user_row[u], item_row[i], float(ts)))
-    t_user = np.array([u for u, _, _ in tests], dtype=np.int64)
-    t_item = np.array([i for _, i, _ in tests], dtype=np.int64)
-    # users in order of their keys, and equal-time events in order of theirs
-    users = sorted(dict.fromkeys(t_user.tolist()), key=lambda r: _key_ints(user_keys[r]))
-    tie = {r: j for j, r in enumerate(sorted(set(t_item.tolist()),
-                                             key=lambda r: _key_ints(item_keys[r])))}
-    report = _evaluate_rows(
-        user_vectors, item_vectors, (indptr, known[order, 1]),
-        np.array(users, dtype=np.int64),
-        _user_states([_key_ints(user_keys[r]) for r in users], protocol.rng_seed),
-        (t_user, t_item, np.array([ts for _, _, ts in tests]),
-         np.array([tie[i] for i in t_item.tolist()], dtype=np.int64)),
-        protocol)
-    report.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return report
-
-
-def _user_states(keys, rng_seed):
-    """``seed_states`` of (TAG_EVALNEG, rng_seed, *key) per key-int list,
-    one call per key length."""
-    states = np.empty((4, len(keys)), dtype=np.uint64)
-    width = np.array([len(k) for k in keys], dtype=np.int64)
-    for n in np.unique(width).tolist():
-        at = np.flatnonzero(width == n)
-        cols = np.array([[x & _MASK for x in keys[j]] for j in at.tolist()],
-                        dtype=np.int64).reshape(len(at), n)
-        states[:, at] = seed_states(TAG_EVALNEG, rng_seed, *cols.T)
-    return states
-
-
-def _evaluate_rows(user_vectors, item_vectors, known, users, states, tests, protocol):
-    """The array core of ``evaluate`` and ``evaluate_table``.
-
-    ``known`` is a CSR pair (indptr over user rows, item rows); ``users``
-    holds each test user's row once, in the order users are ranked, and
-    ``states`` each one's ``seed_states`` column; ``tests`` is the (user
-    row, item row, ts, tie) columns of the test events, where ``tie`` orders
-    equal-time events as their item keys do. Either mode reduces its
-    rankings to a relevance matrix, which ``_metrics`` turns into the report.
-    """
-    t_user, t_item, t_ts, t_tie = tests
-    if not len(t_user):
-        raise DataError("no evaluable test interactions")
-    user_vectors = np.asarray(user_vectors, dtype=np.float64)
-    item_vectors = np.asarray(item_vectors, dtype=np.float64)
-    slot = np.empty(len(user_vectors), dtype=np.int64)
-    slot[users] = np.arange(len(users))
-    order = np.lexsort((t_tie, t_ts, slot[t_user]))
-    events = (slot[t_user][order], t_item[order])
-    norms = np.linalg.norm(item_vectors, axis=1)
-    if protocol.negatives_per_user is None:
-        relevant, n_truth, n_unrankable = _full_rankings(
-            user_vectors, item_vectors, norms, known, users, events, max(protocol.k_values))
-        n_skipped = 0
-    else:
-        relevant, n_truth, n_skipped, n_unrankable = _sampled_rankings(
-            user_vectors, item_vectors, norms, known, users, states, events, protocol)
-    hitrate, recall, ndcg = _metrics(relevant, n_truth, protocol.k_values)
-    return EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg, n_users=len(relevant),
-                      n_skipped=n_skipped, n_unrankable=n_unrankable, wall_ms=0.0)
-
-
 def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_k):
     """Full-corpus mode: each user's items outside its known set, ranked in
     turn by ``_ranked``; its truth is every test item. Returns the relevance
@@ -261,20 +161,21 @@ def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_
             n_unrankable)
 
 
-def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, events,
-                      protocol):
+def _sampled_rankings(user_vectors, item_vectors, norms, known, users, events, protocol,
+                      user_type):
     """Sampled mode: each user's earliest test item ranked against
     ``negatives_per_user`` draws from the items it neither knows nor holds
     out; users with fewer such candidates are skipped.
 
     The candidates are counted from one sorted array of (user, blocked item)
-    keys, every pool is drawn by ``seeded_choice_rows`` from the state each
-    user's own ``derived_rng`` starts from, and the pools of a chunk of users
-    are scored by one stacked product. No pool is sorted: the positive sits
-    in column 0, so its place in a stable sort on descending score is the
-    count of scores strictly above it, and a NaN positive's is the count of
-    scores that are not NaN. Returns the kept users' relevance matrix, true
-    at each scored user's rank if it is below ``max(k_values)``.
+    keys, every pool is drawn by ``seeded_choice_rows`` from the state a
+    fresh ``derived_rng(TAG_EVALNEG, rng_seed, user_type, user row)``
+    starts from, and the pools of a chunk of users are scored by one
+    stacked product. No pool is sorted: the positive sits in column 0, so
+    its place in a stable sort on descending score is the count of scores
+    strictly above it, and a NaN positive's is the count of scores that are
+    not NaN. Returns the kept users' relevance matrix, true at each scored
+    user's rank if it is below ``max(k_values)``.
     """
     indptr, known_items = known
     e_slot, e_item = events
@@ -292,7 +193,8 @@ def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, e
     qns = np.array([np.linalg.norm(user_vectors[u]) for u in users[kept].tolist()])
     scored = qns != 0.0
     live, live_qns = kept[scored], qns[scored]
-    picks = seeded_choice_rows(states[:, live], n_cands[live], n_neg)
+    picks = seeded_choice_rows(seed_states(TAG_EVALNEG, protocol.rng_seed, user_type, users[live]),
+                               n_cands[live], n_neg)
     # candidate r of a user is item r + #{its blocked items m: item_m - m <= r}
     b_start = np.cumsum(n_blocked) - n_blocked
     gaps = blocked - (np.arange(len(blocked)) - b_start[b_slot])
@@ -317,18 +219,33 @@ def _sampled_rankings(user_vectors, item_vectors, norms, known, users, states, e
             len(kept) - len(live))
 
 
+def check_missing_users(mode):
+    """``ValueError`` unless ``mode`` is one of ``evaluate_table``'s two."""
+    if mode not in ("drop", "miss"):
+        raise ValueError("missing_users must be 'drop' or 'miss', not %r" % (mode,))
+
+
 def evaluate_table(graph, table, test_interactions, protocol, user_type, item_type,
                    missing_users="drop"):
-    """``evaluate`` over a graph + embedding table, on rows instead of keys.
+    """Rank held-out positives for each test user and aggregate metrics.
 
     Test interactions are (user NodeRef, item NodeRef, ts); a user's known
     items are its adjacency row, which for all users is one contiguous run
-    of the graph's CSR arrays. Test users beyond the table's rows (events
-    newer than the snapshot) are dropped by default;
-    ``missing_users="miss"`` scores them as guaranteed misses instead, which
-    is how a stale snapshot behaves in serving. A negative user id, or a
-    negative item id of a user the table holds, is a ``DataError``.
+    of the graph's CSR arrays. Sampled mode scores each user's earliest
+    positive (equal times in item order) against ``negatives_per_user``
+    seeded draws from items the user never interacted with; users without
+    enough candidates are skipped. Full-corpus mode
+    (``negatives_per_user=None``) ranks every item outside the user's known
+    interactions against the whole held-out set. Users whose vector has
+    zero norm are unrankable and count as misses.
+
+    Test users beyond the table's rows (events newer than the snapshot) are
+    dropped by default; ``missing_users="miss"`` scores them as guaranteed
+    misses instead, which is how a stale snapshot behaves in serving. Any
+    other mode is a ``ValueError``. A negative user id, or a negative item
+    id of a user the table holds, is a ``DataError``.
     """
+    check_missing_users(missing_users)
     t0 = time.perf_counter()
     n_users, n_items = len(table.blocks[user_type]), len(table.blocks[item_type])
     refs = np.array([(u[0], u[1], i[0], i[1]) for u, i, _ in test_interactions],
@@ -336,15 +253,18 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     typed = (refs[:, 0] == user_type) & (refs[:, 2] == item_type)
     fits = typed & (refs[:, 1] < n_users) & (refs[:, 3] < n_items)
     missing = typed & ~fits
+    miss = missing_users == "miss" and missing.any()
     for rows, col, what, t in ((typed, 1, "user", user_type), (fits, 3, "item", item_type)):
         bad = np.flatnonzero(rows & (refs[:, col] < 0))
         if len(bad):
             raise DataError("test interaction references unknown %s %r"
                             % (what, NodeRef(t, int(refs[bad[0], col]))))
-    if not fits.any() and missing_users == "miss" and missing.any():
+    if not fits.any() and miss:
         zeros = {k: 0.0 for k in protocol.k_values}
         report = EvalReport(hitrate=dict(zeros), recall=dict(zeros), ndcg=dict(zeros),
                             n_users=0, n_skipped=0, n_unrankable=0, wall_ms=0.0)
+    elif not fits.any():
+        raise DataError("no evaluable test interactions")
     else:
         n_graph = min(graph.counts[user_type], n_users)
         first = graph.offsets[user_type]
@@ -356,12 +276,25 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
         indptr = np.concatenate((indptr, np.full(n_users - n_graph, indptr[-1])))
         rows = refs[fits]
         ts = np.array([float(t) for _, _, t in test_interactions])[fits]
-        users = np.unique(rows[:, 1])   # user keys (user_type, row) sort by row
-        report = _evaluate_rows(table.blocks[user_type], table.blocks[item_type],
-                                (indptr, items[hit]), users,
-                                seed_states(TAG_EVALNEG, protocol.rng_seed, user_type, users),
-                                (rows[:, 1], rows[:, 3], ts, rows[:, 3]), protocol)
-    if missing_users == "miss" and missing.any():
+        users = np.unique(rows[:, 1])   # users are ranked in row order
+        # each user's events by time, equal times by item row
+        order = np.lexsort((rows[:, 3], ts, rows[:, 1]))
+        events = (np.searchsorted(users, rows[order, 1]), rows[order, 3])
+        user_vectors = np.asarray(table.blocks[user_type], dtype=np.float64)
+        item_vectors = np.asarray(table.blocks[item_type], dtype=np.float64)
+        norms = np.linalg.norm(item_vectors, axis=1)
+        known = (indptr, items[hit])
+        if protocol.negatives_per_user is None:
+            relevant, n_truth, n_unrankable = _full_rankings(
+                user_vectors, item_vectors, norms, known, users, events, max(protocol.k_values))
+            n_skipped = 0
+        else:
+            relevant, n_truth, n_skipped, n_unrankable = _sampled_rankings(
+                user_vectors, item_vectors, norms, known, users, events, protocol, user_type)
+        hitrate, recall, ndcg = _metrics(relevant, n_truth, protocol.k_values)
+        report = EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg, n_users=len(relevant),
+                            n_skipped=n_skipped, n_unrankable=n_unrankable, wall_ms=0.0)
+    if miss:
         # stale-snapshot semantics: users whose events cannot be served by
         # this table version are unrankable, diluting every metric to zero
         n_missed = np.setdiff1d(refs[missing, 1], refs[fits, 1]).size
@@ -375,22 +308,3 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     report.table_version = table.version
     report.wall_ms = (time.perf_counter() - t0) * 1000.0
     return report
-
-
-def chronological_split(interactions, fractions=(0.8, 0.1, 0.1)):
-    """Stable timestamp-ordered split into (train, valid, test) lists.
-
-    ``interactions`` entries must carry the timestamp at index 2. Equal
-    timestamps keep their input order (stable sort), so boundary placement
-    is deterministic.
-    """
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must be three non-negative values summing to 1")
-    order = sorted(range(len(interactions)), key=lambda j: interactions[j][2])
-    n = len(interactions)
-    c1 = int(round(n * fractions[0]))
-    c2 = int(round(n * (fractions[0] + fractions[1])))
-    train = [interactions[j] for j in order[:c1]]
-    valid = [interactions[j] for j in order[c1:c2]]
-    test = [interactions[j] for j in order[c2:]]
-    return train, valid, test

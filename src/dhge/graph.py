@@ -277,27 +277,6 @@ def _pair_key(a, b):
     return np.asarray(a, dtype=np.int64) * _KEY_SHIFT + np.asarray(b, dtype=np.int64)
 
 
-def graphs_equal(a, b):
-    """Structural equality: schema, blocks, and edge sets (order-insensitive)."""
-    if a.schema != b.schema or a.counts != b.counts:
-        return False
-    for fa, fb, ma, mb in zip(a.feature_blocks, b.feature_blocks, a.mask_blocks, b.mask_blocks):
-        if not (np.array_equal(fa, fb) and np.array_equal(ma, mb)):
-            return False
-    for r in range(a.schema.num_relations):
-        ea = np.stack([a.rel_src[r], a.rel_dst[r]], axis=1)
-        eb = np.stack([b.rel_src[r], b.rel_dst[r]], axis=1)
-        if ea.shape != eb.shape:
-            return False
-        ia = np.lexsort((a.rel_dst[r], a.rel_src[r]))
-        ib = np.lexsort((b.rel_dst[r], b.rel_src[r]))
-        if not np.array_equal(ea[ia], eb[ib]):
-            return False
-        if not np.array_equal(a.rel_ts[r][ia], b.rel_ts[r][ib]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

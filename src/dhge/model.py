@@ -666,7 +666,7 @@ def embed_all(graph, params, config, version=0):
         # z and its tape stay alive until the next chunk's forward returns:
         # freeing them sooner leaves glibc's heap smaller, and a later
         # ille_update on a 16k-node base then page-faults its N-sized copies
-        # afresh (about 2,500 faults and +40% time per update; ROADMAP item 5)
+        # afresh (about 2,500 faults and +40% time per update; ROADMAP item 2(e))
         z = forward_subgraph(graph, sub, params, config, rows=sub.seed_locals)
         types = sub.node_types[sub.seed_locals]
         intras = sub.intra_ids[sub.seed_locals]

@@ -29,7 +29,7 @@ from .graph import apply_increment  # noqa: F401
 from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
-from .evaluation import cosine_topk, evaluate_table
+from .evaluation import check_missing_users, cosine_topk, evaluate_table
 from .snapshot import (save_model, load_model, save_table, load_table, save_alignment,
                        load_alignment, save_graph_arrays, load_graph_arrays, ArrayFile,
                        adjacency_row, table_shapes, stored_table,
@@ -524,6 +524,7 @@ def cmd_simulate_stream(cfg, batches, test_path, compare_frozen=False,
     misses, which keeps the frozen and updated scores on the same
     denominator.
     """
+    check_missing_users(missing_users)   # before any batch writes a version
     cfg.require_paths("snapshot_dir")
     sd = cfg.paths["snapshot_dir"]
     with snapshot_lock(sd):

@@ -14,9 +14,9 @@ graph through its per-node accessors or raw edge arrays and draw from
 forward, which the dense oracles here check layer by layer.
 ``retrieve_full_load`` is the read path ``cmd_retrieve`` replaced: the
 package's full graph and table loads, then the full-sort ``_cosine_topk_ref``
-that ``cosine_topk``'s partial selection replaced. ``solve_ridge`` and
-``blocks_equal`` are test helpers over the package's weight solve and
-tables.
+that ``cosine_topk``'s partial selection replaced. ``solve_ridge``,
+``graphs_equal`` and ``blocks_equal`` are test helpers over the package's
+weight solve, graphs and tables.
 ``hitrate_at_k``, ``recall_at_k`` and ``ndcg_at_k`` are the per-user
 metric definitions over ranked lists and truth sets that the evaluation's
 relevance-matrix core replaced; ``evaluate_loop`` scores with them.
@@ -892,6 +892,27 @@ def solve_ridge(gram, rhs, eps):
     return cholesky_solve(ridge_systems(gram, eps), rhs)
 
 
+def graphs_equal(a, b):
+    """Structural equality: schema, blocks, and edge sets (order-insensitive)."""
+    if a.schema != b.schema or a.counts != b.counts:
+        return False
+    for fa, fb, ma, mb in zip(a.feature_blocks, b.feature_blocks, a.mask_blocks, b.mask_blocks):
+        if not (np.array_equal(fa, fb) and np.array_equal(ma, mb)):
+            return False
+    for r in range(a.schema.num_relations):
+        ea = np.stack([a.rel_src[r], a.rel_dst[r]], axis=1)
+        eb = np.stack([b.rel_src[r], b.rel_dst[r]], axis=1)
+        if ea.shape != eb.shape:
+            return False
+        ia = np.lexsort((a.rel_dst[r], a.rel_src[r]))
+        ib = np.lexsort((b.rel_dst[r], b.rel_src[r]))
+        if not np.array_equal(ea[ia], eb[ib]):
+            return False
+        if not np.array_equal(a.rel_ts[r][ia], b.rel_ts[r][ib]):
+            return False
+    return True
+
+
 def blocks_equal(table, other):
     """Two embedding tables hold the same number of blocks, each equal."""
     return (len(table.blocks) == len(other.blocks) and
@@ -969,8 +990,9 @@ def _as_set(truth):
 
 def evaluate_loop(user_vectors, user_keys, item_vectors, item_keys,
                   test_interactions, protocol, known_interactions=()):
-    """The per-user ``evaluate``: key sets, a Python candidate list and a
-    fresh ``derived_rng`` per user, one cosine ranking per pool."""
+    """The per-user evaluation ``evaluate_table_loop`` runs on: key sets, a
+    Python candidate list and a fresh ``derived_rng`` per user, one cosine
+    ranking per pool."""
     import time
     from dhge.evaluation import EvalReport
     from dhge.graph import DataError

@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 
 import dhge.evaluation
-from dhge.evaluation import (EvalProtocol, cosine_topk, evaluate, evaluate_table,
-                             chronological_split)
+from dhge.evaluation import EvalProtocol, cosine_topk, evaluate_table
 from dhge.graph import DataError, NodeRef
 from dhge.model import EmbeddingTable
 from dhge.tensor import NumericError
 from conftest import build_graph, tiny_bipartite
-from oracles import (_cosine_topk_ref, evaluate_loop, evaluate_table_loop, hitrate_at_k,
-                     ndcg_at_k, ndcg_ref, recall_at_k)
+from oracles import (_cosine_topk_ref, evaluate_table_loop, hitrate_at_k, ndcg_at_k, ndcg_ref,
+                     recall_at_k)
 
 
 def basis(n, dim):
@@ -137,22 +136,33 @@ class TestMetricFunctions:
         assert ndcg_at_k([["a", "b", "z"]], [{"a", "b"}], 3) == pytest.approx(1.0)
 
 
+def _clicks_world(users, items, clicks=()):
+    """A graph of users (type 0) and items (type 1) whose only edges are the
+    known (user, item) clicks, and the table holding ``users`` and ``items``."""
+    g = build_graph([(0, 1)], [len(users), len(items)], [list(clicks)])
+    return g, EmbeddingTable([np.asarray(users, dtype=np.float64),
+                              np.asarray(items, dtype=np.float64)], version=0)
+
+
+def _evaluate(users, items, tests, proto, clicks=()):
+    """``evaluate_table`` on a clicks world; tests are (user row, item row, ts)."""
+    g, table = _clicks_world(users, items, clicks)
+    tests = [(NodeRef(0, u), NodeRef(1, i), ts) for u, i, ts in tests]
+    return evaluate_table(g, table, tests, proto, user_type=0, item_type=1)
+
+
 class TestEvaluateSampled:
     def _world(self):
-        # 6 one-hot items; user vectors point at their positive. Keys are
-        # NodeRefs as the table adapter would pass them.
+        # 6 one-hot items; user vectors point at their positive
         items = basis(6, 6)
-        ikeys = [NodeRef(1, j) for j in range(6)]
         users = np.stack([items[0] * 2.0, items[3] * 0.5])
-        ukeys = [NodeRef(0, 0), NodeRef(0, 1)]
-        tests = [(NodeRef(0, 0), NodeRef(1, 0), 1.0),
-                 (NodeRef(0, 1), NodeRef(1, 3), 1.0)]
-        return users, ukeys, items, ikeys, tests
+        tests = [(0, 0, 1.0), (1, 3, 1.0)]
+        return users, items, tests
 
     def test_perfect_model_hits_at_one(self):
-        users, ukeys, items, ikeys, tests = self._world()
+        users, items, tests = self._world()
         proto = EvalProtocol(k_values=(1, 3), negatives_per_user=3)
-        rep = evaluate(users, ukeys, items, ikeys, tests, proto)
+        rep = _evaluate(users, items, tests, proto)
         assert rep.hitrate[1] == 1.0
         assert rep.hitrate[3] == 1.0
         assert rep.ndcg[1] == 1.0
@@ -162,33 +172,27 @@ class TestEvaluateSampled:
         # user vector matches a negative exactly; everything else scores 0,
         # and the positive sits at pool position 0 so it takes rank 2
         items = basis(6, 6)
-        ikeys = list(range(6))
         users = items[1][None, :]
-        tests = [(7, 0, 1.0)]
         proto = EvalProtocol(k_values=(1, 2), negatives_per_user=5)
-        rep = evaluate(users, [7], items, ikeys, tests, proto)
+        rep = _evaluate(users, items, [(0, 0, 1.0)], proto)
         assert rep.hitrate[1] == 0.0
         assert rep.hitrate[2] == 1.0
 
     def test_earliest_event_is_the_scored_positive(self):
         items = basis(6, 6)
-        ikeys = list(range(6))
         # user saw item 4 late and item 2 early; vector leans to 2 plus a
         # nudge toward 5 so a wrong positive choice cannot hit by tie-break
         users = (items[2] + 0.1 * items[5])[None, :]
-        tests = [(0, 4, ts_late := 9.0), (0, 2, 1.0)]
+        tests = [(0, 4, 9.0), (0, 2, 1.0)]
         proto = EvalProtocol(k_values=(1,), negatives_per_user=4)
-        rep = evaluate(users, [0], items, ikeys, tests, proto)
+        rep = _evaluate(users, items, tests, proto)
         assert rep.hitrate[1] == 1.0
 
     def test_negatives_exclude_known_and_test_items(self):
         items = basis(4, 4)
         users = items[3][None, :]
-        tests = [(0, 0, 1.0)]
-        known = [(0, 1), (0, 2)]
         proto = EvalProtocol(k_values=(1, 2), negatives_per_user=1)
-        rep = evaluate(users, [0], items, list(range(4)), tests, proto,
-                       known_interactions=known)
+        rep = _evaluate(users, items, [(0, 0, 1.0)], proto, clicks=[(0, 1), (0, 2)])
         # only item 3 is an admissible negative; the user vector points at it
         assert rep.n_skipped == 0
         assert rep.hitrate[1] == 0.0
@@ -197,11 +201,8 @@ class TestEvaluateSampled:
     def test_insufficient_candidates_skips_user(self):
         items = basis(4, 4)
         users = items[3][None, :]
-        tests = [(0, 0, 1.0)]
-        known = [(0, 1), (0, 2)]
         proto = EvalProtocol(k_values=(1,), negatives_per_user=2)
-        rep = evaluate(users, [0], items, list(range(4)), tests, proto,
-                       known_interactions=known)
+        rep = _evaluate(users, items, [(0, 0, 1.0)], proto, clicks=[(0, 1), (0, 2)])
         assert rep.n_skipped == 1
         assert rep.n_users == 0
         assert rep.hitrate[1] == 0.0
@@ -209,9 +210,8 @@ class TestEvaluateSampled:
     def test_zero_norm_user_counts_as_miss(self):
         items = basis(6, 6)
         users = np.stack([items[0], np.zeros(6)])
-        tests = [(0, 0, 1.0), (1, 3, 1.0)]
         proto = EvalProtocol(k_values=(2,), negatives_per_user=3)
-        rep = evaluate(users, [0, 1], items, list(range(6)), tests, proto)
+        rep = _evaluate(users, items, [(0, 0, 1.0), (1, 3, 1.0)], proto)
         assert rep.n_unrankable == 1
         assert rep.n_users == 2
         assert rep.hitrate[2] == 0.5
@@ -220,19 +220,18 @@ class TestEvaluateSampled:
         items = basis(4, 4)
         users = items[0][None, :]
         proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
-        rep = evaluate(users, [0], items, list(range(4)),
-                       [(0, 0, 1.0), (99, 1, 1.0)], proto)
+        rep = _evaluate(users, items, [(0, 0, 1.0), (99, 1, 1.0)], proto)
         assert rep.n_users == 1
         with pytest.raises(DataError, match="unknown item"):
-            evaluate(users, [0], items, list(range(4)), [(0, 77, 1.0)], proto)
+            _evaluate(users, items, [(0, -1, 1.0)], proto)
         with pytest.raises(DataError, match="no evaluable"):
-            evaluate(users, [0], items, list(range(4)), [(99, 1, 1.0)], proto)
+            _evaluate(users, items, [(99, 1, 1.0)], proto)
 
     def test_deterministic_given_seed(self):
-        users, ukeys, items, ikeys, tests = self._world()
+        users, items, tests = self._world()
         proto = EvalProtocol(k_values=(1, 3), negatives_per_user=3, rng_seed=11)
-        a = evaluate(users, ukeys, items, ikeys, tests, proto).to_json_dict()
-        b = evaluate(users, ukeys, items, ikeys, tests, proto).to_json_dict()
+        a = _evaluate(users, items, tests, proto).to_json_dict()
+        b = _evaluate(users, items, tests, proto).to_json_dict()
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
 
@@ -240,10 +239,8 @@ class TestEvaluateSampled:
         items = basis(5, 5)
         # heavy pull toward the known item 0, which must stay out of the pool
         users = (5.0 * items[0] + items[1] + items[2])[None, :]
-        tests = [(0, 1, 1.0), (0, 2, 2.0)]
         proto = EvalProtocol(k_values=(1, 2), negatives_per_user=None)
-        rep = evaluate(users, [0], items, list(range(5)), tests, proto,
-                       known_interactions=[(0, 0)])
+        rep = _evaluate(users, items, [(0, 1, 1.0), (0, 2, 2.0)], proto, clicks=[(0, 0)])
         assert rep.recall[1] == pytest.approx(0.5)
         assert rep.recall[2] == pytest.approx(1.0)
         assert rep.hitrate[1] == 1.0
@@ -312,6 +309,37 @@ class TestEvaluateTable:
         assert rep.hitrate == {1: 0.0, 5: 0.0}
         assert rep.n_unrankable == 1
 
+    def test_seeds_only_the_scored_users(self, monkeypatch):
+        """Full-corpus mode draws nothing and seeds no user; the sampled
+        path seeds the users it scores, not skipped or zero-norm ones."""
+        seeded = []
+        real = dhge.evaluation.seed_states
+
+        def recorded(*keys):
+            seeded.append(keys[-1].tolist())
+            return real(*keys)
+        monkeypatch.setattr(dhge.evaluation, "seed_states", recorded)
+        users = basis(3, 6)
+        users[1] = 0.0
+        # user 2 knows five of the six items and holds out the sixth
+        tests = [(0, 0, 1.0), (1, 1, 1.0), (2, 5, 1.0)]
+        clicks = [(2, i) for i in range(5)]
+        rep = _evaluate(users, basis(6, 6), tests, EvalProtocol(negatives_per_user=2), clicks)
+        assert (rep.n_users, rep.n_skipped, rep.n_unrankable) == (2, 1, 1)
+        assert seeded == [[0]]
+        _evaluate(users, basis(6, 6), tests, EvalProtocol(negatives_per_user=None), clicks)
+        assert seeded == [[0]]
+
+    def test_unknown_missing_users_mode_raises(self):
+        g = tiny_bipartite(seed=0)
+        table = EmbeddingTable([basis(3, 4), basis(4, 4)], version=1)
+        proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
+        tests = [(NodeRef(0, 1), NodeRef(1, 2), 5.0), (NodeRef(0, 9), NodeRef(1, 0), 6.0)]
+        for mode in ("mis", "Drop", None):
+            with pytest.raises(ValueError, match="'drop' or 'miss'.*%r" % (mode,)):
+                evaluate_table(g, table, tests, proto, user_type=0, item_type=1,
+                               missing_users=mode)
+
 
 def _fields(report):
     out = report.to_json_dict()
@@ -332,84 +360,24 @@ class TestEvaluateMatchesLoop:
                  dict(k_values=(1, 5, 10), negatives_per_user=4),
                  dict(k_values=(10, 1, 5), negatives_per_user=9)]
 
-    def _keyed_world(self, rng, user_keys, item_keys):
-        n_u, n_i = len(user_keys), len(item_keys)
-        vecs = _grid_vectors if rng.random() < 0.5 else (
-            lambda r, n: r.normal(size=(n, 4)))
-        users, items = vecs(rng, n_u), vecs(rng, n_i)
-        users[rng.integers(n_u)] = 0.0
-        items[rng.integers(n_i)] = 0.0
-        items[rng.integers(n_i)] = items[rng.integers(n_i)]
-        stranger_u, stranger_i = "nobody", "nothing"
-        known = [(user_keys[rng.integers(n_u)], item_keys[rng.integers(n_i)])
-                 for _ in range(rng.integers(0, 3 * n_u))]
-        known += [(stranger_u, item_keys[0]), (user_keys[0], stranger_i)]
-        tests = []
-        for _ in range(rng.integers(1, 3 * n_u)):
-            u = user_keys[rng.integers(n_u)] if rng.random() < 0.9 else stranger_u
-            tests.append((u, item_keys[rng.integers(n_i)], float(rng.integers(0, 3))))
-        tests += tests[:2]   # repeated events at equal ts
-        return users, items, tests, known
-
-    def _check_keyed(self, user_keys, item_keys, seed):
-        rng = np.random.default_rng(seed)
-        users, items, tests, known = self._keyed_world(rng, user_keys, item_keys)
-        reports = []
-        for kw in self.PROTOCOLS:
-            proto = EvalProtocol(rng_seed=int(rng.integers(-2**40, 2**40)), **kw)
-            got = evaluate(users, user_keys, items, item_keys, tests, proto, known)
-            want = evaluate_loop(users, user_keys, items, item_keys, tests, proto, known)
-            assert _fields(got) == _fields(want), (seed, kw)
-            reports.append(got)
-        return reports
-
-    def test_noderef_keys(self):
-        for seed in range(30):
-            rng = np.random.default_rng(1000 + seed)
-            n_u, n_i = int(rng.integers(1, 9)), int(rng.integers(2, 16))
-            ukeys = [NodeRef(0, int(j)) for j in rng.permutation(n_u)]
-            ikeys = [NodeRef(1, int(j)) for j in rng.permutation(n_i)]
-            self._check_keyed(ukeys, ikeys, seed)
-
-    def test_int_and_mixed_length_keys(self):
-        wide = [0, 7, -3, 2**32 - 1, 2**32, 2**63 - 1, -2**63, 2**64 + 5]
-        for seed in range(30):
-            rng = np.random.default_rng(2000 + seed)
-            n_u, n_i = int(rng.integers(1, 8)), int(rng.integers(2, 16))
-            ukeys = [wide[j] if j % 3 else (j, -j, 2**33 + j)
-                     for j in rng.permutation(len(wide))[:n_u].tolist()]
-            ikeys = [int(j) * 7 - 40 for j in rng.permutation(n_i)]
-            self._check_keyed(ukeys, ikeys, seed)
-
-    def test_exact_candidate_count_and_two_key_widths(self, monkeypatch):
+    def test_exact_candidate_count(self):
         """A user with exactly ``negatives_per_user`` candidates (NumPy's own
-        n == size call) beside users with more and with fewer, keyed by ints
-        and by pairs, so ``_user_states`` seeds two width groups."""
-        widths = []
-        user_states = dhge.evaluation._user_states
-
-        def recorded(keys, rng_seed):
-            widths.append(sorted({len(k) for k in keys}))
-            return user_states(keys, rng_seed)
-        monkeypatch.setattr(dhge.evaluation, "_user_states", recorded)
-        item_keys = list(range(12))
-        user_keys = [5, (1, 2), (1, 9), 2 ** 40, (3, -4)]
+        n == size call) beside users with more and with fewer."""
         # known items per user; each user's one test item follows its run
-        known_runs = {5: 7, (1, 2): 3, (1, 9): 10, 2 ** 40: 0, (3, -4): 6}
-        known = [(u, i) for u, n in known_runs.items() for i in range(n)]
-        tests = [(u, n, 1.0) for u, n in known_runs.items()]
+        known_runs = [7, 3, 10, 0, 6]
+        clicks = [(u, i) for u, n in enumerate(known_runs) for i in range(n)]
+        tests = [(NodeRef(0, u), NodeRef(1, n), 1.0) for u, n in enumerate(known_runs)]
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            users, items = _grid_vectors(rng, len(user_keys)), _grid_vectors(rng, len(item_keys))
+            g, table = _clicks_world(_grid_vectors(rng, 5), _grid_vectors(rng, 12), clicks)
             for kw in self.PROTOCOLS[1:] + [dict(k_values=(1, 3), negatives_per_user=5)]:
-                proto = EvalProtocol(rng_seed=seed - 5, **kw)
-                got = evaluate(users, user_keys, items, item_keys, tests, proto, known)
-                want = evaluate_loop(users, user_keys, items, item_keys, tests, proto, known)
-                assert _fields(got) == _fields(want), (seed, kw)
-        # user 5 has 12 - 7 known - 1 test = 4 candidates, and (3, -4) has 5
-        assert widths[0] == [1, 2]
-        report = evaluate(users, user_keys, items, item_keys, tests,
-                          EvalProtocol(k_values=(1,), negatives_per_user=4), known)
+                args = (g, table, tests, EvalProtocol(rng_seed=seed - 5, **kw), 0, 1)
+                assert _fields(evaluate_table(*args)) == _fields(evaluate_table_loop(*args)), \
+                    (seed, kw)
+        # user 0 has 12 - 7 known - 1 test = 4 candidates, user 4 has 5 and
+        # user 2 has 1
+        report = evaluate_table(g, table, tests,
+                                EvalProtocol(k_values=(1,), negatives_per_user=4), 0, 1)
         assert report.n_skipped == 1 and report.n_users == 4
 
     @pytest.mark.parametrize("chunk_floats", [1, 40])
@@ -428,31 +396,18 @@ class TestEvaluateMatchesLoop:
         monkeypatch.setattr(dhge.evaluation, "_pool_scores", counted)
         reports = []
         for seed in range(20):
-            rng = np.random.default_rng(3000 + seed)
-            n_u, n_i = int(rng.integers(6, 14)), int(rng.integers(4, 16))
-            ukeys = [NodeRef(0, int(j)) for j in rng.permutation(n_u)]
-            ikeys = [NodeRef(1, int(j)) for j in rng.permutation(n_i)]
-            reports += self._check_keyed(ukeys, ikeys, seed)
-        for seed in range(10):
             g, table, tests = self._table_world(seed, 0, 2)
             for kw in self.PROTOCOLS:
                 args = (g, table, tests, EvalProtocol(rng_seed=seed, **kw), 0, 2, "drop")
-                assert _fields(evaluate_table(*args)) == _fields(evaluate_table_loop(*args))
-        # 90 sampled evaluations, pools of 2 to 10 rows of 3 or 4 floats
-        assert max(sizes) == max(1, chunk_floats // (2 * 3)) and len(sizes) > 90
+                try:
+                    want = _fields(evaluate_table_loop(*args))
+                except DataError:
+                    continue
+                reports.append(evaluate_table(*args))
+                assert _fields(reports[-1]) == want, (seed, kw)
+        # pools of 2 to 10 rows of 3 floats
+        assert max(sizes) == max(1, chunk_floats // (2 * 3)) and len(sizes) > 60
         assert sum(r.n_skipped for r in reports) and sum(r.n_unrankable for r in reports)
-
-    def test_errors_match(self):
-        items = basis(4, 4)
-        proto = EvalProtocol(k_values=(1,), negatives_per_user=1)
-        for fn in (evaluate, evaluate_loop):
-            with pytest.raises(DataError, match="unknown item 77"):
-                fn(items[:1], [0], items, list(range(4)),
-                   [(99, 66, 1.0), (0, 77, 1.0), (0, 78, 1.0)], proto)
-            with pytest.raises(DataError, match="no evaluable"):
-                fn(items[:1], [0], items, list(range(4)), [(99, 1, 1.0)], proto)
-            with pytest.raises(DataError, match="duplicate"):
-                fn(items[:2], [0, 0], items, list(range(4)), [(0, 1, 1.0)], proto)
 
     def _table_world(self, seed, user_type, item_type):
         # types 0 and 2 are users/items in either role, type 1 a third
@@ -530,7 +485,7 @@ def _hex_fields(report):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestMetricCore:
     """The relevance-matrix metrics of both modes against the per-user
-    definitions ``evaluate_loop`` scores with, compared by ``float.hex``, at
+    definitions ``evaluate_table_loop`` scores with, compared by ``float.hex``, at
     k values up to past every pool. An inf entry makes NaN scores."""
 
     K_VALUES = (1, 3, 10, 150)
@@ -548,32 +503,29 @@ class TestMetricCore:
         users[3] = items[2] = items[3] = [1.0, 1.0, 0.0]
         items[0] = 0.0
         items[1] = [np.inf, 0.0, 1.0]
-        ukeys = [NodeRef(0, j) for j in range(n_u)]
-        ikeys = [NodeRef(1, j) for j in range(n_i)]
-        tests = [(ukeys[1], ikeys[0], 0.0), (ukeys[2], ikeys[1], 0.0), (ukeys[3], ikeys[2], 0.0),
-                 (ukeys[4], ikeys[n_i - 1], 0.0)]
+        tests = [(1, 0, 0.0), (2, 1, 0.0), (3, 2, 0.0), (4, n_i - 1, 0.0)]
         for u in range(n_u):
             for _ in range(int(rng.integers(1, 5))):
-                tests.append((ukeys[u], ikeys[int(rng.integers(n_i))], float(rng.integers(1, 4))))
-        tests += [(ukeys[5], ikeys[j], 5.0) for j in rng.permutation(n_i)[:12].tolist()]
-        known = [(ukeys[4], ikeys[j]) for j in range(n_i - 2)]
-        known += [(ukeys[int(rng.integers(5, n_u))], ikeys[int(rng.integers(4, n_i))])
-                  for _ in range(2 * n_u)]
-        return users, ukeys, items, ikeys, tests, known
+                tests.append((u, int(rng.integers(n_i)), float(rng.integers(1, 4))))
+        tests += [(5, j, 5.0) for j in rng.permutation(n_i)[:12].tolist()]
+        clicks = {(4, j) for j in range(n_i - 2)}
+        clicks |= {(int(rng.integers(5, n_u)), int(rng.integers(4, n_i))) for _ in range(2 * n_u)}
+        g, table = _clicks_world(users, items, sorted(clicks))
+        return g, table, [(NodeRef(0, u), NodeRef(1, i), ts) for u, i, ts in tests]
 
-    def test_keyed_evaluate_bit_for_bit(self):
+    def test_special_scores_bit_for_bit(self):
         totals = dict(n_skipped=0, n_unrankable=0, partial=0)
         for seed in range(25):
-            users, ukeys, items, ikeys, tests, known = self._world(seed)
-            n_i = len(ikeys)
+            g, table, tests = self._world(seed)
+            n_i = len(table.blocks[1])
             # the last protocol draws every candidate of users 2 and 3, so
             # item 3 ties user 3's positive in its pool
             for n_neg in (None, 1, 4, 9, n_i - 4):
                 proto = EvalProtocol(k_values=self.K_VALUES, negatives_per_user=n_neg,
                                      rng_seed=seed)
-                got = evaluate(users, ukeys, items, ikeys, tests, proto, known)
-                want = evaluate_loop(users, ukeys, items, ikeys, tests, proto, known)
-                assert _hex_fields(got) == _hex_fields(want), (seed, n_neg)
+                args = (g, table, tests, proto, 0, 1)
+                got = evaluate_table(*args)
+                assert _hex_fields(got) == _hex_fields(evaluate_table_loop(*args)), (seed, n_neg)
                 totals["n_skipped"] += got.n_skipped
                 totals["n_unrankable"] += got.n_unrankable
                 totals["partial"] += 0.0 < got.recall[10] < got.recall[150]
@@ -594,31 +546,3 @@ class TestMetricCore:
                         except DataError:
                             continue
                         assert _hex_fields(evaluate_table(*args)) == want, (seed, n_neg)
-
-
-class TestChronologicalSplit:
-    def test_orders_by_timestamp(self):
-        rows = [("a", "x", 3.0), ("b", "y", 1.0), ("c", "z", 2.0)]
-        train, valid, test = chronological_split(rows, (1 / 3, 1 / 3, 1 / 3))
-        assert train == [("b", "y", 1.0)]
-        assert valid == [("c", "z", 2.0)]
-        assert test == [("a", "x", 3.0)]
-
-    def test_default_fractions_and_rounding(self):
-        rows = [(i, i, float(i)) for i in range(10)]
-        train, valid, test = chronological_split(rows)
-        assert (len(train), len(valid), len(test)) == (8, 1, 1)
-
-    def test_equal_timestamps_keep_input_order(self):
-        rows = [("a", 0, 1.0), ("b", 0, 1.0), ("c", 0, 1.0)]
-        train, valid, test = chronological_split(rows, (1 / 3, 1 / 3, 1 / 3))
-        assert train == [("a", 0, 1.0)]
-        assert test == [("c", 0, 1.0)]
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            chronological_split([], (0.5, 0.5))
-        with pytest.raises(ValueError):
-            chronological_split([], (0.5, 0.2, 0.2))
-        with pytest.raises(ValueError):
-            chronological_split([], (-0.1, 0.6, 0.5))

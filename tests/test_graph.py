@@ -11,11 +11,12 @@ import dhge.seeding
 from dhge.graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                         HeteroGraph, IncrementBatch, load_graph, load_schema,
                         save_graph, read_increment, apply_increment,
-                        graphs_equal, minibatch_partition, sample_subgraph)
+                        minibatch_partition, sample_subgraph)
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, gen_swiss_roll
 from conftest import build_graph, tiny_bipartite
-from oracles import (adjacency_by_unique, all_refs, apply_increment_loop, degree_of, has_edge,
-                     incidence_by_argsort, load_graph_sets, sample_subgraph_loop)
+from oracles import (adjacency_by_unique, all_refs, apply_increment_loop, degree_of,
+                     graphs_equal, has_edge, incidence_by_argsort, load_graph_sets,
+                     sample_subgraph_loop)
 from update_scaling import scaling_graph
 
 

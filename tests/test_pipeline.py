@@ -8,7 +8,7 @@ import pytest
 
 from dhge.config import RunConfig
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite
-from dhge.graph import DataError, NodeRef, graphs_equal
+from dhge.graph import DataError, NodeRef
 from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            load_manifest, latest_manifest, resolve_manifest,
                            write_snapshot, load_snapshot_state, base_graph,
@@ -17,7 +17,7 @@ from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            cmd_simulate_stream)
 from dhge.snapshot import SnapshotFormatError, load_alignment, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
-from oracles import replay_graph, retrieve_full_load
+from oracles import graphs_equal, replay_graph, retrieve_full_load
 
 CFG_TEXT = """
 [model]
@@ -574,6 +574,17 @@ class TestSimulateStream:
         assert tables == [1, 2, 3]
         assert [row["frozen_eval"] for row in rows[1:]] == [rows[0]["frozen_eval"]]
         assert rows[0]["frozen_eval"] is not rows[1]["frozen_eval"]
+
+    def test_unknown_missing_users_mode_raises_before_any_update(self, stream_data,
+                                                                 tmp_path):
+        data_dir, stats = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        cmd_train(cfg)
+        with pytest.raises(ValueError, match="'drop' or 'miss'"):
+            cmd_simulate_stream(cfg, stats["batch_files"],
+                                os.path.join(str(data_dir), "test.tsv"), missing_users="mis")
+        assert list_versions(cfg.paths["snapshot_dir"]) == [1]
 
     def test_periodic_static_refresh(self, stream_data, tmp_path):
         data_dir, stats = stream_data

@@ -8,7 +8,6 @@ import zlib
 import numpy as np
 import pytest
 
-from dhge.graph import graphs_equal
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.incremental import capture_alignment
 from dhge.snapshot import (ARRAY_FORMAT_VERSION, SnapshotFormatError, ArrayFile,
@@ -18,6 +17,7 @@ from dhge.snapshot import (ARRAY_FORMAT_VERSION, SnapshotFormatError, ArrayFile,
 from dhge.tensor import Param
 from conftest import (edit_header, old_layout_alignment, payload_start, stored_arrays,
                       tiny_bipartite, tiny_params)
+from oracles import graphs_equal
 
 
 class TestModelSnapshot:
