@@ -141,10 +141,16 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ConfigError("cannot read config %s: %s" % (path, exc))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len((data[:exc.start] + b"?").splitlines())   # the bad byte's line
+            raise ConfigError("%s:%d: not UTF-8 text: byte 0x%02x"
+                              % (path, lineno, data[exc.start])) from None
         return cls.from_text(text, source=str(path))
 
     @classmethod

@@ -98,6 +98,12 @@ def _ranked(query, qn, items, norms, k):
     return order, scores[order]
 
 
+def _row_norms(rows):
+    """Each row's ``np.linalg.norm``, bit for bit: the square root of its
+    ``x.dot(x)``, taken by one stacked product."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def _pool_scores(vecs, qns, item_vectors, norms, pools):
     """``_scores`` of each row of ``pools`` (equal-length pools of item rows,
     one per query), bit for bit, from one stacked product. A pool holding a
@@ -145,8 +151,8 @@ def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_
     mask = np.empty(n_items, dtype=bool)
     ranked = np.full((len(users), max_k), -1, dtype=np.int64)
     n_unrankable = 0
-    for j, u in enumerate(users.tolist()):
-        qn = np.linalg.norm(user_vectors[u])
+    qns = _row_norms(user_vectors[users])
+    for j, (u, qn) in enumerate(zip(users.tolist(), qns.tolist())):
         if qn == 0.0:
             n_unrankable += 1
             continue
@@ -190,7 +196,7 @@ def _sampled_rankings(user_vectors, item_vectors, norms, known, users, events, p
     n_blocked = np.bincount(b_slot, minlength=len(users))
     n_cands = n_items - n_blocked
     kept = np.flatnonzero(n_cands >= n_neg)
-    qns = np.array([np.linalg.norm(user_vectors[u]) for u in users[kept].tolist()])
+    qns = _row_norms(user_vectors[users[kept]])
     scored = qns != 0.0
     live, live_qns = kept[scored], qns[scored]
     picks = seeded_choice_rows(seed_states(TAG_EVALNEG, protocol.rng_seed, user_type, users[live]),

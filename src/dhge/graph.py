@@ -7,7 +7,7 @@ type 1, ...) is derived per graph version for dense matrix work.
 """
 from __future__ import annotations
 
-import contextlib
+import io
 import itertools
 import math
 import os
@@ -592,22 +592,38 @@ def _merge_groups(groups, endpoints, count, first_id):
 # tabular IO
 
 
-def _rows(source, expected_fields, label):
-    try:   # a stream stays open; a file this opens is closed
-        fh = (contextlib.nullcontext(source) if hasattr(source, "read")
-              else open(os.fspath(source), encoding="utf-8"))
+def _read(source):
+    """A path's or an open stream's content, read once, as bytes (a text
+    stream's text encoded as UTF-8)."""
+    if hasattr(source, "read"):   # a stream stays open
+        data = source.read()
+        return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    try:
+        with open(os.fspath(source), "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise DataError("cannot open %s: %s" % (source, exc.strerror or exc)) from exc
-    with fh as text:
-        for lineno, raw in enumerate(text, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != expected_fields:
-                raise GraphFormatError("%s:%d: expected %d tab-separated fields, got %d"
-                                       % (label, lineno, expected_fields, len(fields)))
-            yield lineno, fields
+
+
+def _rows(data, expected_fields, label):
+    """The per-row reader: (line number, fields) of each line of ``data``
+    that is neither blank nor a comment. A line ends at LF, CRLF or CR; a
+    byte that is not UTF-8 is an error at its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start] + b"?").splitlines())   # the bad byte's line
+        raise GraphFormatError("%s:%d: not UTF-8 text: byte 0x%02x"
+                               % (label, lineno, data[exc.start])) from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != expected_fields:
+            raise GraphFormatError("%s:%d: expected %d tab-separated fields, got %d"
+                                   % (label, lineno, expected_fields, len(fields)))
+        yield lineno, fields
 
 
 def _parse_int(text, label, lineno, what):
@@ -627,11 +643,12 @@ def _parse_float(text, label, lineno, what):
         raise GraphFormatError("%s:%d: bad %s %r" % (label, lineno, what, text)) from None
 
 
-def _edge_columns(source, label):
-    """An edges file as (line numbers, (src types, src ids, dst types, dst ids,
-    relations, timestamps)); an empty timestamp is 0, a non-finite one an error."""
+def _edge_rows(data, label):
+    """The per-row edges reader: (line numbers, (src types, src ids, dst
+    types, dst ids, relations, timestamps)); an empty timestamp is 0, a
+    non-finite one an error."""
     lines, ints, ts = [], [], []
-    for lineno, f in _rows(source, 6, label):
+    for lineno, f in _rows(data, 6, label):
         text = f[5].strip()
         value = _parse_float(text, label, lineno, "timestamp") if text else 0.0
         if not math.isfinite(value):
@@ -658,16 +675,11 @@ def parse_feature_cells(cells, label, lineno):
     return values, mask
 
 
-def _label(source):
-    return getattr(source, "name", None) or str(source)
-
-
-def _feature_columns(source, dim=None):
-    """A features file (or None) as (label, line numbers, (types, ids,
-    values, masks)); each row has ``dim`` cells, by default the first's."""
-    label = _label(source)
+def _feature_rows(data, label, dim=None):
+    """The per-row features reader: (line numbers, (types, ids, values,
+    masks)); each row has ``dim`` cells, by default the first's."""
     lines, ids, cells = [], [], []
-    for lineno, f in _rows(source, 3, label) if source is not None else ():
+    for lineno, f in _rows(data, 3, label):
         ids += (_parse_int(f[0], label, lineno, "node_type"),
                 _parse_int(f[1], label, lineno, "node_id"))
         row = f[2].split(",")
@@ -680,9 +692,109 @@ def _feature_columns(source, dim=None):
     if dim is None:
         raise DataError("%s: no feature rows; feature dimensionality is undefined" % label)
     values, masks = _columns(cells, 2)
-    return label, lines, (*np.array(ids, dtype=np.int64).reshape(-1, 2).T,
-                          np.array(values).reshape(len(lines), dim),
-                          np.array(masks, dtype=bool).reshape(len(lines), dim))
+    return lines, (*np.array(ids, dtype=np.int64).reshape(-1, 2).T,
+                   np.array(values).reshape(len(lines), dim),
+                   np.array(masks, dtype=bool).reshape(len(lines), dim))
+
+
+def _translation(delimiters):
+    """A ``bytes.translate`` table: number bytes to 0, each of ``delimiters``
+    to itself, every other byte to 1."""
+    table = bytearray(b"\x01" * 256)
+    for c in b"0123456789+-.eE":
+        table[c] = 0
+    for c in delimiters:
+        table[c] = c
+    return bytes(table)
+
+
+_EDGE_BYTES, _FEATURE_BYTES = _translation(b"\t\n"), _translation(b"\t\n,")
+
+
+def _plain_layout(data, table, row):
+    """The array path's check. If ``data`` holds only the number bytes and
+    delimiters of ``table``, and every line's delimiters are exactly ``row``
+    (so no line is blank or a comment), returns ``data`` ending in a newline
+    and each delimiter's position, as a (lines, len(row)) array; else None."""
+    if not data:
+        return None
+    data += b"" if data.endswith(b"\n") else b"\n"
+    marks = np.frombuffer(data.translate(table), dtype=np.uint8)
+    pos = np.flatnonzero(marks)
+    n = len(pos) // len(row)
+    if len(pos) != n * len(row) or marks[pos].tobytes() != row * n:
+        return None
+    return data, pos.reshape(n, len(row))
+
+
+def _loadtxt(text, dtype, delimiter):
+    """``text`` as rows of ``dtype`` by NumPy's C reader, or None if a cell
+    does not parse (an empty cell does not). A warning counts as a failure:
+    older NumPy releases parse an integer cell such as ``1.0`` through a
+    float, with a ``DeprecationWarning``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+def _edge_array(data):
+    """``_edge_rows`` in array passes, for an edges file in plain form with
+    every field present and every timestamp finite; else None."""
+    layout = _plain_layout(data, _EDGE_BYTES, b"\t" * 5 + b"\n")
+    if layout is None:
+        return None
+    rows = _loadtxt(layout[0].decode("ascii"), [("ints", np.int64, (5,)), ("ts", np.float64)],
+                    "\t")
+    if rows is None or not np.isfinite(rows["ts"]).all():
+        return None
+    return range(1, len(rows) + 1), (*np.ascontiguousarray(rows["ints"].T), rows["ts"])
+
+
+def _feature_array(data, dim=None):
+    """``_feature_rows`` in array passes, for a features file in plain form
+    whose types and ids are present; an empty cell is read as a 0 and
+    masked. Else None."""
+    if dim is None:   # the first line's cells
+        end = data.find(b"\n")
+        dim = data.count(b",", 0, end if end >= 0 else len(data)) + 1
+    layout = _plain_layout(data, _FEATURE_BYTES, b"\t\t" + b"," * (dim - 1) + b"\n")
+    if layout is None:
+        return None
+    data, pos = layout
+    # a cell is empty where its delimiter directly follows the one before
+    missing = pos[:, 2:] - pos[:, 1:-1] == 1
+    text = np.insert(np.frombuffer(data, dtype=np.uint8), pos[:, 1:-1][missing] + 1, ord("0"))
+    rows = _loadtxt(text.tobytes().replace(b"\t", b",").decode("ascii"),
+                    [("type", np.int64), ("id", np.int64), ("values", np.float64, (dim,))], ",")
+    if rows is None:
+        return None
+    return range(1, len(rows) + 1), (rows["type"], rows["id"], rows["values"], ~missing)
+
+
+def _edge_columns(source, label):
+    """An edges file as (line numbers, (src types, src ids, dst types, dst
+    ids, relations, timestamps)): by ``_edge_array`` when the text is in
+    plain form, else by the per-row ``_edge_rows``."""
+    data = _read(source)
+    return _edge_array(data) or _edge_rows(data, label)
+
+
+def _label(source):
+    return getattr(source, "name", None) or str(source)
+
+
+def _feature_columns(source, dim=None):
+    """A features file (or None) as (label, line numbers, (types, ids,
+    values, masks)), by ``_feature_array`` when the text is in plain form,
+    else by the per-row ``_feature_rows``; each row has ``dim`` cells, by
+    default the first's."""
+    label = _label(source)
+    data = b"" if source is None else _read(source)
+    return (label, *(_feature_array(data, dim) or _feature_rows(data, label, dim)))
 
 
 def _checked_file_rows(graph, features, edges_source):
@@ -706,7 +818,7 @@ def _schema_rows(source):
     """A schema file as (the file:line of each relation, ``RelationSchema``)."""
     label = _label(source)
     rows, where = {}, {}
-    for lineno, f in _rows(source, 3, label):
+    for lineno, f in _rows(_read(source), 3, label):
         r = _parse_int(f[0], label, lineno, "relation_id")
         s = _parse_int(f[1], label, lineno, "src_type")
         t = _parse_int(f[2], label, lineno, "dst_type")

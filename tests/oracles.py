@@ -573,10 +573,11 @@ def load_graph_sets(edges, features, schema):
     duplicate edges and a block fill, then the ``HeteroGraph`` constructor."""
     import warnings
     from dhge.graph import (DataError, GraphFormatError, HeteroGraph, RelationSchema,
-                            _edge_columns, _feature_columns, load_schema)
+                            _edge_rows, _feature_rows, _label, _read, load_schema)
     if not isinstance(schema, RelationSchema):
         schema = load_schema(schema)
-    feat_label, lines, (types, ids, values, masks) = _feature_columns(features)
+    feat_label = _label(features)
+    lines, (types, ids, values, masks) = _feature_rows(_read(features), feat_label)
     feat_rows = {}
     for lineno, t, i, v, m in zip(lines, types.tolist(), ids.tolist(), values, masks):
         if t < 0 or i < 0:
@@ -586,8 +587,8 @@ def load_graph_sets(edges, features, schema):
                             % (feat_label, lineno, t, i))
         feat_rows[(t, i)] = (v, m)
     dim = values.shape[1]
-    edge_label = getattr(edges, "name", None) or str(edges)
-    lines, columns = _edge_columns(edges, edge_label)
+    edge_label = _label(edges)
+    lines, columns = _edge_rows(_read(edges), edge_label)
     edge_rows = []
     for lineno, row in zip(lines, zip(*(c.tolist() for c in columns))):
         st, si, dt, di, r, _ = row

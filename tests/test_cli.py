@@ -148,6 +148,14 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    def test_non_utf8_config_is_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[train]\nepochs = 1 # \xe9t\xe9\n")
+        code, _, err = run(capsys, "train", "--config", str(bad))
+        assert code == 2
+        assert "bad.ini:2: not UTF-8 text: byte 0xe9" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_eval_key_is_2(self, workspace, capsys, tmp_path):
         root, data, cfg = workspace
         bad = tmp_path / "bad.ini"
@@ -285,6 +293,18 @@ class TestMalformedCellsExit3:
             assert code == 3
             assert message in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("update", "--increment-edges"),
+                                               ("evaluate", "--test")])
+    def test_non_utf8_file(self, trained, capsys, tmp_path, command, flag):
+        _, cfg, snaps = trained
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"0\t20\t1\t4\t0\t1.0\n0\t21\xff\t1\t4\t0\t1.0\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--snapshot-dir", str(snaps),
+                           flag, str(bad))
+        assert code == 3
+        assert "bad.tsv:2: not UTF-8 text: byte 0xff" in err
+        assert "Traceback" not in err
 
     def test_test_interaction_id(self, trained, capsys, tmp_path):
         _, cfg, snaps = trained

@@ -88,6 +88,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             RunConfig.from_file(tmp_path / "absent.ini")
 
+    def test_non_utf8_file_raises_config_error(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[train]\r\nepochs = 2\r\n# \xff\n")
+        with pytest.raises(ConfigError, match=r"run\.ini:3: not UTF-8 text: byte 0xff$"):
+            RunConfig.from_file(path)
+
 
 class TestValidation:
     def test_range_checks_delegate_to_dataclasses(self):

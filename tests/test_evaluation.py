@@ -546,3 +546,15 @@ class TestMetricCore:
                         except DataError:
                             continue
                         assert _hex_fields(evaluate_table(*args)) == want, (seed, n_neg)
+
+    def test_row_norms_bit_for_bit(self):
+        # the stacked product both modes take each user's norm by, against
+        # one np.linalg.norm per user
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 3, 8, 16, 31, 32, 33, 64, 100, 128, 257):
+            rows = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-150, 150, size=(300, 1))
+            rows[0] = 0.0
+            want = np.array([np.linalg.norm(row) for row in rows])
+            got = dhge.evaluation._row_norms(rows)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), dim
+        assert dhge.evaluation._row_norms(np.empty((0, 4))).shape == (0,)

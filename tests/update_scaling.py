@@ -44,7 +44,15 @@ Run as a script, it prints one JSON line:
   default-config training epoch (through ``cmd_train``) on the drift base
   ``gen_drift_stream(base_users=3000, base_items=1000, communities=8,
   p_in=0.2, users_per_batch=20)``, with its wall time and the split over
-  sample, forward, negatives, loss, backward and step. No test reads it.
+  sample, forward, negatives, loss, backward and step. No test reads it;
+* with ``parse``, ``{"array", "per_row"}``: for the TSV readers' array
+  path and for the per-row reader alone, the median milliseconds over five
+  rounds of ``load_graph`` on that drift base (``load_graph_drift``) and on
+  a planted base of the benchmark's ``resident`` size, 2,000 users and
+  2,000 items (``load_graph_planted``), of ``read_increment`` of the drift
+  stream's first batch onto the drift base, and of
+  ``read_test_interactions`` of its 3,000-row ``base_test.tsv``. No test
+  reads it.
 
 A round times its workloads back to back, so a slow stretch of a shared
 host hits all of its times alike. Each timed run follows an untimed one of
@@ -53,6 +61,7 @@ the same work, as in a resident updater whose graph stays warm in cache
 has, and whose largest runs take seconds), and, as in ``timeit``, the
 garbage collector is off while timing.
 """
+import contextlib
 import functools
 import gc
 import json
@@ -69,13 +78,15 @@ from oracles import full_lle_oracle, lle_weight_matrix, retrieve_full_load
 
 from dhge.config import RunConfig
 from dhge.evaluation import EvalProtocol, evaluate_table
-from dhge.fixtures import gen_drift_stream, swiss_roll_points
-from dhge.graph import HeteroGraph, IncrementBatch, NodeRef, RelationSchema
+import dhge.graph
+from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, swiss_roll_points
+from dhge.graph import (HeteroGraph, IncrementBatch, NodeRef, RelationSchema, load_graph,
+                        read_increment)
 from dhge.incremental import (UpdateConfig, _grams, _neighborhoods, _reconstruction_operator,
                               _weight_rows, capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
-from dhge.pipeline import cmd_retrieve, cmd_train, write_snapshot
+from dhge.pipeline import cmd_retrieve, cmd_train, read_test_interactions, write_snapshot
 from dhge.snapshot import load_alignment, save_alignment
 
 
@@ -254,6 +265,42 @@ def epoch_times():
     return {"n_pairs": m["n_pairs"], "wall_ms": m["wall_ms"], "stage_ms": m["stage_ms"]}
 
 
+def parse_times(rounds=5):
+    with tempfile.TemporaryDirectory() as d:
+        drift, planted = os.path.join(d, "drift"), os.path.join(d, "planted")
+        gen_drift_stream(drift, base_users=3000, base_items=1000, communities=8, p_in=0.2,
+                         users_per_batch=20)
+        gen_planted_bipartite(planted, n_users=2000, n_items=2000, communities=16, p_in=0.048,
+                              p_out=0.0008, feature_dim=16, seed=1)
+        base = [os.path.join(drift, n + ".tsv") for n in ("edges", "features", "schema")]
+        batch = [os.path.join(drift, "increments", "batch_000.%s.tsv" % n)
+                 for n in ("edges", "features")]
+        work = {"load_graph_drift": functools.partial(load_graph, *base),
+                "load_graph_planted": functools.partial(
+                    load_graph, *(os.path.join(planted, n + ".tsv")
+                                  for n in ("edges", "features", "schema"))),
+                "read_increment": functools.partial(read_increment, load_graph(*base), *batch),
+                "read_test_interactions": functools.partial(
+                    read_test_interactions, os.path.join(drift, "base_test.tsv"), 0, 1)}
+        out = {}
+        for path, readers in (("array", contextlib.nullcontext()), ("per_row", _per_row())):
+            with readers:
+                times = np.asarray(_rounds(list(work.values()), rounds)[0]) * 1000.0
+            out[path] = dict(zip(work, np.median(times, axis=0).tolist()))
+    return out
+
+
+@contextlib.contextmanager
+def _per_row():
+    """The TSV readers with their array path switched off."""
+    saved = dhge.graph._edge_array, dhge.graph._feature_array
+    dhge.graph._edge_array = dhge.graph._feature_array = lambda *args: None
+    try:
+        yield
+    finally:
+        dhge.graph._edge_array, dhge.graph._feature_array = saved
+
+
 def _discard(fn, *args):
     fn(*args)
 
@@ -335,5 +382,6 @@ if __name__ == "__main__":
     # between cores whose speeds differ from moment to moment
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     modes = {"rebuild": rebuild_times, "refresh": refresh_times, "linear": linear_times,
-             "evaluate": evaluate_times, "retrieve": retrieve_times, "epoch": epoch_times}
+             "evaluate": evaluate_times, "retrieve": retrieve_times, "epoch": epoch_times,
+             "parse": parse_times}
     print(json.dumps(modes[sys.argv[1]]() if sys.argv[1:] else round_times()))
