@@ -7,6 +7,7 @@ positive against per-user seeded negatives drawn from non-interacted items.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .seeding import seed_states, seeded_choice_rows, TAG_EVALNEG
 from .tensor import NumericError
 
 _CHUNK_FLOATS = 1 << 16   # item-vector floats gathered per stacked pool product
+_BLOCK_QUERIES = 64       # query rows the ranking core scores by one product
 
 
 @dataclass
@@ -58,18 +60,117 @@ class EvalReport:
         }
 
 
-def cosine_topk(query, items, k):
-    """Indices of the top-k items by cosine similarity with ``query``.
+@dataclass(eq=False)
+class HeldOut:
+    """Held-out interactions from one user type to one item type, as columns
+    of user and item intra ids and times. ``evaluate_table`` takes them as
+    they are; to any other caller they iterate, count and compare as the
+    list of (user NodeRef, item NodeRef, ts) rows."""
+    user_type: int
+    item_type: int
+    users: np.ndarray
+    items: np.ndarray
+    ts: np.ndarray
+
+    def __len__(self):
+        return len(self.users)
+
+    def __iter__(self):
+        return ((NodeRef(self.user_type, u), NodeRef(self.item_type, i), t)
+                for u, i, t in zip(self.users.tolist(), self.items.tolist(), self.ts.tolist()))
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
+def _held_out_columns(test_interactions, user_type, item_type):
+    """(user ids, item ids, ts) of the test interactions from ``user_type``
+    to ``item_type``, in their order; a tuple list is converted once."""
+    if isinstance(test_interactions, HeldOut):
+        cols = test_interactions
+        typed = (cols.user_type, cols.item_type) == (user_type, item_type)
+        at = slice(None) if typed else slice(0)
+        return cols.users[at], cols.items[at], cols.ts[at]
+    refs = np.array([(u[0], u[1], i[0], i[1]) for u, i, _ in test_interactions],
+                    dtype=np.int64).reshape(-1, 4)
+    ts = np.array([float(t) for _, _, t in test_interactions], dtype=np.float64)
+    typed = (refs[:, 0] == user_type) & (refs[:, 2] == item_type)
+    return refs[typed, 1], refs[typed, 3], ts[typed]
+
+
+def cosine_topk(query, items, k, exclude=None):
+    """Indices of the top-k items by cosine similarity with ``query``, and
+    their scores, best first.
 
     Ties break toward the smaller index. Zero-norm item rows rank after all
-    scored rows (in index order); a zero-norm query is unrankable and raises.
+    scored rows (in index order), and NaN scores after those; a zero-norm
+    query is unrankable and raises. The item rows ``exclude`` lists are
+    scored with the rest but never returned, so fewer than k may come back.
     """
     query = np.asarray(query, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
     qn = np.linalg.norm(query)
     if qn == 0.0:
         raise NumericError("unrankable query: zero-norm query vector")
-    return _ranked(query, qn, items, np.linalg.norm(items, axis=1), k)
+    known = None
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=np.int64)
+        known = (np.zeros(len(exclude), dtype=np.int64), exclude)
+    ids, scores = _top_k(query[None, :], np.array([qn]), items, k, known)
+    n = np.count_nonzero(ids[0] >= 0)
+    return ids[0, :n], scores[0, :n]
+
+
+def _top_k(queries, qns, items, k, known=None):
+    """The ranking core: each query row's top ``min(k, len(items))`` item
+    rows by cosine score, as (ids, scores) matrices, -1 and NaN past a
+    row's last candidate. ``qns`` are the queries' norms, which must not be
+    zero. ``known`` is an optional pair of (query, item row) arrays, sorted
+    by query, of the items each query leaves out.
+
+    Item norms are taken by ``_row_norms``. A block of up to
+    ``_BLOCK_QUERIES`` queries is scored against every item row by one
+    product (one query by ``items @ query``); a row whose norm is not
+    positive scores -inf, and left-out items are dropped after scoring.
+    One ``np.partition`` finds each query's k-th best score in the block;
+    then, query by query, only the rows at or above it, every tie at the
+    boundary included, are ordered by (-score, row). A query with fewer
+    than k scores that are not NaN orders every row it does not leave
+    out, NaN scores last."""
+    n_q, k = len(queries), min(k, len(items))
+    ids = np.full((n_q, k), -1, dtype=np.int64)
+    scores = np.full((n_q, k), np.nan)
+    if not k:
+        return ids, scores
+    norms = _row_norms(items)
+    unscored = None if norms.min() > 0.0 else ~(norms > 0.0)
+    safe = norms if unscored is None else np.where(unscored, 1.0, norms)
+    for lo in range(0, n_q, _BLOCK_QUERIES):
+        block = queries[lo:lo + _BLOCK_QUERIES]
+        neg = items @ block[0] if len(block) == 1 else block @ items.T
+        neg = neg.reshape(len(block), -1)
+        neg /= -qns[lo:lo + len(block), None] * safe   # the negated scores, bit for bit
+        if unscored is not None:
+            neg[:, unscored] = np.inf
+        if known is not None:
+            kq, kc = known
+            if n_q > _BLOCK_QUERIES:
+                at = slice(*np.searchsorted(kq, (lo, lo + len(block))))
+                kq, kc = kq[at] - lo, kc[at]
+            neg[kq, kc] = np.nan
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1].tolist()
+        for j, row in enumerate(neg):
+            if math.isnan(kth[j]):   # fewer than k scores that are not NaN
+                keep = np.ones(len(row), dtype=bool)
+                if known is not None:
+                    keep[kc[kq == j]] = False
+                rows = np.flatnonzero(keep)
+            else:
+                rows = np.flatnonzero(row <= kth[j])
+            top = rows[np.argsort(row[rows], kind="stable")[:k]]
+            ids[lo + j, :len(top)] = top
+            scores[lo + j, :len(top)] = -row[top]
+    return ids, scores
 
 
 def _scores(query, qn, items, norms):
@@ -84,23 +185,14 @@ def _scores(query, qn, items, norms):
     return scores
 
 
-def _ranked(query, qn, items, norms, k):
-    """``cosine_topk`` given the query's norm and the item rows' norms; a
-    row's norm does not depend on the other rows, so callers may take them
-    once for a whole table. Only the rows at or above the k-th best score
-    (every row if it is NaN, which sorts last) are ordered by (-score, row)."""
-    scores = _scores(query, qn, items, norms)
-    neg = -scores
-    k = min(k, len(neg))
-    rows = (np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1])) if k < len(neg)
-            else np.arange(len(neg)))
-    order = rows[np.argsort(neg[rows], kind="stable")[:k]]
-    return order, scores[order]
-
-
 def _row_norms(rows):
-    """Each row's ``np.linalg.norm``, bit for bit: the square root of its
-    ``x.dot(x)``, taken by one stacked product."""
+    """Each row's own ``np.linalg.norm(row)``, bit for bit: the square root
+    of its ``x.dot(x)``, taken by one stacked product. This is not bit for
+    bit ``np.linalg.norm(rows, axis=1)``, which sums the squares pairwise:
+    the two differ in the last bits of some rows of 64. Query norms and the
+    ranking core's item norms use this form; sampled evaluation keeps the
+    ``axis=1`` form for its item norms, because the benchmark recomputes
+    its hit rate with that form and must match it exactly."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
@@ -140,31 +232,28 @@ def _metrics(relevant, n_truth, k_values):
     return hitrate, recall, ndcg
 
 
-def _full_rankings(user_vectors, item_vectors, norms, known, users, events, max_k):
-    """Full-corpus mode: each user's items outside its known set, ranked in
-    turn by ``_ranked``; its truth is every test item. Returns the relevance
-    of each user's top ``max_k``, matched against the sorted (user, test
-    item) keys, and each user's count of distinct test items."""
+def _full_rankings(user_vectors, item_vectors, known, users, events, max_k):
+    """Full-corpus mode: each user's items outside its known set, ranked by
+    ``_top_k`` in blocks of users; its truth is every test item. Returns the
+    relevance of each user's top ``max_k``, matched against the sorted
+    (user, test item) keys, each user's count of distinct test items and the
+    count of zero-norm users, which rank nothing."""
     indptr, known_items = known
     e_slot, e_item = events
     n_items = len(item_vectors)
-    mask = np.empty(n_items, dtype=bool)
-    ranked = np.full((len(users), max_k), -1, dtype=np.int64)
-    n_unrankable = 0
     qns = _row_norms(user_vectors[users])
-    for j, (u, qn) in enumerate(zip(users.tolist(), qns.tolist())):
-        if qn == 0.0:
-            n_unrankable += 1
-            continue
-        mask.fill(True)
-        mask[known_items[indptr[u]:indptr[u + 1]]] = False
-        pool = np.flatnonzero(mask)
-        idx, _ = _ranked(user_vectors[u], qn, item_vectors[pool], norms[pool], max_k)
-        ranked[j, :len(idx)] = pool[idx]
+    live = np.flatnonzero(qns != 0.0)
+    starts = indptr[users[live]]
+    n_known = indptr[users[live] + 1] - starts
+    ids, _ = _top_k(user_vectors[users[live]], qns[live], item_vectors, max_k,
+                    (np.repeat(np.arange(len(live)), n_known),
+                     known_items[_ranges(starts, n_known)]))
+    ranked = np.full((len(users), max_k), -1, dtype=np.int64)
+    ranked[live, :ids.shape[1]] = ids
     truth = _unique(e_slot * n_items + e_item)
     _, relevant = _in_sorted(truth, np.arange(len(users))[:, None] * n_items + ranked)
     return (relevant & (ranked >= 0), np.bincount(truth // n_items, minlength=len(users)),
-            n_unrankable)
+            len(users) - len(live))
 
 
 def _sampled_rankings(user_vectors, item_vectors, norms, known, users, events, protocol,
@@ -235,9 +324,10 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
                    missing_users="drop"):
     """Rank held-out positives for each test user and aggregate metrics.
 
-    Test interactions are (user NodeRef, item NodeRef, ts); a user's known
-    items are its adjacency row, which for all users is one contiguous run
-    of the graph's CSR arrays. Sampled mode scores each user's earliest
+    Test interactions are ``HeldOut`` columns or (user NodeRef, item
+    NodeRef, ts) rows; only those from ``user_type`` to ``item_type``
+    count. A user's known items are its adjacency row, which for all users
+    is one contiguous run of the graph's CSR arrays. Sampled mode scores each user's earliest
     positive (equal times in item order) against ``negatives_per_user``
     seeded draws from items the user never interacted with; users without
     enough candidates are skipped. Full-corpus mode
@@ -254,17 +344,15 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
     check_missing_users(missing_users)
     t0 = time.perf_counter()
     n_users, n_items = len(table.blocks[user_type]), len(table.blocks[item_type])
-    refs = np.array([(u[0], u[1], i[0], i[1]) for u, i, _ in test_interactions],
-                    dtype=np.int64).reshape(-1, 4)
-    typed = (refs[:, 0] == user_type) & (refs[:, 2] == item_type)
-    fits = typed & (refs[:, 1] < n_users) & (refs[:, 3] < n_items)
-    missing = typed & ~fits
-    miss = missing_users == "miss" and missing.any()
-    for rows, col, what, t in ((typed, 1, "user", user_type), (fits, 3, "item", item_type)):
-        bad = np.flatnonzero(rows & (refs[:, col] < 0))
+    test_users, test_items, test_ts = _held_out_columns(test_interactions, user_type, item_type)
+    fits = (test_users < n_users) & (test_items < n_items)
+    miss = missing_users == "miss" and not fits.all()
+    for ids, rows, what, t in ((test_users, True, "user", user_type),
+                               (test_items, fits, "item", item_type)):
+        bad = np.flatnonzero(rows & (ids < 0))
         if len(bad):
             raise DataError("test interaction references unknown %s %r"
-                            % (what, NodeRef(t, int(refs[bad[0], col]))))
+                            % (what, NodeRef(t, int(ids[bad[0]]))))
     if not fits.any() and miss:
         zeros = {k: 0.0 for k in protocol.k_values}
         report = EvalReport(hitrate=dict(zeros), recall=dict(zeros), ndcg=dict(zeros),
@@ -280,30 +368,29 @@ def evaluate_table(graph, table, test_interactions, protocol, user_type, item_ty
         # dropping other types' neighbors keeps each user's items one run
         indptr = np.concatenate(([0], np.cumsum(hit)))[indptr - indptr[0]]
         indptr = np.concatenate((indptr, np.full(n_users - n_graph, indptr[-1])))
-        rows = refs[fits]
-        ts = np.array([float(t) for _, _, t in test_interactions])[fits]
-        users = np.unique(rows[:, 1])   # users are ranked in row order
+        row_users, row_items, ts = test_users[fits], test_items[fits], test_ts[fits]
+        users = np.unique(row_users)   # users are ranked in row order
         # each user's events by time, equal times by item row
-        order = np.lexsort((rows[:, 3], ts, rows[:, 1]))
-        events = (np.searchsorted(users, rows[order, 1]), rows[order, 3])
+        order = np.lexsort((row_items, ts, row_users))
+        events = (np.searchsorted(users, row_users[order]), row_items[order])
         user_vectors = np.asarray(table.blocks[user_type], dtype=np.float64)
         item_vectors = np.asarray(table.blocks[item_type], dtype=np.float64)
-        norms = np.linalg.norm(item_vectors, axis=1)
         known = (indptr, items[hit])
         if protocol.negatives_per_user is None:
             relevant, n_truth, n_unrankable = _full_rankings(
-                user_vectors, item_vectors, norms, known, users, events, max(protocol.k_values))
+                user_vectors, item_vectors, known, users, events, max(protocol.k_values))
             n_skipped = 0
         else:
             relevant, n_truth, n_skipped, n_unrankable = _sampled_rankings(
-                user_vectors, item_vectors, norms, known, users, events, protocol, user_type)
+                user_vectors, item_vectors, np.linalg.norm(item_vectors, axis=1), known, users,
+                events, protocol, user_type)
         hitrate, recall, ndcg = _metrics(relevant, n_truth, protocol.k_values)
         report = EvalReport(hitrate=hitrate, recall=recall, ndcg=ndcg, n_users=len(relevant),
                             n_skipped=n_skipped, n_unrankable=n_unrankable, wall_ms=0.0)
     if miss:
         # stale-snapshot semantics: users whose events cannot be served by
         # this table version are unrankable, diluting every metric to zero
-        n_missed = np.setdiff1d(refs[missing, 1], refs[fits, 1]).size
+        n_missed = np.setdiff1d(test_users[~fits], test_users[fits]).size
         total = report.n_users + n_missed
         scale = report.n_users / total if total else 0.0
         report.hitrate = {k: v * scale for k, v in report.hitrate.items()}

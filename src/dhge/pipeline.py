@@ -23,17 +23,17 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError
-from .graph import DataError, load_graph, read_increment, NodeRef, _edge_columns
+from .graph import DataError, load_graph, read_increment, _edge_columns
 # not called here; bench/spans.py wraps this name, so it must resolve
 from .graph import apply_increment  # noqa: F401
 from .model import ModelParams, train_epoch, embed_all
 from .optim import AdamW
 from .incremental import capture_alignment, ille_update
-from .evaluation import check_missing_users, cosine_topk, evaluate_table
+from .evaluation import HeldOut, check_missing_users, cosine_topk, evaluate_table
 from .snapshot import (save_model, load_model, save_table, load_table, save_alignment,
                        load_alignment, save_graph_arrays, load_graph_arrays, ArrayFile,
                        adjacency_row, table_shapes, stored_table,
-                       SnapshotFormatError, _atomic_bytes)
+                       SnapshotFormatError, _atomic_bytes, _fsync_dir)
 from .seeding import mix
 from .timing import Stages
 
@@ -213,6 +213,10 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
                    alignment, config_digest, parent_version, increments, graph=None):
     """Persist all state files, then the manifest (last, atomically).
 
+    The directory is fsynced once the state files are renamed into it and
+    again once the manifest is, so a version this returns survives a power
+    loss, and its manifest never names a file the loss took.
+
     ``graph`` is the graph the version was built on; commands read it back
     through ``graph_for_manifest``, and ``cmd_retrieve`` reads single rows of
     the adjacency index stored with it. A version written without one cannot
@@ -232,11 +236,13 @@ def write_snapshot(snapshot_dir, kind, model_config, params, table,
         save_alignment(os.path.join(sd, paths["alignment_path"]), alignment)
     if graph is not None:
         save_graph_arrays(os.path.join(sd, paths["graph_path"]), graph)
+    _fsync_dir(sd)
     man = Manifest(version=version, kind=kind, created_ms=int(time.time() * 1000),
                    config_digest=config_digest, parent_version=parent_version,
                    increments=list(increments), **paths)
     blob = json.dumps(man.to_json_dict(), indent=2, sort_keys=True).encode("utf-8")
     _atomic_bytes(manifest_path(sd, version), [blob])
+    _fsync_dir(sd)
     return man
 
 
@@ -275,7 +281,8 @@ def graph_for_manifest(cfg, man):
 
 
 def read_test_interactions(path, user_type, item_type):
-    """Load held-out (user_ref, item_ref, ts) rows from an edge-format TSV.
+    """Load held-out (user, item, ts) rows from an edge-format TSV, as
+    ``HeldOut`` columns.
 
     Rows whose source type is not user_type are skipped (mirrored link
     rows in reused files), so a training-format file works unchanged. A
@@ -293,8 +300,7 @@ def read_test_interactions(path, user_type, item_type):
         raise DataError("%s:%d: negative node id" % (label, lines[bad[0]]))
     if not users.any():
         raise DataError("%s: no test interactions for user type %d" % (path, user_type))
-    return [(NodeRef(user_type, u), NodeRef(item_type, i), t)
-            for u, i, t in zip(si[users].tolist(), di[users].tolist(), ts[users].tolist())]
+    return HeldOut(user_type, item_type, si[users], di[users], ts[users])
 
 
 def _check_digest(cfg, man, log):
@@ -461,8 +467,9 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
     ``retrieve`` record with the version and ``stage_ms``.
 
     It builds no graph. It maps the graph file and reads the user's row of
-    the stored adjacency (``load_graph``), then maps the table file and
-    widens only the user row and the kept item rows (``load_table``). Every
+    the stored adjacency (``load_graph``), then maps the table file
+    (``load_table``). ``cosine_topk`` widens the item block once, scores
+    every item row and leaves out the user's known items (``rank``). Every
     array it reads has its CRC-32 checked and is range-checked.
     """
     if k < 1:
@@ -495,17 +502,14 @@ def cmd_retrieve(cfg, user_intra_id, k=10, version=None, exclude_known=True,
                         % (user, man.version))
     stages.lap("load_table")
     n_items = min(counts[item_type], len(item_rows))
-    keep = np.ones(n_items, dtype=bool)
+    exclude = None
     if exclude_known:
         lo = sum(counts[:item_type])
-        known = nbrs[(nbrs >= lo) & (nbrs < lo + counts[item_type])] - lo
-        keep[known[known < n_items]] = False
-    keep = np.flatnonzero(keep)
+        exclude = nbrs[(nbrs >= lo) & (nbrs < lo + n_items)] - lo
     hits = []
-    if keep.size:
-        order, scores = cosine_topk(user_rows[user].astype(np.float64),
-                                    item_rows[keep].astype(np.float64), min(k, keep.size))
-        hits = [{"type": item_type, "id": int(keep[j]), "score": float(s)}
+    if n_items:
+        order, scores = cosine_topk(user_rows[user], item_rows[:n_items], k, exclude)
+        hits = [{"type": item_type, "id": int(j), "score": float(s)}
                 for j, s in zip(order, scores)]
     stages.lap("rank")
     log({"event": "retrieve", "version": man.version, "stage_ms": stages.ms})

@@ -8,7 +8,9 @@ boundary. The payloads follow, each at a 64-byte-aligned offset counted
 from the end of the header, zero-padded in between; the file ends at the
 last payload. A reader maps the file and checks it array by array
 (``ArrayFile``). All writers are write-then-rename so a crash never leaves
-a partially written file at the target path.
+a partially written file at the target path; each file is fsynced before
+its rename, and a caller that needs the rename itself to survive a power
+loss fsyncs the directory (``_fsync_dir``).
 
 A model file holds its sorted UTF-8 ``key=value`` config block as the byte
 array ``config``, then each parameter in ``ModelParams.all_params`` order as
@@ -45,6 +47,16 @@ def _atomic_bytes(path, chunks):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _fsync_dir(path):
+    """Flush a directory's entries to disk, so that renames into it survive
+    a power loss."""
+    fd = os.open(os.fspath(path), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_model(path, params, config):

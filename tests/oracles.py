@@ -14,7 +14,9 @@ graph through its per-node accessors or raw edge arrays and draw from
 forward, which the dense oracles here check layer by layer.
 ``retrieve_full_load`` is the read path ``cmd_retrieve`` replaced: the
 package's full graph and table loads, then the full-sort ``_cosine_topk_ref``
-that ``cosine_topk``'s partial selection replaced. ``solve_ridge``,
+that the ranking core replaced, which scores only the kept rows and takes
+their norms by ``np.linalg.norm(axis=1)``; ``assert_ranking_close``
+compares a ranking with it up to the benchmark's tie tolerance. ``solve_ridge``,
 ``graphs_equal`` and ``blocks_equal`` are test helpers over the package's
 weight solve, graphs and tables.
 ``hitrate_at_k``, ``recall_at_k`` and ``ndcg_at_k`` are the per-user
@@ -935,6 +937,30 @@ def _cosine_topk_ref(query, items, k):
     order = np.lexsort((np.arange(len(items)), -scores))
     k = min(k, len(items))
     return order[:k], scores[order[:k]]
+
+
+TIE_TOL = 1e-12   # the tie tolerance of bench/checks.py
+
+
+def assert_ranking_close(got_ids, got_scores, want_ids, want_scores, score_of, tol=TIE_TOL):
+    """A ranking against the reference's, up to last-bit changes of scores.
+
+    ``score_of`` maps every id the reference may rank to its reference
+    score. The two rankings have one length and no repeated id; each score
+    is within ``tol`` of the reference score of its own id and of the
+    reference score at its place; and at a place whose reference score is
+    not finite (a zero-norm row or a NaN score, which order by row exactly)
+    the ids are equal. So ids differ only where reference scores differ by
+    at most ``tol``, and an id the reference never ranks fails."""
+    got_ids, want_ids = np.asarray(got_ids, dtype=np.int64), np.asarray(want_ids, dtype=np.int64)
+    want_scores = np.asarray(want_scores, dtype=np.float64)
+    assert len(got_ids) == len(want_ids) == len(set(got_ids.tolist())), (got_ids, want_ids)
+    own = [score_of[i] for i in got_ids.tolist()]
+    for ref in (own, want_scores):
+        assert np.allclose(got_scores, ref, rtol=0.0, atol=tol, equal_nan=True), \
+            (got_ids, got_scores, want_ids, want_scores)
+    fixed = ~np.isfinite(want_scores)
+    assert got_ids[fixed].tolist() == want_ids[fixed].tolist(), (got_ids, want_ids)
 
 
 def _key_ints_ref(key):

@@ -2,11 +2,13 @@
 import json
 import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
 
 from dhge.config import RunConfig
+from dhge.evaluation import EvalProtocol, HeldOut, evaluate_table
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite
 from dhge.graph import DataError, NodeRef
 from dhge.pipeline import (Manifest, manifest_path, list_versions,
@@ -17,7 +19,7 @@ from dhge.pipeline import (Manifest, manifest_path, list_versions,
                            cmd_simulate_stream)
 from dhge.snapshot import SnapshotFormatError, load_alignment, load_graph_arrays, load_table
 import dhge.pipeline as pipeline_mod
-from oracles import graphs_equal, replay_graph, retrieve_full_load
+from oracles import assert_ranking_close, graphs_equal, replay_graph, retrieve_full_load
 
 CFG_TEXT = """
 [model]
@@ -377,6 +379,35 @@ class TestSnapshotLock:
         assert man.version == 2
 
 
+class TestDurability:
+    def test_directory_fsynced_after_state_files_and_after_manifest(self, stream_data,
+                                                                    tmp_path, monkeypatch):
+        """Each state file is fsynced and renamed, then the directory is
+        fsynced, then the manifest is fsynced and renamed, then the
+        directory again, so a version that ``write_snapshot`` returned
+        survives a power loss."""
+        data_dir, _ = stream_data
+        cfg = make_config(str(data_dir), tmp_path / "snaps")
+        cfg.train["epochs"] = 1
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recorded_fsync(fd):
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        def recorded_replace(src, dst):
+            events.append("rename " + os.path.basename(dst))
+            replace(src, dst)
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        cmd_train(cfg)
+        state = ["v000001.%s" % ext for ext in ("model", "table", "align", "graph")]
+        assert events == ([e for name in state for e in ("fsync file", "rename " + name)]
+                          + ["fsync dir", "fsync file", "rename manifest-000001.json",
+                             "fsync dir"])
+
+
 @pytest.fixture(scope="module")
 def trained(stream_data, tmp_path_factory):
     data_dir, stats = stream_data
@@ -410,6 +441,28 @@ class TestEvaluateRetrieve:
         with pytest.raises(DataError, match="no test interactions"):
             read_test_interactions(mirrors, 0, 1)
 
+    def test_test_file_columns_evaluate_as_their_rows(self, stream_data, trained):
+        """``read_test_interactions`` returns columns; ``evaluate_table``
+        reports on them exactly as on the tuple rows they iterate as, and
+        columns of other types hold no row of the requested ones."""
+        data_dir, _ = stream_data
+        cfg, _ = trained
+        held = read_test_interactions(os.path.join(str(data_dir), "base_test.tsv"), 0, 1)
+        assert isinstance(held, HeldOut) and held.users.dtype == held.items.dtype == np.int64
+        sd = cfg.paths["snapshot_dir"]
+        man = latest_manifest(sd)
+        graph, table = graph_for_manifest(cfg, man), load_table(os.path.join(sd, man.table_path))
+        for proto in (cfg.protocol(), EvalProtocol(k_values=(1, 3), negatives_per_user=None)):
+            for missing in ("drop", "miss"):
+                reports = [evaluate_table(graph, table, tests, proto, 0, 1, missing).to_json_dict()
+                           for tests in (held, list(held))]
+                for report in reports:
+                    report.pop("wall_ms")
+                assert reports[0] == reports[1]
+        for tests in (held, list(held)):
+            with pytest.raises(DataError, match="no evaluable"):
+                evaluate_table(graph, table, tests, cfg.protocol(), 1, 0)
+
     def test_retrieve_orders_and_excludes_known(self, stream_data, trained):
         cfg, _ = trained
         hits = cmd_retrieve(cfg, user_intra_id=0, k=5)
@@ -431,9 +484,21 @@ class TestEvaluateRetrieve:
             cmd_retrieve(cfg, user_intra_id=10_000)
 
 
+def _assert_hits_close(hits, want, full=None):
+    """``hits`` against ``want``, the full-load reference's, within the tie
+    tolerance; ``full`` is the reference's ranking of every candidate,
+    ``want`` itself by default."""
+    full = want if full is None else full
+    assert [h["type"] for h in hits] == [h["type"] for h in want]
+    assert_ranking_close([h["id"] for h in hits], [h["score"] for h in hits],
+                         [h["id"] for h in want], [h["score"] for h in want],
+                         {h["id"]: h["score"] for h in full})
+
+
 class TestRetrievePointRead:
     """``cmd_retrieve`` reads one adjacency row and two table blocks; its hits
-    equal those of ``retrieve_full_load``, which loads the whole version."""
+    equal those of ``retrieve_full_load``, which loads the whole version,
+    up to the tie tolerance."""
 
     def test_equals_full_load_for_every_user_and_version(self, stream_data, tmp_path):
         data_dir, stats = stream_data
@@ -452,11 +517,12 @@ class TestRetrievePointRead:
                 n_known = int(np.count_nonzero(graph.neighbors_of(NodeRef(0, user))
                                                >= graph.offsets[1]))
                 for exclude_known in (True, False):
+                    full = retrieve_full_load(cfg, user, n_items, version, exclude_known)
                     # k below, and k above, the number of candidates
                     for k in (1, 5, n_items + 3):
                         args = (cfg, user, k, version, exclude_known)
                         hits = cmd_retrieve(*args)
-                        assert hits == retrieve_full_load(*args)
+                        _assert_hits_close(hits, retrieve_full_load(*args), full)
                     assert len(hits) == n_items - n_known * exclude_known
 
     def test_user_without_neighbours(self, stream_data, tmp_path):
@@ -473,7 +539,7 @@ class TestRetrievePointRead:
         assert len(graph.neighbors_of(NodeRef(0, user))) == 0
         for exclude_known in (True, False):
             hits = cmd_retrieve(cfg, user, k=100, exclude_known=exclude_known)
-            assert hits == retrieve_full_load(cfg, user, 100, None, exclude_known)
+            _assert_hits_close(hits, retrieve_full_load(cfg, user, 100, None, exclude_known))
             assert len(hits) == graph.counts[1]
 
 

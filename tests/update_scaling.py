@@ -31,15 +31,21 @@ Run as a script, it prints one JSON line:
 * with ``evaluate``, ``{"sizes", "evaluate_ms", "full_corpus_ms"}``: per
   base size (4k, 16k and 64k nodes), the median milliseconds of three
   ``evaluate_table`` calls ranking 300 test users' held-out items against
-  99 sampled negatives each, and of three in full-corpus mode
-  (``negatives_per_user=None``, every item the user does not know), on a
-  random hidden-32 table. No test reads it either;
-* with ``retrieve``, ``{"sizes", "full_load_ms", "point_read_ms"}``: per
-  base size (4k, 16k and 64k nodes, one static version with a random
-  hidden-32 table), the median milliseconds of one top-10 retrieve for 20
-  users, through ``tests/oracles.retrieve_full_load`` (the whole graph and
-  table loaded) and through ``cmd_retrieve`` (one adjacency row and two
-  table blocks read). No test reads it;
+  99 sampled negatives each (pools scored by the stacked pool product),
+  and of three in full-corpus mode (``negatives_per_user=None``: blocks of
+  users ranked against every item by the ranking core, known items left
+  out), on a random hidden-32 table. No test reads it either;
+* with ``retrieve``, ``{"sizes", "full_load_ms", "point_read_ms",
+  "page_ms"}``: per base size (4k, 16k and 64k nodes, one static version
+  with a random hidden-32 table), the median milliseconds of one top-10
+  retrieve for 20 users, through ``tests/oracles.retrieve_full_load`` (the
+  whole graph and table loaded, the kept rows ranked by the full-sort
+  reference) and through ``cmd_retrieve`` (one adjacency row and two table
+  blocks read, the item block ranked by the ranking core with the user's
+  known items left out); then of one page of 10 of those users in the
+  ``resident`` benchmark's shape, from the graph and table in memory: per
+  user, a gather of the items it does not know and ``cosine_topk`` on
+  them. No test reads it;
 * with ``epoch``, ``{"n_pairs", "wall_ms", "stage_ms"}``: one
   default-config training epoch (through ``cmd_train``) on the drift base
   ``gen_drift_stream(base_users=3000, base_items=1000, communities=8,
@@ -77,7 +83,7 @@ import scipy.spatial
 from oracles import full_lle_oracle, lle_weight_matrix, retrieve_full_load
 
 from dhge.config import RunConfig
-from dhge.evaluation import EvalProtocol, evaluate_table
+from dhge.evaluation import EvalProtocol, cosine_topk, evaluate_table
 import dhge.graph
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, swiss_roll_points
 from dhge.graph import (HeteroGraph, IncrementBatch, NodeRef, RelationSchema, load_graph,
@@ -231,8 +237,8 @@ def linear_times(rounds=5):
             "solve": [t[6:9] for t in times]}
 
 
-def retrieve_times(sizes=(4000, 16000, 64000), n_users=20, rounds=3):
-    out = {"sizes": list(sizes), "full_load_ms": [], "point_read_ms": []}
+def retrieve_times(sizes=(4000, 16000, 64000), n_users=20, rounds=3, page=10):
+    out = {"sizes": list(sizes), "full_load_ms": [], "point_read_ms": [], "page_ms": []}
     for n in sizes:
         g = scaling_graph(n, seed=1)
         rng = np.random.default_rng(2)
@@ -243,14 +249,30 @@ def retrieve_times(sizes=(4000, 16000, 64000), n_users=20, rounds=3):
             cfg = RunConfig.defaults(snapshot_dir=sd)
             write_snapshot(sd, "static", model_cfg, params, table, None, cfg.digest(), None, [],
                            graph=g)
+            users = rng.choice(g.counts[0], size=n_users, replace=False).tolist()
             work = []
-            for user in rng.choice(g.counts[0], size=n_users, replace=False).tolist():
+            for user in users:
                 work += [functools.partial(retrieve_full_load, cfg, user),
                          functools.partial(cmd_retrieve, cfg, user)]
+            work += [functools.partial(_retrieve_page, g, table, users[j:j + page])
+                     for j in range(0, n_users, page)]
             times = np.asarray(_rounds(work, rounds)[0]) * 1000.0
-        out["full_load_ms"].append(float(np.median(times[:, 0::2])))
-        out["point_read_ms"].append(float(np.median(times[:, 1::2])))
+        out["full_load_ms"].append(float(np.median(times[:, 0:2 * n_users:2])))
+        out["point_read_ms"].append(float(np.median(times[:, 1:2 * n_users:2])))
+        out["page_ms"].append(float(np.median(times[:, 2 * n_users:])))
     return out
+
+
+def _retrieve_page(graph, table, users, k=10):
+    """The ``resident`` benchmark's retrieve of a page of users from a graph
+    and table in memory: per user, its known items from its adjacency row, a
+    gather of every other item row and ``cosine_topk`` on the gathered rows."""
+    for user in users:
+        nbrs = graph.neighbors_of(NodeRef(0, user))
+        mask = np.ones(table.counts[1], dtype=bool)
+        mask[nbrs[nbrs >= graph.offsets[1]] - graph.offsets[1]] = False
+        keep = np.flatnonzero(mask)
+        cosine_topk(table.row(NodeRef(0, user)), table.blocks[1][keep], k)
 
 
 def epoch_times():
