@@ -51,11 +51,10 @@ def main():
     d_new = scipy.spatial.distance.cdist(pts[N_BASE:], pts)
     d_new[np.arange(N_NEW), np.arange(N_BASE, N_BASE + N_NEW)] = np.inf
     nbrs = np.empty((N_NEW, K), dtype=np.int64)
-    weights = np.empty((N_NEW, K))
     for j in range(N_NEW):
         part = np.argpartition(d_new[j], K)[:K]
         nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
-        weights[j] = reconstruction_weights(pts[N_BASE + j], pts[nbrs[j]], EPS)
+    weights = reconstruction_weights(pts, np.arange(N_BASE, N_BASE + N_NEW), nbrs, EPS)
     # ids index the rows of y_base; the new points take ids N_BASE and up
     rows, new_loss, coupled, _ = embed_increment(y_base, np.arange(N_BASE, N_BASE + N_NEW),
                                                  nbrs, weights)

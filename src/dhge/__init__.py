@@ -12,8 +12,7 @@ from .graph import (DataError, GraphFormatError, NodeRef, RelationSchema,
                     load_schema, read_increment)
 from .model import ModelConfig, ModelParams, EmbeddingTable, train_epoch, embed_all
 from .optim import AdamW
-from .incremental import (UpdateConfig, AlignmentState, ColdIsolatedError,
-                          capture_alignment, ille_update)
+from .incremental import UpdateConfig, AlignmentState, capture_alignment, ille_update
 from .evaluation import EvalProtocol, EvalReport, cosine_topk, evaluate_table
 from .snapshot import (SnapshotFormatError, save_model, load_model,
                        save_table, load_table, save_alignment, load_alignment)
@@ -32,8 +31,7 @@ __all__ = [
     "load_schema", "read_increment",
     "ModelConfig", "ModelParams", "EmbeddingTable", "train_epoch", "embed_all",
     "AdamW",
-    "UpdateConfig", "AlignmentState", "ColdIsolatedError",
-    "capture_alignment", "ille_update",
+    "UpdateConfig", "AlignmentState", "capture_alignment", "ille_update",
     "EvalProtocol", "EvalReport", "cosine_topk", "evaluate_table",
     "SnapshotFormatError", "save_model", "load_model", "save_table",
     "load_table", "save_alignment", "load_alignment",

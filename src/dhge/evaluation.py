@@ -105,7 +105,8 @@ def cosine_topk(query, items, k, exclude=None):
     Ties break toward the smaller index. Zero-norm item rows rank after all
     scored rows (in index order), and NaN scores after those; a zero-norm
     query is unrankable and raises. The item rows ``exclude`` lists are
-    scored with the rest but never returned, so fewer than k may come back.
+    scored with the rest but never returned, so fewer than k may come back;
+    a negative or out-of-range row raises ``ValueError``.
     """
     query = np.asarray(query, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
@@ -115,6 +116,9 @@ def cosine_topk(query, items, k, exclude=None):
     known = None
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=np.int64)
+        bad = exclude[(exclude < 0) | (exclude >= len(items))]
+        if len(bad):
+            raise ValueError("exclude names item %d, outside the %d items" % (bad[0], len(items)))
         known = (np.zeros(len(exclude), dtype=np.int64), exclude)
     ids, scores = _top_k(query[None, :], np.array([qn]), items, k, known)
     n = np.count_nonzero(ids[0] >= 0)

@@ -16,91 +16,49 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .graph import DataError, NodeRef, _in_sorted, _ranges, _unique, apply_increment, id_remap
+from .graph import DataError, _in_sorted, _ranges, _unique, apply_increment, id_remap
 from .model import EmbeddingTable, init_features
-from .seeding import (_MASK, derived_rng, mix, mix_many, pcg64_state, seed_states,
-                      seeded_choice_rows, TAG_BFS, TAG_COLD)
+from .seeding import (derived_rng, mix, mix_many, pcg64_state, seed_states, seeded_choice_rows,
+                      TAG_BFS, TAG_COLD)
 from .tensor import NumericError, SingularMatrixError, cholesky_solve, ridge_systems
 from .timing import Stages
 
 
-class ColdIsolatedError(DataError):
-    """A node has no graph neighbors at all, so local reconstruction is undefined."""
-
-    def __init__(self, ref):
-        super().__init__("node (%d, %d) is cold-isolated: no neighbors at any hop"
-                         % (ref[0], ref[1]))
-        self.ref = NodeRef(*ref)
-
-
-def bfs_neighbors(graph, center, k, rng_seed):
-    """Select k reconstruction neighbors of global id ``center``: 1-hop first,
-    then 2-hop, then pad.
-
-    Returns (neighbors, hops): the chosen global ids and their hop counts.
-    Within a hop, nodes beyond what is needed are drawn uniformly without
-    replacement from ``derived_rng(TAG_BFS, rng_seed)``; if both hops
-    together still fall short of k, the collected set is resampled with
-    replacement. A node with no neighbors at all raises
-    ``ColdIsolatedError``.
-    """
-    if not 0 <= center < graph.num_nodes:
-        raise DataError("global index %d out of range" % center)
-    connected, nbrs, hops = _sample_neighbors(
-        graph, np.array([center], dtype=np.int64), k,
-        lambda rows: np.full(len(rows), int(rng_seed) & _MASK, dtype=np.uint64))
-    if not connected[0]:
-        raise ColdIsolatedError(graph.ref_of(center))
-    return nbrs[0], hops[0]
-
-
-def _neighborhoods(graph, ids, k, rng_seed):
-    """(connected, nbrs): which global ids of ``ids`` have neighbors, and the
-    (m, k) reconstruction neighbors of those that do, in ``ids`` order.
-
-    Node (t, i) draws from the seed ``mix(rng_seed, TAG_BFS, t, i)``, so its
-    neighborhood does not depend on which other nodes are sampled with it.
-    The candidates of every node are gathered and drawn in array passes,
-    bit-identical to building one generator per node; only a pad row still
-    sets a shared generator to the state its own ``derived_rng`` would
-    start from.
-    """
-    refs = _refs(graph, ids)
-    connected, nbrs, _ = _sample_neighbors(
-        graph, ids, k, lambda rows: mix_many(rng_seed, TAG_BFS, refs[rows, 0], refs[rows, 1]))
-    return connected, nbrs[connected]
-
-
-# 2-hop candidate entries gathered per pass of _sample_neighbors (2 MiB)
+# 2-hop candidate entries gathered per pass of bfs_neighbors (2 MiB)
 _HOP2_CHUNK = 1 << 18
 
 
-def _sample_neighbors(graph, ids, k, seeds_of):
-    """(connected, nbrs, hops) of ``bfs_neighbors`` for every global id of
-    ``ids``, rows of unconnected ids left unset.
+def bfs_neighbors(graph, ids, k, rng_seed):
+    """(connected, nbrs): which global ids of ``ids`` have neighbors, and the
+    (m, k) reconstruction neighbors of those that do, in ``ids`` order.
 
-    Row j draws from ``derived_rng(TAG_BFS, s)`` for the seed s that
-    ``seeds_of(rows)`` gives for the row positions ``rows``. Rows with more
-    than k 1-hop nodes, and rows whose 2-hop set exceeds the k - deg they
-    still need, draw sorted ranks by ``seeded_choice_rows``, one call per
-    draw size; adjacency rows and 2-hop runs are sorted, so rank r picks
-    the r-th candidate. A row short of k with both hops pads by resampling
-    its collected set with replacement, on a shared generator set to its
-    state.
+    Each node takes its 1-hop nodes first, then 2-hop, then pads. Node
+    (t, i) draws from ``derived_rng(TAG_BFS, mix(rng_seed, TAG_BFS, t, i))``,
+    so its neighborhood does not depend on which other nodes are sampled
+    with it. Rows with more than k 1-hop nodes, and rows whose 2-hop set
+    exceeds the k - deg they still need, draw sorted ranks without
+    replacement by ``seeded_choice_rows``, one call per draw size;
+    adjacency rows and 2-hop runs are sorted, so rank r picks the r-th
+    candidate. A row short of k with both hops pads by resampling its
+    collected set with replacement, on a shared generator set to its state.
+    The draws are bit-identical to one generator per node.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    indptr, indices = graph._adj_indptr, graph._adj_indices
     ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= graph.num_nodes)]
+    if len(bad):
+        raise DataError("global index %d out of range" % bad[0])
+    indptr, indices = graph._adj_indptr, graph._adj_indices
     start, deg = indptr[ids], indptr[ids + 1] - indptr[ids]
     nbrs = np.empty((len(ids), k), dtype=np.int64)
-    hops = np.ones((len(ids), k), dtype=np.int64)
     exact = np.flatnonzero(deg == k)
     nbrs[exact] = indices[start[exact, None] + np.arange(k)]
     # generator states of every row that may draw, in one pass
     states = np.empty((4, len(ids)), dtype=np.uint64)
     may = np.flatnonzero((deg > 0) & (deg != k))
-    states[:, may] = seed_states(TAG_BFS, seeds_of(may))
+    refs = _refs(graph, ids[may])
+    states[:, may] = seed_states(TAG_BFS, mix_many(rng_seed, TAG_BFS, refs[:, 0], refs[:, 1]))
     many = np.flatnonzero(deg > k)
     ranks = seeded_choice_rows(states[:, many], deg[many], k)
     nbrs[many] = indices[start[many, None] + ranks]
@@ -121,23 +79,18 @@ def _sample_neighbors(graph, ids, k, seeds_of):
         nbrs[np.repeat(rows, d), col] = indices[_ranges(start[rows], d)]
         take = n2 <= need
         r2 = np.repeat(rows[take], n2[take])
-        col = _ranges(d[take], n2[take])
-        nbrs[r2, col] = hop2[_ranges(first[:-1][take], n2[take])]
-        hops[r2, col] = 2
+        nbrs[r2, _ranges(d[take], n2[take])] = hop2[_ranges(first[:-1][take], n2[take])]
         draw = np.flatnonzero(~take)
         for size in np.unique(need[draw]).tolist():
             c = draw[need[draw] == size]
             ranks = seeded_choice_rows(states[:, rows[c]], n2[c], size)
             nbrs[rows[c], k - size:] = hop2[first[c, None] + ranks]
-            hops[rows[c], k - size:] = 2
         # short of k with both hops: pad by resampling the collected set
         pad = np.flatnonzero(n2 < need)
         for j, have in zip(rows[pad].tolist(), (d + n2)[pad].tolist()):
             rng.bit_generator.state = pcg64_state(states[:, j].tolist())
-            at = rng.choice(have, size=k - have, replace=True)
-            nbrs[j, have:] = nbrs[j, at]
-            hops[j, have:] = hops[j, at]
-    return deg > 0, nbrs, hops
+            nbrs[j, have:] = nbrs[j, rng.choice(have, size=k - have, replace=True)]
+    return deg > 0, nbrs[deg > 0]
 
 
 def _hop2(graph, centers, start, deg):
@@ -173,60 +126,44 @@ def _refs(graph, ids):
     return np.stack([types, ids - graph.offsets[types]], axis=-1)
 
 
-# floats of the (rows, k, D) neighbor stack gathered per weight-solve chunk
-# (512 KiB)
+# floats of the (rows, k, D) neighbor stack gathered per Gram chunk (512 KiB)
 _GRAM_CHUNK_FLOATS = 1 << 16
 
 
-def reconstruction_weights(x_center, x_neighbors, eps):
-    """Affine reconstruction weights for a point from its neighbors.
+def reconstruction_weights(vecs, centers, nbrs, eps):
+    """(m, k) affine reconstruction weights: row j reconstructs the row
+    ``vecs[centers[j]]`` from the rows ``vecs[nbrs[j]]``.
 
-    Solves the ridge-regularized Gram system of neighbor difference vectors
-    and normalizes the solution to sum to one. An all-zero Gram (every
+    Each row solves the ridge-regularized Gram system of its neighbor
+    difference vectors, normalized to sum to one. An all-zero Gram (every
     neighbor coincides with the center) falls back to uniform weights when
     eps > 0; with eps = 0 the singular system propagates as an error.
+    Grams and ridge systems are built stacked, a chunk of rows at a time;
+    each row then pays one ``cholesky_solve``, a direct ``dpotrf`` /
+    ``dpotrs`` pair, about 4 us at k = 8. Stacked products, traces and row
+    sums round exactly as their per-row forms.
     """
-    x_center = np.asarray(x_center, dtype=np.float64)
-    x_neighbors = np.asarray(x_neighbors, dtype=np.float64)
-    return _solve_weights(x_center[None], x_neighbors[None], eps)[0]
-
-
-def _weight_rows(vecs, centers, nbrs, eps):
-    """(m, k) reconstruction weights of each center from its neighbors, over
-    the rows of ``vecs``, bit-equal to ``reconstruction_weights`` per row."""
-    out = np.empty(nbrs.shape)
-    step = max(1, _GRAM_CHUNK_FLOATS // max(1, nbrs.shape[1] * vecs.shape[1]))
-    for c in range(0, len(nbrs), step):
-        out[c:c + step] = _solve_weights(vecs[centers[c:c + step]], vecs[nbrs[c:c + step]], eps)
-    return out
-
-
-def _solve_weights(x_center, x_neighbors, eps):
-    """Weights of ``reconstruction_weights`` for a stack of m centers (m, D)
-    and their neighbors (m, k, D).
-
-    The Grams and ridge systems are built stacked; each row then pays one
-    ``cholesky_solve``, a direct ``dpotrf`` / ``dpotrs`` pair, about 4 us at
-    k = 8. Stacked products, traces and row sums round exactly as their
-    per-row forms.
-    """
-    m, k = x_neighbors.shape[:2]
+    vecs = np.asarray(vecs, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.int64)
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    m, k = nbrs.shape
     if k == 0:
         raise ValueError("at least one neighbor required")
     if k == 1:
         return np.ones((m, 1))
-    diffs = x_center[:, None, :] - x_neighbors
-    system = ridge_systems(diffs @ diffs.transpose(0, 2, 1), eps)
     w = np.empty((m, k))
     uniform = np.zeros(m, dtype=bool)
     ones = np.ones(k)
-    for j in range(m):
-        try:
-            w[j] = cholesky_solve(system[j], ones)
-        except SingularMatrixError:
-            if eps == 0:
-                raise
-            uniform[j] = True   # degenerate neighborhood: trace(G) = 0
+    step = max(1, _GRAM_CHUNK_FLOATS // max(1, k * vecs.shape[1]))
+    for c in range(0, m, step):
+        diffs = vecs[centers[c:c + step], None, :] - vecs[nbrs[c:c + step]]
+        for j, system in enumerate(ridge_systems(diffs @ diffs.transpose(0, 2, 1), eps), c):
+            try:
+                w[j] = cholesky_solve(system, ones)
+            except SingularMatrixError:
+                if eps == 0:
+                    raise
+                uniform[j] = True   # degenerate neighborhood: trace(G) = 0
     w[uniform] = 1.0 / k
     total = w.sum(axis=1)
     total[uniform] = 1.0   # uniform weights are returned as they are
@@ -400,19 +337,17 @@ class AlignmentState:
 def capture_alignment(graph, table, k, eps, rng_seed, weight_space="embedding"):
     """Record per-node reconstruction rows and the alignment spectrum.
 
-    Every node with a neighbor gets a row, in ``graph``'s global ids.
-    Neighborhoods are drawn and weights stacked in array passes; per node it
-    still pays one ``dpotrf`` / ``dpotrs`` pair, and a pad row one generator
-    state (``_neighborhoods``). Draws are bit-identical to one
-    ``derived_rng`` per node, and weights to ``reconstruction_weights``.
+    Every node with a neighbor gets a row, in ``graph``'s global ids: its
+    neighbors from ``bfs_neighbors`` and its weights from
+    ``reconstruction_weights``, both over every node in array passes.
     """
     ids = np.arange(graph.num_nodes)
     y = table.dense()
     vecs = _weight_space(graph, y, weight_space)
-    connected, nbrs = _neighborhoods(graph, ids, k, rng_seed)
+    connected, nbrs = bfs_neighbors(graph, ids, k, rng_seed)
     centers = ids[connected]
     state = AlignmentState(None, tuple(graph.counts), centers, nbrs,
-                           _weight_rows(vecs, centers, nbrs, eps))
+                           reconstruction_weights(vecs, centers, nbrs, eps))
     state.lam, yty = _grams(_reconstruction_operator(graph, state), y)
     state.grams = (table, state.lam, yty)
     return state
@@ -700,12 +635,15 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     splits the wall time into apply, sample, weights, embed, blend, refine
     and write-back.
     """
-    t0 = time.perf_counter()
-    stages = Stages()
-    graph2, stats = apply_increment(graph, batch)
     if table.counts != graph.counts:
         raise DataError("embedding table counts %s do not match base graph %s"
                         % (table.counts, graph.counts))
+    if alignment is not None and update_config.k != alignment.k:
+        raise DataError("alignment was captured with k=%d but the update uses k=%d;"
+                        " retrain to recapture it" % (alignment.k, update_config.k))
+    t0 = time.perf_counter()
+    stages = Stages()
+    graph2, stats = apply_increment(graph, batch)
 
     # the new table's blocks are views of one dense (N, D) array, each type
     # grown by zero rows for its new nodes
@@ -730,7 +668,7 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     update_set = np.concatenate([new, _unique(ends[~is_new[ends]])])
     stages.lap("apply")
 
-    connected, nbrs = _neighborhoods(graph2, update_set, update_config.k, rng_seed)
+    connected, nbrs = bfs_neighbors(graph2, update_set, update_config.k, rng_seed)
     centers, cold = update_set[connected], update_set[~connected]
     n_new = int(connected[:len(new)].sum())   # centers[:n_new] are new nodes
     stages.lap("sample")
@@ -741,8 +679,8 @@ def ille_update(graph, batch, params, table, model_config, update_config,
         for c, nb in zip(centers[:n_new], nbrs[:n_new]):
             nb = nb[~is_new[nb]]
             dense[c] = dense[nb].mean(axis=0) if len(nb) else 0.0
-    weights = _weight_rows(_weight_space(graph2, dense, update_config.weight_space),
-                           centers, nbrs, update_config.eps)
+    weights = reconstruction_weights(_weight_space(graph2, dense, update_config.weight_space),
+                                     centers, nbrs, update_config.eps)
     stages.lap("weights")
 
     rows, reconstruction_loss, n_coupled, unsolved = embed_increment(
@@ -773,9 +711,6 @@ def ille_update(graph, batch, params, table, model_config, update_config,
     step_warning = False
     alignment2 = None
     if alignment is not None:
-        if update_config.k != alignment.k:
-            raise DataError("alignment was captured with k=%d but the update uses k=%d;"
-                            " retrain to recapture it" % (alignment.k, update_config.k))
         alignment = alignment.in_graph(graph2)
         alignment2 = alignment.with_rows(centers, nbrs, weights)
         if update_config.refine_steps > 0 and len(centers):

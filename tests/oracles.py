@@ -193,19 +193,18 @@ def dynamic_negative_sample_loop(pos_pairs, emb, emb_ids, graph, pool_size, rng,
 
 
 def bfs_neighbors_loop(graph, center, k, rng_seed):
-    """``bfs_neighbors`` one node at a time: 1-hop row, a sorted 2-hop set
-    from the rows of its members, one ``derived_rng(TAG_BFS, rng_seed)``
-    built only when a draw follows."""
+    """One node's reconstruction neighbors, drawn alone: its 1-hop row, a
+    sorted 2-hop set from the rows of its members, one
+    ``derived_rng(TAG_BFS, rng_seed)`` built only when a draw follows. None
+    for a node with no neighbors."""
     from dhge.graph import _in_sorted
-    from dhge.incremental import ColdIsolatedError
     from dhge.seeding import TAG_BFS, derived_rng
     hop1 = graph.neighbors_of(center)
     if len(hop1) == 0:
-        raise ColdIsolatedError(graph.ref_of(center))
+        return None
     if len(hop1) >= k:
-        chosen = hop1 if len(hop1) == k else np.sort(
+        return hop1 if len(hop1) == k else np.sort(
             derived_rng(TAG_BFS, rng_seed).choice(hop1, size=k, replace=False))
-        return chosen, np.ones(k, dtype=np.int64)
     hop2 = np.sort(np.concatenate([graph.neighbors_of(int(n)) for n in hop1]))
     fresh = np.append(True, hop2[1:] != hop2[:-1]) & (hop2 != center) & ~_in_sorted(hop1, hop2)[1]
     hop2 = hop2[fresh]
@@ -214,27 +213,24 @@ def bfs_neighbors_loop(graph, center, k, rng_seed):
     if len(hop2) > need:
         hop2 = np.sort(rng.choice(hop2, size=need, replace=False))
     chosen = np.concatenate([hop1, hop2])
-    hops = np.repeat([1, 2], [len(hop1), len(hop2)])
     if len(chosen) < k:
         pad = rng.choice(len(chosen), size=k - len(chosen), replace=True)
         chosen = np.concatenate([chosen, chosen[pad]])
-        hops = np.concatenate([hops, hops[pad]])
-    return chosen, hops
+    return chosen
 
 
 def neighborhoods_loop(graph, ids, k, rng_seed):
-    """``_neighborhoods`` as one ``bfs_neighbors_loop`` per node, seeded
+    """``bfs_neighbors`` as one ``bfs_neighbors_loop`` per node, seeded
     ``mix(rng_seed, TAG_BFS, t, i)``."""
-    from dhge.incremental import ColdIsolatedError
     from dhge.seeding import TAG_BFS, mix
     connected = np.ones(len(ids), dtype=bool)
     nbrs = np.empty((len(ids), k), dtype=np.int64)
     for j, g in enumerate(np.asarray(ids).tolist()):
         t, i = graph.ref_of(g)
-        try:
-            nbrs[j] = bfs_neighbors_loop(graph, g, k, mix(rng_seed, TAG_BFS, t, i))[0]
-        except ColdIsolatedError:
-            connected[j] = False
+        row = bfs_neighbors_loop(graph, g, k, mix(rng_seed, TAG_BFS, t, i))
+        connected[j] = row is not None
+        if connected[j]:
+            nbrs[j] = row
     return connected, nbrs[connected]
 
 
@@ -793,12 +789,9 @@ def lle_weight_matrix(x, k, eps):
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     nbrs = knn_indices(x, k)
-    rows = np.repeat(np.arange(n), k)
-    cols = nbrs.ravel()
-    vals = np.empty(n * k)
-    for i in range(n):
-        vals[i * k:(i + 1) * k] = reconstruction_weights(x[i], x[nbrs[i]], eps)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    vals = reconstruction_weights(x, np.arange(n), nbrs, eps)
+    return scipy.sparse.csr_matrix((vals.ravel(), (np.repeat(np.arange(n), k), nbrs.ravel())),
+                                   shape=(n, n))
 
 
 def full_lle_oracle(x, k, dim, eps=1e-8):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import dhge.incremental
 from dhge import snapshot
 from dhge.config import RunConfig
 from dhge.fixtures import gen_drift_stream
@@ -54,6 +55,29 @@ def test_checks_and_workloads_import():
 def test_every_traced_site_resolves():
     for owner, attr, _ in _bench_module("spans").SITES:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
+
+
+def test_incremental_stage_spans_fire_once_per_call():
+    # capture and update each sample neighborhoods and solve weights once,
+    # under the names bench/spans.py wraps
+    g = tiny_bipartite()
+    cfg, params = tiny_params(g)
+    table = embed_all(g, params, cfg, version=1)
+    batch = IncrementBatch(new_nodes=[(NodeRef(0, 3), np.ones(5), np.ones(5, dtype=bool))],
+                           new_edges=[(NodeRef(0, 3), NodeRef(1, 1), 0, 50.0)], batch_time=50.0)
+    stages = ("incremental.bfs_neighbors", "incremental.reconstruction_weights")
+    recorder = _bench_module("spans").SpanRecorder()
+    recorder.install()
+    try:
+        alignment = dhge.incremental.capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        for name in stages:
+            assert recorder.child_counts("incremental.capture_alignment", name) == (1, 1), name
+        dhge.incremental.ille_update(g, batch, params, table, cfg,
+                                     UpdateConfig(k=2, refine_steps=1), alignment=alignment)
+        for name in stages:
+            assert recorder.child_counts("incremental.ille_update", name) == (1, 1), name
+    finally:
+        recorder.restore()
 
 
 def test_a_version_reads_back_through_the_manifest_names(tmp_path):

@@ -45,6 +45,14 @@ class TestCosineTopk:
         with pytest.raises(NumericError, match="unrankable"):
             cosine_topk(np.zeros(2), np.eye(2), 1)
 
+    def test_exclude_ids_out_of_range_raise(self):
+        # -1 would otherwise drop the last item, and 7 index past the rows
+        items = np.eye(4)
+        for bad in (-1, 7):
+            with pytest.raises(ValueError, match="item %d, outside the 4 items" % bad):
+                cosine_topk(np.ones(4), items, 2, exclude=[0, bad])
+        assert cosine_topk(np.ones(4), items, 4, exclude=[3])[0].tolist() == [0, 1, 2]
+
     def test_k_truncates_to_population(self):
         idx, _ = cosine_topk(np.ones(2), np.eye(2), 10)
         assert len(idx) == 2

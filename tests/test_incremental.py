@@ -13,23 +13,27 @@ from dhge.graph import DataError, NodeRef, IncrementBatch, apply_increment, load
 from dhge.config import RunConfig
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.pipeline import cmd_retrieve, write_snapshot
-from dhge.incremental import (ColdIsolatedError, bfs_neighbors,
-                              reconstruction_weights, residual_blend,
+from dhge.incremental import (bfs_neighbors, reconstruction_weights, residual_blend,
                               embed_increment, capture_alignment,
                               AlignmentProblem, AlignmentState, incremental_refine,
                               UpdateConfig, disentangled_update, ille_update,
-                              _neighborhoods, _reaching, _reconstruction_operator,
-                              _weight_rows)
+                              _reaching, _reconstruction_operator)
 from dhge.seeding import TAG_BFS, mix, mix_many, seed_states
 from dhge.tensor import NumericError, SingularMatrixError
 from conftest import build_graph, tiny_bipartite, tiny_params
-from oracles import (all_refs, bfs_neighbors_loop, blocks_equal, constrained_weights,
+from oracles import (all_refs, blocks_equal, constrained_weights,
                      coupled_rows_dense, coupled_rows_solve, embed_increment_sweeps,
                      full_lle_oracle, knn_brute, knn_indices, lle_loss, lle_weight_matrix,
                      neighborhoods_loop, reaching_dijkstra, reconstruction_operator_loop,
                      reconstruction_weights_loop, refine_per_trial)
 from test_bench_contract import _bench_module
 from update_scaling import scaling_graph
+
+
+def _one_row_weights(center, nbrs, eps):
+    """``reconstruction_weights`` of one center from its (k, D) neighbor rows."""
+    vecs = np.vstack([center, nbrs])
+    return reconstruction_weights(vecs, [0], [np.arange(1, len(vecs))], eps)[0]
 
 
 class TestReconstructionWeights:
@@ -40,32 +44,31 @@ class TestReconstructionWeights:
             center = rng.normal(size=d)
             nbrs = rng.normal(size=(k, d))
             eps = float(rng.choice([1e-6, 1e-3, 1e-1]))
-            got = reconstruction_weights(center, nbrs, eps)
+            got = _one_row_weights(center, nbrs, eps)
             want = constrained_weights(center, nbrs, eps)
             assert np.allclose(got, want, atol=1e-8), trial
             assert abs(got.sum() - 1.0) <= 1e-12
 
     def test_single_neighbor_gets_unit_weight(self, rng):
-        assert reconstruction_weights(rng.normal(size=3),
-                                      rng.normal(size=(1, 3)), 1e-3).tolist() == [1.0]
+        assert _one_row_weights(rng.normal(size=3),
+                                rng.normal(size=(1, 3)), 1e-3).tolist() == [1.0]
 
     def test_exact_affine_point_reconstructs_exactly(self, rng):
         # center inside the affine hull of 3 neighbors in 2-D: residual ~ 0
         nbrs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         w_true = np.array([0.2, 0.5, 0.3])
         center = w_true @ nbrs
-        w = reconstruction_weights(center, nbrs, 1e-12)
+        w = _one_row_weights(center, nbrs, 1e-12)
         recon = w @ nbrs
         assert np.allclose(recon, center, atol=1e-6)
 
     def test_degenerate_neighborhood_uniform_fallback(self):
         center = np.ones(3)
         nbrs = np.tile(center, (4, 1))   # all differences are zero
-        got = reconstruction_weights(center, nbrs, 1e-3)
+        got = _one_row_weights(center, nbrs, 1e-3)
         assert np.allclose(got, 0.25)
-        from dhge.tensor import SingularMatrixError
         with pytest.raises(SingularMatrixError):
-            reconstruction_weights(center, nbrs, 0.0)
+            _one_row_weights(center, nbrs, 0.0)
 
     def test_residual_blend_formula_and_bounds(self, rng):
         c = rng.normal(size=4)
@@ -89,36 +92,36 @@ class TestBfsNeighbors:
     def test_one_hop_suffices(self):
         g = tiny_bipartite()
         center = g.global_index(NodeRef(0, 0))
-        nbrs, hops = bfs_neighbors(g, center, 2, rng_seed=4)
-        assert len(nbrs) == 2
-        assert hops.tolist() == [1, 1]
-        assert set(nbrs.tolist()) <= set(g.neighbors_of(center).tolist())
+        connected, nbrs = bfs_neighbors(g, [center], 2, rng_seed=4)
+        assert connected.tolist() == [True] and nbrs.shape == (1, 2)
+        assert len(set(nbrs[0].tolist())) == 2   # drawn without replacement
+        assert set(nbrs[0].tolist()) <= set(g.neighbors_of(center).tolist())
 
     def test_two_hop_expansion(self):
         # path: a - b - c ; from a with k=2 we need c via hop 2
         g = build_graph([(0, 0)], [3], [[(0, 1), (1, 2)]])
-        nbrs, hops = bfs_neighbors(g, 0, 2, rng_seed=0)
-        assert hops.tolist() == [1, 2]
-        assert nbrs.tolist() == [1, 2]
+        assert bfs_neighbors(g, [0], 2, rng_seed=0)[1].tolist() == [[1, 2]]
 
-    def test_padding_with_replacement_preserves_hops(self):
-        # single edge a - b: k=4 forces resampling of b
+    def test_padding_resamples_the_collected_set(self):
+        # single edge a - b: k=4 forces resampling of b; on the path
+        # a - b - c, k=5 pads b and c after both hops
         g = build_graph([(0, 0)], [2], [[(0, 1)]])
-        nbrs, hops = bfs_neighbors(g, 0, 4, rng_seed=1)
-        assert nbrs.tolist() == [1, 1, 1, 1]
-        assert hops.tolist() == [1, 1, 1, 1]
+        assert bfs_neighbors(g, [0], 4, rng_seed=1)[1].tolist() == [[1, 1, 1, 1]]
+        g = build_graph([(0, 0)], [3], [[(0, 1), (1, 2)]])
+        nbrs = bfs_neighbors(g, [0], 5, rng_seed=1)[1][0]
+        assert nbrs[:2].tolist() == [1, 2] and set(nbrs[2:].tolist()) <= {1, 2}
 
-    def test_isolated_raises_cold(self):
+    def test_isolated_is_not_connected(self):
         g = build_graph([(0, 0)], [3], [[(0, 1)]])
-        with pytest.raises(ColdIsolatedError) as err:
-            bfs_neighbors(g, 2, 2, rng_seed=0)
-        assert err.value.ref == NodeRef(0, 2)
+        connected, nbrs = bfs_neighbors(g, [0, 2, 1], 2, rng_seed=0)
+        assert connected.tolist() == [True, False, True]
+        assert nbrs.tolist() == [[1, 1], [0, 0]]
 
     def test_deterministic_per_seed(self):
         g = tiny_bipartite()
         center = g.global_index(NodeRef(1, 1))
-        a = bfs_neighbors(g, center, 3, rng_seed=7)
-        b = bfs_neighbors(g, center, 3, rng_seed=7)
+        a = bfs_neighbors(g, [center], 3, rng_seed=7)
+        b = bfs_neighbors(g, [center], 3, rng_seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -145,7 +148,7 @@ class TestBatchedMatchesLoops:
                 with monkeypatch.context() as m:
                     if rng_seed == -7:   # many 2-hop passes, one a single row
                         m.setattr(incremental, "_HOP2_CHUNK", 40)
-                    got = _neighborhoods(g, ids, k, rng_seed)
+                    got = bfs_neighbors(g, ids, k, rng_seed)
                 want = neighborhoods_loop(g, ids, k, rng_seed)
                 assert np.array_equal(got[0], want[0]), (k, rng_seed)
                 assert np.array_equal(got[1], want[1]), (k, rng_seed)
@@ -153,7 +156,7 @@ class TestBatchedMatchesLoops:
         g = self._padding_graph()
         sub = np.array([15, 3, 0, 16, 12])
         assert all(np.array_equal(a, b) for a, b in zip(
-            _neighborhoods(g, sub, 4, 9), neighborhoods_loop(g, sub, 4, 9)))
+            bfs_neighbors(g, sub, 4, 9), neighborhoods_loop(g, sub, 4, 9)))
 
     @staticmethod
     def _draw_size_graph(k):
@@ -182,7 +185,7 @@ class TestBatchedMatchesLoops:
             monkeypatch.setattr(incremental, "_HOP2_CHUNK", chunk)
             for rng_seed in (0, 2 ** 32 + 5, -7):
                 sizes.clear()
-                got = _neighborhoods(g, ids, k, rng_seed)
+                got = bfs_neighbors(g, ids, k, rng_seed)
                 want = neighborhoods_loop(g, ids, k, rng_seed)
                 assert np.array_equal(got[0], want[0]), (chunk, rng_seed)
                 assert np.array_equal(got[1], want[1]), (chunk, rng_seed)
@@ -210,25 +213,25 @@ class TestBatchedMatchesLoops:
             refs = np.array([g.ref_of(j) for j in pad], dtype=np.int64).reshape(-1, 2)
             want = seed_states(TAG_BFS, mix_many(5, TAG_BFS, refs[:, 0], refs[:, 1]))
             made.clear()
-            _neighborhoods(g, np.arange(g.num_nodes), k, 5)
+            bfs_neighbors(g, np.arange(g.num_nodes), k, 5)
             assert sorted(made) == sorted(map(tuple, want.T.tolist())), k
         assert pads
 
     def test_bfs_neighbors(self):
+        # one node at a time, and the ids the sampler refuses
         g = self._padding_graph()
-        for center in (0, 1, 12, 13, 15):
+        for center in (0, 1, 12, 13, 15, 17):
             for k in (1, 2, 3, 5, 11, 12, 16):
                 for rng_seed in (3, 2 ** 63 + 1, -2):
-                    got = bfs_neighbors(g, center, k, rng_seed)
-                    want = bfs_neighbors_loop(g, center, k, rng_seed)
+                    got = bfs_neighbors(g, [center], k, rng_seed)
+                    want = neighborhoods_loop(g, [center], k, rng_seed)
                     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-                    assert got[1].dtype == want[1].dtype == np.int64
-        with pytest.raises(ColdIsolatedError):
-            bfs_neighbors(g, 17, 2, 0)
-        with pytest.raises(DataError, match="out of range"):
-            bfs_neighbors(g, 18, 2, 0)
+                    assert got[1].dtype == np.int64 and got[1].shape == (center != 17, k)
+        for bad in (18, -1):
+            with pytest.raises(DataError, match="%d out of range" % bad):
+                bfs_neighbors(g, [0, bad], 2, 0)
         with pytest.raises(ValueError):
-            bfs_neighbors(g, 0, 0, 0)
+            bfs_neighbors(g, [0], 0, 0)
 
     def test_weight_rows(self, rng):
         vecs = rng.normal(size=(300, 16)) * rng.choice([1e-4, 1.0, 1e4], size=(300, 1))
@@ -238,14 +241,14 @@ class TestBatchedMatchesLoops:
             centers = rng.permutation(300)
             nbrs[5], centers[5] = 7, 8          # every neighbor on the center
             for eps in (1e-3, 1e-8):
-                got = _weight_rows(vecs, centers, nbrs, eps)
+                got = reconstruction_weights(vecs, centers, nbrs, eps)
                 for j in range(300):
                     want = reconstruction_weights_loop(vecs[centers[j]], vecs[nbrs[j]], eps)
                     assert got[j].tobytes() == want.tobytes(), (k, eps, j)
         nbrs = rng.integers(0, 300, size=(300, 8))
         nbrs[250], centers[250] = 7, 8
         with pytest.raises(SingularMatrixError):
-            _weight_rows(vecs, centers, nbrs, 0.0)
+            reconstruction_weights(vecs, centers, nbrs, 0.0)
         with pytest.raises(SingularMatrixError):
             reconstruction_weights_loop(vecs[8], vecs[nbrs[250]], 0.0)
 
@@ -955,7 +958,7 @@ class TestIlleUpdate:
 
     @pytest.mark.parametrize("space", ["embedding", "feature"])
     def test_weight_rows_solve_over_their_space(self, space):
-        # every stored row against reconstruction_weights over the space's
+        # every stored row against one solve alone over the space's
         # vectors: feature rows, or the table with provisional rows (the mean
         # of the existing neighbors' rows) for the batch's new nodes
         g, cfg, params, table = self._setup()
@@ -963,8 +966,8 @@ class TestIlleUpdate:
 
         def check(graph, alignment, vec):
             for r, nb, w in zip(alignment.rows, alignment.nbrs, alignment.weights):
-                want = reconstruction_weights(vec(graph.ref_of(r)),
-                                              np.stack([vec(graph.ref_of(n)) for n in nb]), eps)
+                nbr_rows = np.stack([vec(graph.ref_of(n)) for n in nb])
+                want = reconstruction_weights_loop(vec(graph.ref_of(r)), nbr_rows, eps)
                 assert w.tobytes() == want.tobytes(), r
 
         state = capture_alignment(g, table, k=3, eps=eps, rng_seed=0, weight_space=space)
@@ -1000,15 +1003,22 @@ class TestIlleUpdate:
             g, table, state = g2, table2, state2
         assert coupled > 0
 
-    def test_alignment_k_mismatch_rejected(self):
+    def test_alignment_k_mismatch_rejected(self, monkeypatch):
+        # refused before the batch is applied
         g, cfg, params, table = self._setup()
         state = capture_alignment(g, table, k=2, eps=1e-3, rng_seed=0)
+        calls = []
+        monkeypatch.setattr(incremental, "apply_increment", lambda *args: calls.append(args))
         with pytest.raises(DataError, match="k=2 but the update uses k=3"):
             ille_update(g, self._batch(), params, table, cfg, UpdateConfig(k=3),
                         alignment=state)
+        assert calls == []
 
-    def test_table_count_mismatch_rejected(self):
+    def test_table_count_mismatch_rejected(self, monkeypatch):
         g, cfg, params, table = self._setup()
         bad = EmbeddingTable([np.zeros((2, table.dim)), np.zeros((4, table.dim))])
+        calls = []
+        monkeypatch.setattr(incremental, "apply_increment", lambda *args: calls.append(args))
         with pytest.raises(DataError, match="counts"):
             ille_update(g, self._batch(), params, bad, cfg, UpdateConfig())
+        assert calls == []

@@ -12,16 +12,16 @@ Run as a script, it prints one JSON line:
   from-scratch rebuild times; ``test_acceptance.test_05_...`` checks their
   ratio;
 * with ``refresh``, ``{"sizes", "embed_all", "capture_alignment",
-  "neighborhoods", "weights", "spectrum", "align_bytes",
+  "bfs_neighbors", "reconstruction_weights", "spectrum", "align_bytes",
   "save_alignment_ms", "load_alignment_ms"}``: the seconds of one
   full-coverage ``embed_all`` and one ``capture_alignment`` (hidden 32,
   k=8) on 4k, 16k and 64k-node bases, the two halves of the refresh that
   ends every retrain, then of ``capture_alignment``'s three stages run
-  again one at a time: ``_neighborhoods`` over every node, ``_weight_rows``
-  and the spectrum (``_grams`` of the reconstruction operator); then the
-  size in bytes of that alignment's ``.align`` file and the milliseconds
-  of one ``save_alignment`` and one ``load_alignment`` of it. No test
-  reads it;
+  again one at a time: ``bfs_neighbors`` over every node,
+  ``reconstruction_weights`` and the spectrum (``_grams`` of the
+  reconstruction operator); then the size in bytes of that alignment's
+  ``.align`` file and the milliseconds of one ``save_alignment`` and one
+  ``load_alignment`` of it. No test reads it;
 * with ``linear``, ``{"embed", "update", "solve"}``: per round, criterion
   09's times in seconds: one full-coverage ``embed_all`` (hidden 64) on
   10k, 20k and 40k-node bases, one ``ille_update`` of 50, 100 and 200 new
@@ -88,8 +88,8 @@ import dhge.graph
 from dhge.fixtures import gen_drift_stream, gen_planted_bipartite, swiss_roll_points
 from dhge.graph import (HeteroGraph, IncrementBatch, NodeRef, RelationSchema, load_graph,
                         read_increment)
-from dhge.incremental import (UpdateConfig, _grams, _neighborhoods, _reconstruction_operator,
-                              _weight_rows, capture_alignment, embed_increment, ille_update,
+from dhge.incremental import (UpdateConfig, _grams, _reconstruction_operator, bfs_neighbors,
+                              capture_alignment, embed_increment, ille_update,
                               reconstruction_weights)
 from dhge.model import EmbeddingTable, ModelConfig, ModelParams, embed_all
 from dhge.pipeline import cmd_retrieve, cmd_train, read_test_interactions, write_snapshot
@@ -139,7 +139,8 @@ def round_times(sizes=(4000, 8000, 16000), rounds=10):
 
 def refresh_times(sizes=(4000, 16000, 64000)):
     cfg = ModelConfig(input_dim=8, hidden_dim=32, rng_seed=0)
-    parts = ("embed_all", "capture_alignment", "neighborhoods", "weights", "spectrum")
+    parts = ("embed_all", "capture_alignment", "bfs_neighbors", "reconstruction_weights",
+             "spectrum")
     files = ("align_bytes", "save_alignment_ms", "load_alignment_ms")
     out = {"sizes": list(sizes), **{p: [] for p in parts + files}}
     gc.collect()
@@ -158,9 +159,9 @@ def refresh_times(sizes=(4000, 16000, 64000)):
             # an untimed copy of the table
             y = table.dense()
             t.append(time.perf_counter())
-            connected, nbrs = _neighborhoods(g, ids, 8, 0)
+            connected, nbrs = bfs_neighbors(g, ids, 8, 0)
             t.append(time.perf_counter())
-            _weight_rows(y, ids[connected], nbrs, 1e-3)
+            reconstruction_weights(y, ids[connected], nbrs, 1e-3)
             t.append(time.perf_counter())
             _grams(_reconstruction_operator(g, alignment), y)
             t.append(time.perf_counter())
@@ -328,8 +329,10 @@ def _discard(fn, *args):
 
 
 def _solves(center, nbrs, repeats=2000):
-    for _ in range(repeats):
-        reconstruction_weights(center, nbrs, 1e-3)
+    """``repeats`` solves of one neighborhood, stacked in one call."""
+    k = len(nbrs)
+    reconstruction_weights(np.vstack([center, nbrs]), np.zeros(repeats, dtype=np.int64),
+                           np.tile(np.arange(1, k + 1), (repeats, 1)), 1e-3)
 
 
 def _update_stages(*args, **kwargs):
@@ -354,11 +357,10 @@ def incremental_vs_rebuild(k=8, eps=1e-3, dim=2, n_base=300, n_new=30):
         d_new = scipy.spatial.distance.cdist(pts[n_base:], pts)
         d_new[np.arange(n_new), np.arange(n_base, n_base + n_new)] = np.inf
         nbrs = np.empty((n_new, k), dtype=np.int64)
-        weights = np.empty((n_new, k))
         for j in range(n_new):
             part = np.argpartition(d_new[j], k)[:k]
             nbrs[j] = part[np.argsort(d_new[j][part], kind="stable")]
-            weights[j] = reconstruction_weights(pts[n_base + j], pts[nbrs[j]], eps)
+        weights = reconstruction_weights(pts, np.arange(n_base, n_base + n_new), nbrs, eps)
         _, new_loss, _, _ = embed_increment(y_base, np.arange(n_base, n_base + n_new), nbrs,
                                             weights)
         return base_loss + new_loss
